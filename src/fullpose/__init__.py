@@ -13,6 +13,7 @@ Modules:
 * :mod:`fullpose.cli` - batch pipelines (``fullpose`` entry point).
 """
 
+from .errors import FullposeError
 from .geom import (
     EulerXYZ,
     FullPoseBox,
@@ -27,6 +28,8 @@ from .geom import (
     iou3d,
     matrix_to_euler,
     nms,
+    pairwise_bev_iou,
+    pairwise_iou3d,
     points_in_box,
     to_euler_xy,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "EvalConfig",
     "EvalReport",
     "FullPoseBox",
+    "FullposeError",
     "HeadConfig",
     "HeadOutput",
     "HeadParams",
@@ -73,6 +77,8 @@ __all__ = [
     "load_config",
     "matrix_to_euler",
     "nms",
+    "pairwise_bev_iou",
+    "pairwise_iou3d",
     "points_in_box",
     "rods",
     "to_euler_xy",

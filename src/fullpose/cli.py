@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, dataio, evaluation, geom, head, slopeaug, synth, verify
+from .errors import FullposeError
 
 
 @dataclass
@@ -492,7 +493,7 @@ def run(argv) -> CommandOutcome:
     try:
         cfg = dataio.load_config(args.config)
         summary = args.fn(args, cfg)
-    except (ValueError, OSError) as exc:
+    except (FullposeError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return CommandOutcome(1, {"error": str(exc)})
     exit_code = summary.pop("_exit", 0)

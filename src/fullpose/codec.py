@@ -24,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FullposeError
 from .geom import TWO_PI, FullPoseBox, PointCloud, points_in_box
 
 HALF_PI = math.pi / 2.0
 
 
-class TiltOutOfRangeError(ValueError):
+class TiltOutOfRangeError(FullposeError, ValueError):
     """Tilt angle magnitude must stay below pi/2."""
 
 
-class NonPositiveDimensionError(ValueError):
+class NonPositiveDimensionError(FullposeError, ValueError):
     """Box dimensions must be positive for log encoding."""
 
 

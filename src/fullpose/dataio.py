@@ -22,21 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import CodecConfig, wrap_angle
-from .evaluation import EvalConfig
+from .errors import FullposeError
+from .evaluation import DIFFICULTY_LABELS, EvalConfig
 from .geom import EulerXYZ, FullPoseBox, PointCloud
 from .head import HeadConfig
 from .slopeaug import SlopeAugConfig
 
 
-class TruncatedFileError(ValueError):
+class TruncatedFileError(FullposeError, ValueError):
     pass
 
 
-class ParseError(ValueError):
+class ParseError(FullposeError, ValueError):
     pass
 
 
-class ConfigError(ValueError):
+class ConfigError(FullposeError, ValueError):
     pass
 
 
@@ -277,6 +278,12 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 raise ParseError(f"{path}:{lineno}: dims must be positive")
             if not (np.all(np.isfinite(center)) and np.all(np.isfinite(dims)) and np.all(np.isfinite(euler))):
                 raise ParseError(f"{path}:{lineno}: non-finite numbers")
+            difficulty = obj.get("difficulty")
+            if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
+                raise ParseError(
+                    f"{path}:{lineno}: unknown difficulty {difficulty!r}, "
+                    f"expected one of {', '.join(DIFFICULTY_LABELS)}"
+                )
             records.append(
                 Pose6dRecord(
                     frame=str(obj["frame"]),
@@ -285,7 +292,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                     dims=dims,
                     euler=euler,
                     score=None if obj.get("score") is None else float(obj["score"]),
-                    difficulty=obj.get("difficulty"),
+                    difficulty=difficulty,
                     extra={k: v for k, v in obj.items() if k not in _POSE6D_KEYS},
                 )
             )

@@ -18,19 +18,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import FullPoseBox, bev_iou, center_distance, iou3d
+from .errors import FullposeError
+from .geom import (
+    FullPoseBox,
+    center_distance,
+    pairwise_bev_iou,
+    pairwise_center_distance,
+    pairwise_iou3d,
+)
 
 
-class InputOutOfRangeError(ValueError):
+class InputOutOfRangeError(FullposeError, ValueError):
     pass
 
 
-class FrameMismatchError(ValueError):
+class FrameMismatchError(FullposeError, ValueError):
     pass
 
 
 DIFFICULTIES = ("easy", "moderate", "hard")
-_RANK = {"easy": 0, "moderate": 1, "hard": 2, "ignored": 3}
+DIFFICULTY_LABELS = DIFFICULTIES + ("ignored",)  # every valid ground-truth label
+_RANK = {label: rank for rank, label in enumerate(DIFFICULTY_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -103,13 +111,14 @@ class MatchResult:
     orient_error: np.ndarray  # (m,) radians, nan unless TP
 
 
-def _criterion_value(det: FullPoseBox, gt: FullPoseBox, criterion: MatchCriterion,
-                     bev_distance: bool = False) -> float:
+def _criterion_matrix(dets, gts, criterion: MatchCriterion,
+                     bev_distance: bool = False) -> np.ndarray:
+    """(m, g) criterion values of every detection against every ground truth."""
     if criterion.kind == "iou3d":
-        return iou3d(det, gt)
+        return pairwise_iou3d(dets, gts)
     if criterion.kind == "bev_iou":
-        return bev_iou(det, gt)
-    return center_distance(det, gt, bev=bev_distance)
+        return pairwise_bev_iou(dets, gts)
+    return pairwise_center_distance(dets, gts, bev=bev_distance)
 
 
 def match(dets, gts, criterion: MatchCriterion, gt_ignored=None,
@@ -122,61 +131,68 @@ def match(dets, gts, criterion: MatchCriterion, gt_ignored=None,
     """
     dets = list(dets)
     gts = list(gts)
+    scores = _det_scores(dets)
+    values = _criterion_matrix(dets, gts, criterion, bev_distance)
+    return _greedy_match(dets, gts, scores, values, criterion, gt_ignored, bev_distance)
+
+
+def _det_scores(dets) -> np.ndarray:
     for i, det in enumerate(dets):
         if det.score is None:
             raise ValueError(f"detection {i} has no score")
-    ignored_mask = np.zeros(len(gts), dtype=bool) if gt_ignored is None else np.asarray(gt_ignored, dtype=bool)
-    counted = [i for i in range(len(gts)) if not ignored_mask[i]]
-    ignored = [i for i in range(len(gts)) if ignored_mask[i]]
+    return np.array([d.score for d in dets], dtype=np.float64)
 
-    m = len(dets)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
+
+def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion, gt_ignored,
+                  bev_distance: bool) -> MatchResult:
+    """The greedy pass of :func:`match` over a precomputed criterion matrix.
+
+    Detections go in descending score order (ties: lower index first);
+    each takes the qualifying untaken counted GT with the best value, the
+    lowest GT index winning ties.
+    """
+    m, g = values.shape
+    ignored_mask = np.zeros(g, dtype=bool) if gt_ignored is None else np.asarray(gt_ignored, dtype=bool)
+    if criterion.uses_distance:
+        ok = values <= criterion.threshold
+        cost = values
+    else:
+        ok = values >= criterion.threshold
+        cost = -values
+    ok_counted = ok & ~ignored_mask
+    has_counted = ok_counted.any(axis=1).tolist()
+    has_ignored = (ok & ignored_mask).any(axis=1).tolist()
+
     tp = np.zeros(m, dtype=bool)
     ign = np.zeros(m, dtype=bool)
     matched_gt = np.full(m, -1, dtype=np.intp)
-    gt_taken = np.zeros(len(gts), dtype=bool)
+    gt_taken = np.zeros(g, dtype=bool)
     trans = np.full(m, np.nan)
     scale = np.full(m, np.nan)
     orient = np.full(m, np.nan)
 
-    order = sorted(range(m), key=lambda i: (-scores[i], i))
-    for i in order:
-        best_j, best_val = -1, None
-        for j in counted:
-            if gt_taken[j]:
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if has_counted[i]:
+            free = ok_counted[i] & ~gt_taken
+            if free.any():
+                j = int(np.argmin(np.where(free, cost[i], np.inf)))
+                gt_taken[j] = True
+                tp[i] = True
+                matched_gt[i] = j
+                det, gt = dets[i], gts[j]
+                trans[i] = center_distance(det, gt, bev=bev_distance)
+                scale[i] = aligned_scale_iou(det, gt)
+                orient[i] = geodesic_distance(det, gt)
                 continue
-            val = _criterion_value(dets[i], gts[j], criterion, bev_distance)
-            ok = val <= criterion.threshold if criterion.uses_distance else val >= criterion.threshold
-            if not ok:
-                continue
-            better = best_val is None or (
-                val < best_val if criterion.uses_distance else val > best_val
-            )
-            if better:
-                best_j, best_val = j, val
-        if best_j >= 0:
-            gt_taken[best_j] = True
-            tp[i] = True
-            matched_gt[i] = best_j
-            gt = gts[best_j]
-            trans[i] = center_distance(dets[i], gt, bev=bev_distance)
-            scale[i] = aligned_scale_iou(dets[i], gt)
-            orient[i] = geodesic_distance(dets[i], gt)
-            continue
-        for j in ignored:
-            val = _criterion_value(dets[i], gts[j], criterion, bev_distance)
-            ok = val <= criterion.threshold if criterion.uses_distance else val >= criterion.threshold
-            if ok:
-                ign[i] = True
-                break
+        ign[i] = has_ignored[i]
 
     return MatchResult(
         det_scores=scores,
         det_tp=tp,
         det_ignored=ign,
         det_gt=matched_gt,
-        gt_matched=gt_taken[counted] if counted else np.zeros(0, dtype=bool),
-        n_gt=len(counted),
+        gt_matched=gt_taken[~ignored_mask],
+        n_gt=int(g - ignored_mask.sum()),
         trans_error=trans,
         scale_score=scale,
         orient_error=orient,
@@ -332,7 +348,17 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
     def difficulties(frame, gts):
         if gt_difficulty_by_frame is None:
             return ["moderate"] * len(gts)
-        return gt_difficulty_by_frame[frame]
+        if frame not in gt_difficulty_by_frame:
+            raise ValueError(f"gt_difficulty_by_frame has no entry for frame {frame!r}")
+        diffs = list(gt_difficulty_by_frame[frame])
+        if len(diffs) != len(gts):
+            raise ValueError(
+                f"frame {frame!r}: {len(diffs)} difficulties for {len(gts)} ground truths"
+            )
+        unknown = sorted({d for d in diffs if d not in _RANK})
+        if unknown:
+            raise ValueError(f"frame {frame!r}: unknown difficulty {unknown[0]!r}")
+        return diffs
 
     classes = sorted(
         {b.class_id for gts in gts_by_frame.values() for b in gts}
@@ -344,28 +370,40 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
     }
     cd_label = f"cd@{config.cd_threshold:g}"
     cd_criterion = MatchCriterion("center_distance", config.cd_threshold)
+    cd_bev = config.center_distance_bev
+    frame_diffs = {
+        frame: difficulties(frame, gts_by_frame[frame]) for frame in frames
+    }
 
     for cls in classes:
-        per_frame = {}
+        # each frame's criterion matrices are built once and shared by
+        # every difficulty bucket
+        per_frame = []
         for frame in frames:
-            gts = [b for b in gts_by_frame[frame] if b.class_id == cls]
-            diffs = [
-                d
-                for b, d in zip(gts_by_frame[frame], difficulties(frame, gts_by_frame[frame]))
-                if b.class_id == cls
-            ]
+            gts, diffs = [], []
+            for b, d in zip(gts_by_frame[frame], frame_diffs[frame]):
+                if b.class_id == cls:
+                    gts.append(b)
+                    diffs.append(d)
             dets = [b for b in dets_by_frame.get(frame, []) if b.class_id == cls]
-            per_frame[frame] = (dets, gts, diffs)
+            det_scores = _det_scores(dets)
+            values = {
+                label: _criterion_matrix(dets, gts, criterion)
+                for label, criterion in criteria.items()
+            }
+            values[cd_label] = _criterion_matrix(dets, gts, cd_criterion, cd_bev)
+            per_frame.append((dets, gts, diffs, det_scores, values))
 
         for label, criterion in criteria.items():
             for bucket in DIFFICULTIES:
                 rank = _RANK[bucket]
                 results = []
                 bucket_gt = 0
-                for dets, gts, diffs in per_frame.values():
+                for dets, gts, diffs, det_scores, values in per_frame:
                     ignored = [_RANK[d] > rank for d in diffs]
                     bucket_gt += sum(1 for flag in ignored if not flag)
-                    results.append(match(dets, gts, criterion, gt_ignored=ignored))
+                    results.append(_greedy_match(
+                        dets, gts, det_scores, values[label], criterion, ignored, False))
                 if bucket_gt == 0:
                     continue  # no targets at this difficulty; bucket omitted
                 report.ap[(cls, bucket, label)] = average_precision(
@@ -373,12 +411,10 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
                 )
 
         cd_results = []
-        for dets, gts, diffs in per_frame.values():
+        for dets, gts, diffs, det_scores, values in per_frame:
             ignored = [d == "ignored" for d in diffs]
-            cd_results.append(
-                match(dets, gts, cd_criterion, gt_ignored=ignored,
-                      bev_distance=config.center_distance_bev)
-            )
+            cd_results.append(_greedy_match(
+                dets, gts, det_scores, values[cd_label], cd_criterion, ignored, cd_bev))
         ap_cd = average_precision(cd_results, config.recall_positions)
         scores = tp_scores(cd_results, d_th=config.cd_threshold)
         report.rotated[cls] = {

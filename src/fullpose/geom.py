@@ -18,29 +18,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import FullposeError
 
 TWO_PI = 2.0 * math.pi
 
 
-class GimbalLockError(ValueError):
+class GimbalLockError(FullposeError, ValueError):
     """Euler decomposition is singular (|pitch| at 90 degrees)."""
 
 
-class NonUnitAxisError(ValueError):
+class NonUnitAxisError(FullposeError, ValueError):
     """Rotation axis does not have unit length."""
 
 
-class NonHorizontalAxisError(ValueError):
+class NonHorizontalAxisError(FullposeError, ValueError):
     """Rotation axis must lie in the x-y plane."""
 
 
-class MissingScoreError(ValueError):
+class MissingScoreError(FullposeError, ValueError):
     """Operation requires every box to carry a score."""
 
 
-class KTooLargeError(ValueError):
+class KTooLargeError(FullposeError, ValueError):
     """Requested more samples than there are points."""
 
 
@@ -276,88 +279,237 @@ def points_in_box(points, box: FullPoseBox) -> np.ndarray:
     return np.all(np.abs(local) <= box.dims * 0.5 + 1e-9, axis=1)
 
 
-def bev_corners(box: FullPoseBox) -> np.ndarray:
-    """Counterclockwise corners (4, 2) of the yaw-rotated l x w footprint."""
-    l, w = box.dims[0], box.dims[1]
-    local = np.array(
-        [[l / 2, w / 2], [-l / 2, w / 2], [-l / 2, -w / 2], [l / 2, -w / 2]]
-    )
-    c, s = math.cos(box.euler.theta_z), math.sin(box.euler.theta_z)
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + box.center[:2]
+class _Footprints(NamedTuple):
+    """Yaw-rotated footprints of n boxes, with their centers and dimensions."""
+
+    corners: np.ndarray  # (n, 4) complex x + iy, counterclockwise
+    area: np.ndarray     # (n,) shoelace area of the corners
+    centers: np.ndarray  # (n, 3)
+    dims: np.ndarray     # (n, 3) l, w, h
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+# local footprint corners as multiples of (l, w), counterclockwise
+_CORNER_X = np.array([0.5, -0.5, -0.5, 0.5])
+_CORNER_Y = np.array([0.5, 0.5, -0.5, -0.5])
 
 
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clipping of ``subject`` by convex CCW ``clip``."""
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        a = clip[i]
-        edge = clip[(i + 1) % n] - a
-        polygon, output = output, []
-        # signed cross; >= 0 keeps boundary points (closed clip region)
-        sides = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in polygon]
-        for j, cur in enumerate(polygon):
-            prev = polygon[j - 1]
-            s_cur, s_prev = sides[j], sides[j - 1]
-            if (s_cur >= 0.0) != (s_prev >= 0.0):
-                t = s_prev / (s_prev - s_cur)
-                output.append(
-                    (
-                        prev[0] + t * (cur[0] - prev[0]),
-                        prev[1] + t * (cur[1] - prev[1]),
-                    )
-                )
-            if s_cur >= 0.0:
-                output.append(cur)
-    return np.array(output) if output else np.empty((0, 2))
+def _footprints(boxes) -> _Footprints:
+    """Footprints of a sequence of boxes, in the order given."""
+    n = len(boxes)
+    centers = np.array([b.center for b in boxes], dtype=np.float64).reshape(n, 3)
+    dims = np.array([b.dims for b in boxes], dtype=np.float64).reshape(n, 3)
+    yaw = [b.euler.theta_z for b in boxes]
+    c = np.array([math.cos(t) for t in yaw])[:, None]
+    s = np.array([math.sin(t) for t in yaw])[:, None]
+    lx = dims[:, :1] * _CORNER_X
+    ly = dims[:, 1:2] * _CORNER_Y
+    corners = np.empty((n, 4), dtype=np.complex128)
+    corners.real = lx * c - ly * s + centers[:, :1]
+    corners.imag = lx * s + ly * c + centers[:, 1:2]
+    return _Footprints(corners, _polygon_areas(corners), centers, dims)
 
 
-def _footprints_disjoint(a: FullPoseBox, b: FullPoseBox) -> bool:
-    # exact early reject: footprints cannot meet beyond their circumradii
+def _polygon_areas(poly: np.ndarray) -> np.ndarray:
+    """Shoelace areas of the polygons in the rows of the complex array ``poly``.
+
+    The per-edge terms are summed column by column, so a row padded with
+    copies of its last vertex has exactly the area of the unpadded row.
+    """
+    nxt = np.concatenate((poly[:, 1:], poly[:, :1]), axis=1)
+    terms = poly.real * nxt.imag - nxt.real * poly.imag
+    total = terms[:, 0].copy()
+    for k in range(1, terms.shape[1]):
+        total += terms[:, k]
+    return 0.5 * np.abs(total)
+
+
+# four clip edges at most double a row's width each: 4 * 2**4 slots
+_SLOTS = np.arange(64)
+
+
+def _clipped_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Area of subject quad p clipped by the CCW clip quad p, for every row p.
+
+    Sutherland-Hodgman with closed half-planes, run on all rows at once;
+    vertices are complex numbers x + iy.  A clip edge turns an n-gon into
+    at most n + 1 vertices, so rows stay narrow (at most 8 after the four
+    edges of a quad).  A row with fewer vertices than the width repeats
+    its last vertex: the copies add only zero-length edges, which never
+    cross a clip line and add exact zeros to the area.  An emptied row
+    collapses to one repeated point, whose area is exactly 0.
+    """
+    rows = subject.shape[0]
+    poly = subject
+    edges = np.concatenate((clip[:, 1:], clip[:, :1]), axis=1) - clip
+    edge_x, edge_y = edges.real, edges.imag
+    row_ids = np.arange(rows)
+    for k in range(4):
+        width = poly.shape[1]
+        # column 0 holds the predecessor of column 1: the last vertex
+        ext = np.concatenate((poly[:, -1:], poly), axis=1)
+        rel = ext - clip[:, k:k + 1]
+        side = edge_x[:, k:k + 1] * rel.imag - edge_y[:, k:k + 1] * rel.real
+        inside = side >= 0.0
+        if inside.all():
+            continue  # no row reaches past this edge: nothing to clip
+        s_prev = side[:, :-1]
+        inside_cur = inside[:, 1:]
+        crossing = inside_cur != inside[:, :-1]
+        t = np.divide(s_prev, s_prev - side[:, 1:], out=np.zeros((rows, width)),
+                      where=crossing)
+        prev = ext[:, :-1]
+        # candidates per vertex: the crossing into it, then the vertex itself
+        cand = np.empty((rows, 2 * width), dtype=np.complex128)
+        emit = np.empty((rows, 2 * width), dtype=bool)
+        cand[:, 0::2] = prev + t * (poly - prev)
+        cand[:, 1::2] = poly
+        emit[:, 0::2] = crossing
+        emit[:, 1::2] = inside_cur
+        count = np.add.reduce(emit, axis=1)
+        new_width = int(count.max())
+        if new_width == 0:
+            return np.zeros(rows)
+        # emitted candidates first, in order; the others sort last as the
+        # highest index and are then replaced by the last emitted one
+        order = np.where(emit, _SLOTS[:2 * width], 2 * width - 1)
+        order.sort(axis=1)
+        order = order[:, :new_width]
+        if count.min() < new_width:
+            np.minimum(order, order[row_ids, count - 1][:, None], out=order)
+        poly = cand[row_ids[:, None], order]
+    return _polygon_areas(poly)
+
+
+# pairs clipped per pass; bounds the clipping temporaries
+_CLIP_BATCH = 64
+# pair tests per NMS block; bounds the circumradius-test temporaries
+_NEAR_BATCH = 1 << 12
+
+
+def _pair_ious(fp: _Footprints, ia, ib, dz=None) -> np.ndarray:
+    """IoU of the box pairs (ia[p], ib[p]); BEV, or 3D given the z-overlaps ``dz``.
+
+    Boxes ``ia`` are the clipped subjects, boxes ``ib`` the clip.
+    """
+    if len(ia) == 0:
+        return np.zeros(0)
+    if len(ia) > _CLIP_BATCH:
+        return np.concatenate([
+            _pair_ious(fp, ia[lo:lo + _CLIP_BATCH], ib[lo:lo + _CLIP_BATCH],
+                       None if dz is None else dz[lo:lo + _CLIP_BATCH])
+            for lo in range(0, len(ia), _CLIP_BATCH)
+        ])
+    inter = _clipped_areas(fp.corners[ia], fp.corners[ib])
+    if dz is None:
+        union = fp.area[ia] + fp.area[ib] - inter
+    else:
+        inter *= dz
+        volume = fp.dims[:, 0] * fp.dims[:, 1] * fp.dims[:, 2]
+        union = volume[ia] + volume[ib] - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return np.minimum(np.maximum(iou, 0.0, out=iou), 1.0, out=iou)
+
+
+def _near(fp: _Footprints, rows: slice, cols: slice) -> np.ndarray:
+    """Mask of the box pairs (rows x cols) whose footprints can meet.
+
+    Exact early reject: footprints farther apart than the sum of their
+    circumradii cannot overlap.
+    """
+    cx, cy = fp.centers[:, 0], fp.centers[:, 1]
+    diagonal = np.hypot(fp.dims[:, 0], fp.dims[:, 1])
+    d2 = cx[rows, None] - cx[None, cols]
+    d2 *= d2
+    dy = cy[rows, None] - cy[None, cols]
+    dy *= dy
+    d2 += dy
+    reach = diagonal[rows, None] + diagonal[None, cols]
+    reach /= 2.0
+    reach *= reach
+    return d2 <= reach
+
+
+def _pairwise_iou(a, b, three_d: bool) -> np.ndarray:
+    a, b = list(a), list(b)
+    m, g = len(a), len(b)
+    out = np.zeros((m, g))
+    if not m or not g:
+        return out
+    fp = _footprints(a + b)
+    near = _near(fp, slice(0, m), slice(m, None))
+    dz = None
+    if three_d:
+        z0 = fp.centers[:, 2] - fp.dims[:, 2] / 2
+        z1 = fp.centers[:, 2] + fp.dims[:, 2] / 2
+        dz = np.minimum(z1[:m, None], z1[None, m:]) - np.maximum(z0[:m, None], z0[None, m:])
+        near &= dz > 0.0
+    ia, ib = np.nonzero(near)
+    if len(ia):
+        out[ia, ib] = _pair_ious(fp, ia, ib + m, None if dz is None else dz[ia, ib])
+    return out
+
+
+def pairwise_bev_iou(a, b) -> np.ndarray:
+    """(m, g) BEV IoU matrix of boxes ``a`` (rows) against boxes ``b`` (columns).
+
+    Entry ``[i, j]`` equals ``bev_iou(a[i], b[j])``: the footprint of the
+    row box is clipped by the footprint of the column box.  Pairs beyond
+    their circumradii are rejected before any clipping.
+    """
+    return _pairwise_iou(a, b, three_d=False)
+
+
+def pairwise_iou3d(a, b) -> np.ndarray:
+    """(m, g) KITTI-style 3D IoU matrix; entry ``[i, j]`` is ``iou3d(a[i], b[j])``.
+
+    Pairs without z-overlap or beyond their circumradii are rejected
+    before any clipping.
+    """
+    return _pairwise_iou(a, b, three_d=True)
+
+
+_FIRST = np.array([0], dtype=np.intp)
+_SECOND = np.array([1], dtype=np.intp)
+
+
+def _scalar_iou(a: FullPoseBox, b: FullPoseBox, three_d: bool) -> float:
+    """One pair through the batched kernel, behind pure-Python early rejects.
+
+    The rejects are the z-overlap and circumradius tests of
+    :func:`_pairwise_iou`; they keep disjoint pairs free of array overhead.
+    """
+    dz = None
+    if three_d:
+        dz = (min(a.center[2] + a.dims[2] / 2, b.center[2] + b.dims[2] / 2)
+              - max(a.center[2] - a.dims[2] / 2, b.center[2] - b.dims[2] / 2))
+        if dz <= 0.0:
+            return 0.0
+        dz = np.array([dz])
     reach = (math.hypot(a.dims[0], a.dims[1]) + math.hypot(b.dims[0], b.dims[1])) / 2.0
     dx = a.center[0] - b.center[0]
     dy = a.center[1] - b.center[1]
-    return dx * dx + dy * dy > reach * reach
+    if dx * dx + dy * dy > reach * reach:
+        return 0.0
+    fp = _footprints([a, b])
+    return float(_pair_ious(fp, _FIRST, _SECOND, dz)[0])
 
 
 def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
     """IoU of the yaw-rotated footprints in the x-y plane.
 
     Roll and pitch are deliberately ignored so that yaw-only predictions
-    and full-pose ground truth remain comparable with one number.
+    and full-pose ground truth remain comparable with one number.  Equals
+    ``pairwise_bev_iou([a], [b])[0, 0]``.
     """
-    if _footprints_disjoint(a, b):
-        return 0.0
-    ca, cb = bev_corners(a), bev_corners(b)
-    inter = _polygon_area(_clip_polygon(ca, cb))
-    union = _polygon_area(ca) + _polygon_area(cb) - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    return _scalar_iou(a, b, three_d=False)
 
 
 def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
-    """KITTI-style 3D IoU: rotated footprint overlap times z-extent overlap."""
-    za0, za1 = a.center[2] - a.dims[2] / 2, a.center[2] + a.dims[2] / 2
-    zb0, zb1 = b.center[2] - b.dims[2] / 2, b.center[2] + b.dims[2] / 2
-    dz = min(za1, zb1) - max(za0, zb0)
-    if dz <= 0.0 or _footprints_disjoint(a, b):
-        return 0.0
-    inter = _polygon_area(_clip_polygon(bev_corners(a), bev_corners(b))) * dz
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    """KITTI-style 3D IoU: rotated footprint overlap times z-extent overlap.
+
+    Equals ``pairwise_iou3d([a], [b])[0, 0]``.
+    """
+    return _scalar_iou(a, b, three_d=True)
 
 
 def center_distance(a: FullPoseBox, b: FullPoseBox, bev: bool = False) -> float:
@@ -368,23 +520,49 @@ def center_distance(a: FullPoseBox, b: FullPoseBox, bev: bool = False) -> float:
     return float(np.linalg.norm(d))
 
 
+def pairwise_center_distance(a, b, bev: bool = False) -> np.ndarray:
+    """(m, g) center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
+    dim = 2 if bev else 3
+    ca = np.array([box.center[:dim] for box in a], dtype=np.float64).reshape(-1, dim)
+    cb = np.array([box.center[:dim] for box in b], dtype=np.float64).reshape(-1, dim)
+    return np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+
+
 def nms(boxes, iou_threshold: float) -> np.ndarray:
     """Greedy non-maximum suppression on BEV IoU.
 
     Boxes are visited in descending score order (ties: lower input index
     first); a box is suppressed when its BEV IoU with an already kept box
     exceeds ``iou_threshold``.  Returns kept input indices, best first.
+
+    Ranks are decided in blocks: a block's candidate pairs are its boxes
+    against the kept boxes of earlier blocks and against earlier boxes of
+    the same block, and one batched call computes the IoUs of those that
+    pass the circumradius test.
     """
     boxes = list(boxes)
     for i, box in enumerate(boxes):
         if box.score is None:
             raise MissingScoreError(f"box {i} has no score")
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept: list[int] = []
-    for i in order:
-        if all(bev_iou(boxes[i], boxes[j]) <= iou_threshold for j in kept):
-            kept.append(i)
-    return np.array(kept, dtype=np.intp)
+    n = len(order)
+    fp = _footprints([boxes[i] for i in order])
+    kept = np.zeros(n, dtype=bool)
+    block = max(1, _NEAR_BATCH // max(n, 1))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        near = _near(fp, slice(start, stop), slice(0, stop))
+        near[:, :start] &= kept[:start]
+        # later rank (row) against earlier rank (column) only
+        rows, cols = np.nonzero(np.tril(near, start - 1))
+        rows += start
+        over = _pair_ious(fp, rows, cols) > iou_threshold
+        rows, cols = rows[over], cols[over]
+        bounds = np.searchsorted(rows, np.arange(start, stop + 1)).tolist()
+        for r in range(start, stop):
+            lo, hi = bounds[r - start], bounds[r - start + 1]
+            kept[r] = lo == hi or not kept[cols[lo:hi]].any()
+    return np.array(order, dtype=np.intp)[kept]
 
 
 def fps(points, k: int, weights=None) -> np.ndarray:

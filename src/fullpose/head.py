@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec, nn
+from .errors import FullposeError
 from .geom import EulerXYZ, FullPoseBox, PointCloud
 
 
-class EmptyDatasetError(ValueError):
+class EmptyDatasetError(FullposeError, ValueError):
     pass
 
 

@@ -22,20 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FullposeError
 
-class ShapeMismatchError(ValueError):
+
+class ShapeMismatchError(FullposeError, ValueError):
     pass
 
 
-class EmptyGroupError(ValueError):
+class EmptyGroupError(FullposeError, ValueError):
     pass
 
 
-class ProbabilityOutOfRangeError(ValueError):
+class ProbabilityOutOfRangeError(FullposeError, ValueError):
     pass
 
 
-class LabelOutOfRangeError(ValueError):
+class LabelOutOfRangeError(FullposeError, ValueError):
     pass
 
 

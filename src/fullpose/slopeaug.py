@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import FullposeError
 from .geom import (
     EulerXYZ,
     FullPoseBox,
@@ -32,7 +33,7 @@ from .geom import (
 )
 
 
-class ZeroAnchorError(ValueError):
+class ZeroAnchorError(FullposeError, ValueError):
     """The split anchor must be nonzero."""
 
 
@@ -58,7 +59,7 @@ class SlopeAugConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be a nondegenerate (min, max) pair")
-        if not 0.0 <= self.gamma_range[0] and self.gamma_range[1] < math.pi / 2:
+        if not (0.0 <= self.gamma_range[0] and self.gamma_range[1] < math.pi / 2):
             raise ValueError("gamma magnitudes must lie in [0, pi/2)")
         if self.gamma_sign not in ("both", "up", "down"):
             raise ValueError(f"gamma_sign must be both/up/down, got {self.gamma_sign}")

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .geom import EulerXYZ, FullPoseBox, PointCloud, bev_iou, points_in_box
+from .errors import FullposeError
+from .geom import EulerXYZ, FullPoseBox, PointCloud, pairwise_bev_iou, points_in_box
 from .slopeaug import LabeledFrame
 
 GROUND_SOURCE = -1.0
 
 
-class PlacementFailureError(RuntimeError):
+class PlacementFailureError(FullposeError, RuntimeError):
     """Could not place a non-overlapping box within the retry budget."""
 
 
@@ -167,7 +168,7 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
         foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
         center = foot + normal * (dims[2] / 2.0)
         box = FullPoseBox(center=center, dims=dims, euler=euler, class_id=cls)
-        if any(bev_iou(box, other) > 0.0 for other in boxes):
+        if boxes and pairwise_bev_iou([box], boxes).max() > 0.0:
             rejections += 1
             continue
         rejections = 0

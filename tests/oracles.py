@@ -110,3 +110,71 @@ def nms_oracle(boxes, iou_threshold: float, iou_fn) -> list[int]:
         if all(iou_fn(boxes[i], boxes[j]) <= iou_threshold for j in kept):
             kept.append(i)
     return kept
+
+
+def bev_corners_oracle(box) -> np.ndarray:
+    """Counterclockwise (4, 2) footprint corners from a test-built yaw matrix."""
+    l, w = box.dims[0], box.dims[1]
+    local = np.array([[l / 2, w / 2], [-l / 2, w / 2], [-l / 2, -w / 2], [l / 2, -w / 2]])
+    return local @ rot_z(box.euler.theta_z)[:2, :2].T + box.center[:2]
+
+
+def polygon_area_oracle(poly: np.ndarray) -> float:
+    """Shoelace area of one (n, 2) polygon."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+
+
+def clip_polygon_oracle(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clipping of one ``subject`` by a convex CCW ``clip``."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        a = clip[i]
+        edge = clip[(i + 1) % n] - a
+        polygon, output = output, []
+        # signed cross; >= 0 keeps boundary points (closed clip region)
+        sides = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in polygon]
+        for j, cur in enumerate(polygon):
+            prev = polygon[j - 1]
+            s_cur, s_prev = sides[j], sides[j - 1]
+            if (s_cur >= 0.0) != (s_prev >= 0.0):
+                t = s_prev / (s_prev - s_cur)
+                output.append(
+                    (
+                        prev[0] + t * (cur[0] - prev[0]),
+                        prev[1] + t * (cur[1] - prev[1]),
+                    )
+                )
+            if s_cur >= 0.0:
+                output.append(cur)
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def bev_iou_oracle(a, b) -> float:
+    """Footprint IoU of one pair: clip ``a`` by ``b``, no early reject."""
+    ca, cb = bev_corners_oracle(a), bev_corners_oracle(b)
+    inter = polygon_area_oracle(clip_polygon_oracle(ca, cb))
+    union = polygon_area_oracle(ca) + polygon_area_oracle(cb) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))
+
+
+def iou3d_oracle(a, b) -> float:
+    """KITTI-style 3D IoU of one pair: footprint intersection times z-overlap."""
+    za0, za1 = a.center[2] - a.dims[2] / 2, a.center[2] + a.dims[2] / 2
+    zb0, zb1 = b.center[2] - b.dims[2] / 2, b.center[2] + b.dims[2] / 2
+    dz = min(za1, zb1) - max(za0, zb0)
+    if dz <= 0.0:
+        return 0.0
+    inter = polygon_area_oracle(
+        clip_polygon_oracle(bev_corners_oracle(a), bev_corners_oracle(b))) * dz
+    union = float(np.prod(a.dims)) + float(np.prod(b.dims)) - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / union))

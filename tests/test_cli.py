@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,31 @@ class TestHelp:
         assert exc.value.code == 2
 
 
+def test_library_errors_share_one_base():
+    import inspect
+
+    import fullpose
+    from fullpose import codec, dataio, evaluation, geom, head, nn, slopeaug, synth
+
+    found = [
+        obj for module in (codec, dataio, evaluation, geom, head, nn, slopeaug, synth)
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+    ]
+    assert len(found) >= 15
+    assert all(issubclass(cls, fullpose.FullposeError) for cls in found)
+
+
 class TestSynth:
+    def test_placement_failure_is_clean_data_error(self, tmp_path, capsys):
+        code = cli.main(["synth", "--scenes", "1", "--boxes", "200",
+                         "--output", str(tmp_path / "full")])
+        captured = capsys.readouterr()
+        assert code == 1
+        summary = json.loads(captured.out)
+        assert "placed" in summary["error"] and "200 boxes" in summary["error"]
+        assert "Traceback" not in captured.err
+
     def test_layout_and_summary(self, dataset):
         assert sorted(p.name for p in (dataset / "velodyne").iterdir()) == [
             "000000.bin", "000001.bin", "000002.bin"]

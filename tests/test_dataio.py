@@ -205,6 +205,27 @@ class TestPose6d:
         with pytest.raises(ParseError, match="positive"):
             read_pose6d(path)
 
+    @pytest.mark.parametrize("difficulty", ["medium", "Easy", 2])
+    def test_unknown_difficulty_names_file_and_line(self, tmp_path, difficulty):
+        path = tmp_path / "diff.jsonl"
+        good = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                "euler": [0, 0, 0], "difficulty": "hard"}
+        bad = dict(good, difficulty=difficulty)
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match="diff.jsonl:2: unknown difficulty"):
+            read_pose6d(path)
+
+    def test_known_difficulties_and_null_accepted(self, tmp_path):
+        path = tmp_path / "diff.jsonl"
+        lines = [
+            json.dumps({"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                        "euler": [0, 0, 0], "difficulty": d})
+            for d in ("easy", "moderate", "hard", "ignored", None)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        got = [rec.difficulty for rec in read_pose6d(path)]
+        assert got == ["easy", "moderate", "hard", "ignored", None]
+
     def test_class_registry(self):
         assert class_id_for("Car") == 1
         assert class_id_for("class_77") == 77

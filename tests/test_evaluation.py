@@ -19,6 +19,8 @@ from fullpose.evaluation import (
 )
 from fullpose.geom import EulerXYZ, FullPoseBox, RigidTransform, euler_to_matrix, transform_box
 
+import oracles
+
 CD = MatchCriterion("center_distance", 1.0)
 
 
@@ -114,6 +116,69 @@ class TestMatch:
         assert res.det_tp[0]
         res = match([box([3.0, 0, 0], score=0.9)], [gt], MatchCriterion("iou3d", 0.7))
         assert not res.det_tp[0]
+
+
+    @pytest.mark.parametrize("kind", ["iou3d", "bev_iou", "center_distance"])
+    def test_matches_scalar_reference_with_ignored_gts(self, kind):
+        # crowded full-pose boxes: detections compete for GTs and most
+        # detections qualify for several GTs, so the best-value choice matters
+        rng = np.random.default_rng(21)
+        value_fn = {
+            "iou3d": oracles.iou3d_oracle,
+            "bev_iou": oracles.bev_iou_oracle,
+            "center_distance": lambda a, b: float(np.linalg.norm(a.center - b.center)),
+        }[kind]
+        threshold = 1.5 if kind == "center_distance" else 0.1
+        criterion = MatchCriterion(kind, threshold)
+        multi = 0
+        for trial in range(20):
+            gts = [box(rng.uniform(-1.5, 1.5, 3), rng.uniform(1, 4, 3), *rng.uniform(-0.3, 0.3, 2),
+                       tz=rng.uniform(0, 2 * math.pi)) for _ in range(5)]
+            dets = []
+            for gt in gts:
+                for _ in range(3):
+                    dets.append(box(gt.center + rng.normal(0, 0.4, 3), gt.dims * rng.uniform(0.8, 1.2, 3),
+                                    tz=gt.euler.theta_z + rng.normal(0, 0.3),
+                                    score=round(float(rng.random()), 2)))
+            ignored = rng.random(len(gts)) < 0.3
+            res = match(dets, gts, criterion, gt_ignored=ignored)
+
+            taken = set()
+            want_gt, want_ignored = [], []
+            for i in sorted(range(len(dets)), key=lambda k: (-dets[k].score, k)):
+                best, best_v = -1, None
+                for j, gt in enumerate(gts):
+                    if ignored[j] or j in taken:
+                        continue
+                    v = value_fn(dets[i], gt)
+                    ok = v <= threshold if kind == "center_distance" else v >= threshold
+                    better = best_v is None or (v < best_v if kind == "center_distance" else v > best_v)
+                    if ok and better:
+                        best, best_v = j, v
+                if best >= 0:
+                    taken.add(best)
+                want_gt.append((i, best))
+                want_ignored.append((i, best < 0 and any(
+                    ignored[j] and (value_fn(dets[i], gts[j]) <= threshold if kind == "center_distance"
+                                    else value_fn(dets[i], gts[j]) >= threshold)
+                    for j in range(len(gts)))))
+            for i, j in want_gt:
+                assert res.det_gt[i] == j, (trial, i)
+                assert res.det_tp[i] == (j >= 0)
+            for i, flag in want_ignored:
+                assert res.det_ignored[i] == flag, (trial, i)
+            assert res.n_gt == int((~ignored).sum())
+            multi += sum(
+                sum(value_fn(d, gt) <= threshold if kind == "center_distance"
+                    else value_fn(d, gt) >= threshold for gt in gts) > 1
+                for d in dets)
+        assert multi > 50  # the choice between qualifying GTs is exercised
+
+    def test_empty_inputs(self):
+        res = match([box([0, 0, 0], score=0.5)], [], MatchCriterion("iou3d", 0.7))
+        assert not res.det_tp.any() and res.n_gt == 0 and res.gt_matched.shape == (0,)
+        res = match([], [], CD)
+        assert res.det_tp.shape == (0,) and res.n_gt == 0
 
 
 class TestAveragePrecision:
@@ -266,6 +331,26 @@ class TestEvaluate:
         assert report.ap[(1, "easy", "iou3d@0.7")] == 1.0
         assert report.ap[(1, "moderate", "iou3d@0.7")] == 1.0
         assert report.ap[(1, "hard", "iou3d@0.7")] == 1.0
+
+    def test_missing_difficulty_frame_is_value_error(self):
+        dets, gts = _echo_frames(n_frames=2)
+        first = sorted(gts)[0]
+        diffs = {first: ["easy"] * len(gts[first])}
+        with pytest.raises(ValueError, match="no entry for frame '000001'"):
+            evaluate(dets, gts, gt_difficulty_by_frame=diffs)
+
+    def test_unknown_difficulty_is_value_error(self):
+        dets, gts = _echo_frames(n_frames=1)
+        frame = sorted(gts)[0]
+        diffs = {frame: ["easy", "medium", "hard", "hard"]}
+        with pytest.raises(ValueError, match="unknown difficulty 'medium'"):
+            evaluate(dets, gts, gt_difficulty_by_frame=diffs)
+
+    def test_difficulty_count_mismatch_is_value_error(self):
+        dets, gts = _echo_frames(n_frames=1)
+        frame = sorted(gts)[0]
+        with pytest.raises(ValueError, match="3 difficulties for 4 ground truths"):
+            evaluate(dets, gts, gt_difficulty_by_frame={frame: ["easy"] * 3})
 
     def test_empty_bucket_omitted(self):
         dets, gts = _echo_frames(n_frames=1)

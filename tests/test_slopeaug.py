@@ -227,3 +227,14 @@ class TestAugment:
         a = frame_rng(0, "a").random(4)
         b = frame_rng(0, "b").random(4)
         assert not np.array_equal(a, b)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("gamma_range", [(0.1, 2.0), (-0.1, 0.2), (0.2, math.pi / 2)])
+    def test_gamma_magnitudes_outside_quarter_turn_rejected(self, gamma_range):
+        with pytest.raises(ValueError, match="gamma magnitudes"):
+            SlopeAugConfig(gamma_range=gamma_range)
+
+    def test_gamma_range_just_below_quarter_turn_accepted(self):
+        cfg = SlopeAugConfig(gamma_range=(0.0, math.pi / 2 - 1e-9))
+        assert cfg.gamma_range[1] < math.pi / 2
