@@ -13,7 +13,7 @@ import numpy as np
 
 from fullpose import CodecConfig, HeadConfig, SceneSpec, Terrain
 from fullpose import head as head_mod
-from fullpose.synth import make_features, make_scene
+from fullpose.synth import frame_rng, make_features, make_scene
 
 terrain = Terrain(extent=(0.0, 48.0, -12.0, 12.0), ramp_start=24.0,
                   grade=math.radians(22))
@@ -24,7 +24,7 @@ codec_cfg = CodecConfig()
 
 dataset, rows = [], []
 for i in range(16):
-    rng = np.random.default_rng(np.random.SeedSequence([100, i]))
+    rng = frame_rng(100, i)
     frame = make_scene(spec, frame_id=f"{i:06d}", rng=rng)
     centers, feats, targets = make_features(frame, 0.02, rng, codec_cfg=codec_cfg,
                                             feature_dim=16, bg_per_frame=6)

@@ -21,6 +21,7 @@ from .geom import (
     RigidTransform,
     axis_angle_transform,
     bev_iou,
+    bev_overlap,
     box_corners,
     center_distance,
     euler_to_matrix,
@@ -66,6 +67,7 @@ __all__ = [
     "YawCode",
     "axis_angle_transform",
     "bev_iou",
+    "bev_overlap",
     "box_corners",
     "center_distance",
     "euler_to_matrix",

@@ -114,7 +114,7 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 def _synth_one(task) -> str:
     frame_index, out_dir, spec, feature_noise, bg_centers, feature_dim, codec_cfg = task
     out_dir = Path(out_dir)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, frame_index]))
+    rng = synth.frame_rng(spec.seed, frame_index)
     frame_id = f"{frame_index:06d}"
     frame = synth.make_scene(spec, frame_id=frame_id, rng=rng)
     dataio.write_velodyne(frame.cloud, out_dir / "velodyne" / f"{frame_id}.bin")

@@ -14,8 +14,10 @@ Formats:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -84,12 +86,32 @@ def read_velodyne(path) -> PointCloud:
     return PointCloud(data[:, :3].astype(np.float64), data[:, 3:4].astype(np.float64))
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """Open a temp file beside ``path`` that replaces ``path`` once written.
+
+    A writer that fails leaves ``path`` as it was and removes the temp
+    file, so an interrupted batch run never leaves a truncated frame.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_velodyne(cloud: PointCloud, path) -> None:
     """Write a cloud as little-endian float32 (x, y, z, intensity) rows."""
     n = len(cloud)
     intensity = np.zeros((n, 1)) if cloud.extras is None else cloud.extras[:, :1]
     block = np.hstack([cloud.points, intensity]).astype("<f4")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(block.tobytes())
 
 
@@ -301,7 +323,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
 
 def write_pose6d(records, path) -> None:
     """Write records as JSONL; unknown input keys are dropped."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w", encoding="utf-8") as fh:
         for rec in records:
             obj = {
                 "frame": rec.frame,

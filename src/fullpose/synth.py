@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codec
 from .errors import FullposeError
-from .geom import EulerXYZ, FullPoseBox, PointCloud, pairwise_bev_iou, points_in_box
+from .geom import EulerXYZ, FullPoseBox, PointCloud, bev_overlap, footprint, points_in_box
 from .slopeaug import LabeledFrame
 
 GROUND_SOURCE = -1.0
@@ -120,12 +120,6 @@ def resting_euler(normal, yaw: float) -> EulerXYZ:
     return EulerXYZ(theta_x, theta_y, yaw)
 
 
-def _pick_class(spec: SceneSpec, rng: np.random.Generator) -> int:
-    ids = sorted(spec.class_weights)
-    weights = np.array([spec.class_weights[i] for i in ids], dtype=np.float64)
-    return int(ids[rng.choice(len(ids), p=weights / weights.sum())])
-
-
 def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
                 ) -> list[FullPoseBox]:
     """Drop non-overlapping boxes resting on the local surface.
@@ -137,7 +131,11 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
     """
     x0, x1, y0, y1 = terrain.extent
     m = spec.edge_margin
+    class_ids = sorted(spec.class_weights)
+    weights = np.array([spec.class_weights[i] for i in class_ids], dtype=np.float64)
+    class_p = weights / weights.sum()
     boxes: list[FullPoseBox] = []
+    footprints = []
     rejections = 0
     forced_ramp = 0
     if spec.ramp_box_fraction is not None and terrain.ramp_start is not None:
@@ -159,7 +157,7 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
             if want_ramp is not None and want_ramp != on_ramp:
                 rejections += 1
                 continue
-        cls = _pick_class(spec, rng)
+        cls = int(class_ids[rng.choice(len(class_ids), p=class_p)])
         dims = np.asarray(spec.class_dims[cls], dtype=np.float64)
         dims = dims * (1.0 + rng.uniform(-spec.dims_jitter, spec.dims_jitter, 3))
         yaw = rng.uniform(*spec.yaw_range)
@@ -168,36 +166,42 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
         foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
         center = foot + normal * (dims[2] / 2.0)
         box = FullPoseBox(center=center, dims=dims, euler=euler, class_id=cls)
-        if boxes and pairwise_bev_iou([box], boxes).max() > 0.0:
+        fp = footprint(box)
+        if any(bev_overlap(box, other, fp, other_fp)
+               for other, other_fp in zip(boxes, footprints)):
             rejections += 1
             continue
         rejections = 0
         boxes.append(box)
+        footprints.append(fp)
     return boxes
 
 
-# local face frame: (axis index of the face normal, sign, in-plane axes)
-_FACES = (
-    (2, 1.0, 0, 1),   # top
-    (2, -1.0, 0, 1),  # bottom
-    (1, 1.0, 0, 2),   # +y side
-    (1, -1.0, 0, 2),  # -y side
-    (0, 1.0, 1, 2),   # +x side
-    (0, -1.0, 1, 2),  # -x side
-)
+# local face frame, one column per face (top, bottom, +y, -y, +x, -x side):
+# axis index of the face normal, its sign, and the two in-plane axes
+_FACE_AXIS = np.array([2, 2, 1, 1, 0, 0])
+_FACE_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_FACE_U = np.array([0, 0, 0, 0, 1, 1])
+_FACE_V = np.array([1, 1, 2, 2, 2, 2])
 
 
 def _sample_box_surface(box: FullPoseBox, count: int, rng: np.random.Generator
                         ) -> np.ndarray:
+    """``count`` points uniform on the faces of ``box``.
+
+    Draws the face indices, then one (u, v) pair per point: the same
+    stream, in the same order, as one scalar draw per coordinate.
+    """
     l, w, h = box.dims
     areas = np.array([l * w, l * w, l * h, l * h, w * h, w * h])
-    faces = rng.choice(len(_FACES), size=count, p=areas / areas.sum())
+    faces = rng.choice(len(_FACE_AXIS), size=count, p=areas / areas.sum())
+    uv = rng.uniform(-0.5, 0.5, size=(count, 2))
+    rows = np.arange(count)
+    axis, u_axis, v_axis = _FACE_AXIS[faces], _FACE_U[faces], _FACE_V[faces]
     local = np.empty((count, 3))
-    for i, f in enumerate(faces):
-        axis, sign, u_axis, v_axis = _FACES[f]
-        local[i, axis] = sign * box.dims[axis] / 2.0
-        local[i, u_axis] = rng.uniform(-0.5, 0.5) * box.dims[u_axis]
-        local[i, v_axis] = rng.uniform(-0.5, 0.5) * box.dims[v_axis]
+    local[rows, axis] = _FACE_SIGN[faces] * box.dims[axis] / 2.0
+    local[rows, u_axis] = uv[:, 0] * box.dims[u_axis]
+    local[rows, v_axis] = uv[:, 1] * box.dims[v_axis]
     return local @ box.rotation().T + box.center
 
 
@@ -236,13 +240,15 @@ def make_scene(spec: SceneSpec, frame_id: str = "000000",
     return sample_scene(spec.terrain, boxes, spec, rng, frame_id=frame_id)
 
 
+def frame_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of frame ``index``: the substream (seed, index)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+
 def generate_frames(spec: SceneSpec, n_frames: int) -> list[LabeledFrame]:
-    """Independent seeded frames; frame i uses the substream (seed, i)."""
-    frames = []
-    for i in range(n_frames):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
-        frames.append(make_scene(spec, frame_id=f"{i:06d}", rng=rng))
-    return frames
+    """Independent seeded frames; frame i draws from ``frame_rng(spec.seed, i)``."""
+    return [make_scene(spec, frame_id=f"{i:06d}", rng=frame_rng(spec.seed, i))
+            for i in range(n_frames)]
 
 
 def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
@@ -286,16 +292,22 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         cues.append(cue)
 
     ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
-    lo = ground_pts[:, :2].min(axis=0)
-    hi = ground_pts[:, :2].max(axis=0)
+    ground_xy = ground_pts[:, :2]
+    lo = ground_xy.min(axis=0)
+    hi = ground_xy.max(axis=0)
+    box_centers = np.array([b.center for b in frame.boxes]).reshape(-1, 3)
+    # a point inside a box lies within its circumradius; the slack covers the
+    # boundary guard of points_in_box and rounding
+    box_reach = np.array([np.linalg.norm(b.dims) / 2.0 + 1e-6 for b in frame.boxes])
     made = 0
     attempts = 0
     while made < bg_per_frame and attempts < 100 * bg_per_frame:
         attempts += 1
         xy = rng.uniform(lo, hi)
-        j = int(np.argmin(np.linalg.norm(ground_pts[:, :2] - xy, axis=1)))
+        j = int(np.argmin(np.linalg.norm(ground_xy - xy, axis=1)))
         candidate = ground_pts[j].copy()
-        if any(points_in_box(candidate[None, :], b)[0] for b in frame.boxes):
+        near = np.flatnonzero(np.linalg.norm(box_centers - candidate, axis=1) <= box_reach)
+        if any(points_in_box(candidate[None, :], frame.boxes[k])[0] for k in near):
             continue
         centers.append(candidate)
         cues.append(np.zeros(class_count))
@@ -304,13 +316,15 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     pts = np.asarray(centers)
     features = np.zeros((len(pts), feature_dim))
     for i, center in enumerate(pts):
+        dist = np.linalg.norm(ground_xy - center[:2], axis=1)
         radius = fit_radius
         for _ in range(4):
-            sel = np.linalg.norm(ground_pts[:, :2] - center[:2], axis=1) <= radius
-            if sel.sum() >= 8:
+            sel = dist <= radius
+            count = np.count_nonzero(sel)
+            if count >= 8:
                 break
             radius *= 2.0
-        local_ground = ground_pts[sel] if sel.sum() >= 3 else ground_pts
+        local_ground = ground_pts[sel] if count >= 3 else ground_pts
         features[i, 0:3] = _fit_plane_normal(local_ground)
         features[i, 3] = center[2] - local_ground[:, 2].mean()
         features[i, 4] = local_ground[:, 2].std()

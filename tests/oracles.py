@@ -2,7 +2,11 @@
 
 Everything here is deliberately written from first principles (single-axis
 matrices, literal greedy loops, Monte-Carlo membership counting) so it
-shares no code path with the library functions it checks.
+shares no code path with the library functions it checks.  The scene
+synthesis oracles at the end are the exception: they are the literal
+per-point and per-center loops that the vectorized synthesis must repeat
+bit for bit, so they reuse the library's rotations, membership test and
+plane fit and differ only in how they loop and draw.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ def monte_carlo_iou3d(box_a, box_b, n_samples: int, rng: np.random.Generator) ->
     """IoU of two yaw-only boxes by uniform sampling over a shared bound.
 
     Membership tests run in each box's local frame via a test-built yaw
-    matrix, independent of the library's corner/clipping code.
+    matrix, independent of the library's corner/clipping code: a yaw keeps
+    z, so a sample is inside when its z lies in the box's z interval and
+    its xy offset projects onto both footprint axes within the half sizes.
     """
 
     def corners(box):
@@ -65,8 +71,14 @@ def monte_carlo_iou3d(box_a, box_b, n_samples: int, rng: np.random.Generator) ->
     pts = rng.uniform(lo, hi, size=(n_samples, 3))
 
     def inside(box):
-        local = (pts - box.center) @ rot_z(box.euler.theta_z)
-        return np.all(np.abs(local) <= np.asarray(box.dims) / 2.0, axis=1)
+        half = np.asarray(box.dims) / 2.0
+        rot = rot_z(box.euler.theta_z)
+        dx = pts[:, 0] - box.center[0]
+        dy = pts[:, 1] - box.center[1]
+        mask = np.abs(pts[:, 2] - box.center[2]) <= half[2]
+        mask &= np.abs(dx * rot[0, 0] + dy * rot[1, 0]) <= half[0]
+        mask &= np.abs(dx * rot[0, 1] + dy * rot[1, 1]) <= half[1]
+        return mask
 
     in_a = inside(box_a)
     in_b = inside(box_b)
@@ -178,3 +190,83 @@ def iou3d_oracle(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
+
+
+# local face frame: (axis index of the face normal, sign, in-plane axes)
+_FACES = (
+    (2, 1.0, 0, 1),   # top
+    (2, -1.0, 0, 1),  # bottom
+    (1, 1.0, 0, 2),   # +y side
+    (1, -1.0, 0, 2),  # -y side
+    (0, 1.0, 1, 2),   # +x side
+    (0, -1.0, 1, 2),  # -x side
+)
+
+
+def sample_box_surface_oracle(box, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Face sampling point by point: one scalar draw per in-plane coordinate."""
+    l, w, h = box.dims
+    areas = np.array([l * w, l * w, l * h, l * h, w * h, w * h])
+    faces = rng.choice(len(_FACES), size=count, p=areas / areas.sum())
+    local = np.empty((count, 3))
+    for i, f in enumerate(faces):
+        axis, sign, u_axis, v_axis = _FACES[f]
+        local[i, axis] = sign * box.dims[axis] / 2.0
+        local[i, u_axis] = rng.uniform(-0.5, 0.5) * box.dims[u_axis]
+        local[i, v_axis] = rng.uniform(-0.5, 0.5) * box.dims[v_axis]
+    return local @ box.rotation().T + box.center
+
+
+def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,
+                         feature_dim: int = 16, class_count: int = 2,
+                         bg_per_frame: int = 12, fit_radius: float = 2.0):
+    """``(centers, features)`` of ``synth.make_features``, center by center.
+
+    Every background candidate is tested against every box, and every
+    radius doubling recomputes the distances to all ground points.
+    """
+    from fullpose.geom import points_in_box
+    from fullpose.synth import GROUND_SOURCE, _fit_plane_normal
+
+    info_dim = 5 + class_count
+    centers, cues = [], []
+    for box in frame.boxes:
+        local = rng.uniform(-0.25, 0.25, 3) * box.dims
+        centers.append(box.center + box.rotation() @ local)
+        cue = np.zeros(class_count)
+        cue[box.class_id % class_count] = 1.0
+        cues.append(cue)
+
+    ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
+    lo = ground_pts[:, :2].min(axis=0)
+    hi = ground_pts[:, :2].max(axis=0)
+    made = attempts = 0
+    while made < bg_per_frame and attempts < 100 * bg_per_frame:
+        attempts += 1
+        xy = rng.uniform(lo, hi)
+        j = int(np.argmin(np.linalg.norm(ground_pts[:, :2] - xy, axis=1)))
+        candidate = ground_pts[j].copy()
+        if any(points_in_box(candidate[None, :], b)[0] for b in frame.boxes):
+            continue
+        centers.append(candidate)
+        cues.append(np.zeros(class_count))
+        made += 1
+
+    pts = np.asarray(centers)
+    features = np.zeros((len(pts), feature_dim))
+    for i, center in enumerate(pts):
+        radius = fit_radius
+        for _ in range(4):
+            sel = np.linalg.norm(ground_pts[:, :2] - center[:2], axis=1) <= radius
+            if sel.sum() >= 8:
+                break
+            radius *= 2.0
+        local_ground = ground_pts[sel] if sel.sum() >= 3 else ground_pts
+        features[i, 0:3] = _fit_plane_normal(local_ground)
+        features[i, 3] = center[2] - local_ground[:, 2].mean()
+        features[i, 4] = local_ground[:, 2].std()
+        features[i, 5:info_dim] = cues[i]
+    features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma
+    if feature_dim > info_dim:
+        features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))
+    return pts, features

@@ -23,6 +23,26 @@ def tree_digest(root: Path) -> dict:
     return out
 
 
+def synth_digest(root: Path) -> str:
+    """One sha256 over the velodyne and label bytes and the feature arrays.
+
+    Feature files are hashed array by array (name, dtype, shape, bytes),
+    not as zip bytes, so the digest does not depend on zip metadata.
+    """
+    h = hashlib.sha256()
+    for sub, pattern in (("velodyne", "*.bin"), ("labels", "*.jsonl")):
+        for path in sorted((root / sub).glob(pattern)):
+            h.update(f"{sub}/{path.name}".encode())
+            h.update(path.read_bytes())
+    for path in sorted((root / "features").glob("*.npz")):
+        with np.load(path) as arrays:
+            for key in sorted(arrays.files):
+                a = np.ascontiguousarray(arrays[key])
+                h.update(f"features/{path.name}:{key}:{a.dtype.str}:{a.shape}".encode())
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "synthetic"
@@ -87,6 +107,20 @@ class TestSynth:
             "--boxes", "4", "--density", "2.0", "--seed", "5", "--ramp-fraction", "0.5",
         ])
         assert tree_digest(again) == tree_digest(dataset)
+
+    # reference digests of the synth outputs: any change to a velodyne, label
+    # or feature byte fails here; re-record only for an intended output change
+    @pytest.mark.parametrize("args, digest", [
+        (["--scenes", "3", "--boxes", "12", "--density", "1.0", "--seed", "11",
+          "--ramp-deg", "0", "--bg-centers", "20"],
+         "ae80a7db6b0152db4c2fa2e1f69f33b8483791624405b967d9a39cd541e00736"),
+        (["--scenes", "3", "--boxes", "8", "--density", "2.0", "--seed", "4",
+          "--ramp-fraction", "0.5", "--noise-sigma", "0.02", "--feature-noise", "0.1"],
+         "46c18850bb4735f64f9792e068eb75f7bfeda4e69a062dab4c46e886545f3255"),
+    ], ids=["flat", "ramp"])
+    def test_golden_digest(self, args, digest, tmp_path):
+        run_ok(["synth", *args, "--output", str(tmp_path / "out")])
+        assert synth_digest(tmp_path / "out") == digest
 
 
 class TestAugment:

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import math
 
@@ -21,6 +23,7 @@ from fullpose.dataio import (
     write_pose6d,
     write_velodyne,
 )
+from fullpose import dataio
 from fullpose.geom import PointCloud
 
 
@@ -52,6 +55,53 @@ class TestVelodyne:
         assert back.extras.tobytes() == cloud.extras.tobytes()
         write_velodyne(back, tmp_path / "rt2.bin")
         assert (tmp_path / "rt2.bin").read_bytes() == path.read_bytes()
+
+
+class _HalfThenFull:
+    """File wrapper whose write stores half the data, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _fill_disk(monkeypatch):
+    """Make every file dataio opens for writing fail halfway through a write."""
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _HalfThenFull(fh) if "w" in mode else fh
+    monkeypatch.setattr(dataio, "open", failing_open, raising=False)
+
+
+class TestAtomicWrites:
+    def test_failed_velodyne_write_leaves_no_file(self, tmp_path, monkeypatch):
+        _fill_disk(monkeypatch)
+        cloud = PointCloud(np.arange(30.0).reshape(10, 3))
+        with pytest.raises(OSError):
+            write_velodyne(cloud, tmp_path / "000000.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_pose6d_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "000000.jsonl"
+        record = Pose6dRecord(frame="000000", cls="Car", center=np.zeros(3),
+                              dims=np.ones(3), euler=np.zeros(3))
+        write_pose6d([record], path)
+        before = path.read_bytes()
+        _fill_disk(monkeypatch)
+        with pytest.raises(OSError):
+            write_pose6d([record, record], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 CALIB_TEXT = """\

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fullpose.geom import FullPoseBox, bev_iou, euler_to_matrix, points_in_box
+from fullpose.geom import EulerXYZ, FullPoseBox, bev_iou, euler_to_matrix, points_in_box
 from fullpose.slopeaug import SlopeAugParams, apply
 from fullpose.synth import (
     GROUND_SOURCE,
     PlacementFailureError,
     SceneSpec,
     Terrain,
+    _sample_box_surface,
+    frame_rng,
     generate_frames,
     make_features,
     make_scene,
@@ -17,6 +19,8 @@ from fullpose.synth import (
     resting_euler,
     sample_scene,
 )
+
+import oracles
 
 RAMP = Terrain(extent=(0.0, 40.0, -10.0, 10.0), ramp_start=20.0, grade=math.radians(15))
 FLAT = Terrain(extent=(0.0, 40.0, -10.0, 10.0))
@@ -154,6 +158,27 @@ class TestSampleScene:
         assert [f.frame_id for f in frames] == ["000000", "000001", "000002"]
         assert frames[0].cloud.points.tobytes() != frames[1].cloud.points.tobytes()
 
+    def test_frame_rng_is_the_seed_index_substream(self):
+        spec = SceneSpec(terrain=FLAT, box_count=2, seed=11)
+        want = np.random.default_rng(np.random.SeedSequence([11, 2])).random(4)
+        assert np.array_equal(frame_rng(11, 2).random(4), want)
+        frame = make_scene(spec, frame_id="000002", rng=frame_rng(11, 2))
+        assert frame.cloud.points.tobytes() == generate_frames(spec, 3)[2].cloud.points.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_face_sampling_equals_per_point_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        box = FullPoseBox(rng.uniform(-5, 5, 3), rng.uniform(0.2, 5.0, 3),
+                          EulerXYZ(*rng.uniform(-0.6, 0.6, 2), rng.uniform(-4, 4)))
+        for count in (0, 1, 2, 57, 400):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_box_surface(box, count, got_rng)
+            want = oracles.sample_box_surface_oracle(box, count, want_rng)
+            assert got.shape == (count, 3)
+            assert got.tobytes() == want.tobytes()
+            # both consumed the same stream
+            assert got_rng.random() == want_rng.random()
+
 
 class TestMakeFeatures:
     def _ramp_frame(self, seed=12):
@@ -199,6 +224,22 @@ class TestMakeFeatures:
         a = make_features(frame, 0.1, np.random.default_rng(4), feature_dim=16)
         b = make_features(frame, 0.1, np.random.default_rng(4), feature_dim=16)
         assert a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("terrain, seed", [(FLAT, 21), (FLAT, 22), (RAMP, 23), (RAMP, 24)])
+    def test_equals_per_center_oracle(self, terrain, seed):
+        # crowded and sparse: background candidates often land in boxes and
+        # some plane fits double their radius
+        spec = SceneSpec(terrain=terrain, box_count=12, density=0.6, noise_sigma=0.01,
+                         seed=seed, ramp_box_fraction=0.5 if terrain is RAMP else None)
+        frame = make_scene(spec)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, features, _ = make_features(frame, 0.05, got_rng, feature_dim=16,
+                                             bg_per_frame=60)
+        want_centers, want_features = oracles.make_features_oracle(
+            frame, 0.05, want_rng, feature_dim=16, bg_per_frame=60)
+        assert centers.points.tobytes() == want_centers.tobytes()
+        assert features.tobytes() == want_features.tobytes()
+        assert got_rng.random() == want_rng.random()
 
     def test_requires_source_tags(self):
         frame = self._ramp_frame(seed=17)
