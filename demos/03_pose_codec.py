@@ -35,6 +35,7 @@ for tilt_deg in (10.0, 20.0, -20.0, 45.0):
     t = encode_tilt(math.radians(tilt_deg), cfg.t_theta_y)
     back = decode_tilt(t, cfg.t_theta_y)
     print(f"  {tilt_deg:6.1f} deg -> target {t:+.4f} -> {deg(back):6.1f} deg")
+print("  (a target of exactly 0 decodes to 0: it comes from 0 deg as well as from 10 deg)")
 
 print("\nthe slope gate zeroes tilt unless the terrain score clears 0.5:")
 for score in (0.2, 0.5, 0.8):

@@ -19,7 +19,7 @@ import math
 import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +111,10 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 
 # ---------------------------------------------------------------- synth
 
+# feature-file keys of the per-center targets, in BoxTargets field order
+_TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
+
+
 def _synth_one(task) -> str:
     frame_index, out_dir, spec, feature_noise, bg_centers, feature_dim, codec_cfg = task
     out_dir = Path(out_dir)
@@ -131,14 +135,7 @@ def _synth_one(task) -> str:
         out_dir / "features" / f"{frame_id}.npz",
         centers=centers.points,
         features=features,
-        class_label=targets.class_label,
-        ground_label=targets.ground_label,
-        yaw_bin=targets.yaw_bin,
-        yaw_residual=targets.yaw_residual,
-        tilt=targets.tilt,
-        log_dims=targets.log_dims,
-        center_offset=targets.center_offset,
-        foreground=targets.foreground,
+        **{name: getattr(targets, name) for name in _TARGET_KEYS},
     )
     return frame_id
 
@@ -184,16 +181,7 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
 
 def _load_feature_frame(path: Path):
     data = np.load(path)
-    targets = codec.BoxTargets(
-        class_label=data["class_label"],
-        ground_label=data["ground_label"],
-        yaw_bin=data["yaw_bin"],
-        yaw_residual=data["yaw_residual"],
-        tilt=data["tilt"],
-        log_dims=data["log_dims"],
-        center_offset=data["center_offset"],
-        foreground=data["foreground"],
-    )
+    targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
     return data["features"], targets
 
 
@@ -211,12 +199,12 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
     out.parent.mkdir(parents=True, exist_ok=True)
     head.save_head(params, out)
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
-    fields = ["epoch", "total", "cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res"]
+    log_fields = ["epoch", "total", "cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res"]
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=log_fields)
         writer.writeheader()
         for record in log:
-            writer.writerow({k: record.get(k, 0.0) for k in fields})
+            writer.writerow({k: record.get(k, 0.0) for k in log_fields})
     first, last = log[0]["total"], log[-1]["total"]
     _log(f"trained {args.epochs} epochs on {len(dataset)} frames: "
          f"loss {first:.4f} -> {last:.4f}")
@@ -289,7 +277,7 @@ def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
     if not records:
         raise ValueError(f"no labels under {args.input}/labels")
     euler = np.array([rec.euler for rec in records])
-    euler[:, 2] = np.array([codec.wrap_angle(v) for v in euler[:, 2]])
+    euler[:, 2] = codec.wrap_angle(euler[:, 2])
     dims = np.array([rec.dims for rec in records])
     centers = np.array([rec.center for rec in records])
     columns = {
@@ -313,6 +301,7 @@ def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- nms
 
 def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
+    iou = cfg.nms_iou if args.iou is None else args.iou
     records = dataio.read_pose6d(args.pred)
     by_frame: dict[str, list] = {}
     for rec in records:
@@ -321,7 +310,7 @@ def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
     for frame in sorted(by_frame):
         recs = by_frame[frame]
         boxes = _records_to_boxes(recs)
-        keep = geom.nms(boxes, args.iou)
+        keep = geom.nms(boxes, iou)
         kept_records.extend(recs[i] for i in keep)
     if args.out:
         dataio.write_pose6d(kept_records, args.out)
@@ -329,7 +318,7 @@ def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
     return {
         "input": len(records),
         "kept": len(kept_records),
-        "iou": args.iou,
+        "iou": iou,
         "out": args.out,
     }
 
@@ -468,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nms", help="standalone suppression over a prediction file")
     common(p)
     p.add_argument("--pred", required=True)
-    p.add_argument("--iou", type=float, required=True)
+    p.add_argument("--iou", type=float, default=None, help="default: config nms_iou (0.1)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_nms)
 

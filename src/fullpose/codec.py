@@ -13,8 +13,14 @@ Two tilt conventions exist:
 * ``strict_eq3``: the one-sided variant ``(theta - t) / (pi/2)`` with a
   signed terrain test, kept selectable for auditing.
 
-``decode_tilt(0.0)`` returns +t (the positive branch); the sign of a
-decoded tilt otherwise follows the sign of the raw prediction.
+In the default mode ``decode_tilt(0.0)`` returns 0.0, the inverse of
+``encode_tilt(0.0) == 0.0``: a zero target comes from theta = 0 and also
+from |theta| = t, and zero is the flat reading.  The sign of any other
+decoded tilt follows the sign of the raw prediction.
+
+The decoders (``wrap_angle``, ``decode_*``, ``gate_tilt``) take numpy
+arrays as well as scalars, apply the same formula to every element, and
+return a float for a scalar input.
 """
 
 from __future__ import annotations
@@ -62,20 +68,25 @@ class CodecConfig:
 
 @dataclass(frozen=True)
 class YawCode:
-    """Discrete yaw bin plus in-bin residual in [0.5, 1.5)."""
+    """Discrete yaw bin plus in-bin residual in [0.5, 1.5).
+
+    Decoding also accepts equal-length arrays of bins and residuals.
+    """
 
     bin: int
     residual: float
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    wrapped = math.fmod(theta, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    if wrapped >= TWO_PI:  # float rounding at the seam
-        wrapped = 0.0
-    return wrapped
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def wrap_angle(theta):
+    """Wrap an angle (or an array of angles) to [0, 2*pi)."""
+    wrapped = np.fmod(theta, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    wrapped = np.where(wrapped >= TWO_PI, 0.0, wrapped)  # float rounding at the seam
+    return _scalar_or_array(wrapped)
 
 
 def encode_yaw(theta_z: float, cfg: CodecConfig) -> YawCode:
@@ -87,7 +98,7 @@ def encode_yaw(theta_z: float, cfg: CodecConfig) -> YawCode:
     return YawCode(bin=idx, residual=residual)
 
 
-def decode_yaw(code: YawCode, cfg: CodecConfig) -> float:
+def decode_yaw(code: YawCode, cfg: CodecConfig):
     """Heading angle in [0, 2*pi) from a bin/residual pair."""
     delta = cfg.bin_size
     return wrap_angle((code.bin + code.residual) * delta - delta / 2.0)
@@ -113,22 +124,24 @@ def encode_tilt(theta: float, t: float, strict_eq3: bool = False) -> float:
     return (theta - shift) / HALF_PI
 
 
-def decode_tilt(theta_hat: float, t: float, strict_eq3: bool = False) -> float:
+def decode_tilt(theta_hat, t, strict_eq3: bool = False):
     """Tilt angle from a normalized prediction.
 
     In the default mode the decoded sign follows the sign of
-    ``theta_hat``; exactly zero decodes to +t (the positive branch).
+    ``theta_hat`` and an exactly-zero prediction (either sign) decodes to
+    0.0.  ``t`` broadcasts against ``theta_hat``, e.g. ``(t_x, t_y)``
+    against an (n, 2) array.
     """
+    theta_hat = np.asarray(theta_hat, dtype=np.float64)
     if strict_eq3:
-        return theta_hat * HALF_PI + t
-    if theta_hat < 0.0:
-        return theta_hat * HALF_PI - t
-    return theta_hat * HALF_PI + t
+        return _scalar_or_array(theta_hat * HALF_PI + t)
+    decoded = np.where(theta_hat < 0.0, theta_hat * HALF_PI - t, theta_hat * HALF_PI + t)
+    return _scalar_or_array(np.where(theta_hat == 0.0, 0.0, decoded))
 
 
-def gate_tilt(s_g: float, theta_p: float) -> float:
-    """Pass the tilt through only when the slope score exceeds 0.5."""
-    return theta_p if s_g > 0.5 else 0.0
+def gate_tilt(s_g, theta_p):
+    """Pass the tilt through only where the slope score exceeds 0.5."""
+    return _scalar_or_array(np.where(np.asarray(s_g) > 0.5, theta_p, 0.0))
 
 
 def encode_dims(dims) -> np.ndarray:
@@ -195,8 +208,10 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     """Assign each coarse center to a ground-truth box and encode targets.
 
     A center is foreground iff it lies inside some box (closed boundary);
-    ties among containing boxes go to the nearest box center.  Background
-    centers get class 0 and zeroed regression slots.
+    ties among containing boxes go to the nearest box center, then to the
+    lowest box index.  Each assigned box is encoded once and its codes are
+    scattered to its centers.  Background centers get class 0 and zeroed
+    regression slots.
     """
     pts = centers.points if isinstance(centers, PointCloud) else np.asarray(centers, dtype=np.float64)
     n = pts.shape[0]
@@ -213,21 +228,21 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     if gts:
         inside = np.stack([points_in_box(pts, b) for b in gts])  # (n_boxes, n)
         dists = np.stack([np.linalg.norm(pts - b.center, axis=1) for b in gts])
-        for i in range(n):
-            hits = np.nonzero(inside[:, i])[0]
-            if hits.size == 0:
-                continue
-            j = int(hits[np.argmin(dists[hits, i])])
+        owner = np.argmin(np.where(inside, dists, np.inf), axis=0)
+        foreground = inside.any(axis=0)
+        # assigned boxes in the order of their first center, so an
+        # out-of-range tilt raises for the same box as a per-center pass
+        for j in dict.fromkeys(owner[foreground].tolist()):
             box = gts[j]
-            foreground[i] = True
-            class_label[i] = box.class_id
-            ground[i] = ground_label(box, cfg)
+            rows = foreground & (owner == j)
+            class_label[rows] = box.class_id
+            ground[rows] = ground_label(box, cfg)
             code = encode_yaw(box.euler.theta_z, cfg)
-            yaw_bin[i], yaw_res[i] = code.bin, code.residual
-            tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3)
-            tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3)
-            log_dims[i] = encode_dims(box.dims)
-            offset[i] = encode_center_offset(pts[i], box.center)
+            yaw_bin[rows], yaw_res[rows] = code.bin, code.residual
+            tilt[rows] = (encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3),
+                          encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3))
+            log_dims[rows] = encode_dims(box.dims)
+            offset[rows] = encode_center_offset(pts[rows], box.center)
 
     return BoxTargets(
         class_label=class_label,

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -208,6 +208,8 @@ def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
                 loc_cam = np.array([float(v) for v in parts[11:14]])
                 ry = float(parts[14])
                 score = float(parts[15]) if len(parts) > 15 else None
+                if not np.all(np.isfinite([h, w, l, ry, *loc_cam])):
+                    raise ValueError("dimensions, location and rotation_y must be finite")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             bottom = calib.cam_to_lidar(loc_cam)[0]
@@ -366,7 +368,6 @@ def write_ply(cloud: PointCloud, path, colors=None) -> None:
 class ToolkitConfig:
     """Typed configuration for the whole toolkit, with paper defaults."""
 
-    points_per_cloud: int = 16384
     nms_iou: float = 0.1
     codec: CodecConfig = field(default_factory=CodecConfig)
     slopeaug: SlopeAugConfig = field(default_factory=SlopeAugConfig)
@@ -374,14 +375,21 @@ class ToolkitConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
 
 
-_SECTION_FIELDS = {
-    "codec": ("n_yaw_bins", "t_theta_x", "t_theta_y", "strict_eq3"),
-    "slopeaug": ("p_s", "r_range", "alpha_range", "gamma_range", "gamma_sign", "seed"),
-    "eval": ("iou_threshold", "cd_threshold", "recall_positions", "center_distance_bev"),
-    "head": ("feature_dim", "shared_widths", "seg_hidden", "class_count"),
+# the JSON layout follows the dataclasses: a top-level key per scalar field
+# of ToolkitConfig, a section per nested config class; the head section
+# omits its codec, which is the top-level codec section
+_SECTION_CLASSES = {
+    f.name: f.default_factory for f in fields(ToolkitConfig) if f.default_factory is not MISSING
 }
-_TUPLE_FIELDS = {"r_range", "alpha_range", "gamma_range", "shared_widths", "seg_hidden"}
-_TOP_KEYS = ("points_per_cloud", "nms_iou") + tuple(_SECTION_FIELDS)
+_SECTION_FIELDS = {
+    name: tuple(f.name for f in fields(cls) if f.name not in _SECTION_CLASSES)
+    for name, cls in _SECTION_CLASSES.items()
+}
+_TUPLE_FIELDS = {
+    f.name for cls in _SECTION_CLASSES.values() for f in fields(cls) if isinstance(f.default, tuple)
+}
+_TOP_SCALARS = {f.name: type(f.default) for f in fields(ToolkitConfig) if f.name not in _SECTION_CLASSES}
+_TOP_KEYS = tuple(_TOP_SCALARS) + tuple(_SECTION_FIELDS)
 
 
 def _check_keys(data: dict, allowed, context: str, strict: bool) -> None:
@@ -427,8 +435,7 @@ def load_config(path=None, strict: bool = True) -> ToolkitConfig:
         codec_cfg = CodecConfig(**_section(data, "codec", strict))
         head_kwargs = _section(data, "head", strict)
         return ToolkitConfig(
-            points_per_cloud=int(data.get("points_per_cloud", 16384)),
-            nms_iou=float(data.get("nms_iou", 0.1)),
+            **{k: cast(data[k]) for k, cast in _TOP_SCALARS.items() if k in data},
             codec=codec_cfg,
             slopeaug=SlopeAugConfig(**_section(data, "slopeaug", strict)),
             eval=EvalConfig(**_section(data, "eval", strict)),

@@ -133,16 +133,10 @@ class FullPoseBox:
 
 @dataclass
 class RigidTransform:
-    """Rotation about a pivot point: ``x -> R @ (x - pivot) + pivot``.
-
-    ``axis``/``angle`` record the axis-angle source when built via
-    :func:`axis_angle_transform`; they are None for raw constructions.
-    """
+    """Rotation about a pivot point: ``x -> R @ (x - pivot) + pivot``."""
 
     rotation: np.ndarray
     pivot: np.ndarray
-    axis: np.ndarray | None = None
-    angle: float | None = None
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
@@ -214,12 +208,7 @@ def axis_angle_transform(axis, gamma: float, pivot) -> RigidTransform:
     v = _as_vec3(axis, "axis")
     if abs(v[2]) > 1e-9:
         raise NonHorizontalAxisError(f"axis z-component {v[2]} != 0")
-    return RigidTransform(
-        rotation=axis_angle_matrix(v, gamma),
-        pivot=_as_vec3(pivot, "pivot"),
-        axis=v,
-        angle=float(gamma),
-    )
+    return RigidTransform(rotation=axis_angle_matrix(v, gamma), pivot=_as_vec3(pivot, "pivot"))
 
 
 def to_euler_xy(axis, gamma: float) -> tuple[float, float]:

@@ -115,43 +115,32 @@ def head_forward(params: HeadParams, features: np.ndarray) -> HeadOutput:
     return out
 
 
-def _decode_tilt_signed(raw: float, threshold: float, cfg: codec.CodecConfig) -> float:
-    # sign follows the raw prediction; an exactly-zero raw output decodes
-    # to zero tilt rather than the +threshold branch point
-    if cfg.strict_eq3:
-        return codec.decode_tilt(raw, threshold, strict_eq3=True)
-    if raw == 0.0:
-        return 0.0
-    return codec.decode_tilt(raw, threshold)
-
-
 def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
-    """Turn raw outputs into scored full-pose boxes, one per center."""
+    """Turn raw outputs into scored full-pose boxes, one per center.
+
+    Every attribute is decoded for all rows at once; the boxes are built
+    from the decoded arrays last.
+    """
     pts = centers.points if isinstance(centers, PointCloud) else np.asarray(centers, dtype=np.float64)
     ccfg = cfg.codec
-    boxes = []
-    for i in range(len(out)):
-        logits = out.class_logits[i]
-        shifted = np.exp(logits - logits.max())
-        probs = shifted / shifted.sum()
-        cls_id = int(np.argmax(logits))
-        yaw = codec.decode_yaw(
-            codec.YawCode(int(np.argmax(out.yaw_bin_logits[i])), float(out.yaw_residual[i])),
-            ccfg,
+    logits = out.class_logits
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    cls_ids = np.argmax(logits, axis=1)
+    rows = np.arange(len(out))
+    scores = shifted[rows, cls_ids] / shifted.sum(axis=1)
+    yaw = codec.decode_yaw(codec.YawCode(np.argmax(out.yaw_bin_logits, axis=1), out.yaw_residual), ccfg)
+    tilt = codec.gate_tilt(
+        out.s_g[:, None],
+        codec.decode_tilt(out.tilt, np.array([ccfg.t_theta_x, ccfg.t_theta_y]), ccfg.strict_eq3),
+    )
+    box_centers = codec.decode_center_offset(pts, out.center_offset)
+    dims = codec.decode_dims(out.log_dims)
+    return [
+        FullPoseBox(center=c, dims=d, euler=EulerXYZ(tx, ty, tz), class_id=k, score=sc)
+        for c, d, (tx, ty), tz, k, sc in zip(
+            box_centers, dims, tilt.tolist(), yaw.tolist(), cls_ids.tolist(), scores.tolist()
         )
-        s_g = float(out.s_g[i])
-        theta_x = codec.gate_tilt(s_g, _decode_tilt_signed(float(out.tilt[i, 0]), ccfg.t_theta_x, ccfg))
-        theta_y = codec.gate_tilt(s_g, _decode_tilt_signed(float(out.tilt[i, 1]), ccfg.t_theta_y, ccfg))
-        boxes.append(
-            FullPoseBox(
-                center=codec.decode_center_offset(pts[i], out.center_offset[i]),
-                dims=codec.decode_dims(out.log_dims[i]),
-                euler=EulerXYZ(theta_x, theta_y, yaw),
-                class_id=cls_id,
-                score=float(probs[cls_id]),
-            )
-        )
-    return boxes
+    ]
 
 
 def head_loss(params: HeadParams, features: np.ndarray, targets,

@@ -28,7 +28,6 @@ from .geom import (
     FullPoseBox,
     PointCloud,
     axis_angle_transform,
-    matrix_to_euler,
     to_euler_xy,
 )
 
@@ -50,7 +49,6 @@ class SlopeAugConfig:
     alpha_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
     gamma_range: tuple[float, float] = (math.radians(5.0), math.radians(25.0))
     gamma_sign: str = "both"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p_s <= 1.0:
@@ -134,15 +132,15 @@ def split_cloud(cloud: PointCloud, tau) -> tuple[np.ndarray, np.ndarray]:
     return near, far
 
 
-def apply(frame: LabeledFrame, params: SlopeAugParams, exact_euler: bool = False) -> LabeledFrame:
+def apply(frame: LabeledFrame, params: SlopeAugParams) -> LabeledFrame:
     """Tilt the far part of a frame and re-annotate its boxes.
 
     Near-side points are copied bit-identically; far-side points are
     rotated by the rigid axis-angle transform.  A far-side box keeps its
     yaw and dimensions, its center is rotated, and its roll/pitch are set
-    to the axis-angle tilt split (or, with ``exact_euler``, to the exact
-    Euler split of the composed rotation).  A zero angle is an exact
-    identity (no arithmetic touches the far side).
+    to the axis-angle tilt split (``geom.transform_box`` gives the exact
+    Euler split of the composed rotation instead).  A zero angle is an
+    exact identity (no arithmetic touches the far side).
     """
     if params.gamma == 0.0:
         return LabeledFrame(
@@ -165,15 +163,11 @@ def apply(frame: LabeledFrame, params: SlopeAugParams, exact_euler: bool = False
     boxes = []
     for box in frame.boxes:
         if float(tau @ (tau - box.center)) < 0.0:
-            if exact_euler:
-                euler = matrix_to_euler(transform.rotation @ box.rotation())
-            else:
-                euler = EulerXYZ(tilt_x, tilt_y, box.euler.theta_z)
             boxes.append(
                 FullPoseBox(
                     center=transform.apply(box.center),
                     dims=box.dims.copy(),
-                    euler=euler,
+                    euler=EulerXYZ(tilt_x, tilt_y, box.euler.theta_z),
                     class_id=box.class_id,
                     score=box.score,
                 )

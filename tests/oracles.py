@@ -3,10 +3,11 @@
 Everything here is deliberately written from first principles (single-axis
 matrices, literal greedy loops, Monte-Carlo membership counting) so it
 shares no code path with the library functions it checks.  The scene
-synthesis oracles at the end are the exception: they are the literal
-per-point and per-center loops that the vectorized synthesis must repeat
-bit for bit, so they reuse the library's rotations, membership test and
-plane fit and differ only in how they loop and draw.
+synthesis and codec oracles at the end are the exception: they are the
+literal per-point, per-center and per-box loops that the vectorized code
+must repeat bit for bit, so they reuse the library's rotations, membership
+test, plane fit and target encoders (the decode oracle spells out the
+scalar decode formulas) and differ only in how they loop and draw.
 """
 
 from __future__ import annotations
@@ -270,3 +271,111 @@ def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))
     return pts, features
+
+
+def _wrap_angle_oracle(theta: float) -> float:
+    wrapped = math.fmod(theta, 2.0 * math.pi)
+    if wrapped < 0.0:
+        wrapped += 2.0 * math.pi
+    if wrapped >= 2.0 * math.pi:
+        wrapped = 0.0
+    return wrapped
+
+
+def head_decode_oracle(out, centers, cfg):
+    """``head.head_decode`` center by center, with scalar decode formulas.
+
+    An exactly-zero raw tilt decodes to zero (outside ``strict_eq3``),
+    and the tilt passes only where the slope score exceeds 0.5.
+    """
+    from fullpose.geom import EulerXYZ, FullPoseBox
+
+    ccfg = cfg.codec
+    delta = ccfg.bin_size
+
+    def tilt(raw, t):
+        if ccfg.strict_eq3:
+            return raw * (math.pi / 2.0) + t
+        if raw == 0.0:
+            return 0.0
+        if raw < 0.0:
+            return raw * (math.pi / 2.0) - t
+        return raw * (math.pi / 2.0) + t
+
+    pts = np.asarray(centers, dtype=np.float64)
+    boxes = []
+    for i in range(len(out)):
+        logits = out.class_logits[i]
+        shifted = np.exp(logits - logits.max())
+        probs = shifted / shifted.sum()
+        cls_id = int(np.argmax(logits))
+        yaw_bin = int(np.argmax(out.yaw_bin_logits[i]))
+        yaw = _wrap_angle_oracle((yaw_bin + float(out.yaw_residual[i])) * delta - delta / 2.0)
+        s_g = float(out.s_g[i])
+        theta_x = tilt(float(out.tilt[i, 0]), ccfg.t_theta_x) if s_g > 0.5 else 0.0
+        theta_y = tilt(float(out.tilt[i, 1]), ccfg.t_theta_y) if s_g > 0.5 else 0.0
+        boxes.append(
+            FullPoseBox(
+                center=pts[i] + out.center_offset[i],
+                dims=np.exp(out.log_dims[i]),
+                euler=EulerXYZ(theta_x, theta_y, yaw),
+                class_id=cls_id,
+                score=float(probs[cls_id]),
+            )
+        )
+    return boxes
+
+
+def make_targets_oracle(centers, gts, cfg):
+    """``codec.make_targets`` center by center: each center encodes its box."""
+    from fullpose.codec import (
+        BoxTargets,
+        encode_center_offset,
+        encode_dims,
+        encode_tilt,
+        encode_yaw,
+        ground_label,
+    )
+    from fullpose.geom import points_in_box
+
+    pts = np.asarray(centers, dtype=np.float64)
+    n = pts.shape[0]
+    class_label = np.zeros(n, dtype=np.intp)
+    ground = np.zeros(n, dtype=np.intp)
+    yaw_bin = np.zeros(n, dtype=np.intp)
+    yaw_res = np.full(n, 0.5)
+    tilt = np.zeros((n, 2))
+    log_dims = np.zeros((n, 3))
+    offset = np.zeros((n, 3))
+    foreground = np.zeros(n, dtype=bool)
+
+    gts = list(gts)
+    if gts:
+        inside = np.stack([points_in_box(pts, b) for b in gts])  # (n_boxes, n)
+        dists = np.stack([np.linalg.norm(pts - b.center, axis=1) for b in gts])
+        for i in range(n):
+            hits = np.nonzero(inside[:, i])[0]
+            if hits.size == 0:
+                continue
+            j = int(hits[np.argmin(dists[hits, i])])
+            box = gts[j]
+            foreground[i] = True
+            class_label[i] = box.class_id
+            ground[i] = ground_label(box, cfg)
+            code = encode_yaw(box.euler.theta_z, cfg)
+            yaw_bin[i], yaw_res[i] = code.bin, code.residual
+            tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3)
+            tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3)
+            log_dims[i] = encode_dims(box.dims)
+            offset[i] = encode_center_offset(pts[i], box.center)
+
+    return BoxTargets(
+        class_label=class_label,
+        ground_label=ground,
+        yaw_bin=yaw_bin,
+        yaw_residual=yaw_res,
+        tilt=tilt,
+        log_dims=log_dims,
+        center_offset=offset,
+        foreground=foreground,
+    )

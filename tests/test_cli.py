@@ -223,6 +223,28 @@ class TestNms:
         assert summary["kept"] == len(records)
         assert all(rec.score == 1.0 for rec in read_pose6d(out))
 
+    def test_default_iou_is_config_nms_iou(self, dataset, tmp_path):
+        import dataclasses
+
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        records = []
+        for path in sorted((pred / "labels").glob("*.jsonl")):
+            records.extend(read_pose6d(path))
+        # twins shifted 0.6 m along x partly overlap their originals
+        shifted = [
+            dataclasses.replace(rec, score=0.4, center=np.asarray(rec.center) + [0.6, 0.0, 0.0])
+            for rec in records
+        ]
+        merged = tmp_path / "merged.jsonl"
+        write_pose6d(records + shifted, merged)
+        explicit, default = tmp_path / "explicit.jsonl", tmp_path / "default.jsonl"
+        a = run_ok(["nms", "--pred", str(merged), "--iou", "0.1", "--out", str(explicit)])
+        b = run_ok(["nms", "--pred", str(merged), "--out", str(default)])
+        assert default.read_bytes() == explicit.read_bytes()
+        assert b == {**a, "out": str(default)}
+        assert b["iou"] == 0.1
+
 
 class TestGradcheck:
     def test_passes_and_exits_zero(self):

@@ -110,8 +110,13 @@ class TestTilt:
         assert abs(encode_tilt(-20 * DEG, self.T, strict_eq3=True)
                    - (-20 * DEG - self.T) / (math.pi / 2)) < 1e-15
 
-    def test_decode_zero_takes_positive_branch(self):
-        assert decode_tilt(0.0, self.T) == self.T
+    def test_decode_zero_is_zero(self):
+        # a zero target comes from theta = 0 and from |theta| = t; it
+        # decodes to the flat reading, the inverse of encode_tilt(0.0)
+        assert decode_tilt(0.0, self.T) == 0.0
+        assert decode_tilt(-0.0, self.T) == 0.0
+        assert decode_tilt(encode_tilt(0.0, self.T), self.T) == 0.0
+        assert decode_tilt(0.0, self.T, strict_eq3=True) == self.T
 
     def test_decode_one_ninth(self):
         assert abs(decode_tilt(1.0 / 9.0, self.T) - 0.349066) < 1e-6

@@ -1,0 +1,197 @@
+"""Property tests of the array codec against scalar calls and per-center oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from fullpose.codec import (  # noqa: E402
+    CodecConfig,
+    TiltOutOfRangeError,
+    YawCode,
+    decode_tilt,
+    decode_yaw,
+    encode_tilt,
+    gate_tilt,
+    make_targets,
+    wrap_angle,
+)
+from fullpose.geom import TWO_PI, EulerXYZ, FullPoseBox  # noqa: E402
+from fullpose.head import HeadConfig, HeadOutput, head_decode  # noqa: E402
+
+import oracles  # noqa: E402
+
+HALF_PI = math.pi / 2.0
+
+# angles near the wrap seam and the exact zeros, mixed into ordinary draws
+special = st.sampled_from([0.0, -0.0, 0.5, -1e-300, 1e-300, -1e-17, TWO_PI, -TWO_PI,
+                           TWO_PI - 1e-15, math.pi, 1.0 / 9.0, -1.0 / 9.0])
+angles = st.one_of(special, st.floats(-50.0, 50.0, allow_nan=False))
+angle_arrays = st.lists(angles, min_size=0, max_size=12)
+thresholds = st.floats(1e-3, math.pi / 4 - 1e-3)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestElementwise:
+    @given(angle_arrays)
+    def test_wrap_angle(self, xs):
+        assert bits(wrap_angle(np.array(xs, dtype=np.float64))) == bits([wrap_angle(x) for x in xs])
+
+    @given(st.lists(st.tuples(st.integers(0, 11), angles), max_size=12))
+    def test_decode_yaw(self, codes):
+        cfg = CodecConfig()
+        bins = np.array([b for b, _ in codes], dtype=np.intp)
+        res = np.array([r for _, r in codes], dtype=np.float64)
+        scalar = [decode_yaw(YawCode(b, r), cfg) for b, r in codes]
+        assert bits(decode_yaw(YawCode(bins, res), cfg)) == bits(scalar)
+
+    @given(angle_arrays, thresholds, st.booleans())
+    def test_decode_tilt(self, xs, t, strict):
+        scalar = [decode_tilt(x, t, strict) for x in xs]
+        assert bits(decode_tilt(np.array(xs, dtype=np.float64), t, strict)) == bits(scalar)
+
+    @given(st.lists(st.tuples(st.one_of(st.just(0.5), st.floats(0.0, 1.0)), angles), max_size=12))
+    def test_gate_tilt(self, pairs):
+        s_g = np.array([s for s, _ in pairs], dtype=np.float64)
+        theta = np.array([x for _, x in pairs], dtype=np.float64)
+        assert bits(gate_tilt(s_g, theta)) == bits([gate_tilt(s, x) for s, x in pairs])
+
+    def test_scalar_in_float_out(self):
+        cfg = CodecConfig()
+        for value in (wrap_angle(-1.0), decode_yaw(YawCode(3, 0.7), cfg),
+                      decode_tilt(0.2, 0.1), decode_tilt(0.2, 0.1, strict_eq3=True),
+                      gate_tilt(0.9, 0.3), gate_tilt(0.1, 0.3)):
+            assert type(value) is float
+
+
+class TestTiltRoundTrip:
+    @given(st.floats(math.radians(10.0), HALF_PI, exclude_min=True, exclude_max=True),
+           st.booleans())
+    def test_round_trip_above_threshold(self, mag, negative):
+        t = math.radians(10.0)
+        theta = -mag if negative else mag
+        assert abs(decode_tilt(encode_tilt(theta, t), t) - theta) < 1e-12
+
+    def test_threshold_decodes_to_zero(self):
+        # |theta| = t is the one magnitude in [t, pi/2) that shares its
+        # zero target with theta = 0, and zero decodes to the flat reading
+        t = math.radians(10.0)
+        assert decode_tilt(encode_tilt(t, t), t) == 0.0
+        assert decode_tilt(encode_tilt(-t, t), t) == 0.0
+
+
+# --------------------------------------------------------------- head_decode
+
+# few distinct values so that class and yaw-bin logits tie often
+tie_logits = st.sampled_from([-1.5, 0.0, 0.0, 2.0, 2.0])
+raw_tilts = st.one_of(st.sampled_from([0.0, -0.0, 1.0 / 9.0, -1.0 / 9.0]), st.floats(-0.9, 0.9))
+slope_scores = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
+small = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def head_outputs(draw):
+    n = draw(st.integers(0, 8))
+    classes = draw(st.integers(2, 4))
+    cfg = HeadConfig(class_count=classes,
+                     codec=CodecConfig(n_yaw_bins=draw(st.integers(2, 16)), strict_eq3=draw(st.booleans())))
+    bins = cfg.codec.n_yaw_bins
+
+    def arr(elements, shape):
+        flat = draw(st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    out = HeadOutput(
+        class_logits=arr(tie_logits, (n, classes)),
+        s_g=arr(slope_scores, (n,)),
+        yaw_bin_logits=arr(tie_logits, (n, bins)),
+        yaw_residual=arr(st.one_of(st.just(0.5), st.floats(-1.0, 2.0)), (n,)),
+        tilt=arr(raw_tilts, (n, 2)),
+        log_dims=arr(small, (n, 3)),
+        center_offset=arr(small, (n, 3)),
+    )
+    centers = arr(st.floats(-40.0, 40.0), (n, 3))
+    return out, centers, cfg
+
+
+def box_bits(box) -> tuple:
+    e = box.euler
+    return (bits(box.center), bits(box.dims), bits([e.theta_x, e.theta_y, e.theta_z]),
+            box.class_id, bits([box.score]))
+
+
+class TestHeadDecode:
+    @given(head_outputs())
+    def test_equals_per_center_oracle(self, drawn):
+        out, centers, cfg = drawn
+        got = head_decode(out, centers, cfg)
+        want = oracles.head_decode_oracle(out, centers, cfg)
+        assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
+        # Python scalars, as the per-center decode gave, for JSON writers
+        for b in got:
+            assert type(b.class_id) is int and type(b.score) is float
+            assert {type(v) for v in (b.euler.theta_x, b.euler.theta_y, b.euler.theta_z)} == {float}
+
+
+# -------------------------------------------------------------- make_targets
+
+# a coarse grid: boxes share centers and centers sit at equal distances
+# from several box centers, so containing boxes tie on distance
+grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+grid_points = st.tuples(grid, grid, grid)
+
+
+@st.composite
+def crowded_frames(draw):
+    boxes = [
+        FullPoseBox(
+            np.array(draw(grid_points)),
+            np.array(draw(st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, 3.0])] * 3))),
+            EulerXYZ(draw(st.sampled_from([0.0, math.radians(10.0), -0.3, 0.5])),
+                     draw(st.floats(-1.2, 1.2)),
+                     draw(st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(-7.0, 7.0)))),
+            class_id=draw(st.integers(1, 3)),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    centers = draw(st.lists(st.one_of(grid_points, st.tuples(*[st.floats(-2.0, 2.0)] * 3)),
+                            min_size=0, max_size=30))
+    return np.array(centers, dtype=np.float64).reshape(-1, 3), boxes
+
+
+def target_bits(t) -> dict:
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in vars(t).items()}
+
+
+class TestMakeTargets:
+    @given(crowded_frames(), st.booleans())
+    def test_equals_per_center_oracle(self, frame, strict):
+        centers, boxes = frame
+        cfg = CodecConfig(strict_eq3=strict)
+        assert target_bits(make_targets(centers, boxes, cfg)) == \
+            target_bits(oracles.make_targets_oracle(centers, boxes, cfg))
+
+    def test_ties_go_to_the_lowest_box_index(self):
+        # two boxes share a center: the center sits in both at distance 0
+        boxes = [FullPoseBox(np.zeros(3), np.ones(3) * 2, class_id=c) for c in (2, 1, 3)]
+        t = make_targets(np.zeros((1, 3)), boxes, CodecConfig())
+        assert t.class_label[0] == 2
+
+    def test_out_of_range_tilt_raises_only_when_assigned(self):
+        steep = FullPoseBox(np.array([10.0, 0, 0]), np.ones(3), EulerXYZ(0.0, HALF_PI, 0.0))
+        flat = FullPoseBox(np.zeros(3), np.ones(3))
+        cfg = CodecConfig()
+        t = make_targets(np.zeros((1, 3)), [flat, steep], cfg)
+        assert t.foreground.tolist() == [True]
+        centers = np.array([[0.0, 0, 0], [10.0, 0, 0]])
+        with pytest.raises(TiltOutOfRangeError) as got:
+            make_targets(centers, [flat, steep], cfg)
+        with pytest.raises(TiltOutOfRangeError) as want:
+            oracles.make_targets_oracle(centers, [flat, steep], cfg)
+        assert str(got.value) == str(want.value)

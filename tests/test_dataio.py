@@ -2,6 +2,7 @@ import builtins
 import errno
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ class TestKittiLabels:
         with pytest.raises(ParseError, match="label.txt:1"):
             read_kitti_labels(path, calib)
 
+    @pytest.mark.parametrize("column, value", [(14, "inf"), (14, "nan"), (9, "inf"), (12, "-inf")])
+    def test_non_finite_value_names_line(self, tmp_path, calib, column, value):
+        parts = LABEL_TEXT.splitlines()[0].split()
+        parts[column] = value
+        path = tmp_path / "label.txt"
+        path.write_text(" ".join(parts) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            with pytest.raises(ParseError, match="label.txt:1"):
+                read_kitti_labels(path, calib)
+
 
 class TestPose6d:
     def test_empty_file(self, tmp_path):
@@ -321,7 +333,6 @@ class TestPly:
 class TestConfig:
     def test_defaults_match_published_values(self):
         cfg = load_config(None)
-        assert cfg.points_per_cloud == 16384
         assert cfg.nms_iou == 0.1
         assert cfg.codec.n_yaw_bins == 12
         assert abs(cfg.codec.t_theta_x - math.radians(10)) < 1e-15
@@ -356,8 +367,25 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"frobnicate": 1}))
         cfg = load_config(path, strict=False)
-        assert cfg.points_per_cloud == 16384
+        assert cfg == ToolkitConfig()
         assert "frobnicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, key", [
+        ({"points_per_cloud": 16384}, "points_per_cloud"),
+        ({"slopeaug": {"seed": 3}}, "slopeaug.seed"),
+    ])
+    def test_removed_keys_rejected(self, tmp_path, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_top_level_value_cast(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nms_iou": 1, "head": {"shared_widths": [8, 4]}}))
+        cfg = load_config(path)
+        assert cfg.nms_iou == 1.0 and isinstance(cfg.nms_iou, float)
+        assert cfg.head.shared_widths == (8, 4)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, points_in_box
+from fullpose.geom import (
+    EulerXYZ,
+    FullPoseBox,
+    PointCloud,
+    axis_angle_transform,
+    points_in_box,
+    transform_box,
+)
 from fullpose.slopeaug import (
     LabeledFrame,
     SlopeAugConfig,
@@ -164,7 +171,7 @@ class TestApply:
         assert out.cloud.extras.tobytes() == frame.cloud.extras.tobytes()
 
     def test_box_point_mask_consistency_exact_mode(self):
-        # rigid annotation mode moves the box exactly with its points
+        # the exact pose composition moves the box exactly with its points
         rng = np.random.default_rng(37)
         box = flat_box([25, 3, 0.75], yaw=0.8)
         inside_local = rng.uniform(-0.45, 0.45, (200, 3)) * box.dims
@@ -175,8 +182,9 @@ class TestApply:
         cloud = PointCloud(np.vstack([pts, outside]))
         frame = LabeledFrame(cloud, [box])
         before = points_in_box(cloud, box)
-        out = apply(frame, PARAMS, exact_euler=True)
-        after = points_in_box(out.cloud, out.boxes[0])
+        out = apply(frame, PARAMS)
+        exact = transform_box(box, axis_angle_transform(PARAMS.v, PARAMS.gamma, PARAMS.tau))
+        after = points_in_box(out.cloud, exact)
         assert np.array_equal(before, after)
 
     def test_default_mode_keeps_deep_interior_points(self):
