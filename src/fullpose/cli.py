@@ -13,11 +13,13 @@ data errors).  Frame results derive their randomness from
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import shutil
 import sys
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -45,8 +47,18 @@ def _read_frame_records(labels_dir: Path) -> dict[str, list]:
     return frames
 
 
-def _records_to_boxes(records) -> list[geom.FullPoseBox]:
-    return [rec.to_box() for rec in records]
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise a data error raised inside as a ParseError naming ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise dataio.ParseError(f"{path}: {exc}") from None
+
+
+def _records_to_boxes(records, path) -> list[geom.FullPoseBox]:
+    with _naming(path):
+        return [rec.to_box() for rec in records]
 
 
 # ---------------------------------------------------------------- augment
@@ -55,9 +67,10 @@ def _augment_one(task) -> tuple[str, bool]:
     frame_id, in_dir, out_dir, cfg, seed = task
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     cloud = dataio.read_velodyne(in_dir / "velodyne" / f"{frame_id}.bin")
-    records = dataio.read_pose6d(in_dir / "labels" / f"{frame_id}.jsonl")
+    labels = in_dir / "labels" / f"{frame_id}.jsonl"
+    records = dataio.read_pose6d(labels)
     frame = slopeaug.LabeledFrame(
-        cloud=cloud, boxes=_records_to_boxes(records), frame_id=frame_id
+        cloud=cloud, boxes=_records_to_boxes(records, labels), frame_id=frame_id
     )
     rng = slopeaug.frame_rng(seed, frame_id)
     out = slopeaug.augment(frame, cfg, rng)
@@ -180,9 +193,12 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- train-head
 
 def _load_feature_frame(path: Path):
-    data = np.load(path)
-    targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
-    return data["features"], targets
+    try:
+        data = np.load(path)
+        targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
+        return data["features"], targets
+    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+        raise dataio.ParseError(f"{path}: {exc}") from None
 
 
 def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
@@ -221,29 +237,35 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
-    gt_frames = _read_frame_records(Path(args.gt) / "labels")
-    pred_frames = _read_frame_records(Path(args.pred) / "labels")
+    gt_labels, pred_labels = Path(args.gt) / "labels", Path(args.pred) / "labels"
+    gt_frames = _read_frame_records(gt_labels)
+    pred_frames = _read_frame_records(pred_labels)
     if not gt_frames:
         raise ValueError(f"no ground-truth labels under {args.gt}/labels")
-    gts = {f: _records_to_boxes(recs) for f, recs in gt_frames.items()}
+    gts = {f: _records_to_boxes(recs, gt_labels / f"{f}.jsonl") for f, recs in gt_frames.items()}
     difficulties = {
         f: [rec.difficulty or "moderate" for rec in recs]
         for f, recs in gt_frames.items()
     }
-    dets = {f: _records_to_boxes(recs) for f, recs in pred_frames.items()}
+    dets = {}
+    for f, recs in pred_frames.items():
+        with _naming(pred_labels / f"{f}.jsonl"):
+            dets[f] = [rec.to_box() for rec in recs]
+            geom.box_scores(dets[f])  # evaluate ranks every detection by its score
     eval_cfg = cfg.eval
     if args.recall_positions is not None:
         eval_cfg = replace(eval_cfg, recall_positions=args.recall_positions)
     report = evaluation.evaluate(dets, gts, eval_cfg, difficulties)
 
-    table = report.text_table()
+    shown = report
     if args.criterion != "all":
-        wanted = {"iou3d": "iou3d@", "bev": "bev@", "cd": "cd@"}[args.criterion]
-        table = "\n".join(
-            line for line in table.splitlines()
-            if wanted in line or line.startswith("AP")
+        wanted = f"{args.criterion}@"
+        shown = replace(
+            report,
+            ap={key: ap for key, ap in report.ap.items() if key[2].startswith(wanted)},
+            rotated={c: s for c, s in report.rotated.items() if s["criterion"].startswith(wanted)},
         )
-    _log(table)
+    _log(shown.text_table())
     if args.csv:
         Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
         _log(f"wrote {args.csv}")
@@ -309,8 +331,8 @@ def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
     kept_records = []
     for frame in sorted(by_frame):
         recs = by_frame[frame]
-        boxes = _records_to_boxes(recs)
-        keep = geom.nms(boxes, iou)
+        with _naming(f"{args.pred}: frame {frame}"):
+            keep = geom.nms([rec.to_box() for rec in recs], iou)
         kept_records.extend(recs[i] for i in keep)
     if args.out:
         dataio.write_pose6d(kept_records, args.out)
@@ -443,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--criterion", choices=["iou3d", "bev", "cd", "all"], default="all")
+    p.add_argument("--criterion", default="all",
+                   choices=[kind.prefix for kind in evaluation.CRITERIA.values()] + ["all"],
+                   help="report rows logged to stderr (the CSV and summary keep all)")
     p.add_argument("--recall-positions", type=int, choices=[11, 40], default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_eval)

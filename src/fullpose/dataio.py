@@ -308,6 +308,12 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                     f"{path}:{lineno}: unknown difficulty {difficulty!r}, "
                     f"expected one of {', '.join(DIFFICULTY_LABELS)}"
                 )
+            try:
+                score = None if obj.get("score") is None else float(obj["score"])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: score must be a number") from None
+            if score is not None and not 0.0 <= score <= 1.0:
+                raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
             records.append(
                 Pose6dRecord(
                     frame=str(obj["frame"]),
@@ -315,7 +321,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                     center=center,
                     dims=dims,
                     euler=euler,
-                    score=None if obj.get("score") is None else float(obj["score"]),
+                    score=score,
                     difficulty=difficulty,
                     extra={k: v for k, v in obj.items() if k not in _POSE6D_KEYS},
                 )

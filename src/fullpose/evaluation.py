@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import FullposeError
 from .geom import (
     FullPoseBox,
+    box_scores,
     center_distance,
     pairwise_bev_iou,
     pairwise_center_distance,
     pairwise_iou3d,
+    score_order,
 )
 
 
@@ -41,17 +44,32 @@ DIFFICULTY_LABELS = DIFFICULTIES + ("ignored",)  # every valid ground-truth labe
 _RANK = {label: rank for rank, label in enumerate(DIFFICULTY_LABELS)}
 
 
+class CriterionKind(NamedTuple):
+    """How one kind of match criterion compares a detection with a ground truth."""
+
+    prefix: str         # report label prefix: ``f"{prefix}@{threshold:g}"``
+    kernel: Callable    # (dets, gts) -> (m, g) matrix of values
+    is_distance: bool   # a match lies below the threshold, not above it
+
+
+CRITERIA = {
+    "iou3d": CriterionKind("iou3d", pairwise_iou3d, False),
+    "bev_iou": CriterionKind("bev", pairwise_bev_iou, False),
+    "center_distance": CriterionKind("cd", pairwise_center_distance, True),
+}
+
+
 @dataclass(frozen=True)
 class MatchCriterion:
     """True-positive test: IoU above a threshold or distance below one."""
 
-    kind: str  # "iou3d" | "bev_iou" | "center_distance"
+    kind: str  # a key of CRITERIA
     threshold: float
 
     def __post_init__(self):
-        if self.kind not in ("iou3d", "bev_iou", "center_distance"):
+        if self.kind not in CRITERIA:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.kind == "center_distance":
+        if self.uses_distance:
             if self.threshold <= 0.0:
                 raise ValueError("distance threshold must be positive")
         elif not 0.0 < self.threshold <= 1.0:
@@ -59,7 +77,16 @@ class MatchCriterion:
 
     @property
     def uses_distance(self) -> bool:
-        return self.kind == "center_distance"
+        return CRITERIA[self.kind].is_distance
+
+    @property
+    def label(self) -> str:
+        """The report label, e.g. ``iou3d@0.7`` or ``cd@1``."""
+        return f"{CRITERIA[self.kind].prefix}@{self.threshold:g}"
+
+    def values(self, dets, gts) -> np.ndarray:
+        """(m, g) criterion values of every detection against every ground truth."""
+        return CRITERIA[self.kind].kernel(dets, gts)
 
 
 def assign_difficulty(bbox_height: float | None = None, occlusion: int | None = None,
@@ -111,18 +138,7 @@ class MatchResult:
     orient_error: np.ndarray  # (m,) radians, nan unless TP
 
 
-def _criterion_matrix(dets, gts, criterion: MatchCriterion,
-                     bev_distance: bool = False) -> np.ndarray:
-    """(m, g) criterion values of every detection against every ground truth."""
-    if criterion.kind == "iou3d":
-        return pairwise_iou3d(dets, gts)
-    if criterion.kind == "bev_iou":
-        return pairwise_bev_iou(dets, gts)
-    return pairwise_center_distance(dets, gts, bev=bev_distance)
-
-
-def match(dets, gts, criterion: MatchCriterion, gt_ignored=None,
-          bev_distance: bool = False) -> MatchResult:
+def match(dets, gts, criterion: MatchCriterion, gt_ignored=None) -> MatchResult:
     """Greedily match scored detections to ground truths.
 
     ``gt_ignored`` optionally marks ground truths that neither count as
@@ -131,20 +147,13 @@ def match(dets, gts, criterion: MatchCriterion, gt_ignored=None,
     """
     dets = list(dets)
     gts = list(gts)
-    scores = _det_scores(dets)
-    values = _criterion_matrix(dets, gts, criterion, bev_distance)
-    return _greedy_match(dets, gts, scores, values, criterion, gt_ignored, bev_distance)
+    scores = box_scores(dets)
+    values = criterion.values(dets, gts)
+    return _greedy_match(dets, gts, scores, values, criterion, gt_ignored)
 
 
-def _det_scores(dets) -> np.ndarray:
-    for i, det in enumerate(dets):
-        if det.score is None:
-            raise ValueError(f"detection {i} has no score")
-    return np.array([d.score for d in dets], dtype=np.float64)
-
-
-def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion, gt_ignored,
-                  bev_distance: bool) -> MatchResult:
+def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
+                  gt_ignored) -> MatchResult:
     """The greedy pass of :func:`match` over a precomputed criterion matrix.
 
     Detections go in descending score order (ties: lower index first);
@@ -171,7 +180,7 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion, gt_ignor
     scale = np.full(m, np.nan)
     orient = np.full(m, np.nan)
 
-    for i in np.argsort(-scores, kind="stable").tolist():
+    for i in score_order(scores).tolist():
         if has_counted[i]:
             free = ok_counted[i] & ~gt_taken
             if free.any():
@@ -180,7 +189,7 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion, gt_ignor
                 tp[i] = True
                 matched_gt[i] = j
                 det, gt = dets[i], gts[j]
-                trans[i] = center_distance(det, gt, bev=bev_distance)
+                trans[i] = center_distance(det, gt)
                 scale[i] = aligned_scale_iou(det, gt)
                 orient[i] = geodesic_distance(det, gt)
                 continue
@@ -220,7 +229,7 @@ def average_precision(results, positions: int = 40) -> float:
     scores, tps, n_gt = _pool(results)
     if n_gt == 0 or scores.size == 0:
         return 0.0
-    order = np.argsort(-scores, kind="stable")
+    order = score_order(scores)
     tp_cum = np.cumsum(tps[order])
     fp_cum = np.cumsum(~tps[order])
     recall = tp_cum / n_gt
@@ -283,7 +292,6 @@ class EvalConfig:
     iou_threshold: float = 0.7
     cd_threshold: float = 1.0
     recall_positions: int = 40
-    center_distance_bev: bool = False  # cd matching in BEV instead of 3D
 
     def __post_init__(self):
         if self.recall_positions not in (11, 40):
@@ -331,6 +339,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _match_frames(per_frame, criterion: MatchCriterion, bucket: str) -> list[MatchResult]:
+    """Every frame of ``per_frame`` matched under ``criterion``; GTs harder than
+    ``bucket`` are ignored."""
+    rank = _RANK[bucket]
+    return [
+        _greedy_match(dets, gts, scores, values[criterion], criterion,
+                      [_RANK[d] > rank for d in diffs])
+        for dets, gts, diffs, scores, values in per_frame
+    ]
+
+
 def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None = None,
              gt_difficulty_by_frame: dict | None = None) -> EvalReport:
     """Full evaluation pass over aligned per-frame detections and GTs.
@@ -364,13 +383,11 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
         {b.class_id for gts in gts_by_frame.values() for b in gts}
     )
     report = EvalReport(recall_positions=config.recall_positions)
-    criteria = {
-        f"iou3d@{config.iou_threshold:g}": MatchCriterion("iou3d", config.iou_threshold),
-        f"bev@{config.iou_threshold:g}": MatchCriterion("bev_iou", config.iou_threshold),
-    }
-    cd_label = f"cd@{config.cd_threshold:g}"
+    iou_criteria = (
+        MatchCriterion("iou3d", config.iou_threshold),
+        MatchCriterion("bev_iou", config.iou_threshold),
+    )
     cd_criterion = MatchCriterion("center_distance", config.cd_threshold)
-    cd_bev = config.center_distance_bev
     frame_diffs = {
         frame: difficulties(frame, gts_by_frame[frame]) for frame in frames
     }
@@ -386,39 +403,24 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
                     gts.append(b)
                     diffs.append(d)
             dets = [b for b in dets_by_frame.get(frame, []) if b.class_id == cls]
-            det_scores = _det_scores(dets)
-            values = {
-                label: _criterion_matrix(dets, gts, criterion)
-                for label, criterion in criteria.items()
-            }
-            values[cd_label] = _criterion_matrix(dets, gts, cd_criterion, cd_bev)
-            per_frame.append((dets, gts, diffs, det_scores, values))
+            values = {c: c.values(dets, gts) for c in (*iou_criteria, cd_criterion)}
+            per_frame.append((dets, gts, diffs, box_scores(dets), values))
 
-        for label, criterion in criteria.items():
+        for criterion in iou_criteria:
             for bucket in DIFFICULTIES:
-                rank = _RANK[bucket]
-                results = []
-                bucket_gt = 0
-                for dets, gts, diffs, det_scores, values in per_frame:
-                    ignored = [_RANK[d] > rank for d in diffs]
-                    bucket_gt += sum(1 for flag in ignored if not flag)
-                    results.append(_greedy_match(
-                        dets, gts, det_scores, values[label], criterion, ignored, False))
-                if bucket_gt == 0:
+                results = _match_frames(per_frame, criterion, bucket)
+                if sum(r.n_gt for r in results) == 0:
                     continue  # no targets at this difficulty; bucket omitted
-                report.ap[(cls, bucket, label)] = average_precision(
+                report.ap[(cls, bucket, criterion.label)] = average_precision(
                     results, config.recall_positions
                 )
 
-        cd_results = []
-        for dets, gts, diffs, det_scores, values in per_frame:
-            ignored = [d == "ignored" for d in diffs]
-            cd_results.append(_greedy_match(
-                dets, gts, det_scores, values[cd_label], cd_criterion, ignored, cd_bev))
+        # the center-distance suite counts every difficulty but "ignored"
+        cd_results = _match_frames(per_frame, cd_criterion, DIFFICULTIES[-1])
         ap_cd = average_precision(cd_results, config.recall_positions)
         scores = tp_scores(cd_results, d_th=config.cd_threshold)
         report.rotated[cls] = {
-            "criterion": cd_label,
+            "criterion": cd_criterion.label,
             "ap_cd": ap_cd,
             "ats": scores.ats,
             "ass": scores.ass,

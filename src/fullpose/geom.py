@@ -275,6 +275,7 @@ class _Footprints(NamedTuple):
     area: np.ndarray     # (n,) shoelace area of the corners
     centers: np.ndarray  # (n, 3)
     dims: np.ndarray     # (n, 3) l, w, h
+    radius: np.ndarray   # (n,) circumradius: half the footprint diagonal
 
 
 # local footprint corners as multiples of (l, w), counterclockwise
@@ -295,7 +296,8 @@ def _footprints(boxes) -> _Footprints:
     corners = np.empty((n, 4), dtype=np.complex128)
     corners.real = lx * c - ly * s + centers[:, :1]
     corners.imag = lx * s + ly * c + centers[:, 1:2]
-    return _Footprints(corners, _polygon_areas(corners), centers, dims)
+    radius = np.hypot(dims[:, 0], dims[:, 1]) / 2.0
+    return _Footprints(corners, _polygon_areas(corners), centers, dims, radius)
 
 
 class Footprint(NamedTuple):
@@ -328,8 +330,7 @@ def bev_overlap(a: FullPoseBox, b: FullPoseBox,
     ``pairwise_bev_iou([a], [b])[0, 0] > 0.0`` is.
 
     Pairs beyond their circumradii are rejected by the test of
-    :func:`_near` (``radius`` sums to the same float as the half-sum of the
-    diagonals).  The rest take the separating-axis test of two rectangles
+    :func:`_near`.  The rest take the separating-axis test of two rectangles
     (Gottschalk, Lin & Manocha, OBBTree, 1996): the largest gap over the
     four edge normals.  A gap beyond ``_SAT_TOL`` leaves every clipped
     vertex that far outside, and a penetration beyond it leaves an area
@@ -430,10 +431,9 @@ def _clipped_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return _polygon_areas(poly)
 
 
-# pairs clipped per pass; bounds the clipping temporaries
-_CLIP_BATCH = 64
-# pair tests per NMS block; bounds the circumradius-test temporaries
-_NEAR_BATCH = 1 << 12
+# pairs per clipping pass and pair tests per NMS block: bounds the
+# temporaries of both
+_PAIR_BATCH = 1 << 12
 
 
 def _pair_ious(fp: _Footprints, ia, ib, dz=None) -> np.ndarray:
@@ -443,11 +443,11 @@ def _pair_ious(fp: _Footprints, ia, ib, dz=None) -> np.ndarray:
     """
     if len(ia) == 0:
         return np.zeros(0)
-    if len(ia) > _CLIP_BATCH:
+    if len(ia) > _PAIR_BATCH:
         return np.concatenate([
-            _pair_ious(fp, ia[lo:lo + _CLIP_BATCH], ib[lo:lo + _CLIP_BATCH],
-                       None if dz is None else dz[lo:lo + _CLIP_BATCH])
-            for lo in range(0, len(ia), _CLIP_BATCH)
+            _pair_ious(fp, ia[lo:lo + _PAIR_BATCH], ib[lo:lo + _PAIR_BATCH],
+                       None if dz is None else dz[lo:lo + _PAIR_BATCH])
+            for lo in range(0, len(ia), _PAIR_BATCH)
         ])
     inter = _clipped_areas(fp.corners[ia], fp.corners[ib])
     if dz is None:
@@ -467,14 +467,12 @@ def _near(fp: _Footprints, rows: slice, cols: slice) -> np.ndarray:
     circumradii cannot overlap.
     """
     cx, cy = fp.centers[:, 0], fp.centers[:, 1]
-    diagonal = np.hypot(fp.dims[:, 0], fp.dims[:, 1])
     d2 = cx[rows, None] - cx[None, cols]
     d2 *= d2
     dy = cy[rows, None] - cy[None, cols]
     dy *= dy
     d2 += dy
-    reach = diagonal[rows, None] + diagonal[None, cols]
-    reach /= 2.0
+    reach = fp.radius[rows, None] + fp.radius[None, cols]
     reach *= reach
     return d2 <= reach
 
@@ -570,12 +568,24 @@ def center_distance(a: FullPoseBox, b: FullPoseBox, bev: bool = False) -> float:
     return float(np.linalg.norm(d))
 
 
-def pairwise_center_distance(a, b, bev: bool = False) -> np.ndarray:
-    """(m, g) center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
-    dim = 2 if bev else 3
-    ca = np.array([box.center[:dim] for box in a], dtype=np.float64).reshape(-1, dim)
-    cb = np.array([box.center[:dim] for box in b], dtype=np.float64).reshape(-1, dim)
+def pairwise_center_distance(a, b) -> np.ndarray:
+    """(m, g) 3D center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
+    ca = np.array([box.center for box in a], dtype=np.float64).reshape(-1, 3)
+    cb = np.array([box.center for box in b], dtype=np.float64).reshape(-1, 3)
     return np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+
+
+def box_scores(boxes) -> np.ndarray:
+    """The scores of ``boxes``; MissingScoreError names the first box without one."""
+    scores = [box.score for box in boxes]
+    if None in scores:
+        raise MissingScoreError(f"box {scores.index(None)} has no score")
+    return np.array(scores, dtype=np.float64)
+
+
+def score_order(scores) -> np.ndarray:
+    """Indices that visit ``scores`` best first; ties go to the lower index."""
+    return np.argsort(-scores, kind="stable")
 
 
 def nms(boxes, iou_threshold: float) -> np.ndarray:
@@ -591,14 +601,11 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
     pass the circumradius test.
     """
     boxes = list(boxes)
-    for i, box in enumerate(boxes):
-        if box.score is None:
-            raise MissingScoreError(f"box {i} has no score")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    order = score_order(box_scores(boxes))
     n = len(order)
-    fp = _footprints([boxes[i] for i in order])
+    fp = _footprints([boxes[i] for i in order.tolist()])
     kept = np.zeros(n, dtype=bool)
-    block = max(1, _NEAR_BATCH // max(n, 1))
+    block = max(1, _PAIR_BATCH // max(n, 1))
     for start in range(0, n, block):
         stop = min(n, start + block)
         near = _near(fp, slice(start, stop), slice(0, stop))
@@ -612,7 +619,7 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
         for r in range(start, stop):
             lo, hi = bounds[r - start], bounds[r - start + 1]
             kept[r] = lo == hi or not kept[cols[lo:hi]].any()
-    return np.array(order, dtype=np.intp)[kept]
+    return order[kept]
 
 
 def fps(points, k: int, weights=None) -> np.ndarray:

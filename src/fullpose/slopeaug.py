@@ -117,6 +117,16 @@ def sample_params(cfg: SlopeAugConfig, rng: np.random.Generator) -> SlopeAugPara
     return SlopeAugParams(tau=tau, v=v, gamma=sign * magnitude)
 
 
+def _side(points: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """``tau . (tau - p)`` for each row ``p`` of ``points``: negative past the plane.
+
+    Summed in elementwise ops, so a point gets the same float in any array
+    (a BLAS product rounds a column differently with the array's length).
+    """
+    rel = tau - points
+    return rel[:, 0] * tau[0] + rel[:, 1] * tau[1] + rel[:, 2] * tau[2]
+
+
 def split_cloud(cloud: PointCloud, tau) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the near part (contains the origin) and the far part.
 
@@ -126,7 +136,7 @@ def split_cloud(cloud: PointCloud, tau) -> tuple[np.ndarray, np.ndarray]:
     tau = np.asarray(tau, dtype=np.float64)
     if np.linalg.norm(tau) < 1e-12:
         raise ZeroAnchorError("anchor must be nonzero")
-    side = tau @ (tau[:, None] - cloud.points.T)  # tau . (tau - p_i)
+    side = _side(cloud.points, tau)
     far = np.nonzero(side < 0.0)[0]
     near = np.nonzero(side >= 0.0)[0]
     return near, far
@@ -159,10 +169,10 @@ def apply(frame: LabeledFrame, params: SlopeAugParams) -> LabeledFrame:
     extras = None if frame.cloud.extras is None else frame.cloud.extras.copy()
 
     tilt_x, tilt_y = to_euler_xy(params.v, params.gamma)
-    tau = params.tau
+    centers = np.array([box.center for box in frame.boxes]).reshape(-1, 3)
     boxes = []
-    for box in frame.boxes:
-        if float(tau @ (tau - box.center)) < 0.0:
+    for box, side in zip(frame.boxes, _side(centers, params.tau).tolist()):
+        if side < 0.0:
             boxes.append(
                 FullPoseBox(
                     center=transform.apply(box.center),

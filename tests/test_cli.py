@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -186,10 +187,88 @@ class TestEval:
         ])
         assert 0.0 <= summary["rotated"]["1"]["ap_cd"] <= 1.0
 
+    @pytest.mark.parametrize("criterion", ["iou3d", "bev", "cd"])
+    def test_criterion_logs_only_its_rows(self, dataset, tmp_path, capsys, criterion):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred, jitter=0.2, seed=1)
+        argv = ["eval", "--gt", str(dataset), "--pred", str(pred)]
+        capsys.readouterr()
+        full = run_ok(argv)
+        every_row = capsys.readouterr().err.splitlines()[1:]
+        assert run_ok(argv + ["--criterion", criterion]) == full
+        header, *rows = capsys.readouterr().err.splitlines()
+        assert header.startswith("AP (")
+        assert rows and all(f"{criterion}@" in row for row in rows)
+        assert len(rows) == sum(f"{criterion}@" in row for row in every_row)
+
     def test_missing_gt_dir_is_data_error(self, tmp_path):
         outcome = cli.run(["eval", "--gt", str(tmp_path / "nope"), "--pred", str(tmp_path)])
         assert outcome.exit_code == 1
         assert "error" in outcome.summary
+
+
+def _fail(argv, capsys) -> str:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)["error"]
+
+
+def _edit_first_record(path: Path, **changes) -> None:
+    """Apply ``changes`` to the first record of ``path``; a None value drops the key."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj.update(changes)
+    lines[0] = json.dumps({k: v for k, v in obj.items() if v is not None})
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestBadRecordsNameTheirFile:
+    def test_eval_score_out_of_range(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        _edit_first_record(bad, score=1.5)
+        error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred)], capsys)
+        assert error == f"{bad}:1: score must lie in [0, 1], got 1.5"
+
+    def test_eval_unknown_class(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        _edit_first_record(bad, **{"class": "Foo"})
+        error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred)], capsys)
+        assert error == f"{bad}: unknown class name 'Foo'"
+
+    def test_eval_missing_score(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        _edit_first_record(bad, score=None)
+        error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred)], capsys)
+        assert error == f"{bad}: box 0 has no score"
+
+    def test_nms_missing_score(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        _edit_first_record(bad, score=None)
+        error = _fail(["nms", "--pred", str(bad)], capsys)
+        assert error == f"{bad}: frame 000001: box 0 has no score"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda good: b"not an npz archive\n" * 8,
+        lambda good: good[: len(good) // 2],
+    ], ids=["junk", "truncated"])
+    def test_train_head_corrupt_features(self, dataset, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+        bad.write_bytes(corrupt(bad.read_bytes()))
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1",
+                       "--out", str(tmp_path / "head.bin")], capsys)
+        assert error.startswith(f"{bad}: ")
 
 
 class TestStats:

@@ -277,6 +277,22 @@ class TestPose6d:
         with pytest.raises(ParseError, match="diff.jsonl:2: unknown difficulty"):
             read_pose6d(path)
 
+    @pytest.mark.parametrize("score, message", [
+        (1.5, "score must lie in [0, 1], got 1.5"),
+        (-0.25, "score must lie in [0, 1], got -0.25"),
+        (float("nan"), "score must lie in [0, 1], got nan"),
+        ("high", "score must be a number"),
+        ([0.5], "score must be a number"),
+    ])
+    def test_bad_score_names_file_and_line(self, tmp_path, score, message):
+        path = tmp_path / "score.jsonl"
+        good = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                "euler": [0, 0, 0], "score": 0.5}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, score=score)) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_pose6d(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
     def test_known_difficulties_and_null_accepted(self, tmp_path):
         path = tmp_path / "diff.jsonl"
         lines = [
@@ -373,6 +389,7 @@ class TestConfig:
     @pytest.mark.parametrize("data, key", [
         ({"points_per_cloud": 16384}, "points_per_cloud"),
         ({"slopeaug": {"seed": 3}}, "slopeaug.seed"),
+        ({"eval": {"center_distance_bev": False}}, "eval.center_distance_bev"),
     ])
     def test_removed_keys_rejected(self, tmp_path, data, key):
         path = tmp_path / "cfg.json"

@@ -17,7 +17,15 @@ from fullpose.evaluation import (
     rods,
     tp_scores,
 )
-from fullpose.geom import EulerXYZ, FullPoseBox, RigidTransform, euler_to_matrix, transform_box
+from fullpose.geom import (
+    EulerXYZ,
+    FullPoseBox,
+    MissingScoreError,
+    RigidTransform,
+    euler_to_matrix,
+    nms,
+    transform_box,
+)
 
 import oracles
 
@@ -179,6 +187,46 @@ class TestMatch:
         assert not res.det_tp.any() and res.n_gt == 0 and res.gt_matched.shape == (0,)
         res = match([], [], CD)
         assert res.det_tp.shape == (0,) and res.n_gt == 0
+
+
+class TestScoreRule:
+    def test_nms_and_match_rank_tied_scores_alike(self):
+        scores = [0.5, 0.9, 0.5, 0.9, 0.7, 0.5]
+        want = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        apart = [box([10.0 * i, 0, 0], score=s) for i, s in enumerate(scores)]
+        assert nms(apart, 0.1).tolist() == want
+        # identical detections on identical GTs: the k-th in rank takes GT k
+        stacked = [box([0, 0, 0], score=s) for s in scores]
+        res = match(stacked, [box([0, 0, 0]) for _ in scores], CD)
+        assert [int(np.flatnonzero(res.det_gt == k)[0]) for k in range(len(scores))] == want
+
+    def test_missing_score_names_the_box(self):
+        boxes = [box([0, 0, 0], score=0.5), box([5, 0, 0])]
+        with pytest.raises(MissingScoreError, match="^box 1 has no score$"):
+            nms(boxes, 0.1)
+        with pytest.raises(MissingScoreError, match="^box 1 has no score$"):
+            match(boxes, [box([0, 0, 0])], CD)
+
+
+class TestCriterionLabels:
+    def test_labels(self):
+        assert MatchCriterion("iou3d", 0.7).label == "iou3d@0.7"
+        assert MatchCriterion("bev_iou", 0.7).label == "bev@0.7"
+        assert MatchCriterion("center_distance", 1.0).label == "cd@1"
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown criterion kind"):
+            MatchCriterion("iou2d", 0.7)
+
+    def test_report_keys(self):
+        gts = {"a": [box([0, 0, 0]), box([10, 0, 0], class_id=2)]}
+        dets = {"a": [box([0.1, 0, 0], score=0.9)]}
+        report = evaluate(dets, gts, gt_difficulty_by_frame={"a": ["easy", "hard"]})
+        assert sorted(report.ap) == [
+            (1, bucket, crit) for bucket in ("easy", "hard", "moderate")
+            for crit in ("bev@0.7", "iou3d@0.7")
+        ] + [(2, "hard", "bev@0.7"), (2, "hard", "iou3d@0.7")]
+        assert {c: s["criterion"] for c, s in report.rotated.items()} == {1: "cd@1", 2: "cd@1"}
 
 
 class TestAveragePrecision:

@@ -23,6 +23,8 @@ from fullpose.geom import (
     iou3d,
     matrix_to_euler,
     nms,
+    pairwise_bev_iou,
+    pairwise_iou3d,
     points_in_box,
     to_euler_xy,
     transform_box,
@@ -271,6 +273,24 @@ class TestCenterDistance:
         b = box([2, 4, 4], [1, 1, 1])
         assert abs(center_distance(a, b) - 3.0) < 1e-12
         assert abs(center_distance(a, b, bev=True) - math.sqrt(5)) < 1e-12
+
+
+def test_pairwise_equals_scalar_bit_for_bit_over_many_near_pairs():
+    # more near pairs than the clipping pass once held (64), so a batch pass
+    # clips pairs of different vertex counts together
+    rng = np.random.default_rng(41)
+
+    def boxes(n):
+        return [box(np.append(rng.uniform(-3, 3, 2), rng.uniform(-0.5, 0.5)), rng.uniform(1, 4, 3),
+                    *rng.uniform(-0.3, 0.3, 2), tz=rng.uniform(0, 2 * math.pi)) for _ in range(n)]
+
+    a, b = boxes(15), boxes(12)
+    bev, iou = pairwise_bev_iou(a, b), pairwise_iou3d(a, b)
+    assert np.count_nonzero(bev) > 64 and np.count_nonzero(iou) > 64
+    for i, box_a in enumerate(a):
+        for j, box_b in enumerate(b):
+            assert bev[i, j] == bev_iou(box_a, box_b), (i, j)
+            assert iou[i, j] == iou3d(box_a, box_b), (i, j)
 
 
 class TestNms:
