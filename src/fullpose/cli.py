@@ -40,11 +40,9 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read_frame_records(labels_dir: Path) -> dict[str, list]:
-    frames = {}
-    for path in sorted(labels_dir.glob("*.jsonl")):
-        frames[path.stem] = dataio.read_pose6d(path)
-    return frames
+def _read_frame_records(labels_dir: Path) -> dict[Path, list]:
+    """The records of each ``*.jsonl`` file under ``labels_dir``, by path."""
+    return {path: dataio.read_pose6d(path) for path in sorted(labels_dir.glob("*.jsonl"))}
 
 
 @contextlib.contextmanager
@@ -56,11 +54,6 @@ def _naming(path):
         raise dataio.ParseError(f"{path}: {exc}") from None
 
 
-def _records_to_boxes(records, path) -> list[geom.FullPoseBox]:
-    with _naming(path):
-        return [rec.to_box() for rec in records]
-
-
 # ---------------------------------------------------------------- augment
 
 def _augment_one(task) -> tuple[str, bool]:
@@ -69,9 +62,9 @@ def _augment_one(task) -> tuple[str, bool]:
     cloud = dataio.read_velodyne(in_dir / "velodyne" / f"{frame_id}.bin")
     labels = in_dir / "labels" / f"{frame_id}.jsonl"
     records = dataio.read_pose6d(labels)
-    frame = slopeaug.LabeledFrame(
-        cloud=cloud, boxes=_records_to_boxes(records, labels), frame_id=frame_id
-    )
+    with _naming(labels):
+        boxes = [rec.to_box() for rec in records]
+    frame = slopeaug.LabeledFrame(cloud=cloud, boxes=boxes, frame_id=frame_id)
     rng = slopeaug.frame_rng(seed, frame_id)
     out = slopeaug.augment(frame, cfg, rng)
     applied = out is not frame
@@ -237,21 +230,22 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
-    gt_labels, pred_labels = Path(args.gt) / "labels", Path(args.pred) / "labels"
-    gt_frames = _read_frame_records(gt_labels)
-    pred_frames = _read_frame_records(pred_labels)
+    gt_frames = _read_frame_records(Path(args.gt) / "labels")
+    pred_frames = _read_frame_records(Path(args.pred) / "labels")
     if not gt_frames:
         raise ValueError(f"no ground-truth labels under {args.gt}/labels")
-    gts = {f: _records_to_boxes(recs, gt_labels / f"{f}.jsonl") for f, recs in gt_frames.items()}
+    gts, dets = {}, {}
+    for path, recs in gt_frames.items():
+        with _naming(path):
+            gts[path.stem] = [rec.to_box() for rec in recs]
     difficulties = {
-        f: [rec.difficulty or "moderate" for rec in recs]
-        for f, recs in gt_frames.items()
+        path.stem: [rec.difficulty or "moderate" for rec in recs]
+        for path, recs in gt_frames.items()
     }
-    dets = {}
-    for f, recs in pred_frames.items():
-        with _naming(pred_labels / f"{f}.jsonl"):
-            dets[f] = [rec.to_box() for rec in recs]
-            geom.box_scores(dets[f])  # evaluate ranks every detection by its score
+    for path, recs in pred_frames.items():
+        with _naming(path):
+            dets[path.stem] = [rec.to_box() for rec in recs]
+            geom.box_scores(dets[path.stem])  # evaluate ranks every detection by its score
     eval_cfg = cfg.eval
     if args.recall_positions is not None:
         eval_cfg = replace(eval_cfg, recall_positions=args.recall_positions)

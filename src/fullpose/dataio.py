@@ -184,7 +184,9 @@ def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
     The camera-frame bottom-center location is rectified back to the
     LiDAR frame, lifted by h/2 to the geometric center, and the camera
     rotation_y becomes LiDAR yaw (``-ry - pi/2``); roll and pitch are
-    zero.  DontCare rows are skipped.
+    zero.  DontCare rows are skipped.  A row that no box can hold (a
+    non-finite or non-positive value, a score outside [0, 1], an unknown
+    class) raises ParseError naming file:line.
     """
     objects = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -210,18 +212,16 @@ def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
                 score = float(parts[15]) if len(parts) > 15 else None
                 if not np.all(np.isfinite([h, w, l, ry, *loc_cam])):
                     raise ValueError("dimensions, location and rotation_y must be finite")
+                bottom = calib.cam_to_lidar(loc_cam)[0]
+                box = FullPoseBox(
+                    center=bottom + np.array([0.0, 0.0, h / 2.0]),
+                    dims=np.array([l, w, h]),
+                    euler=EulerXYZ(0.0, 0.0, wrap_angle(-ry - math.pi / 2.0)),
+                    class_id=class_id_for(parts[0], class_ids),
+                    score=score,
+                )
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            bottom = calib.cam_to_lidar(loc_cam)[0]
-            center = bottom + np.array([0.0, 0.0, h / 2.0])
-            yaw = wrap_angle(-ry - math.pi / 2.0)
-            box = FullPoseBox(
-                center=center,
-                dims=np.array([l, w, h]),
-                euler=EulerXYZ(0.0, 0.0, yaw),
-                class_id=class_id_for(parts[0], class_ids),
-                score=score,
-            )
             objects.append(
                 KittiObject(
                     box=box,

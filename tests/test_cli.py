@@ -362,19 +362,40 @@ DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10
 
 
 class TestConvert:
-    def test_kitti_to_pose6d(self, tmp_path):
-        src = tmp_path / "kitti"
+    @staticmethod
+    def _convert(tmp_path, name, label_text):
+        """argv converting a one-frame KITTI tree under ``tmp_path / name``, and its label path."""
+        src = tmp_path / name
         (src / "label_2").mkdir(parents=True)
         (src / "calib").mkdir()
-        (src / "label_2" / "000000.txt").write_text(KITTI_LABEL)
+        (src / "label_2" / "000000.txt").write_text(label_text)
         (src / "calib" / "000000.txt").write_text(KITTI_CALIB)
-        out = tmp_path / "native"
-        summary = run_ok([
-            "convert", "--from", "kitti", "--to", "pose6d",
-            "--input", str(src), "--output", str(out),
-        ])
+        argv = ["convert", "--from", "kitti", "--to", "pose6d",
+                "--input", str(src), "--output", str(tmp_path / f"{name}_native")]
+        return argv, src / "label_2" / "000000.txt"
+
+    def test_kitti_to_pose6d(self, tmp_path):
+        argv, _ = self._convert(tmp_path, "kitti", KITTI_LABEL)
+        summary = run_ok(argv)
         assert summary["objects"] == 1
-        records = read_pose6d(out / "labels" / "000000.jsonl")
+        records = read_pose6d(tmp_path / "kitti_native" / "labels" / "000000.jsonl")
         assert records[0].cls == "Car"
         assert abs(records[0].center[0] - 10.0) < 1e-9
         assert records[0].difficulty == "easy"
+
+    def test_kitti_results_convert_then_eval(self, tmp_path):
+        # a KITTI results row carries the detection score as a 16th column
+        gt_argv, _ = self._convert(tmp_path, "gt", KITTI_LABEL)
+        pred_argv, _ = self._convert(tmp_path, "pred", KITTI_LABEL.replace(" -1.62\n", " -1.62 0.75\n"))
+        run_ok(gt_argv)
+        run_ok(pred_argv)
+        assert read_pose6d(tmp_path / "pred_native" / "labels" / "000000.jsonl")[0].score == 0.75
+        summary = run_ok(["eval", "--gt", str(tmp_path / "gt_native"),
+                          "--pred", str(tmp_path / "pred_native")])
+        assert summary["ap"] and set(summary["ap"].values()) == {1.0}
+
+    def test_kitti_score_above_one_names_file_and_line(self, tmp_path, capsys):
+        argv, label = self._convert(tmp_path, "pred", KITTI_LABEL.replace(" -1.62\n", " -1.62 1.5\n"))
+        error = _fail(argv, capsys)
+        assert error == f"{label}:1: score must lie in [0, 1], got 1.5"
+        assert not (tmp_path / "pred_native" / "labels" / "000000.jsonl").exists()

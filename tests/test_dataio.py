@@ -203,6 +203,21 @@ class TestKittiLabels:
             with pytest.raises(ParseError, match="label.txt:1"):
                 read_kitti_labels(path, calib)
 
+    @pytest.mark.parametrize("column, value, message", [
+        (15, "1.5", "score must lie in [0, 1], got 1.5"),
+        (15, "-3.25", "score must lie in [0, 1], got -3.25"),
+        (10, "0", "dims must be positive"),
+        (0, "Foo", "unknown class name 'Foo'"),
+    ])
+    def test_value_no_box_holds_names_line(self, tmp_path, calib, column, value, message):
+        parts = LABEL_TEXT.splitlines()[0].split() + ["0.5"]  # a results row: 16th column is the score
+        parts[column] = value
+        path = tmp_path / "label.txt"
+        path.write_text(" ".join(parts) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_kitti_labels(path, calib)
+        assert str(info.value).startswith(f"{path}:1: {message}")
+
 
 class TestPose6d:
     def test_empty_file(self, tmp_path):

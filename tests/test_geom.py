@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fullpose import geom
 from fullpose.geom import (
     EulerXYZ,
     FullPoseBox,
@@ -275,18 +276,21 @@ class TestCenterDistance:
         assert abs(center_distance(a, b, bev=True) - math.sqrt(5)) < 1e-12
 
 
-def test_pairwise_equals_scalar_bit_for_bit_over_many_near_pairs():
-    # more near pairs than the clipping pass once held (64), so a batch pass
-    # clips pairs of different vertex counts together
+@pytest.mark.parametrize("spread, m, g, min_pairs", [
+    (3.0, 15, 12, 64),               # one pass clips pairs of different vertex counts
+    (0.3, 70, 70, geom._PAIR_BATCH),  # more near pairs than one clipping pass holds
+], ids=["one-pass", "split-passes"])
+def test_pairwise_equals_scalar_bit_for_bit_over_many_near_pairs(spread, m, g, min_pairs):
     rng = np.random.default_rng(41)
 
     def boxes(n):
-        return [box(np.append(rng.uniform(-3, 3, 2), rng.uniform(-0.5, 0.5)), rng.uniform(1, 4, 3),
-                    *rng.uniform(-0.3, 0.3, 2), tz=rng.uniform(0, 2 * math.pi)) for _ in range(n)]
+        return [box(np.append(rng.uniform(-spread, spread, 2), rng.uniform(-0.5, 0.5)),
+                    rng.uniform(1, 4, 3), *rng.uniform(-0.3, 0.3, 2),
+                    tz=rng.uniform(0, 2 * math.pi)) for _ in range(n)]
 
-    a, b = boxes(15), boxes(12)
+    a, b = boxes(m), boxes(g)
     bev, iou = pairwise_bev_iou(a, b), pairwise_iou3d(a, b)
-    assert np.count_nonzero(bev) > 64 and np.count_nonzero(iou) > 64
+    assert np.count_nonzero(bev) > min_pairs and np.count_nonzero(iou) > min_pairs
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
             assert bev[i, j] == bev_iou(box_a, box_b), (i, j)
