@@ -70,7 +70,8 @@ class CodecConfig:
 class YawCode:
     """Discrete yaw bin plus in-bin residual in [0.5, 1.5).
 
-    Decoding also accepts equal-length arrays of bins and residuals.
+    Encoding and decoding also work on equal-length arrays of bins and
+    residuals.
     """
 
     bin: int
@@ -89,13 +90,13 @@ def wrap_angle(theta):
     return _scalar_or_array(wrapped)
 
 
-def encode_yaw(theta_z: float, cfg: CodecConfig) -> YawCode:
-    """Bin index and residual for a heading angle."""
+def encode_yaw(theta_z, cfg: CodecConfig) -> YawCode:
+    """Bin index and residual for a heading angle (or an array of angles)."""
     theta = wrap_angle(theta_z)
     delta = cfg.bin_size
-    idx = min(int(theta // delta), cfg.n_yaw_bins - 1)
-    residual = (theta - idx * delta + delta / 2.0) / delta
-    return YawCode(bin=idx, residual=residual)
+    idx = np.minimum(np.floor_divide(theta, delta), cfg.n_yaw_bins - 1)
+    residual = _scalar_or_array((theta - idx * delta + delta / 2.0) / delta)
+    return YawCode(bin=int(idx) if np.ndim(idx) == 0 else idx.astype(np.intp), residual=residual)
 
 
 def decode_yaw(code: YawCode, cfg: CodecConfig):
@@ -232,13 +233,14 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
         foreground = inside.any(axis=0)
         # assigned boxes in the order of their first center, so an
         # out-of-range tilt raises for the same box as a per-center pass
-        for j in dict.fromkeys(owner[foreground].tolist()):
+        assigned = list(dict.fromkeys(owner[foreground].tolist()))
+        codes = encode_yaw(np.array([gts[j].euler.theta_z for j in assigned], dtype=np.float64), cfg)
+        for j, code_bin, code_res in zip(assigned, codes.bin.tolist(), codes.residual.tolist()):
             box = gts[j]
             rows = foreground & (owner == j)
             class_label[rows] = box.class_id
             ground[rows] = ground_label(box, cfg)
-            code = encode_yaw(box.euler.theta_z, cfg)
-            yaw_bin[rows], yaw_res[rows] = code.bin, code.residual
+            yaw_bin[rows], yaw_res[rows] = code_bin, code_res
             tilt[rows] = (encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3),
                           encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3))
             log_dims[rows] = encode_dims(box.dims)

@@ -7,7 +7,7 @@ Formats:
   with geometric (not bottom) centers and zero roll/pitch.
 * native full-pose annotations: JSONL, one object per line with keys
   frame/class/center/dims/euler and optional score/difficulty.  Unknown
-  keys are preserved on read and dropped on write.
+  keys are ignored on read and dropped on write.
 * ASCII PLY export for external viewers.
 * JSON toolkit configuration with strict unknown-key rejection.
 """
@@ -57,10 +57,9 @@ DEFAULT_CLASS_IDS = {
 DEFAULT_CLASS_NAMES = {v: k for k, v in DEFAULT_CLASS_IDS.items()}
 
 
-def class_id_for(name: str, class_ids: dict | None = None) -> int:
-    ids = DEFAULT_CLASS_IDS if class_ids is None else class_ids
-    if name in ids:
-        return ids[name]
+def class_id_for(name: str) -> int:
+    if name in DEFAULT_CLASS_IDS:
+        return DEFAULT_CLASS_IDS[name]
     if name.startswith("class_"):
         try:
             return int(name[6:])
@@ -69,9 +68,8 @@ def class_id_for(name: str, class_ids: dict | None = None) -> int:
     raise ParseError(f"unknown class name {name!r}")
 
 
-def class_name_for(class_id: int, class_names: dict | None = None) -> str:
-    names = DEFAULT_CLASS_NAMES if class_names is None else class_names
-    return names.get(class_id, f"class_{class_id}")
+def class_name_for(class_id: int) -> str:
+    return DEFAULT_CLASS_NAMES.get(class_id, f"class_{class_id}")
 
 
 def read_velodyne(path) -> PointCloud:
@@ -177,8 +175,7 @@ class KittiObject:
         return float(self.bbox2d[3] - self.bbox2d[1])
 
 
-def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
-                      ) -> list[KittiObject]:
+def read_kitti_labels(path, calib: KittiCalib) -> list[KittiObject]:
     """Parse a KITTI label file into LiDAR-frame full-pose boxes.
 
     The camera-frame bottom-center location is rectified back to the
@@ -217,7 +214,7 @@ def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
                     center=bottom + np.array([0.0, 0.0, h / 2.0]),
                     dims=np.array([l, w, h]),
                     euler=EulerXYZ(0.0, 0.0, wrap_angle(-ry - math.pi / 2.0)),
-                    class_id=class_id_for(parts[0], class_ids),
+                    class_id=class_id_for(parts[0]),
                     score=score,
                 )
             except ValueError as exc:
@@ -235,9 +232,6 @@ def read_kitti_labels(path, calib: KittiCalib, class_ids: dict | None = None
     return objects
 
 
-_POSE6D_KEYS = ("frame", "class", "center", "dims", "euler", "score", "difficulty")
-
-
 @dataclass
 class Pose6dRecord:
     """Native full-pose annotation: one object in one frame."""
@@ -249,23 +243,21 @@ class Pose6dRecord:
     euler: np.ndarray
     score: float | None = None
     difficulty: str | None = None
-    extra: dict = field(default_factory=dict)  # unknown input keys, not written
 
-    def to_box(self, class_ids: dict | None = None) -> FullPoseBox:
+    def to_box(self) -> FullPoseBox:
         return FullPoseBox(
             center=self.center,
             dims=self.dims,
-            euler=EulerXYZ(*self.euler),
-            class_id=class_id_for(self.cls, class_ids),
+            euler=EulerXYZ(*np.asarray(self.euler, dtype=np.float64).tolist()),
+            class_id=class_id_for(self.cls),
             score=self.score,
         )
 
     @classmethod
-    def from_box(cls, box: FullPoseBox, frame: str, difficulty: str | None = None,
-                 class_names: dict | None = None) -> "Pose6dRecord":
+    def from_box(cls, box: FullPoseBox, frame: str, difficulty: str | None = None) -> "Pose6dRecord":
         return cls(
             frame=frame,
-            cls=class_name_for(box.class_id, class_names),
+            cls=class_name_for(box.class_id),
             center=np.asarray(box.center, dtype=np.float64),
             dims=np.asarray(box.dims, dtype=np.float64),
             euler=box.euler.as_array(),
@@ -275,8 +267,13 @@ class Pose6dRecord:
 
 
 def read_pose6d(path) -> list[Pose6dRecord]:
-    """Read JSONL full-pose records; malformed lines raise with a line number."""
-    records = []
+    """Read JSONL full-pose records; malformed lines raise with a line number.
+
+    Each line is checked on its parsed Python values.  The center, dims
+    and euler triples of the file then fill one (n, 3, 3) array, and each
+    record holds row views of it.
+    """
+    rows, triples = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -291,16 +288,16 @@ def read_pose6d(path) -> list[Pose6dRecord]:
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
             try:
-                center = np.array([float(v) for v in obj["center"]])
-                dims = np.array([float(v) for v in obj["dims"]])
-                euler = np.array([float(v) for v in obj["euler"]])
+                center, dims, euler = triple = [
+                    [float(v) for v in obj[key]] for key in ("center", "dims", "euler")
+                ]
             except (TypeError, ValueError):
                 raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples") from None
-            if center.shape != (3,) or dims.shape != (3,) or euler.shape != (3,):
+            if len(center) != 3 or len(dims) != 3 or len(euler) != 3:
                 raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
-            if np.any(dims <= 0):
+            if any(d <= 0.0 for d in dims):
                 raise ParseError(f"{path}:{lineno}: dims must be positive")
-            if not (np.all(np.isfinite(center)) and np.all(np.isfinite(dims)) and np.all(np.isfinite(euler))):
+            if not all(map(math.isfinite, center + dims + euler)):
                 raise ParseError(f"{path}:{lineno}: non-finite numbers")
             difficulty = obj.get("difficulty")
             if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
@@ -314,37 +311,34 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 raise ParseError(f"{path}:{lineno}: score must be a number") from None
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
-            records.append(
-                Pose6dRecord(
-                    frame=str(obj["frame"]),
-                    cls=str(obj["class"]),
-                    center=center,
-                    dims=dims,
-                    euler=euler,
-                    score=score,
-                    difficulty=difficulty,
-                    extra={k: v for k, v in obj.items() if k not in _POSE6D_KEYS},
-                )
-            )
-    return records
+            rows.append((str(obj["frame"]), str(obj["class"]), score, difficulty))
+            triples.append(triple)
+    block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
+    return [
+        Pose6dRecord(frame=frame, cls=cls, center=center, dims=dims, euler=euler,
+                     score=score, difficulty=difficulty)
+        for (frame, cls, score, difficulty), (center, dims, euler) in zip(rows, block)
+    ]
 
 
 def write_pose6d(records, path) -> None:
-    """Write records as JSONL; unknown input keys are dropped."""
+    """Write records as JSONL, with one write per file."""
+    lines = []
+    for rec in records:
+        obj = {
+            "frame": rec.frame,
+            "class": rec.cls,
+            "center": np.asarray(rec.center, dtype=np.float64).tolist(),
+            "dims": np.asarray(rec.dims, dtype=np.float64).tolist(),
+            "euler": np.asarray(rec.euler, dtype=np.float64).tolist(),
+        }
+        if rec.score is not None:
+            obj["score"] = float(rec.score)
+        if rec.difficulty is not None:
+            obj["difficulty"] = rec.difficulty
+        lines.append(json.dumps(obj) + "\n")
     with _replacing(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {
-                "frame": rec.frame,
-                "class": rec.cls,
-                "center": list(map(float, rec.center)),
-                "dims": list(map(float, rec.dims)),
-                "euler": list(map(float, rec.euler)),
-            }
-            if rec.score is not None:
-                obj["score"] = float(rec.score)
-            if rec.difficulty is not None:
-                obj["difficulty"] = rec.difficulty
-            fh.write(json.dumps(obj) + "\n")
+        fh.write("".join(lines))
 
 
 def write_ply(cloud: PointCloud, path, colors=None) -> None:

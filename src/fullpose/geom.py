@@ -51,7 +51,7 @@ def _as_vec3(value, name: str = "vector") -> np.ndarray:
     v = np.asarray(value, dtype=np.float64).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} has non-finite components: {v}")
     return v
 
@@ -118,7 +118,7 @@ class FullPoseBox:
     def __post_init__(self):
         self.center = _as_vec3(self.center, "center")
         self.dims = _as_vec3(self.dims, "dims")
-        if np.any(self.dims <= 0):
+        if min(self.dims.tolist()) <= 0.0:  # finite by now, so no NaN hides from min
             raise ValueError(f"dims must be positive, got {self.dims}")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
@@ -560,12 +560,9 @@ def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
     return _scalar_iou(a, b, three_d=True)
 
 
-def center_distance(a: FullPoseBox, b: FullPoseBox, bev: bool = False) -> float:
-    """Euclidean distance between box centers (3D, or x-y only if ``bev``)."""
-    d = a.center - b.center
-    if bev:
-        d = d[:2]
-    return float(np.linalg.norm(d))
+def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:
+    """Euclidean distance between the 3D box centers."""
+    return float(np.linalg.norm(a.center - b.center))
 
 
 def pairwise_center_distance(a, b) -> np.ndarray:

@@ -7,7 +7,11 @@ synthesis and codec oracles at the end are the exception: they are the
 literal per-point, per-center and per-box loops that the vectorized code
 must repeat bit for bit, so they reuse the library's rotations, membership
 test, plane fit and target encoders (the decode oracle spells out the
-scalar decode formulas) and differ only in how they loop and draw.
+scalar decode formulas) and differ only in how they loop and draw.  The
+checks and label IO at the very end are the library's per-value numpy
+checks and per-record JSONL reader and writer, kept literally because the
+Python-scalar versions must repeat them message for message and byte
+for byte.
 """
 
 from __future__ import annotations
@@ -282,6 +286,14 @@ def _wrap_angle_oracle(theta: float) -> float:
     return wrapped
 
 
+def encode_yaw_oracle(theta_z: float, cfg) -> tuple[int, float]:
+    """Scalar yaw bin and residual, with ``int``/``min`` on Python floats."""
+    theta = _wrap_angle_oracle(theta_z)
+    delta = cfg.bin_size
+    idx = min(int(theta // delta), cfg.n_yaw_bins - 1)
+    return idx, (theta - idx * delta + delta / 2.0) / delta
+
+
 def head_decode_oracle(out, centers, cfg):
     """``head.head_decode`` center by center, with scalar decode formulas.
 
@@ -333,7 +345,6 @@ def make_targets_oracle(centers, gts, cfg):
         encode_center_offset,
         encode_dims,
         encode_tilt,
-        encode_yaw,
         ground_label,
     )
     from fullpose.geom import points_in_box
@@ -362,8 +373,7 @@ def make_targets_oracle(centers, gts, cfg):
             foreground[i] = True
             class_label[i] = box.class_id
             ground[i] = ground_label(box, cfg)
-            code = encode_yaw(box.euler.theta_z, cfg)
-            yaw_bin[i], yaw_res[i] = code.bin, code.residual
+            yaw_bin[i], yaw_res[i] = encode_yaw_oracle(box.euler.theta_z, cfg)
             tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3)
             tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3)
             log_dims[i] = encode_dims(box.dims)
@@ -379,3 +389,102 @@ def make_targets_oracle(centers, gts, cfg):
         center_offset=offset,
         foreground=foreground,
     )
+
+
+def as_vec3_oracle(value, name: str = "vector") -> np.ndarray:
+    """``geom._as_vec3`` with numpy's ``isfinite`` over the whole vector."""
+    v = np.asarray(value, dtype=np.float64).reshape(-1)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have 3 components, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite components: {v}")
+    return v
+
+
+def box_checks_oracle(center, dims, score) -> None:
+    """``FullPoseBox``'s checks as numpy array comparisons."""
+    as_vec3_oracle(center, "center")
+    dims = as_vec3_oracle(dims, "dims")
+    if np.any(dims <= 0):
+        raise ValueError(f"dims must be positive, got {dims}")
+    if score is not None and not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must lie in [0, 1], got {score}")
+
+
+def read_pose6d_oracle(path) -> list:
+    """``dataio.read_pose6d`` record by record, with numpy checks per record."""
+    import json
+
+    from fullpose.dataio import ParseError, Pose6dRecord
+    from fullpose.evaluation import DIFFICULTY_LABELS
+
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object")
+            missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
+            if missing:
+                raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            try:
+                center = np.array([float(v) for v in obj["center"]])
+                dims = np.array([float(v) for v in obj["dims"]])
+                euler = np.array([float(v) for v in obj["euler"]])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples") from None
+            if center.shape != (3,) or dims.shape != (3,) or euler.shape != (3,):
+                raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
+            if np.any(dims <= 0):
+                raise ParseError(f"{path}:{lineno}: dims must be positive")
+            if not (np.all(np.isfinite(center)) and np.all(np.isfinite(dims)) and np.all(np.isfinite(euler))):
+                raise ParseError(f"{path}:{lineno}: non-finite numbers")
+            difficulty = obj.get("difficulty")
+            if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
+                raise ParseError(
+                    f"{path}:{lineno}: unknown difficulty {difficulty!r}, "
+                    f"expected one of {', '.join(DIFFICULTY_LABELS)}"
+                )
+            try:
+                score = None if obj.get("score") is None else float(obj["score"])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: score must be a number") from None
+            if score is not None and not 0.0 <= score <= 1.0:
+                raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
+            records.append(
+                Pose6dRecord(
+                    frame=str(obj["frame"]),
+                    cls=str(obj["class"]),
+                    center=center,
+                    dims=dims,
+                    euler=euler,
+                    score=score,
+                    difficulty=difficulty,
+                )
+            )
+    return records
+
+
+def write_pose6d_oracle(records, path) -> None:
+    """``dataio.write_pose6d`` with one ``json.dumps`` and one write per record."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            obj = {
+                "frame": rec.frame,
+                "class": rec.cls,
+                "center": list(map(float, rec.center)),
+                "dims": list(map(float, rec.dims)),
+                "euler": list(map(float, rec.euler)),
+            }
+            if rec.score is not None:
+                obj["score"] = float(rec.score)
+            if rec.difficulty is not None:
+                obj["difficulty"] = rec.difficulty
+            fh.write(json.dumps(obj) + "\n")

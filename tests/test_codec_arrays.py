@@ -15,6 +15,7 @@ from fullpose.codec import (  # noqa: E402
     decode_tilt,
     decode_yaw,
     encode_tilt,
+    encode_yaw,
     gate_tilt,
     make_targets,
     wrap_angle,
@@ -31,6 +32,9 @@ special = st.sampled_from([0.0, -0.0, 0.5, -1e-300, 1e-300, -1e-17, TWO_PI, -TWO
                            TWO_PI - 1e-15, math.pi, 1.0 / 9.0, -1.0 / 9.0])
 angles = st.one_of(special, st.floats(-50.0, 50.0, allow_nan=False))
 angle_arrays = st.lists(angles, min_size=0, max_size=12)
+# headings at and next to the 2*pi seam, where the last yaw bin ends
+yaw_seams = st.sampled_from([math.nextafter(TWO_PI, 0.0), -math.nextafter(0.0, 1.0),
+                             math.nextafter(-TWO_PI, 0.0), 3 * TWO_PI - 1e-14])
 thresholds = st.floats(1e-3, math.pi / 4 - 1e-3)
 
 
@@ -51,6 +55,27 @@ class TestElementwise:
         scalar = [decode_yaw(YawCode(b, r), cfg) for b, r in codes]
         assert bits(decode_yaw(YawCode(bins, res), cfg)) == bits(scalar)
 
+    @given(st.lists(st.one_of(angles, yaw_seams), max_size=12), st.integers(2, 16))
+    def test_encode_yaw(self, xs, n_bins):
+        cfg = CodecConfig(n_yaw_bins=n_bins)
+        got = encode_yaw(np.array(xs, dtype=np.float64), cfg)
+        assert got.bin.dtype == np.intp and got.bin.shape == got.residual.shape == (len(xs),)
+        scalar = [encode_yaw(x, cfg) for x in xs]
+        assert got.bin.tolist() == [code.bin for code in scalar]
+        assert bits(got.residual) == bits([code.residual for code in scalar])
+        oracle = [oracles.encode_yaw_oracle(x, cfg) for x in xs]
+        assert got.bin.tolist() == [b for b, _ in oracle]
+        assert bits(got.residual) == bits([r for _, r in oracle])
+
+    def test_encode_yaw_seam_and_last_bin(self):
+        cfg = CodecConfig()
+        xs = [TWO_PI, -TWO_PI, TWO_PI - 1e-15, math.nextafter(TWO_PI, 0.0), -1e-300,
+              11 * cfg.bin_size, math.nextafter(11 * cfg.bin_size, 0.0)]
+        got = encode_yaw(np.array(xs), cfg)
+        assert got.bin.tolist() == [0, 0, 11, 11, 0, 11, 10]  # -1e-300 wraps onto the seam
+        assert got.bin.tolist() == [oracles.encode_yaw_oracle(x, cfg)[0] for x in xs]
+        assert bits(got.residual) == bits([oracles.encode_yaw_oracle(x, cfg)[1] for x in xs])
+
     @given(angle_arrays, thresholds, st.booleans())
     def test_decode_tilt(self, xs, t, strict):
         scalar = [decode_tilt(x, t, strict) for x in xs]
@@ -64,7 +89,8 @@ class TestElementwise:
 
     def test_scalar_in_float_out(self):
         cfg = CodecConfig()
-        for value in (wrap_angle(-1.0), decode_yaw(YawCode(3, 0.7), cfg),
+        assert type(encode_yaw(-1.0, cfg).bin) is int
+        for value in (wrap_angle(-1.0), decode_yaw(YawCode(3, 0.7), cfg), encode_yaw(-1.0, cfg).residual,
                       decode_tilt(0.2, 0.1), decode_tilt(0.2, 0.1, strict_eq3=True),
                       gate_tilt(0.9, 0.3), gate_tilt(0.1, 0.3)):
             assert type(value) is float

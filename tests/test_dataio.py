@@ -258,13 +258,13 @@ class TestPose6d:
         with pytest.raises(ParseError, match="bad.jsonl:2"):
             read_pose6d(path)
 
-    def test_unknown_keys_preserved_on_read_dropped_on_write(self, tmp_path):
+    def test_unknown_keys_ignored_on_read_dropped_on_write(self, tmp_path):
         path = tmp_path / "extra.jsonl"
         obj = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
                "euler": [0, 0, 0], "velocity": [5, 0, 0]}
         path.write_text(json.dumps(obj) + "\n")
         rec = read_pose6d(path)[0]
-        assert rec.extra == {"velocity": [5, 0, 0]}
+        assert not hasattr(rec, "extra")
         out = tmp_path / "rewritten.jsonl"
         write_pose6d([rec], out)
         assert "velocity" not in out.read_text()

@@ -273,7 +273,6 @@ class TestCenterDistance:
         a = box([1, 2, 2], [1, 1, 1])
         b = box([2, 4, 4], [1, 1, 1])
         assert abs(center_distance(a, b) - 3.0) < 1e-12
-        assert abs(center_distance(a, b, bev=True) - math.sqrt(5)) < 1e-12
 
 
 @pytest.mark.parametrize("spread, m, g, min_pairs", [

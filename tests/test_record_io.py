@@ -1,0 +1,281 @@
+"""Box checks and JSONL label IO against their per-value numpy oracles.
+
+``FullPoseBox``, ``geom._as_vec3`` and ``EulerXYZ`` check Python floats,
+and ``read_pose6d``/``write_pose6d`` check and format a whole file at
+once.  They must reject exactly what the numpy checks of
+``tests/oracles.py`` reject, with the same messages, and read and write
+the same values and bytes.
+"""
+
+import importlib.util
+import json
+import math
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from fullpose import cli  # noqa: E402
+from fullpose.dataio import ParseError, Pose6dRecord, read_pose6d, write_pose6d  # noqa: E402
+from fullpose.evaluation import DIFFICULTY_LABELS  # noqa: E402
+from fullpose.geom import EulerXYZ, FullPoseBox, _as_vec3  # noqa: E402
+
+import oracles  # noqa: E402
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+NAN, INF = float("nan"), float("inf")
+SUBNORMAL = 5e-324
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` does: the ValueError it raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# ------------------------------------------------------------- box checks
+
+def _with(values, i, value):
+    out = list(values)
+    out[i] = value
+    return out
+
+
+VEC_CASES = (
+    [[1.5, -2.0, 0.25], [0.0, -0.0, SUBNORMAL], [1e16, -1e300, 3.0]]
+    + [_with([1.0, 2.0, 3.0], i, v) for i in range(3) for v in (NAN, INF, -INF)]
+    + [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]], [[1.0, 2.0, 3.0]],
+       [[NAN], [2.0], [3.0]], [], 7.0]
+)
+DIMS_CASES = VEC_CASES + [_with([1.0, 2.0, 3.0], i, v) for i in range(3) for v in (0.0, -0.0, -1.5)]
+SCORES = [None, 0.0, -0.0, 0.5, 1.0, NAN, -1e-300, math.nextafter(1.0, 2.0), 1.5]
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBoxChecks:
+    @pytest.mark.parametrize("value", VEC_CASES + [np.array(v) for v in VEC_CASES[:6]])
+    def test_as_vec3_rejects_what_numpy_rejects(self, value):
+        assert outcome(_as_vec3, value, "pivot") == outcome(oracles.as_vec3_oracle, value, "pivot")
+        if outcome(_as_vec3, value) is None:
+            assert bits(_as_vec3(value)) == bits(oracles.as_vec3_oracle(value))
+
+    @pytest.mark.parametrize("center", VEC_CASES)
+    def test_center(self, center):
+        got = outcome(lambda: FullPoseBox(center, [1.0, 1.0, 1.0]))
+        assert got == outcome(oracles.box_checks_oracle, center, [1.0, 1.0, 1.0], None)
+
+    @pytest.mark.parametrize("dims", DIMS_CASES)
+    def test_dims(self, dims):
+        got = outcome(lambda: FullPoseBox(np.zeros(3), dims))
+        assert got == outcome(oracles.box_checks_oracle, np.zeros(3), dims, None)
+
+    @pytest.mark.parametrize("score", SCORES)
+    def test_score(self, score):
+        got = outcome(lambda: FullPoseBox(np.zeros(3), np.ones(3), score=score))
+        assert got == outcome(oracles.box_checks_oracle, np.zeros(3), np.ones(3), score)
+
+    def test_center_is_checked_before_dims(self):
+        got = outcome(lambda: FullPoseBox([NAN, 0.0, 0.0], [0.0, 1.0, 1.0], score=2.0))
+        assert got == outcome(oracles.box_checks_oracle, [NAN, 0.0, 0.0], [0.0, 1.0, 1.0], 2.0)
+        assert got[1].startswith("center has non-finite components")
+
+    @pytest.mark.parametrize("i", range(3))
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_euler_rejects_each_non_finite_component(self, i, value, kind):
+        angles = [kind(v) for v in _with([0.1, -0.2, 3.0], i, value)]
+        name = ("theta_x", "theta_y", "theta_z")[i]
+        assert outcome(EulerXYZ, *angles) == (ValueError, f"{name} must be finite")
+
+    def test_to_box_hands_euler_python_floats(self):
+        rec = Pose6dRecord("0", "Car", np.zeros(3), np.ones(3), np.array([0.1, -0.2, 3.0]))
+        euler = rec.to_box().euler
+        assert [type(v) for v in (euler.theta_x, euler.theta_y, euler.theta_z)] == [float] * 3
+        assert bits([euler.theta_x, euler.theta_y, euler.theta_z]) == bits(rec.euler)
+        listed = Pose6dRecord("0", "Car", [0, 0, 0], [1, 1, 1], [0, 1, 2]).to_box().euler
+        assert [listed.theta_x, listed.theta_y, listed.theta_z] == [0.0, 1.0, 2.0]
+        assert {type(v) for v in (listed.theta_x, listed.theta_y, listed.theta_z)} == {float}
+
+
+# ------------------------------------------------------------ label reader
+
+finite = st.one_of(
+    st.sampled_from([0.0, -0.0, SUBNORMAL, -SUBNORMAL, 1e16, -1e-300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+positive = st.one_of(st.sampled_from([SUBNORMAL, 1e16, 0.5]),
+                     st.floats(min_value=1e-3, max_value=50.0))
+names = st.one_of(st.sampled_from(["000001", "Fahrzeug_ä", "車", ""]), st.text(max_size=6))
+triple = st.lists(finite, min_size=3, max_size=3)
+
+
+@st.composite
+def valid_rows(draw) -> str:
+    obj = {
+        "frame": draw(st.one_of(names, st.integers(0, 999))),
+        "class": draw(st.sampled_from(["Car", "Pedestrian", "class_77", "Fahrzeug_ä"])),
+        "center": draw(triple),
+        "dims": draw(st.lists(positive, min_size=3, max_size=3)),
+        "euler": draw(triple),
+    }
+    if draw(st.booleans()):
+        obj["score"] = draw(st.one_of(st.none(), st.sampled_from([0, 1, 0.0, -0.0, 1.0]),
+                                      st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        obj["difficulty"] = draw(st.sampled_from((None,) + DIFFICULTY_LABELS))
+    if draw(st.booleans()):
+        obj["velocity"] = [5, 0, 0]
+    keys = list(obj)
+    order = draw(st.permutations(keys))
+    return json.dumps({k: obj[k] for k in order}, ensure_ascii=draw(st.booleans()))
+
+
+GOOD = {"frame": "0", "class": "Car", "center": [0.5, -1.0, 2.0], "dims": [1.0, 2.0, 3.0],
+        "euler": [0.0, 0.1, -0.2]}
+
+
+_DROP = object()  # a key that _bad leaves out
+
+
+def _bad(**changes) -> str:
+    obj = dict(GOOD, **changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not _DROP})
+
+
+BAD_ROWS = (
+    ["{oops", "[1, 2", '{"frame": "0",}', "nul"]                          # invalid JSON
+    + ["[1, 2, 3]", "5", '"text"', "null"]                                # not an object
+    + [_bad(**{key: _DROP}) for key in ("frame", "class", "center", "dims", "euler")]
+    + [_bad(center="abc"), _bad(dims="123"), _bad(euler=[True, False, True]),
+       _bad(dims=[True, False, True]), _bad(center=[[1.0], [2.0], [3.0]]), _bad(euler=[]),
+       _bad(center=None), _bad(dims=5), _bad(euler={"a": 1}), _bad(center=["1", "2", "x"])]
+    + [_bad(center=[1.0, 2.0]), _bad(dims=[1.0, 2.0, 3.0, 4.0]), _bad(euler=[0.0, 0.0])]
+    + [_bad(dims=_with([1.0, 2.0, 3.0], i, v)) for i in range(3) for v in (0.0, -0.0, -1.5, NAN)]
+    + [_bad(dims=[0.0, NAN, 1.0]), _bad(dims=[NAN, -1.0, 1.0])]
+    + [_bad(**{key: _with([1.0, 2.0, 3.0], i, v)})
+       for key in ("center", "dims", "euler") for i in (0, 2) for v in (INF, -INF)]
+    + [_bad(center=[NAN, 0.0, 0.0]), _bad(euler=[0.0, 0.0, NAN])]
+    + [_bad(difficulty=d) for d in ("medium", "Easy", 2, [1])]
+    + [_bad(score=s) for s in (NAN, -0.25, 1.5, [0.5], "high", {"v": 1}, INF, True)]
+    + [_bad(score="0.5"), _bad(center="123"), "   ", ""]                  # accepted by both
+)
+
+
+def record_bits(rec) -> tuple:
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (rec.center, rec.dims, rec.euler))
+    score = None if rec.score is None else (type(rec.score), struct.pack("<d", rec.score))
+    return rec.frame, rec.cls, arrays, score, rec.difficulty
+
+
+def read_outcome(reader, path):
+    try:
+        return [record_bits(rec) for rec in reader(path)]
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestReadPose6d:
+    @given(st.lists(valid_rows(), max_size=8), st.one_of(st.none(), st.sampled_from(BAD_ROWS)),
+           st.integers(0, 8))
+    def test_equals_per_record_oracle(self, tmp_path_factory, rows, bad, at):
+        if bad is not None:
+            rows.insert(min(at, len(rows)), bad)
+        path = tmp_path_factory.mktemp("read") / "labels.jsonl"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        assert read_outcome(read_pose6d, path) == read_outcome(oracles.read_pose6d_oracle, path)
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_each_bad_row_after_good_ones(self, tmp_path, bad):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(f"{json.dumps(GOOD)}\n{json.dumps(GOOD)}\n{bad}\n", encoding="utf-8")
+        got = read_outcome(read_pose6d, path)
+        assert got == read_outcome(oracles.read_pose6d_oracle, path)
+        if isinstance(got, str):
+            assert got.startswith(f"{path}:3: ")
+
+    def test_records_are_rows_of_one_block(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(f"{json.dumps(GOOD)}\n\n{json.dumps(GOOD)}\n", encoding="utf-8")
+        a, b = read_pose6d(path)
+        assert a.center.base is b.euler.base is not None
+        assert a.center.shape == a.dims.shape == a.euler.shape == (3,)
+
+
+# ------------------------------------------------------------ label writer
+
+SPECIAL = [-0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3, 1e16, -1e16, 0.1, 1.0 / 3.0]
+
+
+def write_bytes(writer, records, path) -> bytes:
+    writer(records, path)
+    return path.read_bytes()
+
+
+class TestWritePose6d:
+    @given(st.lists(st.tuples(names, names, st.lists(finite, min_size=9, max_size=9),
+                              st.one_of(st.none(), st.sampled_from(SPECIAL), st.floats(0.0, 1.0)),
+                              st.sampled_from((None,) + DIFFICULTY_LABELS)), max_size=6))
+    def test_equals_per_record_oracle(self, tmp_path_factory, rows):
+        records = [
+            Pose6dRecord(frame, cls, np.array(v[:3]), np.array(v[3:6]), np.array(v[6:]), score, d)
+            for frame, cls, v, score, d in rows
+        ]
+        tmp = tmp_path_factory.mktemp("write")
+        assert write_bytes(write_pose6d, records, tmp / "a.jsonl") == \
+            write_bytes(oracles.write_pose6d_oracle, records, tmp / "b.jsonl")
+
+    def test_special_values_and_names(self, tmp_path):
+        records = [
+            Pose6dRecord("Bild_ü", "車", np.array(SPECIAL[:3]), np.array(SPECIAL[3:6]),
+                         np.array(SPECIAL[5:]), -0.0, "hard"),
+            Pose6dRecord("000001", "Car", np.array([1e16, -0.0, SUBNORMAL]), np.ones(3),
+                         np.zeros(3), 0.25, None),
+            Pose6dRecord("int_arrays", "Car", np.array([0, 1, 2]), [1, 2, 3],
+                         np.zeros(3, dtype=np.float32), 1, "easy"),
+        ]
+        got = write_bytes(write_pose6d, records, tmp_path / "a.jsonl")
+        assert got == write_bytes(oracles.write_pose6d_oracle, records, tmp_path / "b.jsonl")
+        assert b"-0.0" in got and b"5e-324" in got and b"1e+16" in got and b"\\u8eca" in got
+
+
+# ------------------------------------------------------- infer-path round trip
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def round_trip(path: Path, out: Path) -> bytes:
+    """The benchmark's infer calls: read, to_box, from_box, write."""
+    write_pose6d([Pose6dRecord.from_box(r.to_box(), r.frame, r.difficulty) for r in read_pose6d(path)],
+                 out)
+    return out.read_bytes()
+
+
+def test_infer_path_round_trip_keeps_bytes(tmp_path):
+    root = tmp_path / "synth"
+    outcome_ = cli.run(["synth", "--scenes", "3", "--ramp-deg", "15", "--ramp-fraction", "1.0",
+                        "--output", str(root), "--boxes", "6", "--seed", "11"])
+    assert outcome_.exit_code == 0, outcome_.summary
+    gen = _load_gen()
+    gen.relabel_difficulty(root / "labels", 11)
+    gen.write_proposals(root / "labels", tmp_path / "proposals", 8, 11)
+    paths = sorted((root / "labels").glob("*.jsonl")) + sorted((tmp_path / "proposals").glob("*.jsonl"))
+    assert len(paths) == 6
+    tilted = 0
+    for path in paths:
+        assert round_trip(path, tmp_path / "out.jsonl") == path.read_bytes(), path
+        tilted += sum(r.euler[0] != 0.0 or r.euler[1] != 0.0 for r in read_pose6d(path))
+    assert tilted > 0
