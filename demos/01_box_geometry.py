@@ -1,7 +1,7 @@
 """Full-pose boxes and the geometry toolbox.
 
 Walks through the rotation conventions, oriented-box overlap metrics, and
-the sampling/suppression primitives, printing each result as it goes.
+the suppression primitive, printing each result as it goes.
 """
 
 import math
@@ -16,7 +16,6 @@ from fullpose import (
     box_corners,
     center_distance,
     euler_to_matrix,
-    fps,
     iou3d,
     matrix_to_euler,
     nms,
@@ -52,12 +51,6 @@ other = FullPoseBox(car.center + [1.0, 0.3, 0.0], car.dims, car.euler, class_id=
 print("bev_iou:", round(bev_iou(car, other), 4))
 print("iou3d:", round(iou3d(car, other), 4))
 print("center distance:", round(center_distance(car, other), 4))
-
-# Furthest point sampling spreads a subset over the cloud.
-rng = np.random.default_rng(0)
-cloud = rng.uniform(-20, 20, (500, 3))
-picked = fps(cloud, 8)
-print("fps picked indices:", [int(i) for i in picked])
 
 # Non-maximum suppression keeps the best-scored of overlapping boxes.
 dets = [

@@ -2,7 +2,7 @@
 
 Modules:
 
-* :mod:`fullpose.geom` - rotations, oriented boxes, IoU, NMS, FPS.
+* :mod:`fullpose.geom` - rotations, oriented boxes, IoU, NMS.
 * :mod:`fullpose.slopeaug` - pseudo-slope scene synthesis from flat frames.
 * :mod:`fullpose.codec` - ground-aware pose target encoding/decoding.
 * :mod:`fullpose.nn` - dense kernels and losses with verified gradients.
@@ -25,7 +25,6 @@ from .geom import (
     box_corners,
     center_distance,
     euler_to_matrix,
-    fps,
     iou3d,
     matrix_to_euler,
     nms,
@@ -72,7 +71,6 @@ __all__ = [
     "center_distance",
     "euler_to_matrix",
     "evaluate",
-    "fps",
     "head_decode",
     "head_forward",
     "iou3d",

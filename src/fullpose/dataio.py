@@ -18,7 +18,6 @@ import contextlib
 import json
 import math
 import os
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -392,33 +391,24 @@ _TOP_SCALARS = {f.name: type(f.default) for f in fields(ToolkitConfig) if f.name
 _TOP_KEYS = tuple(_TOP_SCALARS) + tuple(_SECTION_FIELDS)
 
 
-def _check_keys(data: dict, allowed, context: str, strict: bool) -> None:
+def _check_keys(data: dict, allowed, context: str) -> None:
     for key in data:
         if key not in allowed:
-            label = f"{context}{key}"
-            if strict:
-                raise ConfigError(f"unknown config key: {label}")
-            print(f"warning: ignoring unknown config key: {label}", file=sys.stderr)
+            raise ConfigError(f"unknown config key: {context}{key}")
 
 
-def _section(data: dict, name: str, strict: bool) -> dict:
+def _section(data: dict, name: str) -> dict:
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    _check_keys(section, _SECTION_FIELDS[name], f"{name}.", strict)
-    kwargs = {
-        k: tuple(v) if k in _TUPLE_FIELDS else v
-        for k, v in section.items()
-        if k in _SECTION_FIELDS[name]
-    }
-    return kwargs
+    _check_keys(section, _SECTION_FIELDS[name], f"{name}.")
+    return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in section.items()}
 
 
-def load_config(path=None, strict: bool = True) -> ToolkitConfig:
+def load_config(path=None) -> ToolkitConfig:
     """Load a JSON config; omitted keys fall back to the library defaults.
 
-    Unknown keys raise ConfigError naming the offending key (or warn with
-    ``strict=False``).
+    Unknown keys raise ConfigError naming the offending key.
     """
     if path is None:
         data = {}
@@ -430,15 +420,15 @@ def load_config(path=None, strict: bool = True) -> ToolkitConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "", strict)
+    _check_keys(data, _TOP_KEYS, "")
     try:
-        codec_cfg = CodecConfig(**_section(data, "codec", strict))
-        head_kwargs = _section(data, "head", strict)
+        codec_cfg = CodecConfig(**_section(data, "codec"))
+        head_kwargs = _section(data, "head")
         return ToolkitConfig(
             **{k: cast(data[k]) for k, cast in _TOP_SCALARS.items() if k in data},
             codec=codec_cfg,
-            slopeaug=SlopeAugConfig(**_section(data, "slopeaug", strict)),
-            eval=EvalConfig(**_section(data, "eval", strict)),
+            slopeaug=SlopeAugConfig(**_section(data, "slopeaug")),
+            eval=EvalConfig(**_section(data, "eval")),
             head=HeadConfig(codec=codec_cfg, **head_kwargs),
         )
     except (TypeError, ValueError) as exc:

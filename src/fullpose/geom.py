@@ -1,4 +1,4 @@
-"""Full-pose box geometry: rotations, oriented boxes, overlap, sampling.
+"""Full-pose box geometry: rotations, oriented boxes, overlap, suppression.
 
 Conventions used throughout the library:
 
@@ -41,10 +41,6 @@ class NonHorizontalAxisError(FullposeError, ValueError):
 
 class MissingScoreError(FullposeError, ValueError):
     """Operation requires every box to carry a score."""
-
-
-class KTooLargeError(FullposeError, ValueError):
-    """Requested more samples than there are points."""
 
 
 def _as_vec3(value, name: str = "vector") -> np.ndarray:
@@ -618,37 +614,3 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
             kept[r] = lo == hi or not kept[cols[lo:hi]].any()
     return order[kept]
 
-
-def fps(points, k: int, weights=None) -> np.ndarray:
-    """Greedy furthest point sampling; returns ``k`` indices.
-
-    Starts at index 0 and repeatedly picks the point maximizing
-    ``weight * distance-to-nearest-selected`` (unweighted if ``weights``
-    is None).  Ties go to the lowest index; already selected points are
-    excluded.  Deterministic for identical inputs.
-    """
-    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds cloud size {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError("weights must match the number of points")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-    selected = np.empty(k, dtype=np.intp)
-    selected[0] = 0
-    min_dist = np.linalg.norm(pts - pts[0], axis=1)
-    taken = np.zeros(n, dtype=bool)
-    taken[0] = True
-    for step in range(1, k):
-        score = min_dist if weights is None else weights * min_dist
-        score = np.where(taken, -np.inf, score)
-        idx = int(np.argmax(score))
-        selected[step] = idx
-        taken[idx] = True
-        np.minimum(min_dist, np.linalg.norm(pts - pts[idx], axis=1), out=min_dist)
-    return selected

@@ -143,15 +143,14 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
     ]
 
 
-def head_loss(params: HeadParams, features: np.ndarray, targets,
-              weights: dict | None = None):
+def head_loss(params: HeadParams, features: np.ndarray, targets):
     """Composite box loss plus gradients for every head parameter.
 
     Returns ``(loss, grads, breakdown)`` where ``grads`` maps parameter
     group name to per-layer (dW, db) pairs in forward order.
     """
     out, caches = _forward_cached(params, features)
-    loss, bd = nn.composite_box_loss(out, targets, weights)
+    loss, bd = nn.composite_box_loss(out, targets)
 
     branch_douts = {
         "cls": bd.dclass_logits,

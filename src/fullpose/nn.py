@@ -29,10 +29,6 @@ class ShapeMismatchError(FullposeError, ValueError):
     pass
 
 
-class EmptyGroupError(FullposeError, ValueError):
-    pass
-
-
 class ProbabilityOutOfRangeError(FullposeError, ValueError):
     pass
 
@@ -44,6 +40,10 @@ class LabelOutOfRangeError(FullposeError, ValueError):
 _ACTIVATIONS = ("none", "relu", "sigmoid")
 # guard against exact 0/1 probabilities from saturated sigmoids
 _PROB_EPS = 1e-12
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+# central-difference step of grad_check
+_FD_STEP = 1e-6
 
 
 def sigmoid(x) -> np.ndarray:
@@ -123,17 +123,17 @@ class MlpParams:
         return self.layers[-1].weights.shape[0]
 
 
-def init_mlp(widths, rng: np.random.Generator, hidden_activation: str = "relu",
-             output_activation: str = "none") -> MlpParams:
+def init_mlp(widths, rng: np.random.Generator, output_activation: str = "none") -> MlpParams:
     """He-style random init for a chain of widths ``(in, ..., out)``.
 
-    Biases start at small uniform values (not zero) so fully-clipped relu
-    rows cannot park the next layer exactly on its activation kink.
+    Hidden layers are relu.  Biases start at small uniform values (not
+    zero) so fully-clipped relu rows cannot park the next layer exactly on
+    its activation kink.
     """
     layers = []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
-        act = hidden_activation if i < len(widths) - 2 else output_activation
+        act = "relu" if i < len(widths) - 2 else output_activation
         scale = np.sqrt(2.0 / fan_in) if act == "relu" else np.sqrt(1.0 / fan_in)
         bound = 1.0 / np.sqrt(fan_in)
         layers.append(
@@ -180,35 +180,6 @@ def mlp_backward(params: MlpParams, cache: list, dy: np.ndarray
         grads[i] = (dz.T @ x_in, dz.sum(axis=0))
         da = dz @ layer.weights
     return da, grads
-
-
-def pointnet_aggregate(params_h: MlpParams, params_gamma: MlpParams,
-                       group: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Order-invariant group feature: ``gamma(max_i h(x_i))``.
-
-    The channel-wise max makes the output invariant to row permutations;
-    backward routes each channel's gradient to its argmax row (ties to the
-    lowest index).
-    """
-    group = np.asarray(group, dtype=np.float64)
-    if group.ndim != 2 or group.shape[0] == 0:
-        raise EmptyGroupError("group must be a nonempty (k, features) array")
-    h_out, h_cache = mlp_forward(params_h, group)
-    argmax = np.argmax(h_out, axis=0)
-    pooled = h_out[argmax, np.arange(h_out.shape[1])]
-    g_out, g_cache = mlp_forward(params_gamma, pooled[None, :])
-    return g_out[0], (h_cache, g_cache, argmax, h_out.shape)
-
-
-def pointnet_backward(params_h: MlpParams, params_gamma: MlpParams, cache: tuple,
-                      dfeature: np.ndarray):
-    """Gradients of :func:`pointnet_aggregate` w.r.t. group and both MLPs."""
-    h_cache, g_cache, argmax, h_shape = cache
-    dpooled, dgamma = mlp_backward(params_gamma, g_cache, np.asarray(dfeature)[None, :])
-    dh_out = np.zeros(h_shape)
-    dh_out[argmax, np.arange(h_shape[1])] = dpooled[0]
-    dgroup, dh = mlp_backward(params_h, h_cache, dh_out)
-    return dgroup, dh, dgamma
 
 
 def smooth_l1(pred, target, beta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -297,23 +268,16 @@ class LossBreakdown:
 _TERM_KEYS = ("cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res")
 
 
-def composite_box_loss(out, targets, weights: dict | None = None) -> tuple[float, LossBreakdown]:
+def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
     """Total training loss over a batch of per-center raw outputs.
 
     Classification, dimension, position, and yaw terms sum over foreground
     centers and divide by their count; the terrain focal term does the
     same; the tilt term averages over foreground centers on sloped terrain
     only and is zero when there are none.  An all-background batch has
-    zero loss.  ``weights`` optionally rescales the five summands
-    (keys: cls, dim, posi, theta_xy, theta_z; default 1.0 each).
+    zero loss.  The total is the unweighted sum
+    ``cls + dim + posi + (seg + tilt) + (yaw_bin + yaw_res)``.
     """
-    w = {"cls": 1.0, "dim": 1.0, "posi": 1.0, "theta_xy": 1.0, "theta_z": 1.0}
-    if weights:
-        unknown = set(weights) - set(w)
-        if unknown:
-            raise ValueError(f"unknown loss weights: {sorted(unknown)}")
-        w.update(weights)
-
     n = len(targets)
     zero = LossBreakdown(
         total=0.0,
@@ -339,15 +303,15 @@ def composite_box_loss(out, targets, weights: dict | None = None) -> tuple[float
 
     cls_loss, cls_grad = cross_entropy(out.class_logits[fg], targets.class_label[fg])
     terms["cls"] = float(cls_loss.sum()) / n_p
-    result.dclass_logits[fg] = w["cls"] * cls_grad / n_p
+    result.dclass_logits[fg] = cls_grad / n_p
 
     dim_loss, dim_grad = smooth_l1(out.log_dims[fg], targets.log_dims[fg])
     terms["dim"] = float(dim_loss.sum()) / n_p
-    result.dlog_dims[fg] = w["dim"] * dim_grad / n_p
+    result.dlog_dims[fg] = dim_grad / n_p
 
     posi_loss, posi_grad = smooth_l1(out.center_offset[fg], targets.center_offset[fg])
     terms["posi"] = float(posi_loss.sum()) / n_p
-    result.dcenter_offset[fg] = w["posi"] * posi_grad / n_p
+    result.dcenter_offset[fg] = posi_grad / n_p
 
     p_raw = out.s_g[fg]
     p = np.clip(p_raw, _PROB_EPS, 1.0 - _PROB_EPS)
@@ -356,29 +320,26 @@ def composite_box_loss(out, targets, weights: dict | None = None) -> tuple[float
     # gradient through the sigmoid is ~0, so drop the clipped one
     seg_grad = np.where((p_raw > _PROB_EPS) & (p_raw < 1.0 - _PROB_EPS), seg_grad, 0.0)
     terms["seg"] = float(seg_loss.sum()) / n_p
-    result.ds_g[fg] = w["theta_xy"] * seg_grad / n_p
+    result.ds_g[fg] = seg_grad / n_p
 
     if n_s > 0:
         tilt_loss, tilt_grad = smooth_l1(out.tilt[sloped], targets.tilt[sloped])
         terms["tilt"] = float(tilt_loss.sum()) / n_s
-        result.dtilt[sloped] = w["theta_xy"] * tilt_grad / n_s
+        result.dtilt[sloped] = tilt_grad / n_s
 
     ybin_loss, ybin_grad = cross_entropy(out.yaw_bin_logits[fg], targets.yaw_bin[fg])
     terms["yaw_bin"] = float(ybin_loss.sum()) / n_p
-    result.dyaw_bin_logits[fg] = w["theta_z"] * ybin_grad / n_p
+    result.dyaw_bin_logits[fg] = ybin_grad / n_p
 
     yres_loss, yres_grad = smooth_l1(out.yaw_residual[fg], targets.yaw_residual[fg])
     terms["yaw_res"] = float(yres_loss.sum()) / n_p
-    result.dyaw_residual[fg] = w["theta_z"] * yres_grad / n_p
+    result.dyaw_residual[fg] = yres_grad / n_p
 
-    total = (
-        w["cls"] * terms["cls"]
-        + w["dim"] * terms["dim"]
-        + w["posi"] * terms["posi"]
-        + w["theta_xy"] * (terms["seg"] + terms["tilt"])
-        + w["theta_z"] * (terms["yaw_bin"] + terms["yaw_res"])
+    result.total = float(
+        terms["cls"] + terms["dim"] + terms["posi"]
+        + (terms["seg"] + terms["tilt"])
+        + (terms["yaw_bin"] + terms["yaw_res"])
     )
-    result.total = float(total)
     return result.total, result
 
 
@@ -399,13 +360,12 @@ def init_adam_state(params: list) -> AdamState:
     )
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8
+def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3
               ) -> tuple[list, AdamState]:
-    """One in-place Adam update over a flat list of parameter arrays."""
+    """One in-place Adam update (betas 0.9/0.999, eps 1e-8) over a flat list of arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params/grads/state lengths disagree")
-    b1, b2 = betas
+    b1, b2 = _ADAM_BETAS
     state.t += 1
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
@@ -414,16 +374,16 @@ def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
     return params, state
 
 
-def grad_check(f, x: np.ndarray, epsilon: float = 1e-6) -> float:
+def grad_check(f, x: np.ndarray) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` maps a 1-D float64 array to ``(value, gradient)``.  The relative
-    error denominator is ``max(|analytic|, |numeric|, 1e-8)`` per
-    coordinate.
+    ``f`` maps a 1-D float64 array to ``(value, gradient)``; each
+    coordinate is stepped by ``+-1e-6``.  The relative error denominator
+    is ``max(|analytic|, |numeric|, 1e-8)`` per coordinate.
     """
     x = np.asarray(x, dtype=np.float64)
     _, analytic = f(x)
@@ -432,11 +392,11 @@ def grad_check(f, x: np.ndarray, epsilon: float = 1e-6) -> float:
     for i in range(x.size):
         x_hi = x.copy()
         x_lo = x.copy()
-        x_hi.flat[i] += epsilon
-        x_lo.flat[i] -= epsilon
+        x_hi.flat[i] += _FD_STEP
+        x_lo.flat[i] -= _FD_STEP
         hi, _ = f(x_hi)
         lo, _ = f(x_lo)
-        # divide by the realized span: x +- eps rounds, eps itself may not
+        # divide by the realized span: x +- step rounds, the step itself may not
         numeric = (hi - lo) / (x_hi.flat[i] - x_lo.flat[i])
         a = float(analytic.flat[i])
         err = abs(a - float(numeric)) / max(abs(a), abs(float(numeric)), 1e-8)
@@ -487,6 +447,8 @@ def load_mlps(path) -> list[MlpParams]:
         layers = []
         for _ in range(n_layers):
             out_dim, in_dim, code = take("<IIB")
+            if code >= len(_ACTIVATIONS):
+                raise ValueError(f"{path}: unknown activation code {code}")
             count = out_dim * in_dim
             need = (count + out_dim) * 8
             if offset + need > len(data):

@@ -21,6 +21,8 @@ from .geom import EulerXYZ, FullPoseBox, PointCloud, bev_overlap, footprint, poi
 from .slopeaug import LabeledFrame
 
 GROUND_SOURCE = -1.0
+# first radius (m) of the ground plane fit around each center
+_FIT_RADIUS = 2.0
 
 
 class PlacementFailureError(FullposeError, RuntimeError):
@@ -261,8 +263,7 @@ def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
 
 def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Generator,
                   codec_cfg: codec.CodecConfig | None = None, feature_dim: int = 16,
-                  class_count: int = 2, bg_per_frame: int = 12,
-                  fit_radius: float = 2.0):
+                  class_count: int = 2, bg_per_frame: int = 12):
     """Coarse centers with synthetic per-center features and targets.
 
     One perturbed center per ground-truth box plus background centers on
@@ -270,7 +271,8 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     ground mean (1), local ground z std (1), class cue (class_count),
     unit-normal distractor padding]``; ``noise_sigma`` adds Gaussian noise
     to the informative block.  Terrain class and tilt are linearly
-    recoverable from the normal components by construction.
+    recoverable from the normal components by construction.  Each plane
+    fit starts from the ground points within 2 m of the center.
 
     Returns ``(centers, features, targets)``.
     """
@@ -317,7 +319,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     features = np.zeros((len(pts), feature_dim))
     for i, center in enumerate(pts):
         dist = np.linalg.norm(ground_xy - center[:2], axis=1)
-        radius = fit_radius
+        radius = _FIT_RADIUS
         for _ in range(4):
             sel = dist <= radius
             count = np.count_nonzero(sel)

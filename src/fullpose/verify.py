@@ -6,8 +6,8 @@ certify a gradient only where the function is smooth and the gradient
 clears the float64 noise floor of the difference quotient, so test
 points are drawn with bounded-magnitude factors (random sign, magnitude
 bounded away from zero) and redrawn until they sit a safe margin from
-every kink (relu pre-activations, smooth-L1 switch points, pooling ties)
-with all alive coordinates above the noise floor.  The decode-time tilt
+every kink (relu pre-activations, smooth-L1 switch points) with all
+alive coordinates above the noise floor.  The decode-time tilt
 gate is a step function with no gradient path and deliberately does not
 appear here.
 """
@@ -126,42 +126,6 @@ def check_mlp(rng: np.random.Generator) -> float:
         params, _ = _mlp_from_vector(widths, acts, vec)
         _, cache = nn.mlp_forward(params, x)
         if _relu_kink_gap(params, cache) > _SAFE_MARGIN and _weakest_alive_grad(f, vec) > _GRAD_FLOOR:
-            break
-    return nn.grad_check(f, vec)
-
-
-def check_pointnet(rng: np.random.Generator) -> float:
-    """Gradients of the max-pooled group feature (distinct maxima)."""
-    h_widths, g_widths = (3, 6), (6, 4)
-
-    def f(v):
-        ph, at = _mlp_from_vector(h_widths, ("relu",), v)
-        pg, used = _mlp_from_vector(g_widths, ("none",), v[at:])
-        gv = v[at + used:].reshape(5, 3)
-        feat, cache = nn.pointnet_aggregate(ph, pg, gv)
-        dgroup, dh, dgamma = nn.pointnet_backward(ph, pg, cache, feat)
-        gvec = _pack(
-            [g for pair in dh for g in pair]
-            + [g for pair in dgamma for g in pair]
-            + [dgroup]
-        )
-        return 0.5 * float((feat * feat).sum()), gvec
-
-    for _ in range(_MAX_REDRAWS):
-        group = _bounded(rng, (5, 3), lo=0.5, hi=2.0)
-        vec = np.concatenate(
-            [_bounded_mlp_vector(h_widths, rng), _bounded_mlp_vector(g_widths, rng),
-             group.ravel()]
-        )
-        params_h, _ = _mlp_from_vector(h_widths, ("relu",), vec)
-        h_out, h_cache = nn.mlp_forward(params_h, group)
-        top2 = np.sort(h_out, axis=0)[-2:, :]
-        max_gap = float((top2[1] - top2[0]).min())
-        if (
-            _relu_kink_gap(params_h, h_cache) > _SAFE_MARGIN
-            and max_gap > _SAFE_MARGIN
-            and _weakest_alive_grad(f, vec) > _GRAD_FLOOR
-        ):
             break
     return nn.grad_check(f, vec)
 
@@ -304,7 +268,6 @@ def check_head_loss(rng: np.random.Generator) -> float:
 
 _CHECKS = {
     "mlp_backward": check_mlp,
-    "pointnet_aggregate": check_pointnet,
     "sigmoid": check_sigmoid,
     "smooth_l1": check_smooth_l1,
     "focal_loss": check_focal,

@@ -93,32 +93,6 @@ def monte_carlo_iou3d(box_a, box_b, n_samples: int, rng: np.random.Generator) ->
     return np.count_nonzero(in_a & in_b) / union
 
 
-def fps_oracle(points: np.ndarray, k: int, weights=None) -> list[int]:
-    """Literal greedy furthest point sampling with lowest-index ties.
-
-    Walks a precomputed distance table with explicit scalar loops: each
-    step scans every unselected point for the largest (weighted) distance
-    to its nearest selected point, first maximum winning.
-    """
-    n = len(points)
-    table = [[float(np.linalg.norm(points[i] - points[j])) for j in range(n)] for i in range(n)]
-    selected = [0]
-    nearest = [table[i][0] for i in range(n)]
-    while len(selected) < k:
-        best_idx, best_score = -1, -1.0
-        for i in range(n):
-            if i in selected:
-                continue
-            score = nearest[i] if weights is None else weights[i] * nearest[i]
-            if score > best_score:
-                best_idx, best_score = i, score
-        selected.append(best_idx)
-        for i in range(n):
-            if table[i][best_idx] < nearest[i]:
-                nearest[i] = table[i][best_idx]
-    return selected
-
-
 def nms_oracle(boxes, iou_threshold: float, iou_fn) -> list[int]:
     """Quadratic reference suppression (descending score, index ties)."""
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))

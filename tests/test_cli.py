@@ -330,7 +330,10 @@ class TestGradcheck:
         summary = run_ok(["gradcheck"])
         assert summary["pass"] is True
         assert summary["max_rel_error"] < 1e-6
-        assert set(summary["ops"]) >= {"mlp_backward", "head_loss", "focal_loss"}
+        assert set(summary["ops"]) == {
+            "mlp_backward", "sigmoid", "smooth_l1", "focal_loss", "cross_entropy",
+            "composite_box_loss", "head_loss",
+        }
 
 
 class TestTrainHead:

@@ -394,13 +394,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="codec.wat"):
             load_config(path)
 
-    def test_non_strict_warns(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"frobnicate": 1}))
-        cfg = load_config(path, strict=False)
-        assert cfg == ToolkitConfig()
-        assert "frobnicate" in capsys.readouterr().err
-
     @pytest.mark.parametrize("data, key", [
         ({"points_per_cloud": 16384}, "points_per_cloud"),
         ({"slopeaug": {"seed": 3}}, "slopeaug.seed"),

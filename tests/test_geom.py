@@ -8,11 +8,9 @@ from fullpose.geom import (
     EulerXYZ,
     FullPoseBox,
     GimbalLockError,
-    KTooLargeError,
     MissingScoreError,
     NonHorizontalAxisError,
     NonUnitAxisError,
-    PointCloud,
     RigidTransform,
     axis_angle_matrix,
     axis_angle_transform,
@@ -20,7 +18,6 @@ from fullpose.geom import (
     box_corners,
     center_distance,
     euler_to_matrix,
-    fps,
     iou3d,
     matrix_to_euler,
     nms,
@@ -322,32 +319,3 @@ class TestNms:
         ]
         want = oracles.nms_oracle(boxes, 0.1, bev_iou)
         assert list(nms(boxes, 0.1)) == want
-
-
-class TestFps:
-    def test_k_equals_n_returns_all(self):
-        pts = np.random.default_rng(12).uniform(0, 1, (10, 3))
-        assert sorted(fps(pts, 10)) == list(range(10))
-
-    def test_collinear_points(self):
-        pts = np.array([[x, 0.0, 0.0] for x in range(10)])
-        assert list(fps(pts, 3)) == [0, 9, 4]
-
-    def test_matches_reference(self):
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(-5, 5, (256, 3))
-        assert list(fps(pts, 32)) == oracles.fps_oracle(pts, 32)
-
-    def test_weighted_matches_reference(self):
-        rng = np.random.default_rng(14)
-        pts = rng.uniform(-5, 5, (128, 3))
-        weights = rng.uniform(0.1, 2.0, 128)
-        assert list(fps(pts, 16, weights)) == oracles.fps_oracle(pts, 16, weights)
-
-    def test_k_too_large(self):
-        with pytest.raises(KTooLargeError):
-            fps(np.zeros((4, 3)), 5)
-
-    def test_accepts_point_cloud(self):
-        cloud = PointCloud(np.array([[0, 0, 0], [4, 0, 0], [1, 0, 0]], float))
-        assert list(fps(cloud, 2)) == [0, 1]
