@@ -57,6 +57,15 @@ class TestMlpForward:
             mlp_forward(params, np.zeros((3, 5)))
 
 
+class TestInitMlp:
+    @pytest.mark.parametrize("output_activation", ["none", "relu", "sigmoid"])
+    def test_hidden_relu_output_as_given(self, output_activation):
+        params = init_mlp((4, 6, 5, 2), np.random.default_rng(3),
+                          output_activation=output_activation)
+        assert [layer.activation for layer in params.layers] == ["relu", "relu", output_activation]
+        assert [layer.weights.shape for layer in params.layers] == [(6, 4), (5, 6), (2, 5)]
+
+
 class TestMlpBackward:
     def test_linear_layer_weight_gradient(self):
         rng = np.random.default_rng(3)
@@ -321,6 +330,13 @@ class TestAdam:
         want = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert abs(params[0][0] - want) < 1e-15
 
+    def test_length_mismatch(self):
+        params = [np.array([1.0]), np.array([2.0])]
+        state = init_adam_state(params)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(params, [np.array([0.5])], state)
+        assert state.t == 0
+
     def test_deterministic_across_runs(self):
         def run():
             rng = np.random.default_rng(22)
@@ -345,6 +361,16 @@ class TestGradCheck:
 
         err = grad_check(f, np.array([1.0, 2.0, 3.0]))
         assert err < 1e-10
+
+    def test_wrong_gradient_detected(self):
+        w = np.array([2.0, -3.0, 0.5])
+
+        def f(x):
+            return float(w @ x), -w
+
+        # analytic = -numeric on every coordinate: relative error 2
+        err = grad_check(f, np.array([1.0, 2.0, 3.0]))
+        assert abs(err - 2.0) < 1e-8
 
     def test_full_suite_spot(self):
         results = verify.gradient_suite(seed=0, points=2)
@@ -380,12 +406,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated"):
             load_mlps(path)
 
-    def test_unknown_activation_code(self, tmp_path):
+    @pytest.mark.parametrize("code", [3, 7, 255])
+    def test_unknown_activation_code(self, tmp_path, code):
         rng = np.random.default_rng(25)
         path = tmp_path / "params.bin"
         save_mlps([init_mlp((3, 2), rng)], path)
         data = bytearray(path.read_bytes())
-        data[20] = 7  # magic, mlp count, layer count, out_dim, in_dim, code
+        data[20] = code  # magic, mlp count, layer count, out_dim, in_dim, code
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=r"params\.bin: unknown activation code 7$"):
+        with pytest.raises(ValueError, match=rf"params\.bin: unknown activation code {code}$"):
             load_mlps(path)
