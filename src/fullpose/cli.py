@@ -189,9 +189,12 @@ def _load_feature_frame(path: Path):
     try:
         data = np.load(path)
         targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
-        return data["features"], targets
+        features = data["features"]
     except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
         raise dataio.ParseError(f"{path}: {exc}") from None
+    if features.ndim != 2 or len(features) != len(targets):
+        raise dataio.ParseError(f"{path}: features {features.shape} for {len(targets)} targets")
+    return features, targets
 
 
 def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
@@ -200,6 +203,9 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
         raise ValueError(f"no feature files under {args.data}/features")
     dataset = [_load_feature_frame(p) for p in paths]
     feature_dim = dataset[0][0].shape[1]
+    for path, (features, _) in zip(paths, dataset):
+        if features.shape[1] != feature_dim:
+            raise dataio.ParseError(f"{path}: feature width {features.shape[1]} != {feature_dim}")
     head_cfg = replace(cfg.head, feature_dim=feature_dim, codec=cfg.codec)
     params, log = head.train_toy(
         dataset, head_cfg, epochs=args.epochs, seed=args.seed, lr=args.lr
@@ -317,7 +323,8 @@ def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- nms
 
 def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
-    iou = cfg.nms_iou if args.iou is None else args.iou
+    # an --iou value goes through the config's range check
+    iou = cfg.nms_iou if args.iou is None else replace(cfg, nms_iou=args.iou).nms_iou
     records = dataio.read_pose6d(args.pred)
     by_frame: dict[str, list] = {}
     for rec in records:

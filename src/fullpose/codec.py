@@ -6,14 +6,10 @@ lands in [0.5, 1.5).  Tilt (roll/pitch) targets subtract a terrain
 threshold and normalize by pi/2; the ground label gates whether tilt is
 supervised at all.  Dimensions are log-mapped, centers offset-encoded.
 
-Two tilt conventions exist:
-
-* default: sign-symmetric.  ``encode(theta) = (theta - sign(theta) * t) / (pi/2)``
-  so negative slopes mirror positive ones; the terrain label uses |theta|.
-* ``strict_eq3``: the one-sided variant ``(theta - t) / (pi/2)`` with a
-  signed terrain test, kept selectable for auditing.
-
-In the default mode ``decode_tilt(0.0)`` returns 0.0, the inverse of
+The tilt convention is sign-symmetric:
+``encode(theta) = (theta - sign(theta) * t) / (pi/2)``, so downhill
+slopes mirror uphill ones, and the terrain label tests |theta| against
+the threshold.  ``decode_tilt(0.0)`` returns 0.0, the inverse of
 ``encode_tilt(0.0) == 0.0``: a zero target comes from theta = 0 and also
 from |theta| = t, and zero is the flat reading.  The sign of any other
 decoded tilt follows the sign of the raw prediction.
@@ -51,7 +47,6 @@ class CodecConfig:
     n_yaw_bins: int = 12
     t_theta_x: float = math.radians(10.0)
     t_theta_y: float = math.radians(10.0)
-    strict_eq3: bool = False
 
     def __post_init__(self):
         if self.n_yaw_bins < 2:
@@ -107,35 +102,26 @@ def decode_yaw(code: YawCode, cfg: CodecConfig):
 
 def ground_label(box: FullPoseBox, cfg: CodecConfig) -> int:
     """Terrain class of a box: 1 if sloped, 0 if flat."""
-    tx, ty = box.euler.theta_x, box.euler.theta_y
-    if cfg.strict_eq3:
-        sloped = tx >= cfg.t_theta_x or ty >= cfg.t_theta_y
-    else:
-        sloped = abs(tx) >= cfg.t_theta_x or abs(ty) >= cfg.t_theta_y
-    return int(sloped)
+    return int(abs(box.euler.theta_x) >= cfg.t_theta_x or abs(box.euler.theta_y) >= cfg.t_theta_y)
 
 
-def encode_tilt(theta: float, t: float, strict_eq3: bool = False) -> float:
+def encode_tilt(theta: float, t: float) -> float:
     """Normalized tilt target; raises for |theta| >= pi/2."""
     if abs(theta) >= HALF_PI:
         raise TiltOutOfRangeError(f"|tilt| must be < pi/2, got {theta}")
-    if strict_eq3:
-        return (theta - t) / HALF_PI
     shift = 0.0 if theta == 0.0 else math.copysign(t, theta)
     return (theta - shift) / HALF_PI
 
 
-def decode_tilt(theta_hat, t, strict_eq3: bool = False):
+def decode_tilt(theta_hat, t):
     """Tilt angle from a normalized prediction.
 
-    In the default mode the decoded sign follows the sign of
-    ``theta_hat`` and an exactly-zero prediction (either sign) decodes to
-    0.0.  ``t`` broadcasts against ``theta_hat``, e.g. ``(t_x, t_y)``
-    against an (n, 2) array.
+    The decoded sign follows the sign of ``theta_hat`` and an
+    exactly-zero prediction (either sign) decodes to 0.0.  ``t``
+    broadcasts against ``theta_hat``, e.g. ``(t_x, t_y)`` against an
+    (n, 2) array.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if strict_eq3:
-        return _scalar_or_array(theta_hat * HALF_PI + t)
     decoded = np.where(theta_hat < 0.0, theta_hat * HALF_PI - t, theta_hat * HALF_PI + t)
     return _scalar_or_array(np.where(theta_hat == 0.0, 0.0, decoded))
 
@@ -241,8 +227,8 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
             class_label[rows] = box.class_id
             ground[rows] = ground_label(box, cfg)
             yaw_bin[rows], yaw_res[rows] = code_bin, code_res
-            tilt[rows] = (encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3),
-                          encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3))
+            tilt[rows] = (encode_tilt(box.euler.theta_x, cfg.t_theta_x),
+                          encode_tilt(box.euler.theta_y, cfg.t_theta_y))
             log_dims[rows] = encode_dims(box.dims)
             offset[rows] = encode_center_offset(pts[rows], box.center)
 

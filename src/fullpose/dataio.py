@@ -126,11 +126,6 @@ class KittiCalib:
         out = hom @ np.linalg.inv(self.r0_rect).T @ np.linalg.inv(self.tr_velo_to_cam).T
         return out[:, :3]
 
-    def lidar_to_cam(self, pts: np.ndarray) -> np.ndarray:
-        hom = np.hstack([np.atleast_2d(pts), np.ones((np.atleast_2d(pts).shape[0], 1))])
-        out = hom @ self.tr_velo_to_cam.T @ self.r0_rect.T
-        return out[:, :3]
-
 
 def read_kitti_calib(path) -> KittiCalib:
     """Parse the P2 / R0_rect / Tr_velo_to_cam blocks of a calib file."""
@@ -372,6 +367,10 @@ class ToolkitConfig:
     slopeaug: SlopeAugConfig = field(default_factory=SlopeAugConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     head: HeadConfig = field(default_factory=HeadConfig)
+
+    def __post_init__(self):
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
 
 
 # the JSON layout follows the dataclasses: a top-level key per scalar field

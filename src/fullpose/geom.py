@@ -586,13 +586,16 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
 
     Boxes are visited in descending score order (ties: lower input index
     first); a box is suppressed when its BEV IoU with an already kept box
-    exceeds ``iou_threshold``.  Returns kept input indices, best first.
+    exceeds ``iou_threshold``, which must lie in [0, 1].  Returns kept
+    input indices, best first.
 
     Ranks are decided in blocks: a block's candidate pairs are its boxes
     against the kept boxes of earlier blocks and against earlier boxes of
     the same block, and one batched call computes the IoUs of those that
     pass the circumradius test.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     boxes = list(boxes)
     order = score_order(box_scores(boxes))
     n = len(order)

@@ -131,7 +131,7 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
     yaw = codec.decode_yaw(codec.YawCode(np.argmax(out.yaw_bin_logits, axis=1), out.yaw_residual), ccfg)
     tilt = codec.gate_tilt(
         out.s_g[:, None],
-        codec.decode_tilt(out.tilt, np.array([ccfg.t_theta_x, ccfg.t_theta_y]), ccfg.strict_eq3),
+        codec.decode_tilt(out.tilt, np.array([ccfg.t_theta_x, ccfg.t_theta_y])),
     )
     box_centers = codec.decode_center_offset(pts, out.center_offset)
     dims = codec.decode_dims(out.log_dims)

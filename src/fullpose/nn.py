@@ -182,18 +182,16 @@ def mlp_backward(params: MlpParams, cache: list, dy: np.ndarray
     return da, grads
 
 
-def smooth_l1(pred, target, beta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def smooth_l1(pred, target) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise smooth-L1 loss and its gradient w.r.t. ``pred``.
 
-    Quadratic inside ``|d| < beta``, linear outside; the gradient is
+    Quadratic inside ``|d| < 1``, linear outside; the gradient is
     clamped to +-1 on the linear branch.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     d = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    quad = np.abs(d) < beta
-    loss = np.where(quad, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
-    grad = np.where(quad, d / beta, np.sign(d))
+    quad = np.abs(d) < 1.0
+    loss = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
+    grad = np.where(quad, d, np.sign(d))
     return loss, grad
 
 

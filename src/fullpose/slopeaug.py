@@ -32,6 +32,9 @@ from .geom import (
 )
 
 
+_ALPHA_RANGE = (-math.pi / 4, math.pi / 4)  # azimuth (rad) of the split anchor
+
+
 class ZeroAnchorError(FullposeError, ValueError):
     """The split anchor must be nonzero."""
 
@@ -40,27 +43,24 @@ class ZeroAnchorError(FullposeError, ValueError):
 class SlopeAugConfig:
     """Sampling ranges and application probability for slope synthesis.
 
-    Angles in radians; ``gamma_range`` bounds the slope magnitude and
-    ``gamma_sign`` selects uphill/downhill/both.
+    ``r_range`` bounds the anchor distance in meters and ``gamma_range``
+    the slope magnitude in radians; the anchor azimuth is uniform in
+    [-pi/4, pi/4) and the slope goes uphill or downhill with equal odds.
     """
 
     p_s: float = 0.1
     r_range: tuple[float, float] = (8.0, 32.0)
-    alpha_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
     gamma_range: tuple[float, float] = (math.radians(5.0), math.radians(25.0))
-    gamma_sign: str = "both"
 
     def __post_init__(self):
         if not 0.0 <= self.p_s <= 1.0:
             raise ValueError(f"p_s must lie in [0, 1], got {self.p_s}")
-        for name in ("r_range", "alpha_range", "gamma_range"):
+        for name in ("r_range", "gamma_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be a nondegenerate (min, max) pair")
         if not (0.0 <= self.gamma_range[0] and self.gamma_range[1] < math.pi / 2):
             raise ValueError("gamma magnitudes must lie in [0, pi/2)")
-        if self.gamma_sign not in ("both", "up", "down"):
-            raise ValueError(f"gamma_sign must be both/up/down, got {self.gamma_sign}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,9 @@ def frame_rng(global_seed: int, frame_id: str) -> np.random.Generator:
 def sample_params(cfg: SlopeAugConfig, rng: np.random.Generator) -> SlopeAugParams:
     """Draw anchor, tangent axis, and slope angle from the config ranges."""
     r = rng.uniform(*cfg.r_range)
-    alpha = rng.uniform(*cfg.alpha_range)
+    alpha = rng.uniform(*_ALPHA_RANGE)
     magnitude = rng.uniform(*cfg.gamma_range)
-    if cfg.gamma_sign == "both":
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-    else:
-        sign = 1.0 if cfg.gamma_sign == "up" else -1.0
+    sign = 1.0 if rng.random() < 0.5 else -1.0
     tau = np.array([r * math.cos(alpha), r * math.sin(alpha), 0.0])
     v = np.array([-math.sin(alpha), math.cos(alpha), 0.0])
     return SlopeAugParams(tau=tau, v=v, gamma=sign * magnitude)

@@ -1,11 +1,12 @@
 """Procedural desk-scale scenes: terrain, resting boxes, sampled clouds.
 
-The terrain is a flat plane with an optional planar ramp starting at a
-line in the x-y plane; boxes rest on the local surface (their roll/pitch
-follow the surface normal for a random yaw), and clouds are sampled from
-the surface and the box faces with optional Gaussian sensor noise.  Every
-point is tagged with its source (-1 for ground, box index otherwise) in
-the extras channel, which downstream feature synthesis relies on.
+The terrain is a flat plane with an optional planar ramp that rises
+along +x from the line ``x = ramp_start``; boxes rest on the local
+surface (their roll/pitch follow the surface normal for a random yaw),
+and clouds are sampled from the surface and the box faces with optional
+Gaussian sensor noise.  Every point is tagged with its source (-1 for
+ground, box index otherwise) in the extras channel, which downstream
+feature synthesis relies on.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .slopeaug import LabeledFrame
 GROUND_SOURCE = -1.0
 # first radius (m) of the ground plane fit around each center
 _FIT_RADIUS = 2.0
+_DIMS_JITTER = 0.1  # relative jitter of each box dimension
+_EDGE_MARGIN = 3.0  # distance (m) that box centers keep from the extent border
 
 
 class PlacementFailureError(FullposeError, RuntimeError):
@@ -33,14 +36,13 @@ class PlacementFailureError(FullposeError, RuntimeError):
 class Terrain:
     """Flat plane plus an optional planar ramp.
 
-    The ramp starts at the line ``cos(azimuth) * x + sin(azimuth) * y =
-    ramp_start`` and rises with ``grade`` radians beyond it; the surface
-    stays continuous across the crease.
+    The ramp starts at the line ``x = ramp_start`` and rises along +x with
+    ``grade`` radians beyond it; the surface stays continuous across the
+    crease.
     """
 
     extent: tuple[float, float, float, float] = (0.0, 40.0, -10.0, 10.0)
     ramp_start: float | None = None
-    ramp_azimuth: float = 0.0
     grade: float = 0.0
 
     def __post_init__(self):
@@ -55,16 +57,12 @@ class Terrain:
         x0, x1, y0, y1 = self.extent
         return (x1 - x0) * (y1 - y0)
 
-    def _along(self, xy: np.ndarray) -> np.ndarray:
-        u = np.array([math.cos(self.ramp_azimuth), math.sin(self.ramp_azimuth)])
-        return np.atleast_2d(xy) @ u
-
     def height(self, xy) -> np.ndarray:
         """Surface height z at (n, 2) ground coordinates."""
         xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
         if self.ramp_start is None or self.grade == 0.0:
             return np.zeros(xy.shape[0])
-        rise = self._along(xy) - self.ramp_start
+        rise = xy[:, 0] - self.ramp_start
         return math.tan(self.grade) * np.maximum(rise, 0.0)
 
     def normal(self, xy) -> np.ndarray:
@@ -73,15 +71,8 @@ class Terrain:
         n = np.tile([0.0, 0.0, 1.0], (xy.shape[0], 1))
         if self.ramp_start is None or self.grade == 0.0:
             return n
-        on_ramp = self._along(xy) > self.ramp_start
-        tilted = np.array(
-            [
-                -math.sin(self.grade) * math.cos(self.ramp_azimuth),
-                -math.sin(self.grade) * math.sin(self.ramp_azimuth),
-                math.cos(self.grade),
-            ]
-        )
-        n[on_ramp] = tilted
+        # y is -sin(grade) * sin(0) == -0.0 for a ramp rising along +x
+        n[xy[:, 0] > self.ramp_start] = [-math.sin(self.grade), -0.0, math.cos(self.grade)]
         return n
 
 
@@ -96,8 +87,6 @@ class SceneSpec:
     seed: int = 0
     class_weights: dict = field(default_factory=lambda: {1: 1.0})
     class_dims: dict = field(default_factory=lambda: {1: (4.2, 1.8, 1.6)})
-    dims_jitter: float = 0.1          # relative dimension jitter
-    edge_margin: float = 3.0          # keep boxes away from the extent border
     crease_margin: float = 2.0        # keep boxes away from the ramp crease
     ramp_box_fraction: float | None = None  # force this share of boxes onto the ramp
     yaw_range: tuple[float, float] = (0.0, 2.0 * math.pi)
@@ -126,13 +115,13 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
                 ) -> list[FullPoseBox]:
     """Drop non-overlapping boxes resting on the local surface.
 
-    Box footprints never overlap in BEV (rejection sampled) and box
-    centers keep ``crease_margin`` away from the ramp crease so each box
-    sits on a single plane.  Raises PlacementFailureError after 1000
-    consecutive rejections.
+    Box footprints never overlap in BEV (rejection sampled), box centers
+    keep 3 m from the extent border and ``crease_margin`` from the ramp
+    crease so each box sits on a single plane.  Raises
+    PlacementFailureError after 1000 consecutive rejections.
     """
     x0, x1, y0, y1 = terrain.extent
-    m = spec.edge_margin
+    m = _EDGE_MARGIN
     class_ids = sorted(spec.class_weights)
     weights = np.array([spec.class_weights[i] for i in class_ids], dtype=np.float64)
     class_p = weights / weights.sum()
@@ -149,10 +138,9 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
             )
         xy = np.array([rng.uniform(x0 + m, x1 - m), rng.uniform(y0 + m, y1 - m)])
         if terrain.ramp_start is not None:
-            along = float(terrain._along(xy)[0])
             want_ramp = len(boxes) < forced_ramp if spec.ramp_box_fraction is not None else None
-            on_ramp = along > terrain.ramp_start + spec.crease_margin
-            on_flat = along < terrain.ramp_start - spec.crease_margin
+            on_ramp = xy[0] > terrain.ramp_start + spec.crease_margin
+            on_flat = xy[0] < terrain.ramp_start - spec.crease_margin
             if not (on_ramp or on_flat):
                 rejections += 1
                 continue
@@ -161,7 +149,7 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
                 continue
         cls = int(class_ids[rng.choice(len(class_ids), p=class_p)])
         dims = np.asarray(spec.class_dims[cls], dtype=np.float64)
-        dims = dims * (1.0 + rng.uniform(-spec.dims_jitter, spec.dims_jitter, 3))
+        dims = dims * (1.0 + rng.uniform(-_DIMS_JITTER, _DIMS_JITTER, 3))
         yaw = rng.uniform(*spec.yaw_range)
         normal = terrain.normal(xy)[0]
         euler = resting_euler(normal, yaw)
@@ -245,12 +233,6 @@ def make_scene(spec: SceneSpec, frame_id: str = "000000",
 def frame_rng(seed: int, index: int) -> np.random.Generator:
     """The generator of frame ``index``: the substream (seed, index)."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
-
-
-def generate_frames(spec: SceneSpec, n_frames: int) -> list[LabeledFrame]:
-    """Independent seeded frames; frame i draws from ``frame_rng(spec.seed, i)``."""
-    return [make_scene(spec, frame_id=f"{i:06d}", rng=frame_rng(spec.seed, i))
-            for i in range(n_frames)]
 
 
 def _fit_plane_normal(points: np.ndarray) -> np.ndarray:

@@ -102,9 +102,9 @@ def _relu_kink_gap(params: nn.MlpParams, cache) -> float:
     return gap
 
 
-def _smooth_l1_kink_gap(pred, target, beta: float = 1.0) -> float:
+def _smooth_l1_kink_gap(pred, target) -> float:
     d = np.abs(np.asarray(pred) - np.asarray(target))
-    return float(np.abs(d - beta).min()) if d.size else np.inf
+    return float(np.abs(d - 1.0).min()) if d.size else np.inf
 
 
 def check_mlp(rng: np.random.Generator) -> float:
@@ -143,10 +143,10 @@ def check_smooth_l1(rng: np.random.Generator) -> float:
     target = rng.standard_normal(12)
 
     def f(vec):
-        loss, grad = nn.smooth_l1(vec, target, beta=1.0)
+        loss, grad = nn.smooth_l1(vec, target)
         return float(loss.sum()), grad
 
-    # 0.1 <= |pred - target| <= 0.8: off the beta kink, gradient alive
+    # 0.1 <= |pred - target| <= 0.8: off the kink at 1, gradient alive
     pred = target + _bounded(rng, 12, lo=0.1, hi=0.8)
     return nn.grad_check(f, pred)
 

@@ -271,8 +271,8 @@ def encode_yaw_oracle(theta_z: float, cfg) -> tuple[int, float]:
 def head_decode_oracle(out, centers, cfg):
     """``head.head_decode`` center by center, with scalar decode formulas.
 
-    An exactly-zero raw tilt decodes to zero (outside ``strict_eq3``),
-    and the tilt passes only where the slope score exceeds 0.5.
+    An exactly-zero raw tilt decodes to zero, and the tilt passes only
+    where the slope score exceeds 0.5.
     """
     from fullpose.geom import EulerXYZ, FullPoseBox
 
@@ -280,8 +280,6 @@ def head_decode_oracle(out, centers, cfg):
     delta = ccfg.bin_size
 
     def tilt(raw, t):
-        if ccfg.strict_eq3:
-            return raw * (math.pi / 2.0) + t
         if raw == 0.0:
             return 0.0
         if raw < 0.0:
@@ -348,8 +346,8 @@ def make_targets_oracle(centers, gts, cfg):
             class_label[i] = box.class_id
             ground[i] = ground_label(box, cfg)
             yaw_bin[i], yaw_res[i] = encode_yaw_oracle(box.euler.theta_z, cfg)
-            tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x, cfg.strict_eq3)
-            tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y, cfg.strict_eq3)
+            tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x)
+            tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y)
             log_dims[i] = encode_dims(box.dims)
             offset[i] = encode_center_offset(pts[i], box.center)
 

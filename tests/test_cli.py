@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -207,6 +208,15 @@ class TestEval:
         assert "error" in outcome.summary
 
 
+def _with_features(npz: bytes, edit) -> bytes:
+    """The archive ``npz`` with ``edit`` applied to its features array."""
+    arrays = dict(np.load(io.BytesIO(npz)))
+    arrays["features"] = edit(arrays["features"])
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
 def _fail(argv, capsys) -> str:
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -257,10 +267,19 @@ class TestBadRecordsNameTheirFile:
         error = _fail(["nms", "--pred", str(bad)], capsys)
         assert error == f"{bad}: frame 000001: box 0 has no score"
 
+    def test_nms_threshold_out_of_range(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        path = pred / "labels" / "000001.jsonl"
+        error = _fail(["nms", "--pred", str(path), "--iou", "-0.5"], capsys)
+        assert error == "nms_iou must lie in [0, 1], got -0.5"
+
     @pytest.mark.parametrize("corrupt", [
         lambda good: b"not an npz archive\n" * 8,
         lambda good: good[: len(good) // 2],
-    ], ids=["junk", "truncated"])
+        lambda good: _with_features(good, lambda f: f[:-1]),
+        lambda good: _with_features(good, lambda f: f[:, :-2]),
+    ], ids=["junk", "truncated", "row_short", "narrower"])
     def test_train_head_corrupt_features(self, dataset, tmp_path, capsys, corrupt):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)

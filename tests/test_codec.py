@@ -77,7 +77,6 @@ class TestGroundLabel:
     def test_negative_pitch_modes(self):
         b = box([0, 0, 0], [1, 1, 1], ty=-20 * DEG)
         assert ground_label(b, CFG) == 1
-        assert ground_label(b, CodecConfig(strict_eq3=True)) == 0
 
     def test_threshold_is_inclusive(self):
         b = box([0, 0, 0], [1, 1, 1], tx=CFG.t_theta_x)
@@ -106,17 +105,12 @@ class TestTilt:
     def test_negative_is_sign_symmetric(self):
         assert abs(encode_tilt(-20 * DEG, self.T) + 1.0 / 9.0) < 1e-12
 
-    def test_strict_mode_is_one_sided(self):
-        assert abs(encode_tilt(-20 * DEG, self.T, strict_eq3=True)
-                   - (-20 * DEG - self.T) / (math.pi / 2)) < 1e-15
-
     def test_decode_zero_is_zero(self):
         # a zero target comes from theta = 0 and from |theta| = t; it
         # decodes to the flat reading, the inverse of encode_tilt(0.0)
         assert decode_tilt(0.0, self.T) == 0.0
         assert decode_tilt(-0.0, self.T) == 0.0
         assert decode_tilt(encode_tilt(0.0, self.T), self.T) == 0.0
-        assert decode_tilt(0.0, self.T, strict_eq3=True) == self.T
 
     def test_decode_one_ninth(self):
         assert abs(decode_tilt(1.0 / 9.0, self.T) - 0.349066) < 1e-6
@@ -127,12 +121,6 @@ class TestTilt:
         signs = np.where(rng.random(1000) < 0.5, 1.0, -1.0)
         for theta in mags * signs:
             back = decode_tilt(encode_tilt(theta, self.T), self.T)
-            assert abs(back - theta) < 1e-12
-
-    def test_strict_round_trip(self):
-        rng = np.random.default_rng(24)
-        for theta in rng.uniform(self.T, 80 * DEG, 200):
-            back = decode_tilt(encode_tilt(theta, self.T, True), self.T, True)
             assert abs(back - theta) < 1e-12
 
     def test_out_of_range(self):

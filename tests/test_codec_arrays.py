@@ -76,10 +76,10 @@ class TestElementwise:
         assert got.bin.tolist() == [oracles.encode_yaw_oracle(x, cfg)[0] for x in xs]
         assert bits(got.residual) == bits([oracles.encode_yaw_oracle(x, cfg)[1] for x in xs])
 
-    @given(angle_arrays, thresholds, st.booleans())
-    def test_decode_tilt(self, xs, t, strict):
-        scalar = [decode_tilt(x, t, strict) for x in xs]
-        assert bits(decode_tilt(np.array(xs, dtype=np.float64), t, strict)) == bits(scalar)
+    @given(angle_arrays, thresholds)
+    def test_decode_tilt(self, xs, t):
+        scalar = [decode_tilt(x, t) for x in xs]
+        assert bits(decode_tilt(np.array(xs, dtype=np.float64), t)) == bits(scalar)
 
     @given(st.lists(st.tuples(st.one_of(st.just(0.5), st.floats(0.0, 1.0)), angles), max_size=12))
     def test_gate_tilt(self, pairs):
@@ -91,7 +91,7 @@ class TestElementwise:
         cfg = CodecConfig()
         assert type(encode_yaw(-1.0, cfg).bin) is int
         for value in (wrap_angle(-1.0), decode_yaw(YawCode(3, 0.7), cfg), encode_yaw(-1.0, cfg).residual,
-                      decode_tilt(0.2, 0.1), decode_tilt(0.2, 0.1, strict_eq3=True),
+                      decode_tilt(0.2, 0.1),
                       gate_tilt(0.9, 0.3), gate_tilt(0.1, 0.3)):
             assert type(value) is float
 
@@ -125,8 +125,7 @@ small = st.floats(-3.0, 3.0, allow_nan=False)
 def head_outputs(draw):
     n = draw(st.integers(0, 8))
     classes = draw(st.integers(2, 4))
-    cfg = HeadConfig(class_count=classes,
-                     codec=CodecConfig(n_yaw_bins=draw(st.integers(2, 16)), strict_eq3=draw(st.booleans())))
+    cfg = HeadConfig(class_count=classes, codec=CodecConfig(n_yaw_bins=draw(st.integers(2, 16))))
     bins = cfg.codec.n_yaw_bins
 
     def arr(elements, shape):
@@ -196,10 +195,10 @@ def target_bits(t) -> dict:
 
 
 class TestMakeTargets:
-    @given(crowded_frames(), st.booleans())
-    def test_equals_per_center_oracle(self, frame, strict):
+    @given(crowded_frames())
+    def test_equals_per_center_oracle(self, frame):
         centers, boxes = frame
-        cfg = CodecConfig(strict_eq3=strict)
+        cfg = CodecConfig()
         assert target_bits(make_targets(centers, boxes, cfg)) == \
             target_bits(oracles.make_targets_oracle(centers, boxes, cfg))
 

@@ -127,7 +127,10 @@ class TestKittiCalib:
         calib = read_kitti_calib(path)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-20, 20, (50, 3))
-        back = calib.cam_to_lidar(calib.lidar_to_cam(pts))
+        # LiDAR -> rectified camera: Tr_velo_to_cam, then R0_rect
+        hom = np.hstack([pts, np.ones((len(pts), 1))])
+        cam = (hom @ calib.tr_velo_to_cam.T @ calib.r0_rect.T)[:, :3]
+        back = calib.cam_to_lidar(cam)
         assert np.abs(back - pts).max() < 1e-9
 
     def test_nominal_axis_map(self, tmp_path):
@@ -398,6 +401,9 @@ class TestConfig:
         ({"points_per_cloud": 16384}, "points_per_cloud"),
         ({"slopeaug": {"seed": 3}}, "slopeaug.seed"),
         ({"eval": {"center_distance_bev": False}}, "eval.center_distance_bev"),
+        ({"codec": {"strict_eq3": True}}, "codec.strict_eq3"),
+        ({"slopeaug": {"gamma_sign": "up"}}, "slopeaug.gamma_sign"),
+        ({"slopeaug": {"alpha_range": [-0.5, 0.5]}}, "slopeaug.alpha_range"),
     ])
     def test_removed_keys_rejected(self, tmp_path, data, key):
         path = tmp_path / "cfg.json"
@@ -422,4 +428,10 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"codec": {"n_yaw_bins": 1}}))
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_nms_iou_outside_unit_interval(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nms_iou": -3}))
+        with pytest.raises(ConfigError, match=r"nms_iou must lie in \[0, 1\], got -3\.0"):
             load_config(path)

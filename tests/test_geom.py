@@ -310,6 +310,12 @@ class TestNms:
         with pytest.raises(MissingScoreError):
             nms([box([0, 0, 0], [1, 1, 1])], 0.5)
 
+    @pytest.mark.parametrize("threshold", [-0.5, math.nan, 1.5])
+    def test_threshold_outside_unit_interval(self, threshold):
+        boxes = [box([0, 0, 0], [1, 1, 1], score=0.5), box([10, 0, 0], [1, 1, 1], score=0.9)]
+        with pytest.raises(ValueError, match="iou_threshold must lie in"):
+            nms(boxes, threshold)
+
     def test_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(11)
         boxes = [

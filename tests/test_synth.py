@@ -12,7 +12,6 @@ from fullpose.synth import (
     Terrain,
     _sample_box_surface,
     frame_rng,
-    generate_frames,
     make_features,
     make_scene,
     place_boxes,
@@ -112,7 +111,7 @@ class TestPlaceBoxes:
 
     def test_placement_failure(self):
         tiny = Terrain(extent=(0.0, 9.0, -4.5, 4.5))
-        spec = SceneSpec(terrain=tiny, box_count=40, seed=6, edge_margin=3.0)
+        spec = SceneSpec(terrain=tiny, box_count=40, seed=6)
         with pytest.raises(PlacementFailureError):
             place_boxes(tiny, spec, np.random.default_rng(6))
 
@@ -154,7 +153,8 @@ class TestSampleScene:
 
     def test_generate_frames_are_distinct(self):
         spec = SceneSpec(terrain=FLAT, box_count=2, seed=11)
-        frames = generate_frames(spec, 3)
+        frames = [make_scene(spec, frame_id=f"{i:06d}", rng=frame_rng(spec.seed, i))
+                  for i in range(3)]
         assert [f.frame_id for f in frames] == ["000000", "000001", "000002"]
         assert frames[0].cloud.points.tobytes() != frames[1].cloud.points.tobytes()
 
@@ -163,7 +163,8 @@ class TestSampleScene:
         want = np.random.default_rng(np.random.SeedSequence([11, 2])).random(4)
         assert np.array_equal(frame_rng(11, 2).random(4), want)
         frame = make_scene(spec, frame_id="000002", rng=frame_rng(11, 2))
-        assert frame.cloud.points.tobytes() == generate_frames(spec, 3)[2].cloud.points.tobytes()
+        substream = np.random.default_rng(np.random.SeedSequence([11, 2]))
+        assert frame.cloud.points.tobytes() == make_scene(spec, rng=substream).cloud.points.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_face_sampling_equals_per_point_oracle(self, seed):
