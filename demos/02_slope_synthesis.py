@@ -19,7 +19,8 @@ from fullpose.synth import make_scene
 out_dir = Path("demo_output")
 out_dir.mkdir(exist_ok=True)
 
-frame = make_scene(SceneSpec(terrain=Terrain(), box_count=6, density=3.0, seed=4))
+frame = make_scene(SceneSpec(terrain=Terrain(), box_count=6, density=3.0),
+                   np.random.default_rng(4))
 print(f"flat frame: {len(frame.cloud)} points, {len(frame.boxes)} boxes")
 print("all boxes flat?", all(b.euler.theta_x == b.euler.theta_y == 0 for b in frame.boxes))
 

@@ -17,7 +17,7 @@ from fullpose.synth import frame_rng, make_features, make_scene
 
 terrain = Terrain(extent=(0.0, 48.0, -12.0, 12.0), ramp_start=24.0,
                   grade=math.radians(22))
-spec = SceneSpec(terrain=terrain, box_count=10, density=3.0, seed=100,
+spec = SceneSpec(terrain=terrain, box_count=10, density=3.0,
                  crease_margin=3.0, ramp_box_fraction=0.5,
                  yaw_range=(math.radians(35), math.radians(55)))
 codec_cfg = CodecConfig()
@@ -25,7 +25,7 @@ codec_cfg = CodecConfig()
 dataset, rows = [], []
 for i in range(16):
     rng = frame_rng(100, i)
-    frame = make_scene(spec, frame_id=f"{i:06d}", rng=rng)
+    frame = make_scene(spec, rng, frame_id=f"{i:06d}")
     centers, feats, targets = make_features(frame, 0.02, rng, codec_cfg=codec_cfg,
                                             feature_dim=16, bg_per_frame=6)
     dataset.append((feats, targets))

@@ -122,11 +122,11 @@ _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
 
 
 def _synth_one(task) -> str:
-    frame_index, out_dir, spec, feature_noise, bg_centers, feature_dim, codec_cfg = task
+    frame_index, out_dir, spec, seed, feature_noise, bg_centers, feature_dim, codec_cfg = task
     out_dir = Path(out_dir)
-    rng = synth.frame_rng(spec.seed, frame_index)
+    rng = synth.frame_rng(seed, frame_index)
     frame_id = f"{frame_index:06d}"
-    frame = synth.make_scene(spec, frame_id=frame_id, rng=rng)
+    frame = synth.make_scene(spec, rng, frame_id=frame_id)
     dataio.write_velodyne(frame.cloud, out_dir / "velodyne" / f"{frame_id}.bin")
     records = [
         dataio.Pose6dRecord.from_box(box, frame_id, difficulty="moderate")
@@ -139,7 +139,7 @@ def _synth_one(task) -> str:
     )
     np.savez(
         out_dir / "features" / f"{frame_id}.npz",
-        centers=centers.points,
+        centers=centers,
         features=features,
         **{name: getattr(targets, name) for name in _TARGET_KEYS},
     )
@@ -158,21 +158,10 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
         box_count=args.boxes,
         density=args.density,
         noise_sigma=args.noise_sigma,
-        seed=args.seed,
         ramp_box_fraction=args.ramp_fraction,
     )
-    tasks = [
-        (
-            i,
-            str(out_dir),
-            spec,
-            args.feature_noise,
-            args.bg_centers,
-            cfg.head.feature_dim,
-            cfg.codec,
-        )
-        for i in range(args.scenes)
-    ]
+    tasks = [(i, str(out_dir), spec, args.seed, args.feature_noise, args.bg_centers,
+              cfg.head.feature_dim, cfg.codec) for i in range(args.scenes)]
     frame_ids = _map_tasks(_synth_one, tasks, args.jobs)
     _log(f"wrote {len(frame_ids)} scenes -> {out_dir}")
     return {
@@ -416,6 +405,13 @@ def _map_tasks(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: the non-negative entropy of every generator."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fullpose",
@@ -425,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("augment", help="slope-augment a dataset directory")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FullposeError
-from .geom import TWO_PI, FullPoseBox, PointCloud, points_in_box
+from .geom import TWO_PI, FullPoseBox, points_in_box
 
 HALF_PI = math.pi / 2.0
 
@@ -192,7 +192,7 @@ class BoxTargets:
 
 
 def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
-    """Assign each coarse center to a ground-truth box and encode targets.
+    """Assign each (n, 3) coarse center to a ground-truth box and encode targets.
 
     A center is foreground iff it lies inside some box (closed boundary);
     ties among containing boxes go to the nearest box center, then to the
@@ -200,7 +200,7 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     scattered to its centers.  Background centers get class 0 and zeroed
     regression slots.
     """
-    pts = centers.points if isinstance(centers, PointCloud) else np.asarray(centers, dtype=np.float64)
+    pts = np.asarray(centers, dtype=np.float64)
     n = pts.shape[0]
     class_label = np.zeros(n, dtype=np.intp)
     ground = np.zeros(n, dtype=np.intp)

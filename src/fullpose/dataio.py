@@ -18,7 +18,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -373,21 +373,17 @@ class ToolkitConfig:
             raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
 
 
+def _scalars(config) -> dict:
+    """The default of each field of ``config`` that is not a nested config."""
+    return {k: v for k, v in vars(config).items() if not is_dataclass(v)}
+
+
 # the JSON layout follows the dataclasses: a top-level key per scalar field
 # of ToolkitConfig, a section per nested config class; the head section
 # omits its codec, which is the top-level codec section
-_SECTION_CLASSES = {
-    f.name: f.default_factory for f in fields(ToolkitConfig) if f.default_factory is not MISSING
-}
-_SECTION_FIELDS = {
-    name: tuple(f.name for f in fields(cls) if f.name not in _SECTION_CLASSES)
-    for name, cls in _SECTION_CLASSES.items()
-}
-_TUPLE_FIELDS = {
-    f.name for cls in _SECTION_CLASSES.values() for f in fields(cls) if isinstance(f.default, tuple)
-}
-_TOP_SCALARS = {f.name: type(f.default) for f in fields(ToolkitConfig) if f.name not in _SECTION_CLASSES}
-_TOP_KEYS = tuple(_TOP_SCALARS) + tuple(_SECTION_FIELDS)
+_TOP_DEFAULTS = _scalars(ToolkitConfig())
+_SECTION_DEFAULTS = {k: _scalars(v) for k, v in vars(ToolkitConfig()).items() if is_dataclass(v)}
+_TOP_KEYS = tuple(_TOP_DEFAULTS) + tuple(_SECTION_DEFAULTS)
 
 
 def _check_keys(data: dict, allowed, context: str) -> None:
@@ -396,18 +392,33 @@ def _check_keys(data: dict, allowed, context: str) -> None:
             raise ConfigError(f"unknown config key: {context}{key}")
 
 
+def _typed(value, default, key: str):
+    """``value`` with the JSON type of ``default``: an integer for an int, a
+    number (made a float) for a float, an array of those for a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {key} must be an array, got {value!r}")
+        return tuple(_typed(v, default[0], key) for v in value)
+    want, kinds = ("an integer", int) if isinstance(default, int) else ("a number", (int, float))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"config value {key} must be {want}, got {value!r}")
+    return type(default)(value)
+
+
 def _section(data: dict, name: str) -> dict:
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    _check_keys(section, _SECTION_FIELDS[name], f"{name}.")
-    return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in section.items()}
+    defaults = _SECTION_DEFAULTS[name]
+    _check_keys(section, defaults, f"{name}.")
+    return {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in section.items()}
 
 
 def load_config(path=None) -> ToolkitConfig:
     """Load a JSON config; omitted keys fall back to the library defaults.
 
-    Unknown keys raise ConfigError naming the offending key.
+    Unknown keys and values without the JSON type of their default raise
+    ConfigError naming the offending key.
     """
     if path is None:
         data = {}
@@ -424,13 +435,13 @@ def load_config(path=None) -> ToolkitConfig:
         codec_cfg = CodecConfig(**_section(data, "codec"))
         head_kwargs = _section(data, "head")
         return ToolkitConfig(
-            **{k: cast(data[k]) for k, cast in _TOP_SCALARS.items() if k in data},
+            **{k: _typed(data[k], d, k) for k, d in _TOP_DEFAULTS.items() if k in data},
             codec=codec_cfg,
             slopeaug=SlopeAugConfig(**_section(data, "slopeaug")),
             eval=EvalConfig(**_section(data, "eval")),
             head=HeadConfig(codec=codec_cfg, **head_kwargs),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config value: {exc}") from None

@@ -255,12 +255,11 @@ def box_corners(box: FullPoseBox) -> np.ndarray:
 def points_in_box(points, box: FullPoseBox) -> np.ndarray:
     """Boolean mask of points inside the closed cuboid of ``box``.
 
-    Accepts a PointCloud or an (n, 3) array.  The boundary is inclusive
-    with a 1e-9 m guard so points sampled exactly on a face stay inside
-    under float rounding.
+    ``points`` is an (n, 3) array (a cloud passes its ``.points``).  The
+    boundary is inclusive with a 1e-9 m guard so points sampled exactly on
+    a face stay inside under float rounding.
     """
-    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
-    local = (pts - box.center) @ box.rotation()
+    local = (np.asarray(points, dtype=np.float64) - box.center) @ box.rotation()
     return np.all(np.abs(local) <= box.dims * 0.5 + 1e-9, axis=1)
 
 
@@ -353,7 +352,7 @@ def bev_overlap(a: FullPoseBox, b: FullPoseBox,
         return False
     if gap < -_SAT_TOL:
         return True
-    return float(_pair_ious(_footprints([a, b]), _FIRST, _SECOND)[0]) > 0.0
+    return float(pairwise_bev_iou([a], [b])[0, 0]) > 0.0
 
 
 def _polygon_areas(poly: np.ndarray) -> np.ndarray:
@@ -512,32 +511,6 @@ def pairwise_iou3d(a, b) -> np.ndarray:
     return _pairwise_iou(a, b, three_d=True)
 
 
-_FIRST = np.array([0], dtype=np.intp)
-_SECOND = np.array([1], dtype=np.intp)
-
-
-def _scalar_iou(a: FullPoseBox, b: FullPoseBox, three_d: bool) -> float:
-    """One pair through the batched kernel, behind pure-Python early rejects.
-
-    The rejects are the z-overlap and circumradius tests of
-    :func:`_pairwise_iou`; they keep disjoint pairs free of array overhead.
-    """
-    dz = None
-    if three_d:
-        dz = (min(a.center[2] + a.dims[2] / 2, b.center[2] + b.dims[2] / 2)
-              - max(a.center[2] - a.dims[2] / 2, b.center[2] - b.dims[2] / 2))
-        if dz <= 0.0:
-            return 0.0
-        dz = np.array([dz])
-    reach = (math.hypot(a.dims[0], a.dims[1]) + math.hypot(b.dims[0], b.dims[1])) / 2.0
-    dx = a.center[0] - b.center[0]
-    dy = a.center[1] - b.center[1]
-    if dx * dx + dy * dy > reach * reach:
-        return 0.0
-    fp = _footprints([a, b])
-    return float(_pair_ious(fp, _FIRST, _SECOND, dz)[0])
-
-
 def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
     """IoU of the yaw-rotated footprints in the x-y plane.
 
@@ -545,7 +518,7 @@ def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
     and full-pose ground truth remain comparable with one number.  Equals
     ``pairwise_bev_iou([a], [b])[0, 0]``.
     """
-    return _scalar_iou(a, b, three_d=False)
+    return float(_pairwise_iou([a], [b], three_d=False)[0, 0])
 
 
 def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
@@ -553,7 +526,7 @@ def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
 
     Equals ``pairwise_iou3d([a], [b])[0, 0]``.
     """
-    return _scalar_iou(a, b, three_d=True)
+    return float(_pairwise_iou([a], [b], three_d=True)[0, 0])
 
 
 def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:

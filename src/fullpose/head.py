@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codec, nn
 from .errors import FullposeError
-from .geom import EulerXYZ, FullPoseBox, PointCloud
+from .geom import EulerXYZ, FullPoseBox
 
 
 class EmptyDatasetError(FullposeError, ValueError):
@@ -116,12 +116,12 @@ def head_forward(params: HeadParams, features: np.ndarray) -> HeadOutput:
 
 
 def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
-    """Turn raw outputs into scored full-pose boxes, one per center.
+    """Turn raw outputs into scored full-pose boxes, one per row of (n, 3) ``centers``.
 
     Every attribute is decoded for all rows at once; the boxes are built
     from the decoded arrays last.
     """
-    pts = centers.points if isinstance(centers, PointCloud) else np.asarray(centers, dtype=np.float64)
+    pts = np.asarray(centers, dtype=np.float64)
     ccfg = cfg.codec
     logits = out.class_logits
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -210,6 +210,8 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
     Deterministic for a fixed seed.  The log has one record per epoch
     with the mean total loss and mean per-term losses over frames.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     dataset = list(dataset)
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")

@@ -78,13 +78,12 @@ class Terrain:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Knobs for one synthetic labeled scene."""
+    """Knobs for one synthetic labeled scene; ``make_scene`` takes the generator."""
 
     terrain: Terrain = field(default_factory=Terrain)
     box_count: int = 5
     density: float = 4.0              # points per square meter
     noise_sigma: float = 0.0          # sensor noise, meters
-    seed: int = 0
     class_weights: dict = field(default_factory=lambda: {1: 1.0})
     class_dims: dict = field(default_factory=lambda: {1: (4.2, 1.8, 1.6)})
     crease_margin: float = 2.0        # keep boxes away from the ramp crease
@@ -221,11 +220,9 @@ def sample_scene(terrain: Terrain, boxes: list[FullPoseBox], spec: SceneSpec,
     return LabeledFrame(cloud=cloud, boxes=list(boxes), frame_id=frame_id)
 
 
-def make_scene(spec: SceneSpec, frame_id: str = "000000",
-               rng: np.random.Generator | None = None) -> LabeledFrame:
-    """Place boxes and sample one scene from a spec (seeded)."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+def make_scene(spec: SceneSpec, rng: np.random.Generator,
+               frame_id: str = "000000") -> LabeledFrame:
+    """Place boxes and sample one scene from a spec, drawing from ``rng``."""
     boxes = place_boxes(spec.terrain, spec, rng)
     return sample_scene(spec.terrain, boxes, spec, rng, frame_id=frame_id)
 
@@ -256,7 +253,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     recoverable from the normal components by construction.  Each plane
     fit starts from the ground points within 2 m of the center.
 
-    Returns ``(centers, features, targets)``.
+    Returns ``(centers, features, targets)``, ``centers`` an (n, 3) array.
     """
     if frame.cloud.extras is None:
         raise ValueError("frame must carry source tags (extras channel)")
@@ -297,7 +294,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         cues.append(np.zeros(class_count))
         made += 1
 
-    pts = np.asarray(centers)
+    pts = np.asarray(centers).reshape(-1, 3)
     features = np.zeros((len(pts), feature_dim))
     for i, center in enumerate(pts):
         dist = np.linalg.norm(ground_xy - center[:2], axis=1)
@@ -317,6 +314,5 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))
 
-    center_cloud = PointCloud(pts)
-    targets = codec.make_targets(center_cloud, frame.boxes, codec_cfg)
-    return center_cloud, features, targets
+    targets = codec.make_targets(pts, frame.boxes, codec_cfg)
+    return pts, features, targets

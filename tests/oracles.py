@@ -94,11 +94,14 @@ def monte_carlo_iou3d(box_a, box_b, n_samples: int, rng: np.random.Generator) ->
 
 
 def nms_oracle(boxes, iou_threshold: float, iou_fn) -> list[int]:
-    """Quadratic reference suppression (descending score, index ties)."""
+    """Quadratic reference suppression (descending score, index ties).
+
+    ``iou_fn(i, j)`` is the IoU of candidate ``boxes[i]`` with kept ``boxes[j]``.
+    """
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
     kept = []
     for i in order:
-        if all(iou_fn(boxes[i], boxes[j]) <= iou_threshold for j in kept):
+        if all(iou_fn(i, j) <= iou_threshold for j in kept):
             kept.append(i)
     return kept
 

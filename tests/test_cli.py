@@ -371,6 +371,22 @@ class TestTrainHead:
         loaded = load_head(params)
         assert loaded.shared.in_dim == 256
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_no_epochs_is_data_error(self, dataset, tmp_path, capsys, epochs):
+        error = _fail(["train-head", "--data", str(dataset), "--epochs", epochs,
+                       "--out", str(tmp_path / "head.bin")], capsys)
+        assert error == f"epochs must be >= 1, got {epochs}"
+        assert not (tmp_path / "head.bin").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_negative_seed_is_usage_error(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["gradcheck", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+
 
 KITTI_CALIB = """\
 P2: 700.0 0.0 600.0 0.0 0.0 700.0 180.0 0.0 0.0 0.0 1.0 0.0

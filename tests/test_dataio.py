@@ -2,6 +2,7 @@ import builtins
 import errno
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -418,6 +419,31 @@ class TestConfig:
         assert cfg.nms_iou == 1.0 and isinstance(cfg.nms_iou, float)
         assert cfg.head.shared_widths == (8, 4)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"codec": {"n_yaw_bins": 12.5}}, "codec.n_yaw_bins must be an integer, got 12.5"),
+        ({"head": {"class_count": 2.5}}, "head.class_count must be an integer, got 2.5"),
+        ({"head": {"feature_dim": 16.0}}, "head.feature_dim must be an integer, got 16.0"),
+        ({"head": {"shared_widths": [32.0, 16]}}, "head.shared_widths must be an integer, got 32.0"),
+        ({"eval": {"recall_positions": True}}, "eval.recall_positions must be an integer, got True"),
+        ({"nms_iou": "0.5"}, "nms_iou must be a number, got '0.5'"),
+        ({"nms_iou": True}, "nms_iou must be a number, got True"),
+        ({"slopeaug": {"p_s": None}}, "slopeaug.p_s must be a number, got None"),
+        ({"slopeaug": {"r_range": "ab"}}, "slopeaug.r_range must be an array, got 'ab'"),
+        ({"slopeaug": {"gamma_range": [0.1, False]}}, "slopeaug.gamma_range must be a number, got False"),
+    ])
+    def test_value_of_wrong_json_type_rejected(self, tmp_path, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    def test_section_numbers_become_floats(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"slopeaug": {"p_s": 1, "r_range": [8, 32]}}))
+        cfg = load_config(path).slopeaug
+        assert (cfg.p_s, cfg.r_range) == (1.0, (8.0, 32.0))
+        assert all(isinstance(v, float) for v in (cfg.p_s, *cfg.r_range))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")
@@ -428,6 +454,12 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"codec": {"n_yaw_bins": 1}}))
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"slopeaug": {"p_s": 1' + "0" * 400 + "}}")
+        with pytest.raises(ConfigError, match="too large to convert to float"):
             load_config(path)
 
     def test_nms_iou_outside_unit_interval(self, tmp_path):

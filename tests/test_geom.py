@@ -323,5 +323,5 @@ class TestNms:
                 score=round(float(rng.random()), 3))
             for _ in range(50)
         ]
-        want = oracles.nms_oracle(boxes, 0.1, bev_iou)
+        want = oracles.nms_oracle(boxes, 0.1, lambda i, j: bev_iou(boxes[i], boxes[j]))
         assert list(nms(boxes, 0.1)) == want

@@ -199,5 +199,6 @@ def clustered_proposals(draw):
 
 @given(clustered_proposals(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
 def test_nms_equals_oracle_on_clustered_proposals(boxes, threshold):
-    want = oracles.nms_oracle(boxes, threshold, oracles.bev_iou_oracle)
+    want = oracles.nms_oracle(boxes, threshold,
+                              lambda i, j: oracles.bev_iou_oracle(boxes[i], boxes[j]))
     assert list(nms(boxes, threshold)) == want

@@ -178,10 +178,10 @@ class TestApply:
         outside = rng.uniform(-40, -20, (100, 3))
         cloud = PointCloud(np.vstack([pts, outside]))
         frame = LabeledFrame(cloud, [box])
-        before = points_in_box(cloud, box)
+        before = points_in_box(cloud.points, box)
         out = apply(frame, PARAMS)
         exact = transform_box(box, axis_angle_transform(PARAMS.v, PARAMS.gamma, PARAMS.tau))
-        after = points_in_box(out.cloud, exact)
+        after = points_in_box(out.cloud.points, exact)
         assert np.array_equal(before, after)
 
     def test_default_mode_keeps_deep_interior_points(self):
@@ -194,7 +194,7 @@ class TestApply:
         pts = inside_local @ rot.T + box.center
         frame = LabeledFrame(PointCloud(pts), [box])
         out = apply(frame, PARAMS)
-        assert points_in_box(out.cloud, out.boxes[0]).all()
+        assert points_in_box(out.cloud.points, out.boxes[0]).all()
 
 
 class TestAugment:

@@ -74,14 +74,14 @@ class TestRestingEuler:
 
 class TestPlaceBoxes:
     def test_flat_terrain_zero_tilt(self):
-        spec = SceneSpec(terrain=FLAT, box_count=6, seed=1)
+        spec = SceneSpec(terrain=FLAT, box_count=6)
         boxes = place_boxes(FLAT, spec, np.random.default_rng(1))
         for b in boxes:
             assert b.euler.theta_x == 0.0
             assert abs(b.euler.theta_y) < 1e-15
 
     def test_ramp_boxes_tilt_matches_grade(self):
-        spec = SceneSpec(terrain=RAMP, box_count=8, seed=2, ramp_box_fraction=1.0)
+        spec = SceneSpec(terrain=RAMP, box_count=8, ramp_box_fraction=1.0)
         boxes = place_boxes(RAMP, spec, np.random.default_rng(2))
         for b in boxes:
             rot = euler_to_matrix(b.euler)
@@ -89,7 +89,7 @@ class TestPlaceBoxes:
             assert np.abs(rot @ [0, 0, 1] - normal).max() < 1e-9
 
     def test_centers_sit_half_height_along_normal(self):
-        spec = SceneSpec(terrain=RAMP, box_count=5, seed=3)
+        spec = SceneSpec(terrain=RAMP, box_count=5)
         boxes = place_boxes(RAMP, spec, np.random.default_rng(3))
         for b in boxes:
             normal = euler_to_matrix(b.euler) @ [0, 0, 1]
@@ -97,34 +97,34 @@ class TestPlaceBoxes:
             assert abs(foot[2] - RAMP.height([foot[:2]])[0]) < 1e-9
 
     def test_no_bev_overlap(self):
-        spec = SceneSpec(terrain=FLAT, box_count=10, seed=4)
+        spec = SceneSpec(terrain=FLAT, box_count=10)
         boxes = place_boxes(FLAT, spec, np.random.default_rng(4))
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 assert bev_iou(boxes[i], boxes[j]) == 0.0
 
     def test_ramp_fraction_honored(self):
-        spec = SceneSpec(terrain=RAMP, box_count=10, seed=5, ramp_box_fraction=0.3)
+        spec = SceneSpec(terrain=RAMP, box_count=10, ramp_box_fraction=0.3)
         boxes = place_boxes(RAMP, spec, np.random.default_rng(5))
         on_ramp = sum(1 for b in boxes if b.center[0] > 20.0)
         assert on_ramp == 3
 
     def test_placement_failure(self):
         tiny = Terrain(extent=(0.0, 9.0, -4.5, 4.5))
-        spec = SceneSpec(terrain=tiny, box_count=40, seed=6)
+        spec = SceneSpec(terrain=tiny, box_count=40)
         with pytest.raises(PlacementFailureError):
             place_boxes(tiny, spec, np.random.default_rng(6))
 
 
 class TestSampleScene:
     def test_flat_noiseless_ground_exactly_on_surface(self):
-        spec = SceneSpec(terrain=FLAT, box_count=2, density=1.0, noise_sigma=0.0, seed=7)
-        frame = make_scene(spec)
+        spec = SceneSpec(terrain=FLAT, box_count=2, density=1.0, noise_sigma=0.0)
+        frame = make_scene(spec, np.random.default_rng(7))
         ground = frame.cloud.extras[:, 0] == GROUND_SOURCE
         assert (frame.cloud.points[ground, 2] == 0.0).all()
 
     def test_point_count_arithmetic(self):
-        spec = SceneSpec(terrain=FLAT, box_count=3, density=2.0, seed=8)
+        spec = SceneSpec(terrain=FLAT, box_count=3, density=2.0)
         rng = np.random.default_rng(8)
         boxes = place_boxes(FLAT, spec, rng)
         frame = sample_scene(FLAT, boxes, spec, rng)
@@ -135,7 +135,7 @@ class TestSampleScene:
         assert len(frame.cloud) == want
 
     def test_noiseless_box_points_inside_inflated_box(self):
-        spec = SceneSpec(terrain=RAMP, box_count=4, density=3.0, noise_sigma=0.0, seed=9)
+        spec = SceneSpec(terrain=RAMP, box_count=4, density=3.0, noise_sigma=0.0)
         rng = np.random.default_rng(9)
         boxes = place_boxes(RAMP, spec, rng)
         frame = sample_scene(RAMP, boxes, spec, rng)
@@ -145,26 +145,26 @@ class TestSampleScene:
             assert points_in_box(pts, inflated).all()
 
     def test_deterministic_per_seed(self):
-        spec = SceneSpec(terrain=RAMP, box_count=3, seed=10)
-        a = make_scene(spec)
-        b = make_scene(spec)
+        spec = SceneSpec(terrain=RAMP, box_count=3)
+        a = make_scene(spec, np.random.default_rng(10))
+        b = make_scene(spec, np.random.default_rng(10))
         assert a.cloud.points.tobytes() == b.cloud.points.tobytes()
         assert a.cloud.extras.tobytes() == b.cloud.extras.tobytes()
 
     def test_generate_frames_are_distinct(self):
-        spec = SceneSpec(terrain=FLAT, box_count=2, seed=11)
-        frames = [make_scene(spec, frame_id=f"{i:06d}", rng=frame_rng(spec.seed, i))
+        spec = SceneSpec(terrain=FLAT, box_count=2)
+        frames = [make_scene(spec, frame_rng(11, i), frame_id=f"{i:06d}")
                   for i in range(3)]
         assert [f.frame_id for f in frames] == ["000000", "000001", "000002"]
         assert frames[0].cloud.points.tobytes() != frames[1].cloud.points.tobytes()
 
     def test_frame_rng_is_the_seed_index_substream(self):
-        spec = SceneSpec(terrain=FLAT, box_count=2, seed=11)
+        spec = SceneSpec(terrain=FLAT, box_count=2)
         want = np.random.default_rng(np.random.SeedSequence([11, 2])).random(4)
         assert np.array_equal(frame_rng(11, 2).random(4), want)
-        frame = make_scene(spec, frame_id="000002", rng=frame_rng(11, 2))
+        frame = make_scene(spec, frame_rng(11, 2), frame_id="000002")
         substream = np.random.default_rng(np.random.SeedSequence([11, 2]))
-        assert frame.cloud.points.tobytes() == make_scene(spec, rng=substream).cloud.points.tobytes()
+        assert frame.cloud.points.tobytes() == make_scene(spec, substream).cloud.points.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_face_sampling_equals_per_point_oracle(self, seed):
@@ -184,8 +184,8 @@ class TestSampleScene:
 class TestMakeFeatures:
     def _ramp_frame(self, seed=12):
         spec = SceneSpec(terrain=RAMP, box_count=6, density=4.0, noise_sigma=0.0,
-                         seed=seed, crease_margin=3.0, ramp_box_fraction=0.5)
-        return make_scene(spec)
+                         crease_margin=3.0, ramp_box_fraction=0.5)
+        return make_scene(spec, np.random.default_rng(seed))
 
     def test_noiseless_plane_fit_matches_true_normal(self):
         frame = self._ramp_frame()
@@ -193,12 +193,12 @@ class TestMakeFeatures:
             frame, 0.0, np.random.default_rng(0), feature_dim=16
         )
         for i in np.nonzero(targets.foreground)[0]:
-            true_normal = RAMP.normal([centers.points[i, :2]])[0]
+            true_normal = RAMP.normal([centers[i, :2]])[0]
             assert np.abs(features[i, 0:3] - true_normal).max() < 1e-6
 
     def test_flat_scene_all_ground_labels_zero(self):
-        spec = SceneSpec(terrain=FLAT, box_count=4, noise_sigma=0.0, seed=13)
-        frame = make_scene(spec)
+        spec = SceneSpec(terrain=FLAT, box_count=4, noise_sigma=0.0)
+        frame = make_scene(spec, np.random.default_rng(13))
         _, _, targets = make_features(frame, 0.0, np.random.default_rng(1), feature_dim=16)
         assert (targets.ground_label == 0).all()
 
@@ -231,16 +231,23 @@ class TestMakeFeatures:
         # crowded and sparse: background candidates often land in boxes and
         # some plane fits double their radius
         spec = SceneSpec(terrain=terrain, box_count=12, density=0.6, noise_sigma=0.01,
-                         seed=seed, ramp_box_fraction=0.5 if terrain is RAMP else None)
-        frame = make_scene(spec)
+                         ramp_box_fraction=0.5 if terrain is RAMP else None)
+        frame = make_scene(spec, np.random.default_rng(seed))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         centers, features, _ = make_features(frame, 0.05, got_rng, feature_dim=16,
                                              bg_per_frame=60)
         want_centers, want_features = oracles.make_features_oracle(
             frame, 0.05, want_rng, feature_dim=16, bg_per_frame=60)
-        assert centers.points.tobytes() == want_centers.tobytes()
+        assert centers.tobytes() == want_centers.tobytes()
         assert features.tobytes() == want_features.tobytes()
         assert got_rng.random() == want_rng.random()
+
+    def test_no_centers_is_an_empty_array(self):
+        frame = make_scene(SceneSpec(terrain=FLAT, box_count=0), np.random.default_rng(19))
+        centers, features, targets = make_features(
+            frame, 0.0, np.random.default_rng(6), feature_dim=16, bg_per_frame=0
+        )
+        assert centers.shape == (0, 3) and features.shape == (0, 16) and len(targets) == 0
 
     def test_requires_source_tags(self):
         frame = self._ramp_frame(seed=17)
@@ -253,8 +260,8 @@ class TestSlopeAugCrossCheck:
     def test_flat_scene_far_boxes_get_axis_angle_tilt(self):
         from fullpose.geom import to_euler_xy
 
-        spec = SceneSpec(terrain=FLAT, box_count=5, seed=18)
-        frame = make_scene(spec)
+        spec = SceneSpec(terrain=FLAT, box_count=5)
+        frame = make_scene(spec, np.random.default_rng(18))
         params = SlopeAugParams(
             tau=np.array([15.0, 0.0, 0.0]), v=np.array([0.0, 1.0, 0.0]), gamma=0.25
         )
