@@ -6,8 +6,9 @@ writes ``features/<frame>.npz`` per-center features consumed by
 ``train-head``.  Every subcommand accepts ``--config``, ``--seed`` and
 ``--jobs``, prints a machine-readable JSON summary to stdout and a human
 log to stderr, and exits 0 only on success (2 for usage errors, 1 for
-data errors).  Frame results derive their randomness from
-(seed, frame id), so outputs do not depend on worker scheduling.
+data errors).  Each frame draws from its own generator, derived from
+(seed, frame index) in ``synth`` and from (seed, sha256(frame id)) in
+``augment``, so outputs do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -78,24 +79,7 @@ def _augment_one(task) -> tuple[str, bool]:
 
 
 def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
-    aug_cfg = cfg.slopeaug
-    overrides = {}
-    if args.p_s is not None:
-        overrides["p_s"] = args.p_s
-    if args.gamma_min is not None or args.gamma_max is not None:
-        lo, hi = aug_cfg.gamma_range
-        overrides["gamma_range"] = (
-            math.radians(args.gamma_min) if args.gamma_min is not None else lo,
-            math.radians(args.gamma_max) if args.gamma_max is not None else hi,
-        )
-    if args.r_min is not None or args.r_max is not None:
-        lo, hi = aug_cfg.r_range
-        overrides["r_range"] = (
-            args.r_min if args.r_min is not None else lo,
-            args.r_max if args.r_max is not None else hi,
-        )
-    if overrides:
-        aug_cfg = replace(aug_cfg, **overrides)
+    aug_cfg = cfg.slopeaug if args.p_s is None else replace(cfg.slopeaug, p_s=args.p_s)
 
     in_dir, out_dir = Path(args.input), Path(args.output)
     frame_ids = sorted(p.stem for p in (in_dir / "labels").glob("*.jsonl"))
@@ -119,6 +103,8 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 
 # feature-file keys of the per-center targets, in BoxTargets field order
 _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
+# x of the line where the synthetic ramp starts, in meters
+_RAMP_START = 20.0
 
 
 def _synth_one(task) -> str:
@@ -150,9 +136,7 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
     out_dir = Path(args.output)
     for sub in ("velodyne", "labels", "features"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
-    terrain = synth.Terrain(
-        ramp_start=args.ramp_start, grade=math.radians(args.ramp_deg)
-    )
+    terrain = synth.Terrain(ramp_start=_RAMP_START, grade=math.radians(args.ramp_deg))
     spec = synth.SceneSpec(
         terrain=terrain,
         box_count=args.boxes,
@@ -196,19 +180,15 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
         if features.shape[1] != feature_dim:
             raise dataio.ParseError(f"{path}: feature width {features.shape[1]} != {feature_dim}")
     head_cfg = replace(cfg.head, feature_dim=feature_dim, codec=cfg.codec)
-    params, log = head.train_toy(
-        dataset, head_cfg, epochs=args.epochs, seed=args.seed, lr=args.lr
-    )
+    params, log = head.train_toy(dataset, head_cfg, epochs=args.epochs, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     head.save_head(params, out)
     log_path = Path(args.log) if args.log else out.with_suffix(out.suffix + ".log.csv")
-    log_fields = ["epoch", "total", "cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res"]
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=log_fields)
+        writer = csv.DictWriter(fh, fieldnames=list(log[0]))
         writer.writeheader()
-        for record in log:
-            writer.writerow({k: record.get(k, 0.0) for k in log_fields})
+        writer.writerows(log)
     first, last = log[0]["total"], log[-1]["total"]
     _log(f"trained {args.epochs} epochs on {len(dataset)} frames: "
          f"loss {first:.4f} -> {last:.4f}")
@@ -241,10 +221,7 @@ def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
         with _naming(path):
             dets[path.stem] = [rec.to_box() for rec in recs]
             geom.box_scores(dets[path.stem])  # evaluate ranks every detection by its score
-    eval_cfg = cfg.eval
-    if args.recall_positions is not None:
-        eval_cfg = replace(eval_cfg, recall_positions=args.recall_positions)
-    report = evaluation.evaluate(dets, gts, eval_cfg, difficulties)
+    report = evaluation.evaluate(dets, gts, cfg.eval, difficulties)
 
     shown = report
     if args.criterion != "all":
@@ -356,8 +333,6 @@ def cmd_gradcheck(args, cfg: dataio.ToolkitConfig) -> dict:
 # ---------------------------------------------------------------- convert
 
 def cmd_convert(args, cfg: dataio.ToolkitConfig) -> dict:
-    if args.source != "kitti" or args.target != "pose6d":
-        raise ValueError("only --from kitti --to pose6d is supported")
     in_dir, out_dir = Path(args.input), Path(args.output)
     calib_dir = Path(args.calib) if args.calib else in_dir / "calib"
     label_paths = sorted((in_dir / "label_2").glob("*.txt"))
@@ -369,17 +344,7 @@ def cmd_convert(args, cfg: dataio.ToolkitConfig) -> dict:
     for label_path in label_paths:
         frame_id = label_path.stem
         calib = dataio.read_kitti_calib(calib_dir / f"{frame_id}.txt")
-        objects = dataio.read_kitti_labels(label_path, calib)
-        records = [
-            dataio.Pose6dRecord.from_box(
-                obj.box,
-                frame_id,
-                difficulty=evaluation.assign_difficulty(
-                    obj.bbox_height, obj.occlusion, obj.truncation
-                ),
-            )
-            for obj in objects
-        ]
+        records = dataio.read_kitti_labels(label_path, calib)
         dataio.write_pose6d(records, out_dir / "labels" / f"{frame_id}.jsonl")
         converted += len(records)
         cloud_path = in_dir / "velodyne" / f"{frame_id}.bin"
@@ -429,17 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--p-s", type=float, default=None, help="application probability")
-    p.add_argument("--gamma-min", type=float, default=None, help="degrees")
-    p.add_argument("--gamma-max", type=float, default=None, help="degrees")
-    p.add_argument("--r-min", type=float, default=None, help="meters")
-    p.add_argument("--r-max", type=float, default=None, help="meters")
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("synth", help="generate labeled fixture scenes")
     common(p)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--ramp-deg", type=float, default=15.0)
-    p.add_argument("--ramp-start", type=float, default=20.0)
     p.add_argument("--boxes", type=int, default=5)
     p.add_argument("--density", type=float, default=4.0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
@@ -453,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="CSV log path")
     p.set_defaults(fn=cmd_train_head)
@@ -465,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", default="all",
                    choices=[kind.prefix for kind in evaluation.CRITERIA.values()] + ["all"],
                    help="report rows logged to stderr (the CSV and summary keep all)")
-    p.add_argument("--recall-positions", type=int, choices=[11, 40], default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=cmd_eval)
 
@@ -486,10 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("convert", help="convert dataset formats")
+    p = sub.add_parser("convert", help="convert a KITTI tree to full-pose labels")
     common(p)
-    p.add_argument("--from", dest="source", required=True, choices=["kitti"])
-    p.add_argument("--to", dest="target", required=True, choices=["pose6d"])
     p.add_argument("--input", required=True)
     p.add_argument("--calib", default=None)
     p.add_argument("--output", required=True)

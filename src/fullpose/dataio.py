@@ -3,8 +3,9 @@
 Formats:
 
 * velodyne ``.bin``: little-endian float32 quadruples (x, y, z, intensity).
-* KITTI label/calib text files; ingested boxes land in the LiDAR frame
-  with geometric (not bottom) centers and zero roll/pitch.
+* KITTI label/calib text files; each label row becomes a full-pose
+  record in the LiDAR frame, with a geometric (not bottom) center, zero
+  roll/pitch and the row's KITTI difficulty.
 * native full-pose annotations: JSONL, one object per line with keys
   frame/class/center/dims/euler and optional score/difficulty.  Unknown
   keys are ignored on read and dropped on write.
@@ -19,12 +20,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .codec import CodecConfig, wrap_angle
 from .errors import FullposeError
-from .evaluation import DIFFICULTY_LABELS, EvalConfig
+from .evaluation import DIFFICULTY_LABELS, EvalConfig, assign_difficulty
 from .geom import EulerXYZ, FullPoseBox, PointCloud
 from .head import HeadConfig
 from .slopeaug import SlopeAugConfig
@@ -154,79 +156,6 @@ def read_kitti_calib(path) -> KittiCalib:
 
 
 @dataclass
-class KittiObject:
-    """One KITTI label row, converted to the LiDAR frame."""
-
-    box: FullPoseBox
-    name: str
-    truncation: float
-    occlusion: int
-    alpha: float
-    bbox2d: np.ndarray  # (4,) image-plane left, top, right, bottom
-
-    @property
-    def bbox_height(self) -> float:
-        return float(self.bbox2d[3] - self.bbox2d[1])
-
-
-def read_kitti_labels(path, calib: KittiCalib) -> list[KittiObject]:
-    """Parse a KITTI label file into LiDAR-frame full-pose boxes.
-
-    The camera-frame bottom-center location is rectified back to the
-    LiDAR frame, lifted by h/2 to the geometric center, and the camera
-    rotation_y becomes LiDAR yaw (``-ry - pi/2``); roll and pitch are
-    zero.  DontCare rows are skipped.  A row that no box can hold (a
-    non-finite or non-positive value, a score outside [0, 1], an unknown
-    class) raises ParseError naming file:line.
-    """
-    objects = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "DontCare":
-                continue
-            if len(parts) < 15:
-                raise ParseError(
-                    f"{path}:{lineno}: expected >= 15 fields, got {len(parts)}"
-                )
-            try:
-                trunc = float(parts[1])
-                occl = int(float(parts[2]))
-                alpha = float(parts[3])
-                bbox = np.array([float(v) for v in parts[4:8]])
-                h, w, l = (float(v) for v in parts[8:11])
-                loc_cam = np.array([float(v) for v in parts[11:14]])
-                ry = float(parts[14])
-                score = float(parts[15]) if len(parts) > 15 else None
-                if not np.all(np.isfinite([h, w, l, ry, *loc_cam])):
-                    raise ValueError("dimensions, location and rotation_y must be finite")
-                bottom = calib.cam_to_lidar(loc_cam)[0]
-                box = FullPoseBox(
-                    center=bottom + np.array([0.0, 0.0, h / 2.0]),
-                    dims=np.array([l, w, h]),
-                    euler=EulerXYZ(0.0, 0.0, wrap_angle(-ry - math.pi / 2.0)),
-                    class_id=class_id_for(parts[0]),
-                    score=score,
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            objects.append(
-                KittiObject(
-                    box=box,
-                    name=parts[0],
-                    truncation=trunc,
-                    occlusion=occl,
-                    alpha=alpha,
-                    bbox2d=bbox,
-                )
-            )
-    return objects
-
-
-@dataclass
 class Pose6dRecord:
     """Native full-pose annotation: one object in one frame."""
 
@@ -258,6 +187,58 @@ class Pose6dRecord:
             score=box.score,
             difficulty=difficulty,
         )
+
+
+def read_kitti_labels(path, calib: KittiCalib) -> list[Pose6dRecord]:
+    """Parse a KITTI label file into LiDAR-frame full-pose records.
+
+    The camera-frame bottom-center location is rectified back to the
+    LiDAR frame, lifted by h/2 to the geometric center, and the camera
+    rotation_y becomes LiDAR yaw (``-ry - pi/2``); roll and pitch are
+    zero.  Each record's frame is the file stem and its difficulty comes
+    from the 2D box height, occlusion and truncation.  DontCare rows are
+    skipped.  A row that no box can hold (a malformed column, a
+    non-finite or non-positive value, a score outside [0, 1], an unknown
+    class) raises ParseError naming file:line.
+    """
+    frame = Path(path).stem
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "DontCare":
+                continue
+            if len(parts) < 15:
+                raise ParseError(
+                    f"{path}:{lineno}: expected >= 15 fields, got {len(parts)}"
+                )
+            try:
+                trunc = float(parts[1])
+                occl = int(float(parts[2]))
+                # alpha and the 2D box's left/right go unused but must parse
+                _alpha, _, bbox_top, _, bbox_bottom = (float(v) for v in parts[3:8])
+                h, w, l = (float(v) for v in parts[8:11])
+                loc_cam = np.array([float(v) for v in parts[11:14]])
+                ry = float(parts[14])
+                score = float(parts[15]) if len(parts) > 15 else None
+                if not np.all(np.isfinite([h, w, l, ry, *loc_cam])):
+                    raise ValueError("dimensions, location and rotation_y must be finite")
+                bottom = calib.cam_to_lidar(loc_cam)[0]
+                box = FullPoseBox(
+                    center=bottom + np.array([0.0, 0.0, h / 2.0]),
+                    dims=np.array([l, w, h]),
+                    euler=EulerXYZ(0.0, 0.0, wrap_angle(-ry - math.pi / 2.0)),
+                    class_id=class_id_for(parts[0]),
+                    score=score,
+                )
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            difficulty = assign_difficulty(bbox_bottom - bbox_top, occl, trunc)
+            records.append(Pose6dRecord.from_box(box, frame, difficulty=difficulty))
+    return records
 
 
 def read_pose6d(path) -> list[Pose6dRecord]:

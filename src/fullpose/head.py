@@ -36,6 +36,8 @@ class HeadConfig:
     def __post_init__(self):
         if self.feature_dim < 1 or self.class_count < 2:
             raise ValueError("feature_dim must be >= 1 and class_count >= 2")
+        if not self.shared_widths:
+            raise ValueError("shared_widths needs at least one trunk width")
         if any(wd < 1 for wd in self.shared_widths + self.seg_hidden):
             raise ValueError("all widths must be positive")
 

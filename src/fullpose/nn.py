@@ -12,7 +12,7 @@ Parameter snapshots serialize to a flat binary container:
     per layer: uint32 out_dim | uint32 in_dim | uint8 activation code
                float64-LE weights (row-major, out*in) | float64-LE bias (out)
 
-Activation codes: 0 = none, 1 = relu, 2 = sigmoid.
+Activation codes: 0 = none, 1 = relu.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class LabelOutOfRangeError(FullposeError, ValueError):
     pass
 
 
-_ACTIVATIONS = ("none", "relu", "sigmoid")
+_ACTIVATIONS = ("none", "relu")
 # guard against exact 0/1 probabilities from saturated sigmoids
 _PROB_EPS = 1e-12
 _ADAM_BETAS = (0.9, 0.999)
@@ -67,18 +67,14 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
         return z
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return sigmoid(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "none":
         return np.ones_like(z)
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
-    if kind == "sigmoid":
-        return a * (1.0 - a)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -174,9 +170,9 @@ def mlp_backward(params: MlpParams, cache: list, dy: np.ndarray
         )
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
-        x_in, z, a = cache[i]
+        x_in, z, _ = cache[i]
         layer = params.layers[i]
-        dz = da * _activation_grad(z, a, layer.activation)
+        dz = da * _activation_grad(z, layer.activation)
         grads[i] = (dz.T @ x_in, dz.sum(axis=0))
         da = dz @ layer.weights
     return da, grads

@@ -352,7 +352,7 @@ def test_criterion_8_format_fidelity(tmp_path):
     car = read_kitti_labels(label_path, calib)[0]
     # hand computation: camera (0, 0, 10) -> lidar (10, 0, 0), lifted h/2;
     # camera rotation_y -1.62 -> lidar yaw 1.62 - pi/2
-    assert np.abs(car.box.center - [10.0, 0.0, 0.785]).max() < 1e-6
-    assert np.abs(car.box.dims - [4.15, 1.73, 1.57]).max() < 1e-6
-    assert abs(car.box.euler.theta_z - (1.62 - math.pi / 2)) < 1e-6
+    assert np.abs(car.center - [10.0, 0.0, 0.785]).max() < 1e-6
+    assert np.abs(car.dims - [4.15, 1.73, 1.57]).max() < 1e-6
+    assert abs(car.euler[2] - (1.62 - math.pi / 2)) < 1e-6
     _report(8, "velodyne bit-exact, jsonl value-exact, calib ingestion matches hand result")

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -147,12 +148,21 @@ class TestAugment:
 
     def test_range_overrides(self, dataset, tmp_path):
         out = tmp_path / "aug"
+        config = tmp_path / "ranges.json"
+        lo, hi = math.radians(10), math.radians(12)
+        config.write_text(json.dumps({"slopeaug": {"gamma_range": [lo, hi], "r_range": [10, 20]}}))
         summary = run_ok([
             "augment", "--input", str(dataset), "--output", str(out),
-            "--p-s", "1", "--gamma-min", "10", "--gamma-max", "12",
-            "--r-min", "10", "--r-max", "20", "--seed", "3",
+            "--p-s", "1", "--seed", "3", "--config", str(config),
         ])
         assert summary["augmented"] == 3
+        tilts = [
+            math.acos(math.cos(rec.euler[0]) * math.cos(rec.euler[1]))
+            for path in sorted((out / "labels").glob("*.jsonl")) for rec in read_pose6d(path)
+        ]
+        tilted = [t for t in tilts if t != 0.0]
+        assert tilted
+        assert all(lo - 1e-9 <= t <= hi + 1e-9 for t in tilted)
 
 
 def _make_predictions(dataset: Path, out_dir: Path, jitter=0.0, seed=0):
@@ -179,14 +189,17 @@ class TestEval:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "class,difficulty,criterion,metric,value"
 
-    def test_criterion_filter_and_recall_positions(self, dataset, tmp_path):
+    def test_criterion_filter_and_recall_positions(self, dataset, tmp_path, capsys):
         pred = tmp_path / "pred"
         _make_predictions(dataset, pred, jitter=0.2, seed=1)
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"eval": {"recall_positions": 11}}))
         summary = run_ok([
             "eval", "--gt", str(dataset), "--pred", str(pred),
-            "--criterion", "cd", "--recall-positions", "11",
+            "--criterion", "cd", "--config", str(config),
         ])
         assert 0.0 <= summary["rotated"]["1"]["ap_cd"] <= 1.0
+        assert capsys.readouterr().err.startswith("AP (11 recall positions)")
 
     @pytest.mark.parametrize("criterion", ["iou3d", "bev", "cd"])
     def test_criterion_logs_only_its_rows(self, dataset, tmp_path, capsys, criterion):
@@ -378,6 +391,13 @@ class TestTrainHead:
         assert error == f"epochs must be >= 1, got {epochs}"
         assert not (tmp_path / "head.bin").exists()
 
+    def test_empty_trunk_is_config_error(self, dataset, tmp_path, capsys):
+        config = tmp_path / "head.json"
+        config.write_text(json.dumps({"head": {"shared_widths": []}}))
+        error = _fail(["train-head", "--data", str(dataset), "--epochs", "1",
+                       "--out", str(tmp_path / "head.bin"), "--config", str(config)], capsys)
+        assert error == "invalid config value: shared_widths needs at least one trunk width"
+
 
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_negative_seed_is_usage_error(seed, capsys):
@@ -408,8 +428,7 @@ class TestConvert:
         (src / "calib").mkdir()
         (src / "label_2" / "000000.txt").write_text(label_text)
         (src / "calib" / "000000.txt").write_text(KITTI_CALIB)
-        argv = ["convert", "--from", "kitti", "--to", "pose6d",
-                "--input", str(src), "--output", str(tmp_path / f"{name}_native")]
+        argv = ["convert", "--input", str(src), "--output", str(tmp_path / f"{name}_native")]
         return argv, src / "label_2" / "000000.txt"
 
     def test_kitti_to_pose6d(self, tmp_path):

@@ -165,30 +165,31 @@ class TestKittiLabels:
     def test_hand_computed_car(self, tmp_path, calib):
         path = tmp_path / "label.txt"
         path.write_text(LABEL_TEXT)
-        objects = read_kitti_labels(path, calib)
-        assert len(objects) == 2  # DontCare skipped
-        car = objects[0]
-        assert car.name == "Car"
+        records = read_kitti_labels(path, calib)
+        assert len(records) == 2  # DontCare skipped
+        car = records[0]
+        assert car.cls == "Car" and car.frame == "label"
         # bottom center (0, 0, 10) in camera -> (10, 0, 0) lidar, lifted h/2
-        assert np.abs(car.box.center - [10.0, 0.0, 1.57 / 2]).max() < 1e-9
-        assert np.allclose(car.box.dims, [4.15, 1.73, 1.57])
+        assert np.abs(car.center - [10.0, 0.0, 1.57 / 2]).max() < 1e-9
+        assert np.allclose(car.dims, [4.15, 1.73, 1.57])
         want_yaw = (1.62 - math.pi / 2) % (2 * math.pi)
-        assert abs(car.box.euler.theta_z - want_yaw) < 1e-12
-        assert car.box.euler.theta_x == 0.0 and car.box.euler.theta_y == 0.0
-        assert abs(car.bbox_height - (284.77 - 181.78)) < 1e-12
+        assert abs(car.euler[2] - want_yaw) < 1e-12
+        assert car.euler[0] == 0.0 and car.euler[1] == 0.0
+        # 2D box height 284.77 - 181.78 >= 40 px, unoccluded, untruncated
+        assert car.difficulty == "easy"
 
     def test_round_trip_through_pose6d(self, tmp_path, calib):
         label_path = tmp_path / "label.txt"
         label_path.write_text(LABEL_TEXT)
-        objects = read_kitti_labels(label_path, calib)
-        records = [Pose6dRecord.from_box(o.box, "000000") for o in objects]
+        records = read_kitti_labels(label_path, calib)
         out = tmp_path / "out.jsonl"
         write_pose6d(records, out)
         back = read_pose6d(out)
-        for obj, rec in zip(objects, back):
-            assert np.abs(rec.to_box().center - obj.box.center).max() < 1e-6
-            assert np.abs(rec.to_box().dims - obj.box.dims).max() < 1e-6
-            assert abs(rec.to_box().euler.theta_z - obj.box.euler.theta_z) < 1e-6
+        for orig, rec in zip(records, back):
+            assert np.abs(rec.to_box().center - orig.center).max() < 1e-6
+            assert np.abs(rec.to_box().dims - orig.dims).max() < 1e-6
+            assert abs(rec.to_box().euler.theta_z - orig.euler[2]) < 1e-6
+            assert (rec.frame, rec.difficulty) == (orig.frame, orig.difficulty)
 
     def test_malformed_row(self, tmp_path, calib):
         path = tmp_path / "label.txt"
@@ -436,6 +437,14 @@ class TestConfig:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
+
+    def test_empty_trunk_rejected_empty_seg_hidden_kept(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"head": {"shared_widths": []}}))
+        with pytest.raises(ConfigError, match="shared_widths needs at least one trunk width"):
+            load_config(path)
+        path.write_text(json.dumps({"head": {"seg_hidden": []}}))
+        assert load_config(path).head.seg_hidden == ()
 
     def test_section_numbers_become_floats(self, tmp_path):
         path = tmp_path / "cfg.json"
