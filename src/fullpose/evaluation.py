@@ -89,15 +89,8 @@ class MatchCriterion:
         return CRITERIA[self.kind].kernel(dets, gts)
 
 
-def assign_difficulty(bbox_height: float | None = None, occlusion: int | None = None,
-                      truncation: float | None = None) -> str:
-    """KITTI difficulty from 2D box height (px), occlusion, truncation.
-
-    Missing metadata maps to "moderate" (native full-pose annotations do
-    not carry image-plane fields).
-    """
-    if bbox_height is None or occlusion is None or truncation is None:
-        return "moderate"
+def assign_difficulty(bbox_height: float, occlusion: int, truncation: float) -> str:
+    """KITTI difficulty from 2D box height (px), occlusion, truncation."""
     if bbox_height >= 40.0 and occlusion <= 0 and truncation <= 0.15:
         return "easy"
     if bbox_height >= 25.0 and occlusion <= 1 and truncation <= 0.30:

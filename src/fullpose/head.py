@@ -42,8 +42,18 @@ class HeadConfig:
             raise ValueError("all widths must be positive")
 
 
+# trunk branch group -> the HeadOutput field it predicts; a one-wide
+# branch predicts a 1-D field.  The seg group predicts ``s_g``.
+_BRANCHES = {
+    "cls": "class_logits",
+    "yaw_bin": "yaw_bin_logits",
+    "yaw_res": "yaw_residual",
+    "tilt": "tilt",
+    "dims": "log_dims",
+    "offset": "center_offset",
+}
 # parameter groups in serialization / flattening order
-_GROUPS = ("seg", "shared", "cls", "yaw_bin", "yaw_res", "tilt", "dims", "offset")
+_GROUPS = ("seg", "shared", *_BRANCHES)
 
 
 @dataclass
@@ -96,19 +106,11 @@ def _forward_cached(params: HeadParams, features: np.ndarray):
     seg_z, seg_cache = nn.mlp_forward(params.seg, features)
     trunk, shared_cache = nn.mlp_forward(params.shared, features)
     caches = {"seg": seg_cache, "shared": shared_cache}
-    branch_out = {}
-    for name in _GROUPS[2:]:
-        branch_out[name], caches[name] = nn.mlp_forward(getattr(params, name), trunk)
-    out = HeadOutput(
-        class_logits=branch_out["cls"],
-        s_g=nn.sigmoid(seg_z[:, 0]),
-        yaw_bin_logits=branch_out["yaw_bin"],
-        yaw_residual=branch_out["yaw_res"][:, 0],
-        tilt=branch_out["tilt"],
-        log_dims=branch_out["dims"],
-        center_offset=branch_out["offset"],
-    )
-    return out, caches
+    fields = {"s_g": nn.sigmoid(seg_z[:, 0])}
+    for name, field_name in _BRANCHES.items():
+        y, caches[name] = nn.mlp_forward(getattr(params, name), trunk)
+        fields[field_name] = y[:, 0] if y.shape[1] == 1 else y
+    return HeadOutput(**fields), caches
 
 
 def head_forward(params: HeadParams, features: np.ndarray) -> HeadOutput:
@@ -148,50 +150,32 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
 def head_loss(params: HeadParams, features: np.ndarray, targets):
     """Composite box loss plus gradients for every head parameter.
 
-    Returns ``(loss, grads, breakdown)`` where ``grads`` maps parameter
-    group name to per-layer (dW, db) pairs in forward order.
+    Returns ``(loss, grads, breakdown)`` where ``grads`` is a flat list of
+    weight and bias gradients in :func:`head_param_list` order and
+    ``breakdown.grad`` holds the gradient w.r.t. each raw output.
     """
     out, caches = _forward_cached(params, features)
     loss, bd = nn.composite_box_loss(out, targets)
 
-    branch_douts = {
-        "cls": bd.dclass_logits,
-        "yaw_bin": bd.dyaw_bin_logits,
-        "yaw_res": bd.dyaw_residual[:, None],
-        "tilt": bd.dtilt,
-        "dims": bd.dlog_dims,
-        "offset": bd.dcenter_offset,
-    }
     grads = {}
     dtrunk = np.zeros_like(caches["shared"][-1][2])
-    for name, dout in branch_douts.items():
-        dx, grads[name] = nn.mlp_backward(getattr(params, name), caches[name], dout)
+    for name, field_name in _BRANCHES.items():
+        dout = getattr(bd.grad, field_name)
+        dx, grads[name] = nn.mlp_backward(
+            getattr(params, name), caches[name], dout[:, None] if dout.ndim == 1 else dout
+        )
         dtrunk += dx
     _, grads["shared"] = nn.mlp_backward(params.shared, caches["shared"], dtrunk)
 
-    dseg_z = (bd.ds_g * out.s_g * (1.0 - out.s_g))[:, None]
+    dseg_z = (bd.grad.s_g * out.s_g * (1.0 - out.s_g))[:, None]
     _, grads["seg"] = nn.mlp_backward(params.seg, caches["seg"], dseg_z)
-    return loss, grads, bd
+    return loss, [g for name in _GROUPS for pair in grads[name] for g in pair], bd
 
 
 def head_param_list(params: HeadParams) -> list[np.ndarray]:
     """Flat references to every weight/bias array, in a fixed order."""
-    arrays = []
-    for name in _GROUPS:
-        for layer in getattr(params, name).layers:
-            arrays.append(layer.weights)
-            arrays.append(layer.bias)
-    return arrays
-
-
-def head_grad_list(params: HeadParams, grads: dict) -> list[np.ndarray]:
-    """Gradients from :func:`head_loss` flattened to match head_param_list."""
-    arrays = []
-    for name in _GROUPS:
-        for dw, db in grads[name]:
-            arrays.append(dw)
-            arrays.append(db)
-    return arrays
+    return [a for name in _GROUPS for layer in getattr(params, name).layers
+            for a in (layer.weights, layer.bias)]
 
 
 def save_head(params: HeadParams, path) -> None:
@@ -227,7 +211,7 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
         term_sums = {}
         for features, targets in dataset:
             loss, grads, bd = head_loss(params, features, targets)
-            nn.adam_step(arrays, head_grad_list(params, grads), state, lr=lr)
+            nn.adam_step(arrays, grads, state, lr=lr)
             totals.append(loss)
             for key, val in bd.terms.items():
                 term_sums[key] = term_sums.get(key, 0.0) + val

@@ -18,7 +18,7 @@ Activation codes: 0 = none, 1 = relu.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -246,17 +246,15 @@ def cross_entropy(logits, label) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class LossBreakdown:
-    """Total box loss plus per-term values and gradients w.r.t. raw outputs."""
+    """Total box loss, per-term values, and the gradient w.r.t. the raw outputs.
+
+    ``grad`` has the type and fields of the outputs the loss was computed
+    on: ``grad.tilt`` is d total / d ``out.tilt``, and so on.
+    """
 
     total: float
     terms: dict
-    dclass_logits: np.ndarray
-    ds_g: np.ndarray
-    dyaw_bin_logits: np.ndarray
-    dyaw_residual: np.ndarray
-    dtilt: np.ndarray
-    dlog_dims: np.ndarray
-    dcenter_offset: np.ndarray
+    grad: object
 
 
 _TERM_KEYS = ("cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res")
@@ -265,47 +263,40 @@ _TERM_KEYS = ("cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res")
 def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
     """Total training loss over a batch of per-center raw outputs.
 
+    ``out`` is a dataclass of per-center arrays (a ``head.HeadOutput``).
     Classification, dimension, position, and yaw terms sum over foreground
     centers and divide by their count; the terrain focal term does the
     same; the tilt term averages over foreground centers on sloped terrain
     only and is zero when there are none.  An all-background batch has
-    zero loss.  The total is the unweighted sum
+    zero loss and an all-zero gradient.  The total is the unweighted sum
     ``cls + dim + posi + (seg + tilt) + (yaw_bin + yaw_res)``.
     """
-    n = len(targets)
-    zero = LossBreakdown(
-        total=0.0,
-        terms={k: 0.0 for k in _TERM_KEYS},
-        dclass_logits=np.zeros_like(out.class_logits),
-        ds_g=np.zeros_like(out.s_g),
-        dyaw_bin_logits=np.zeros_like(out.yaw_bin_logits),
-        dyaw_residual=np.zeros_like(out.yaw_residual),
-        dtilt=np.zeros_like(out.tilt),
-        dlog_dims=np.zeros_like(out.log_dims),
-        dcenter_offset=np.zeros_like(out.center_offset),
-    )
-    if out.class_logits.shape[0] != n:
+    if out.class_logits.shape[0] != len(targets):
         raise ShapeMismatchError("outputs and targets disagree on batch size")
+    grad = replace(out, **{f.name: np.zeros_like(getattr(out, f.name)) for f in fields(out)})
+    result = LossBreakdown(total=0.0, terms={k: 0.0 for k in _TERM_KEYS}, grad=grad)
     fg = np.asarray(targets.foreground, dtype=bool)
     n_p = int(fg.sum())
     if n_p == 0:
-        return 0.0, zero
+        return 0.0, result
     sloped = fg & (np.asarray(targets.ground_label) > 0)
-    n_s = int(sloped.sum())
-    result = zero
     terms = result.terms
 
-    cls_loss, cls_grad = cross_entropy(out.class_logits[fg], targets.class_label[fg])
-    terms["cls"] = float(cls_loss.sum()) / n_p
-    result.dclass_logits[fg] = cls_grad / n_p
-
-    dim_loss, dim_grad = smooth_l1(out.log_dims[fg], targets.log_dims[fg])
-    terms["dim"] = float(dim_loss.sum()) / n_p
-    result.dlog_dims[fg] = dim_grad / n_p
-
-    posi_loss, posi_grad = smooth_l1(out.center_offset[fg], targets.center_offset[fg])
-    terms["posi"] = float(posi_loss.sum()) / n_p
-    result.dcenter_offset[fg] = posi_grad / n_p
+    # each supervised term: loss of one output field against one target
+    # field over the given rows, divided by the row count (0 rows: no term)
+    for term, loss_fn, field_name, target_name, rows, count in (
+        ("cls", cross_entropy, "class_logits", "class_label", fg, n_p),
+        ("dim", smooth_l1, "log_dims", "log_dims", fg, n_p),
+        ("posi", smooth_l1, "center_offset", "center_offset", fg, n_p),
+        ("tilt", smooth_l1, "tilt", "tilt", sloped, int(sloped.sum())),
+        ("yaw_bin", cross_entropy, "yaw_bin_logits", "yaw_bin", fg, n_p),
+        ("yaw_res", smooth_l1, "yaw_residual", "yaw_residual", fg, n_p),
+    ):
+        if count == 0:
+            continue
+        loss, dloss = loss_fn(getattr(out, field_name)[rows], getattr(targets, target_name)[rows])
+        terms[term] = float(loss.sum()) / count
+        getattr(grad, field_name)[rows] = dloss / count
 
     p_raw = out.s_g[fg]
     p = np.clip(p_raw, _PROB_EPS, 1.0 - _PROB_EPS)
@@ -314,20 +305,7 @@ def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
     # gradient through the sigmoid is ~0, so drop the clipped one
     seg_grad = np.where((p_raw > _PROB_EPS) & (p_raw < 1.0 - _PROB_EPS), seg_grad, 0.0)
     terms["seg"] = float(seg_loss.sum()) / n_p
-    result.ds_g[fg] = seg_grad / n_p
-
-    if n_s > 0:
-        tilt_loss, tilt_grad = smooth_l1(out.tilt[sloped], targets.tilt[sloped])
-        terms["tilt"] = float(tilt_loss.sum()) / n_s
-        result.dtilt[sloped] = tilt_grad / n_s
-
-    ybin_loss, ybin_grad = cross_entropy(out.yaw_bin_logits[fg], targets.yaw_bin[fg])
-    terms["yaw_bin"] = float(ybin_loss.sum()) / n_p
-    result.dyaw_bin_logits[fg] = ybin_grad / n_p
-
-    yres_loss, yres_grad = smooth_l1(out.yaw_residual[fg], targets.yaw_residual[fg])
-    terms["yaw_res"] = float(yres_loss.sum()) / n_p
-    result.dyaw_residual[fg] = yres_grad / n_p
+    grad.s_g[fg] = seg_grad / n_p
 
     result.total = float(
         terms["cls"] + terms["dim"] + terms["posi"]
@@ -354,8 +332,7 @@ def init_adam_state(params: list) -> AdamState:
     )
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3
-              ) -> tuple[list, AdamState]:
+def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3) -> None:
     """One in-place Adam update (betas 0.9/0.999, eps 1e-8) over a flat list of arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params/grads/state lengths disagree")
@@ -369,7 +346,6 @@ def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
-    return params, state
 
 
 def grad_check(f, x: np.ndarray) -> float:

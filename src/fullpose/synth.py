@@ -95,6 +95,8 @@ class SceneSpec:
             raise ValueError("density must be positive")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.ramp_box_fraction is not None and not 0.0 <= self.ramp_box_fraction <= 1.0:
+            raise ValueError(f"ramp_box_fraction must lie in [0, 1], got {self.ramp_box_fraction}")
 
 
 def resting_euler(normal, yaw: float) -> EulerXYZ:
@@ -255,6 +257,8 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
 
     Returns ``(centers, features, targets)``, ``centers`` an (n, 3) array.
     """
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"feature noise_sigma must be finite and >= 0, got {noise_sigma}")
     if frame.cloud.extras is None:
         raise ValueError("frame must carry source tags (extras channel)")
     if codec_cfg is None:

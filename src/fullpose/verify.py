@@ -196,19 +196,8 @@ def check_composite_loss(rng: np.random.Generator) -> float:
         fields["s_g"] = nn.sigmoid(fields["s_g"])  # map into (0, 1)
         out = head.HeadOutput(**fields)
         loss, bd = nn.composite_box_loss(out, targets)
-        sig = fields["s_g"] * (1.0 - fields["s_g"])
-        gvec = _pack(
-            [
-                bd.dclass_logits,
-                bd.ds_g * sig,
-                bd.dyaw_bin_logits,
-                bd.dyaw_residual,
-                bd.dtilt,
-                bd.dlog_dims,
-                bd.dcenter_offset,
-            ]
-        )
-        return loss, gvec
+        bd.grad.s_g *= out.s_g * (1.0 - out.s_g)  # chain through the sigmoid
+        return loss, _pack([getattr(bd.grad, name) for name in shapes])
 
     # smooth-L1'd fields start 0.1-0.8 away from their targets: alive, off kink
     for _ in range(_MAX_REDRAWS):
@@ -259,7 +248,7 @@ def check_head_loss(rng: np.random.Generator) -> float:
             for ref, val in zip(arrays, _unpack(vec, templates)):
                 ref[...] = val
             loss, grads, _ = head.head_loss(params, features, targets)
-            return loss, _pack(head.head_grad_list(params, grads))
+            return loss, _pack(grads)
 
         if _weakest_alive_grad(f, _pack(templates)) > _GRAD_FLOOR:
             break

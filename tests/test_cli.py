@@ -125,6 +125,17 @@ class TestSynth:
         run_ok(["synth", *args, "--output", str(tmp_path / "out")])
         assert synth_digest(tmp_path / "out") == digest
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--ramp-fraction", "1.5", "ramp_box_fraction must lie in [0, 1], got 1.5"),
+        ("--ramp-fraction", "-0.5", "ramp_box_fraction must lie in [0, 1], got -0.5"),
+        ("--ramp-fraction", "nan", "ramp_box_fraction must lie in [0, 1], got nan"),
+        ("--feature-noise", "-1", "feature noise_sigma must be finite and >= 0, got -1.0"),
+        ("--feature-noise", "inf", "feature noise_sigma must be finite and >= 0, got inf"),
+    ], ids=["ramp-above-1", "ramp-negative", "ramp-nan", "noise-negative", "noise-inf"])
+    def test_out_of_range_setting_is_data_error(self, flag, value, error, tmp_path, capsys):
+        argv = ["synth", "--scenes", "1", flag, value, "--output", str(tmp_path / "out")]
+        assert _fail(argv, capsys) == error
+
 
 class TestAugment:
     def test_probability_zero_preserves_dataset(self, dataset, tmp_path):
@@ -383,6 +394,23 @@ class TestTrainHead:
 
         loaded = load_head(params)
         assert loaded.shared.in_dim == 256
+
+    # reference digests of the head file and the log CSV, trained on the
+    # synth "ramp" golden set: any change to a trained weight or a logged
+    # loss bit fails here; re-record only for an intended output change
+    def test_golden_digest(self, tmp_path):
+        data, config = tmp_path / "data", tmp_path / "head.json"
+        run_ok(["synth", "--scenes", "3", "--boxes", "8", "--density", "2.0", "--seed", "4",
+                "--ramp-fraction", "0.5", "--noise-sigma", "0.02", "--feature-noise", "0.1",
+                "--output", str(data)])
+        config.write_text(json.dumps({"head": {"shared_widths": [16, 8], "seg_hidden": [4]}}))
+        params, log = tmp_path / "head.bin", tmp_path / "head.csv"
+        run_ok(["train-head", "--data", str(data), "--epochs", "4", "--out", str(params),
+                "--log", str(log), "--config", str(config), "--seed", "1"])
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (params, log)] == [
+            "145626861680b7c03d0585487ce6b28a499b0e61089f7d6f93b51baac2faa52f",
+            "9b29aeaf6d0efbe9cd53315caa0f83c517e7442a04e40b6afc18e6a9732878c5",
+        ]
 
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_no_epochs_is_data_error(self, dataset, tmp_path, capsys, epochs):

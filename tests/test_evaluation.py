@@ -50,9 +50,6 @@ class TestDifficulty:
     def test_ignored(self):
         assert assign_difficulty(10.0, 3, 0.9) == "ignored"
 
-    def test_missing_metadata_defaults_moderate(self):
-        assert assign_difficulty() == "moderate"
-
 
 class TestTpComponents:
     def test_geodesic_identity(self):

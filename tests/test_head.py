@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from fullpose import verify
 from fullpose.codec import BoxTargets, CodecConfig, encode_tilt
 from fullpose.geom import EulerXYZ, FullPoseBox
 from fullpose.head import (
+    _BRANCHES,
+    _GROUPS,
     EmptyDatasetError,
     HeadConfig,
     HeadOutput,
+    HeadParams,
     head_decode,
     head_forward,
     head_loss,
@@ -141,6 +145,12 @@ class TestLoss:
     def test_finite_difference_full_head(self):
         assert verify.check_head_loss(np.random.default_rng(5)) < 1e-6
 
+    def test_branch_table_names_every_output_once(self):
+        predicted = [*_BRANCHES.values(), "s_g"]
+        assert len(set(predicted)) == len(predicted)
+        assert set(predicted) == {f.name for f in fields(HeadOutput)}
+        assert _GROUPS == tuple(f.name for f in fields(HeadParams))
+
     def test_gradients_cover_every_group(self):
         rng = np.random.default_rng(6)
         params = init_head(SMALL, rng)
@@ -148,8 +158,10 @@ class TestLoss:
         targets = verify._random_targets(6, SMALL.codec, rng)
         loss, grads, bd = head_loss(params, feats, targets)
         assert loss > 0
-        assert set(grads) == {"seg", "shared", "cls", "yaw_bin", "yaw_res", "tilt", "dims", "offset"}
-        assert any(g.any() for pair in grads["shared"] for g in pair)
+        assert [g.shape for g in grads] == [a.shape for a in head_param_list(params)]
+        # the shared trunk's (dW, db) pairs follow the seg group's in the flat list
+        start = 2 * len(params.seg.layers)
+        assert any(g.any() for g in grads[start:start + 2 * len(params.shared.layers)])
 
 
 def _toy_dataset(rng, frames=5, centers=30, feature_dim=12):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -276,7 +277,11 @@ class TestCompositeLoss:
         out = _output_for(targets, rng)
         loss, bd = composite_box_loss(out, targets)
         assert loss == 0.0
-        assert not bd.dclass_logits.any()
+        assert type(bd.grad) is HeadOutput
+        for f in fields(out):
+            grad = getattr(bd.grad, f.name)
+            assert grad.shape == getattr(out, f.name).shape
+            assert not grad.any()
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(18)
