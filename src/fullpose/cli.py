@@ -133,9 +133,6 @@ def _synth_one(task) -> str:
 
 
 def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
-    out_dir = Path(args.output)
-    for sub in ("velodyne", "labels", "features"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
     terrain = synth.Terrain(ramp_start=_RAMP_START, grade=math.radians(args.ramp_deg))
     spec = synth.SceneSpec(
         terrain=terrain,
@@ -144,6 +141,11 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
         noise_sigma=args.noise_sigma,
         ramp_box_fraction=args.ramp_fraction,
     )
+    # every setting is checked before the first frame is written
+    synth.check_feature_noise(args.feature_noise)
+    out_dir = Path(args.output)
+    for sub in ("velodyne", "labels", "features"):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
     tasks = [(i, str(out_dir), spec, args.seed, args.feature_noise, args.bg_centers,
               cfg.head.feature_dim, cfg.codec) for i in range(args.scenes)]
     frame_ids = _map_tasks(_synth_one, tasks, args.jobs)

@@ -150,32 +150,59 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
 def head_loss(params: HeadParams, features: np.ndarray, targets):
     """Composite box loss plus gradients for every head parameter.
 
-    Returns ``(loss, grads, breakdown)`` where ``grads`` is a flat list of
-    weight and bias gradients in :func:`head_param_list` order and
-    ``breakdown.grad`` holds the gradient w.r.t. each raw output.
+    Returns ``(loss, grad, breakdown)`` where ``grad`` is one float64
+    vector holding every weight and bias gradient, flattened in
+    :func:`head_param_list` order, and ``breakdown.grad`` holds the
+    gradient w.r.t. each raw output.
+    """
+    grad = np.empty(sum(a.size for a in head_param_list(params)))
+    loss, bd = _loss_into(params, features, targets, _layer_views(grad, params))
+    return loss, grad, bd
+
+
+def _loss_into(params: HeadParams, features: np.ndarray, targets, slots):
+    """:func:`head_loss` writing the parameter gradients into ``slots``.
+
+    ``slots`` maps each group to one ``(dW, db)`` pair of arrays per layer,
+    as :func:`_layer_views` lays them out; returns ``(loss, breakdown)``.
     """
     out, caches = _forward_cached(params, features)
     loss, bd = nn.composite_box_loss(out, targets)
 
-    grads = {}
     dtrunk = np.zeros_like(caches["shared"][-1][2])
     for name, field_name in _BRANCHES.items():
         dout = getattr(bd.grad, field_name)
-        dx, grads[name] = nn.mlp_backward(
-            getattr(params, name), caches[name], dout[:, None] if dout.ndim == 1 else dout
+        dtrunk += nn._backward(
+            getattr(params, name), caches[name], dout[:, None] if dout.ndim == 1 else dout,
+            slots[name],
         )
-        dtrunk += dx
-    _, grads["shared"] = nn.mlp_backward(params.shared, caches["shared"], dtrunk)
-
+    # the input gradients of the trunk and of the seg stack are not needed
+    nn._backward(params.shared, caches["shared"], dtrunk, slots["shared"], input_grad=False)
     dseg_z = (bd.grad.s_g * out.s_g * (1.0 - out.s_g))[:, None]
-    _, grads["seg"] = nn.mlp_backward(params.seg, caches["seg"], dseg_z)
-    return loss, [g for name in _GROUPS for pair in grads[name] for g in pair], bd
+    nn._backward(params.seg, caches["seg"], dseg_z, slots["seg"], input_grad=False)
+    return loss, bd
 
 
 def head_param_list(params: HeadParams) -> list[np.ndarray]:
     """Flat references to every weight/bias array, in a fixed order."""
     return [a for name in _GROUPS for layer in getattr(params, name).layers
             for a in (layer.weights, layer.bias)]
+
+
+def _layer_views(vec: np.ndarray, params: HeadParams) -> dict[str, list]:
+    """Views of ``vec`` shaped like each layer's (weights, bias), per group.
+
+    The views tile ``vec`` in :func:`head_param_list` order.
+    """
+    views, at = {}, 0
+    for name in _GROUPS:
+        views[name] = []
+        for layer in getattr(params, name).layers:
+            w_end = at + layer.weights.size
+            b_end = w_end + layer.bias.size
+            views[name].append((vec[at:w_end].reshape(layer.weights.shape), vec[w_end:b_end]))
+            at = b_end
+    return views
 
 
 def save_head(params: HeadParams, path) -> None:
@@ -203,15 +230,22 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
         raise EmptyDatasetError("training dataset is empty")
     rng = np.random.default_rng(seed)
     params = init_head(cfg, rng)
-    arrays = head_param_list(params)
-    state = nn.init_adam_state(arrays)
+    # every weight and bias becomes a view of one vector, which Adam
+    # updates in one pass; the gradient slots tile a vector the same way
+    flat = np.concatenate([a.ravel() for a in head_param_list(params)])
+    for name, pairs in _layer_views(flat, params).items():
+        for layer, (weights, bias) in zip(getattr(params, name).layers, pairs):
+            layer.weights, layer.bias = weights, bias
+    grad = np.empty_like(flat)
+    slots = _layer_views(grad, params)
+    state = nn.init_adam_state([flat])
     log = []
     for epoch in range(epochs):
         totals = []
         term_sums = {}
         for features, targets in dataset:
-            loss, grads, bd = head_loss(params, features, targets)
-            nn.adam_step(arrays, grads, state, lr=lr)
+            loss, bd = _loss_into(params, features, targets, slots)
+            nn.adam_step([flat], [grad], state, lr=lr)
             totals.append(loss)
             for key, val in bd.terms.items():
                 term_sums[key] = term_sums.get(key, 0.0) + val

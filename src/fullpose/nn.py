@@ -42,6 +42,9 @@ _ACTIVATIONS = ("none", "relu")
 _PROB_EPS = 1e-12
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
+# elements per Adam pass: a block of each operand stays in cache across the
+# update's 14 elementwise operations
+_ADAM_BLOCK = 1 << 15
 # central-difference step of grad_check
 _FD_STEP = 1e-6
 
@@ -67,14 +70,6 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
         return z
     if kind == "relu":
         return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "none":
-        return np.ones_like(z)
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -153,7 +148,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
         )
     cache = []
     for layer in params.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         out = _apply_activation(z, layer.activation)
         cache.append((a, z, out))
         a = out
@@ -168,14 +164,35 @@ def mlp_backward(params: MlpParams, cache: list, dy: np.ndarray
         raise ShapeMismatchError(
             f"dy shape {da.shape} != output shape {cache[-1][2].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    grads = [(np.empty(layer.weights.shape), np.empty(layer.bias.shape))
+             for layer in params.layers]
+    return _backward(params, cache, da, grads), grads
+
+
+def _backward(params: MlpParams, cache: list, dy: np.ndarray, slots,
+              input_grad: bool = True):
+    """Reverse pass of :func:`mlp_forward` that writes into ``slots``.
+
+    ``slots`` holds one C-contiguous ``(dW, db)`` pair per layer; every
+    element of each is overwritten.  ``dy`` is never written.  Returns the
+    input gradient, or None without computing the first layer's ``dz @ W``
+    when ``input_grad`` is false.
+    """
+    da, owned = dy, False
     for i in reversed(range(len(params.layers))):
         x_in, z, _ = cache[i]
         layer = params.layers[i]
-        dz = da * _activation_grad(z, layer.activation)
-        grads[i] = (dz.T @ x_in, dz.sum(axis=0))
-        da = dz @ layer.weights
-    return da, grads
+        dz = da
+        if layer.activation == "relu":
+            # multiplying by the 0/1 mask keeps the sign of each zeroed entry
+            dz = np.multiply(da, z > 0.0, out=da if owned else None)
+        dw, db = slots[i]
+        np.matmul(dz.T, x_in, out=dw)
+        np.sum(dz, axis=0, out=db)
+        if i == 0 and not input_grad:
+            return None
+        da, owned = dz @ layer.weights, True
+    return da
 
 
 def smooth_l1(pred, target) -> tuple[np.ndarray, np.ndarray]:
@@ -317,11 +334,16 @@ def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, one pair per parameter array.
+
+    ``work`` holds the two block-sized buffers that :func:`adam_step`
+    computes its temporaries in; it grows on first use.
+    """
 
     m: list
     v: list
     t: int = 0
+    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
 
 def init_adam_state(params: list) -> AdamState:
@@ -333,19 +355,52 @@ def init_adam_state(params: list) -> AdamState:
 
 
 def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3) -> None:
-    """One in-place Adam update (betas 0.9/0.999, eps 1e-8) over a flat list of arrays."""
+    """One in-place Adam update (betas 0.9/0.999, eps 1e-8) over a flat list of arrays.
+
+    Each array is updated in blocks of ``_ADAM_BLOCK`` elements with the
+    elementwise operations of Kingma & Ba in a fixed order, so the result
+    is the same float for float as one whole-array pass.  Parameters and
+    moments must be C-contiguous: they are updated through flat views.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params/grads/state lengths disagree")
+    width = 0
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if not p.shape == np.shape(g) == m.shape == v.shape:
+            raise ShapeMismatchError(
+                f"param {p.shape}, grad {np.shape(g)} and moments {m.shape}/{v.shape} disagree"
+            )
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ShapeMismatchError("params and moments must be C-contiguous")
+        width = max(width, min(p.size, _ADAM_BLOCK))
+    if state.work.shape[1] < width:
+        state.work = np.empty((2, width))
     b1, b2 = _ADAM_BETAS
     state.t += 1
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+        p, g, m, v = p.reshape(-1), np.reshape(g, -1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, p.size)
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=a)
+            a *= gb
+            vb += a
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(mb, correct1, out=a)
+            a *= lr
+            np.divide(vb, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += _ADAM_EPS
+            a /= b
+            pb -= a
 
 
 def grad_check(f, x: np.ndarray) -> float:

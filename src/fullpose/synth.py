@@ -91,10 +91,10 @@ class SceneSpec:
     yaw_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
-        if self.density <= 0.0:
-            raise ValueError("density must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.density) and self.density > 0.0):
+            raise ValueError(f"density must be finite and > 0, got {self.density}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.ramp_box_fraction is not None and not 0.0 <= self.ramp_box_fraction <= 1.0:
             raise ValueError(f"ramp_box_fraction must lie in [0, 1], got {self.ramp_box_fraction}")
 
@@ -242,6 +242,12 @@ def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
     return normal / np.linalg.norm(normal)
 
 
+def check_feature_noise(noise_sigma: float) -> None:
+    """Reject a feature noise level :func:`make_features` cannot use."""
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"feature noise_sigma must be finite and >= 0, got {noise_sigma}")
+
+
 def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Generator,
                   codec_cfg: codec.CodecConfig | None = None, feature_dim: int = 16,
                   class_count: int = 2, bg_per_frame: int = 12):
@@ -257,8 +263,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
 
     Returns ``(centers, features, targets)``, ``centers`` an (n, 3) array.
     """
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise ValueError(f"feature noise_sigma must be finite and >= 0, got {noise_sigma}")
+    check_feature_noise(noise_sigma)
     if frame.cloud.extras is None:
         raise ValueError("frame must carry source tags (extras channel)")
     if codec_cfg is None:

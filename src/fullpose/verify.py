@@ -247,8 +247,8 @@ def check_head_loss(rng: np.random.Generator) -> float:
         def f(vec):
             for ref, val in zip(arrays, _unpack(vec, templates)):
                 ref[...] = val
-            loss, grads, _ = head.head_loss(params, features, targets)
-            return loss, _pack(grads)
+            loss, grad, _ = head.head_loss(params, features, targets)
+            return loss, grad
 
         if _weakest_alive_grad(f, _pack(templates)) > _GRAD_FLOOR:
             break

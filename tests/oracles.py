@@ -11,7 +11,9 @@ scalar decode formulas) and differ only in how they loop and draw.  The
 checks and label IO at the very end are the library's per-value numpy
 checks and per-record JSONL reader and writer, kept literally because the
 Python-scalar versions must repeat them message for message and byte
-for byte.
+for byte.  The training oracles last are the per-array forward, backward,
+head loss and Adam step that the one-vector training must repeat bit for
+bit; they reuse only the library's loss and sigmoid.
 """
 
 from __future__ import annotations
@@ -463,3 +465,90 @@ def write_pose6d_oracle(records, path) -> None:
             if rec.difficulty is not None:
                 obj["difficulty"] = rec.difficulty
             fh.write(json.dumps(obj) + "\n")
+
+
+def adam_step_oracle(params, grads, m_list, v_list, t: int, lr: float) -> None:
+    """Adam step ``t`` (from 1) over whole arrays, one temporary per operation.
+
+    The per-array formula ``nn.adam_step`` had before it worked in
+    blocks; the blocked update must repeat it bit for bit.
+    """
+    b1, b2 = 0.9, 0.999
+    correct1 = 1.0 - b1**t
+    correct2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
+
+
+def mlp_forward_oracle(params, x):
+    """Forward pass with ``a @ W.T + b`` per layer; caches (input, pre-act, act)."""
+    a = np.asarray(x, dtype=np.float64)
+    cache = []
+    for layer in params.layers:
+        z = a @ layer.weights.T + layer.bias
+        out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        cache.append((a, z, out))
+        a = out
+    return a, cache
+
+
+def mlp_backward_oracle(params, cache, dy):
+    """Reverse pass with a float 0/1 relu mask and every input gradient computed."""
+    da = np.asarray(dy, dtype=np.float64)
+    grads = [None] * len(params.layers)
+    for i in reversed(range(len(params.layers))):
+        x_in, z, _ = cache[i]
+        layer = params.layers[i]
+        mask = (z > 0.0).astype(np.float64) if layer.activation == "relu" else np.ones_like(z)
+        dz = da * mask
+        grads[i] = (dz.T @ x_in, dz.sum(axis=0))
+        da = dz @ layer.weights
+    return da, grads
+
+
+def head_loss_oracle(params, features, targets):
+    """``head.head_loss`` as a list of fresh per-array gradients in parameter order."""
+    from fullpose import head, nn
+
+    seg_z, seg_cache = mlp_forward_oracle(params.seg, features)
+    trunk, shared_cache = mlp_forward_oracle(params.shared, features)
+    caches = {"seg": seg_cache, "shared": shared_cache}
+    fields = {"s_g": nn.sigmoid(seg_z[:, 0])}
+    for name, field_name in head._BRANCHES.items():
+        y, caches[name] = mlp_forward_oracle(getattr(params, name), trunk)
+        fields[field_name] = y[:, 0] if y.shape[1] == 1 else y
+    out = head.HeadOutput(**fields)
+    loss, bd = nn.composite_box_loss(out, targets)
+    grads = {}
+    dtrunk = np.zeros_like(caches["shared"][-1][2])
+    for name, field_name in head._BRANCHES.items():
+        dout = getattr(bd.grad, field_name)
+        dx, grads[name] = mlp_backward_oracle(
+            getattr(params, name), caches[name], dout[:, None] if dout.ndim == 1 else dout
+        )
+        dtrunk += dx
+    _, grads["shared"] = mlp_backward_oracle(params.shared, caches["shared"], dtrunk)
+    dseg_z = (bd.grad.s_g * out.s_g * (1.0 - out.s_g))[:, None]
+    _, grads["seg"] = mlp_backward_oracle(params.seg, caches["seg"], dseg_z)
+    return loss, [g for name in head._GROUPS for pair in grads[name] for g in pair], bd
+
+
+def train_toy_oracle(dataset, cfg, epochs: int, seed: int, lr: float):
+    """``head.train_toy`` on separate arrays with the oracle loss and Adam."""
+    from fullpose import head
+
+    params = head.init_head(cfg, np.random.default_rng(seed))
+    arrays = head.head_param_list(params)
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    t = 0
+    for _ in range(epochs):
+        for features, targets in dataset:
+            _, grads, _ = head_loss_oracle(params, features, targets)
+            t += 1
+            adam_step_oracle(arrays, grads, m, v, t, lr)
+    return params

@@ -131,10 +131,21 @@ class TestSynth:
         ("--ramp-fraction", "nan", "ramp_box_fraction must lie in [0, 1], got nan"),
         ("--feature-noise", "-1", "feature noise_sigma must be finite and >= 0, got -1.0"),
         ("--feature-noise", "inf", "feature noise_sigma must be finite and >= 0, got inf"),
-    ], ids=["ramp-above-1", "ramp-negative", "ramp-nan", "noise-negative", "noise-inf"])
+        ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+        ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+        ("--density", "nan", "density must be finite and > 0, got nan"),
+        ("--density", "inf", "density must be finite and > 0, got inf"),
+    ], ids=["ramp-above-1", "ramp-negative", "ramp-nan", "noise-negative", "noise-inf",
+            "sensor-noise-nan", "sensor-noise-inf", "density-nan", "density-inf"])
     def test_out_of_range_setting_is_data_error(self, flag, value, error, tmp_path, capsys):
         argv = ["synth", "--scenes", "1", flag, value, "--output", str(tmp_path / "out")]
         assert _fail(argv, capsys) == error
+
+    def test_rejected_setting_writes_no_frame(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["synth", "--scenes", "2", "--feature-noise", "-1", "--output", str(out)]
+        assert _fail(argv, capsys) == "feature noise_sigma must be finite and >= 0, got -1.0"
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 class TestAugment:

@@ -23,6 +23,9 @@ from fullpose.head import (
     save_head,
     train_toy,
 )
+from fullpose.nn import _ADAM_BLOCK
+
+import oracles  # noqa: E402
 
 SMALL = HeadConfig(feature_dim=12, shared_widths=(16, 12), seg_hidden=(8,))
 DEG = math.radians(1.0)
@@ -156,12 +159,23 @@ class TestLoss:
         params = init_head(SMALL, rng)
         feats = rng.standard_normal((6, 12))
         targets = verify._random_targets(6, SMALL.codec, rng)
-        loss, grads, bd = head_loss(params, feats, targets)
-        assert loss > 0
-        assert [g.shape for g in grads] == [a.shape for a in head_param_list(params)]
-        # the shared trunk's (dW, db) pairs follow the seg group's in the flat list
-        start = 2 * len(params.seg.layers)
-        assert any(g.any() for g in grads[start:start + 2 * len(params.shared.layers)])
+        loss, grad, bd = head_loss(params, feats, targets)
+        want_loss, want, _ = oracles.head_loss_oracle(params, feats, targets)
+        assert loss > 0 and loss == want_loss
+        arrays = head_param_list(params)
+        assert grad.shape == (sum(a.size for a in arrays),)
+        # one slice per array, in parameter order, each the oracle's bytes
+        at = 0
+        for a, w in zip(arrays, want, strict=True):
+            assert w.shape == a.shape
+            assert grad[at:at + a.size].tobytes() == w.tobytes()
+            at += a.size
+        # the shared trunk's slices follow the seg group's
+        n_seg = 2 * len(params.seg.layers)
+        n_shared = 2 * len(params.shared.layers)
+        start = sum(a.size for a in arrays[:n_seg])
+        stop = start + sum(a.size for a in arrays[n_seg:n_seg + n_shared])
+        assert grad[start:stop].any()
 
 
 def _toy_dataset(rng, frames=5, centers=30, feature_dim=12):
@@ -229,6 +243,16 @@ class TestTrainToy:
         p2, log2 = train_toy(dataset, SMALL, epochs=10, seed=3)
         assert log1 == log2
         for a, b in zip(head_param_list(p1), head_param_list(p2)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_matches_per_array_oracle(self):
+        # the trunk's second layer (120 x 300) is larger than one Adam block
+        cfg = HeadConfig(feature_dim=12, shared_widths=(300, 120), seg_hidden=(8,))
+        assert 120 * 300 > _ADAM_BLOCK
+        dataset = _toy_dataset(np.random.default_rng(12), frames=3, centers=10)
+        params, _ = train_toy(dataset, cfg, epochs=1, seed=4, lr=1e-2)
+        want = oracles.train_toy_oracle(dataset, cfg, epochs=1, seed=4, lr=1e-2)
+        for a, b in zip(head_param_list(params), head_param_list(want), strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_empty_dataset(self):

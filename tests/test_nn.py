@@ -4,10 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fullpose import verify
+from fullpose import nn, verify
 from fullpose.codec import BoxTargets
 from fullpose.head import HeadOutput
 from fullpose.nn import (
+    _ADAM_BLOCK,
     DenseLayer,
     LabelOutOfRangeError,
     MlpParams,
@@ -27,6 +28,8 @@ from fullpose.nn import (
     sigmoid,
     smooth_l1,
 )
+
+import oracles  # noqa: E402
 
 
 class TestMlpForward:
@@ -89,6 +92,66 @@ class TestMlpBackward:
 
     def test_finite_difference(self):
         assert verify.check_mlp(np.random.default_rng(5)) < 1e-6
+
+    @pytest.mark.parametrize("output_activation", ["none", "relu"])
+    def test_matches_oracle_and_leaves_dy_unchanged(self, output_activation):
+        rng = np.random.default_rng(12)
+        params = init_mlp((5, 7, 6, 3), rng, output_activation=output_activation)
+        x = rng.standard_normal((9, 5))
+        dy = rng.standard_normal((9, 3))
+        dy_bytes = dy.tobytes()
+        _, cache = mlp_forward(params, x)
+        dx, grads = mlp_backward(params, cache, dy)
+        assert dy.tobytes() == dy_bytes
+        want_dx, want = oracles.mlp_backward_oracle(params, cache, dy)
+        assert dx.tobytes() == want_dx.tobytes()
+        for (dw, db), (want_dw, want_db) in zip(grads, want):
+            assert dw.tobytes() == want_dw.tobytes()
+            assert db.tobytes() == want_db.tobytes()
+
+    def test_relu_gradient_keeps_negative_zeros(self, monkeypatch):
+        # every sum downstream starts from +0.0, so the sign of a zeroed
+        # entry is seen only in the relu gradient itself: catch it where
+        # the weight gradient is formed from it
+        params = MlpParams([DenseLayer(np.array([[-1.0, 0.0], [0.5, 1.0]]),
+                                       np.array([-0.5, 0.25]), "relu")])
+        x = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.5]])
+        dy = np.array([[-1.0, 2.0], [3.0, -0.5], [-2.0, 1.0]])
+        _, cache = mlp_forward(params, x)
+        seen = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            seen.append(a.T.copy())
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        mlp_backward(params, cache, dy)
+        monkeypatch.undo()
+        z = cache[0][1]
+        want = dy * (z > 0.0).astype(np.float64)
+        assert np.signbit(want[z <= 0.0]).any() and (want[z <= 0.0] == 0.0).all()
+        assert [dz.tobytes() for dz in seen] == [want.tobytes()]
+
+    def test_skipped_input_gradient_keeps_parameter_gradients(self):
+        rng = np.random.default_rng(13)
+        params = init_mlp((6, 8, 5, 4), rng, output_activation="relu")
+        x = rng.standard_normal((10, 6))
+        dy = rng.standard_normal((10, 4))
+        _, cache = mlp_forward(params, x)
+
+        def slots():
+            return [(np.full(layer.weights.shape, np.nan), np.full(layer.bias.shape, np.nan))
+                    for layer in params.layers]
+
+        with_dx, without_dx = slots(), slots()
+        dx = nn._backward(params, cache, dy, with_dx)
+        assert nn._backward(params, cache, dy, without_dx, input_grad=False) is None
+        assert dx.shape == x.shape
+        for (dw, db), (dw2, db2) in zip(with_dx, without_dx):
+            assert dw.tobytes() == dw2.tobytes()
+            assert db.tobytes() == db2.tobytes()
+            assert not np.isnan(dw).any() and not np.isnan(db).any()
 
 
 class TestSigmoid:
@@ -355,6 +418,87 @@ class TestAdam:
         a, b = run(), run()
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
+
+
+def _adam_oracle_run(arrays, grad_seq, lr=0.01):
+    params = [a.copy() for a in arrays]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t, grads in enumerate(grad_seq, start=1):
+        oracles.adam_step_oracle(params, grads, m, v, t, lr)
+    return params, m, v
+
+
+def _adam_run(arrays, grad_seq, lr=0.01):
+    params = [a.copy() for a in arrays]
+    state = init_adam_state(params)
+    for grads in grad_seq:
+        adam_step(params, grads, state, lr=lr)
+    return params, state.m, state.v
+
+
+class TestAdamBlocks:
+    """The blocked update repeats the whole-array formula bit for bit."""
+
+    STEPS = 6
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (_ADAM_BLOCK - 1,), (_ADAM_BLOCK,), (_ADAM_BLOCK + 1,), (512, 256),
+    ], ids=["one", "block-1", "block", "block+1", "512x256"])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(30)
+        start = [rng.standard_normal(shape)]
+        # a spread of magnitudes, exact zeros and signed zeros in the gradients
+        grad_seq = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)]
+                    for _ in range(self.STEPS)]
+        grad_seq[1][0].flat[::7] = 0.0
+        grad_seq[2][0].flat[::5] = -0.0
+        got, want = _adam_run(start, grad_seq), _adam_oracle_run(start, grad_seq)
+        for got_arrays, want_arrays in zip(got, want):
+            assert got_arrays[0].tobytes() == want_arrays[0].tobytes()
+
+    def test_flat_vector_matches_arrays_one_by_one(self):
+        rng = np.random.default_rng(31)
+        shapes = [(3, 4), (_ADAM_BLOCK + 5,), (1,), (40, 900), (7,)]
+        arrays = [rng.standard_normal(s) for s in shapes]
+        grad_seq = [[rng.standard_normal(s) for s in shapes] for _ in range(self.STEPS)]
+        flat = [np.concatenate([a.ravel() for a in arrays])]
+        flat_grads = [[np.concatenate([g.ravel() for g in grads])] for grads in grad_seq]
+        one_by_one, _, _ = _adam_run(arrays, grad_seq)
+        vector, _, _ = _adam_run(flat, flat_grads)
+        want, _, _ = _adam_oracle_run(arrays, grad_seq)
+        assert vector[0].tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+        for got, ref in zip(one_by_one, want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_transposed_gradient_matches_oracle(self):
+        rng = np.random.default_rng(32)
+        start = [rng.standard_normal((30, 20))]
+        grad_seq = [[rng.standard_normal((20, 30)).T] for _ in range(self.STEPS)]
+        got, _, _ = _adam_run(start, grad_seq)
+        want, _, _ = _adam_oracle_run(start, grad_seq)
+        assert got[0].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("view", [
+        lambda base: base.T, lambda base: base[:, ::2], lambda base: base[::3],
+    ], ids=["transposed", "column-strided", "row-strided"])
+    def test_non_contiguous_param_rejected_untouched(self, view):
+        base = np.random.default_rng(33).standard_normal((6, 8))
+        before = base.tobytes()
+        param = view(base)
+        state = init_adam_state([param])
+        with pytest.raises(ShapeMismatchError, match="C-contiguous"):
+            adam_step([param], [np.ones(param.shape)], state, lr=0.1)
+        assert base.tobytes() == before
+        assert state.t == 0
+
+    def test_gradient_shape_mismatch(self):
+        params = [np.zeros(4), np.zeros((2, 3))]
+        state = init_adam_state(params)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(params, [np.zeros(4), np.zeros(6)], state)
+        assert state.t == 0
+        assert not params[0].any()
 
 
 class TestGradCheck:
