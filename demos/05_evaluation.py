@@ -55,9 +55,9 @@ print(report.text_table())
 # The pieces are usable on their own: match one frame and inspect TPs.
 frame = "000000"
 result = match(detections(0.2)[frame], gts[frame], MatchCriterion("center_distance", 1.0))
-scores = tp_scores(result)
+scores = tp_scores([result])
 print(f"\nsingle frame: {int(result.det_tp.sum())}/{len(result.det_tp)} TPs, "
       f"ats={scores.ats:.3f} ass={scores.ass:.3f} aos={scores.aos:.3f}")
-print("AP at 11 recall positions:", round(average_precision(result, 11), 3))
-print("composite score:", round(rods(average_precision(result, 40),
+print("AP at 11 recall positions:", round(average_precision([result], 11), 3))
+print("composite score:", round(rods(average_precision([result], 40),
                                      scores.ats, scores.ass, scores.aos), 3))

@@ -142,7 +142,9 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
         ramp_box_fraction=args.ramp_fraction,
     )
     # every setting is checked before the first frame is written
-    synth.check_feature_noise(args.feature_noise)
+    synth.check_feature_settings(args.feature_noise, args.bg_centers)
+    if args.scenes < 1:
+        raise ValueError(f"scenes must be >= 1, got {args.scenes}")
     out_dir = Path(args.output)
     for sub in ("velodyne", "labels", "features"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -368,7 +370,8 @@ def cmd_convert(args, cfg: dataio.ToolkitConfig) -> dict:
 def _map_tasks(fn, tasks, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool starts every worker at once: no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -376,6 +379,13 @@ def _seed(text: str) -> int:
     """A ``--seed`` value: the non-negative entropy of every generator."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: the number of worker processes, at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("augment", help="slope-augment a dataset directory")
     common(p)

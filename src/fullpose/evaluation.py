@@ -202,8 +202,6 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
 
 
 def _pool(results) -> tuple[np.ndarray, np.ndarray, int]:
-    if isinstance(results, MatchResult):
-        results = [results]
     scores, tps, n_gt = [], [], 0
     for r in results:
         keep = ~r.det_ignored
@@ -216,7 +214,7 @@ def _pool(results) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def average_precision(results, positions: int = 40) -> float:
-    """Interpolated AP over pooled match results at 11 or 40 recall points."""
+    """Interpolated AP over a list of match results at 11 or 40 recall points."""
     if positions not in (11, 40):
         raise ValueError("positions must be 11 or 40")
     scores, tps, n_gt = _pool(results)
@@ -250,9 +248,7 @@ class TpScores:
 
 
 def tp_scores(results, d_th: float = 1.0) -> TpScores:
-    """Average the bounded per-TP quality scores over pooled results."""
-    if isinstance(results, MatchResult):
-        results = [results]
+    """Average the bounded per-TP quality scores over a list of match results."""
     trans, scale, orient = [], [], []
     for r in results:
         sel = r.det_tp

@@ -147,66 +147,44 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
     ]
 
 
-def head_loss(params: HeadParams, features: np.ndarray, targets):
-    """Composite box loss plus gradients for every head parameter.
+def head_loss(params: HeadParams, features: np.ndarray, targets, grad: np.ndarray):
+    """Composite box loss; writes the gradient of every head parameter into ``grad``.
 
-    Returns ``(loss, grad, breakdown)`` where ``grad`` is one float64
-    vector holding every weight and bias gradient, flattened in
-    :func:`head_param_list` order, and ``breakdown.grad`` holds the
-    gradient w.r.t. each raw output.
+    ``grad`` is a float64 vector the caller owns, laid out by
+    :func:`nn.layer_views` over the groups in :func:`head_param_list`
+    order; every element is overwritten.  Returns ``(loss, breakdown)``,
+    where ``breakdown.grad`` holds the gradient w.r.t. each raw output.
     """
-    grad = np.empty(sum(a.size for a in head_param_list(params)))
-    loss, bd = _loss_into(params, features, targets, _layer_views(grad, params))
-    return loss, grad, bd
-
-
-def _loss_into(params: HeadParams, features: np.ndarray, targets, slots):
-    """:func:`head_loss` writing the parameter gradients into ``slots``.
-
-    ``slots`` maps each group to one ``(dW, db)`` pair of arrays per layer,
-    as :func:`_layer_views` lays them out; returns ``(loss, breakdown)``.
-    """
+    slots = dict(zip(_GROUPS, nn.layer_views(grad, _mlps(params))))
     out, caches = _forward_cached(params, features)
     loss, bd = nn.composite_box_loss(out, targets)
 
     dtrunk = np.zeros_like(caches["shared"][-1][2])
     for name, field_name in _BRANCHES.items():
         dout = getattr(bd.grad, field_name)
-        dtrunk += nn._backward(
-            getattr(params, name), caches[name], dout[:, None] if dout.ndim == 1 else dout,
-            slots[name],
+        dtrunk += nn.mlp_backward(
+            getattr(params, name), caches[name], slots[name],
+            dout[:, None] if dout.ndim == 1 else dout, input_grad=True,
         )
     # the input gradients of the trunk and of the seg stack are not needed
-    nn._backward(params.shared, caches["shared"], dtrunk, slots["shared"], input_grad=False)
+    nn.mlp_backward(params.shared, caches["shared"], slots["shared"], dtrunk, input_grad=False)
     dseg_z = (bd.grad.s_g * out.s_g * (1.0 - out.s_g))[:, None]
-    nn._backward(params.seg, caches["seg"], dseg_z, slots["seg"], input_grad=False)
+    nn.mlp_backward(params.seg, caches["seg"], slots["seg"], dseg_z, input_grad=False)
     return loss, bd
+
+
+def _mlps(params: HeadParams) -> list[nn.MlpParams]:
+    return [getattr(params, name) for name in _GROUPS]
 
 
 def head_param_list(params: HeadParams) -> list[np.ndarray]:
     """Flat references to every weight/bias array, in a fixed order."""
-    return [a for name in _GROUPS for layer in getattr(params, name).layers
+    return [a for mlp in _mlps(params) for layer in mlp.layers
             for a in (layer.weights, layer.bias)]
 
 
-def _layer_views(vec: np.ndarray, params: HeadParams) -> dict[str, list]:
-    """Views of ``vec`` shaped like each layer's (weights, bias), per group.
-
-    The views tile ``vec`` in :func:`head_param_list` order.
-    """
-    views, at = {}, 0
-    for name in _GROUPS:
-        views[name] = []
-        for layer in getattr(params, name).layers:
-            w_end = at + layer.weights.size
-            b_end = w_end + layer.bias.size
-            views[name].append((vec[at:w_end].reshape(layer.weights.shape), vec[w_end:b_end]))
-            at = b_end
-    return views
-
-
 def save_head(params: HeadParams, path) -> None:
-    nn.save_mlps([getattr(params, name) for name in _GROUPS], path)
+    nn.save_mlps(_mlps(params), path)
 
 
 def load_head(path) -> HeadParams:
@@ -231,21 +209,21 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
     rng = np.random.default_rng(seed)
     params = init_head(cfg, rng)
     # every weight and bias becomes a view of one vector, which Adam
-    # updates in one pass; the gradient slots tile a vector the same way
+    # updates in one pass; the gradient vector has the same layout
+    mlps = _mlps(params)
     flat = np.concatenate([a.ravel() for a in head_param_list(params)])
-    for name, pairs in _layer_views(flat, params).items():
-        for layer, (weights, bias) in zip(getattr(params, name).layers, pairs):
+    for mlp, pairs in zip(mlps, nn.layer_views(flat, mlps)):
+        for layer, (weights, bias) in zip(mlp.layers, pairs):
             layer.weights, layer.bias = weights, bias
     grad = np.empty_like(flat)
-    slots = _layer_views(grad, params)
-    state = nn.init_adam_state([flat])
+    state = nn.init_adam_state(flat)
     log = []
     for epoch in range(epochs):
         totals = []
         term_sums = {}
         for features, targets in dataset:
-            loss, bd = _loss_into(params, features, targets, slots)
-            nn.adam_step([flat], [grad], state, lr=lr)
+            loss, bd = head_loss(params, features, targets, grad)
+            nn.adam_step(flat, grad, state, lr=lr)
             totals.append(loss)
             for key, val in bd.terms.items():
                 term_sums[key] = term_sums.get(key, 0.0) + val

@@ -109,9 +109,25 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.layers[0].weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
+
+def layer_views(vec: np.ndarray, mlps) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Views of ``vec`` shaped like each layer's ``(weights, bias)``, per MLP.
+
+    This is the flat parameter layout: the views tile all of ``vec`` in the
+    order of ``mlps``, layer by layer, row-major weights before the bias.
+    """
+    views, at = [], 0
+    for mlp in mlps:
+        pairs = []
+        for layer in mlp.layers:
+            w_end = at + layer.weights.size
+            b_end = w_end + layer.bias.size
+            pairs.append((vec[at:w_end].reshape(layer.weights.shape), vec[w_end:b_end]))
+            at = b_end
+        views.append(pairs)
+    if at != vec.size:
+        raise ShapeMismatchError(f"vector of {vec.size} values for {at} parameters")
+    return views
 
 
 def init_mlp(widths, rng: np.random.Generator, output_activation: str = "none") -> MlpParams:
@@ -156,29 +172,22 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     return a, cache
 
 
-def mlp_backward(params: MlpParams, cache: list, dy: np.ndarray
-                 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Exact reverse-mode gradients; returns (dx, [(dW, db) per layer])."""
+def mlp_backward(params: MlpParams, cache: list, slots, dy: np.ndarray, *,
+                 input_grad: bool) -> np.ndarray | None:
+    """Exact reverse pass of :func:`mlp_forward`, writing into ``slots``.
+
+    ``slots`` holds one C-contiguous ``(dW, db)`` pair per layer, as
+    :func:`layer_views` lays them out; every element of each is
+    overwritten.  ``dy`` is never written.  Returns the input gradient, or
+    None without computing the first layer's ``dz @ W`` when
+    ``input_grad`` is false.
+    """
     da = np.asarray(dy, dtype=np.float64)
     if da.shape != cache[-1][2].shape:
         raise ShapeMismatchError(
             f"dy shape {da.shape} != output shape {cache[-1][2].shape}"
         )
-    grads = [(np.empty(layer.weights.shape), np.empty(layer.bias.shape))
-             for layer in params.layers]
-    return _backward(params, cache, da, grads), grads
-
-
-def _backward(params: MlpParams, cache: list, dy: np.ndarray, slots,
-              input_grad: bool = True):
-    """Reverse pass of :func:`mlp_forward` that writes into ``slots``.
-
-    ``slots`` holds one C-contiguous ``(dW, db)`` pair per layer; every
-    element of each is overwritten.  ``dy`` is never written.  Returns the
-    input gradient, or None without computing the first layer's ``dz @ W``
-    when ``input_grad`` is false.
-    """
-    da, owned = dy, False
+    owned = False
     for i in reversed(range(len(params.layers))):
         x_in, z, _ = cache[i]
         layer = params.layers[i]
@@ -234,18 +243,17 @@ def focal_loss(p, y, alpha: float = 0.25, gamma_f: float = 2.0
     return loss, grad
 
 
-def cross_entropy(logits, label) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax cross-entropy with a stable log-sum-exp.
+def cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of an (n, C) batch with (n,) integer labels.
 
-    Accepts a single logit vector with an integer label, or a (n, C)
-    batch with (n,) labels; gradients are ``softmax - onehot``.
+    Uses a stable log-sum-exp; the gradients are ``softmax - onehot``.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    z = np.atleast_2d(logits)
-    labels = np.atleast_1d(np.asarray(label, dtype=np.intp))
-    if labels.shape[0] != z.shape[0]:
-        raise ShapeMismatchError("labels must match the batch size")
+    z = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if z.ndim != 2 or labels.shape != z.shape[:1]:
+        raise ShapeMismatchError(
+            f"logits {z.shape} and labels {labels.shape} are not (n, C) and (n,)"
+        )
     if np.any(labels < 0) or np.any(labels >= z.shape[1]):
         raise LabelOutOfRangeError(
             f"labels must lie in [0, {z.shape[1]}) for {z.shape[1]} classes"
@@ -256,8 +264,6 @@ def cross_entropy(logits, label) -> tuple[np.ndarray, np.ndarray]:
     loss = lse - z[rows, labels]
     grad = np.exp(z - lse[:, None])
     grad[rows, labels] -= 1.0
-    if single:
-        return loss[0], grad[0]
     return loss, grad
 
 
@@ -334,73 +340,69 @@ def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array.
+    """First/second moments shaped like the parameter array, and the step count.
 
     ``work`` holds the two block-sized buffers that :func:`adam_step`
-    computes its temporaries in; it grows on first use.
+    computes its temporaries in.
     """
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray = field(repr=False)
     t: int = 0
-    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
 
-def init_adam_state(params: list) -> AdamState:
+def init_adam_state(param: np.ndarray) -> AdamState:
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0,
+        m=np.zeros_like(param),
+        v=np.zeros_like(param),
+        work=np.empty((2, min(param.size, _ADAM_BLOCK))),
     )
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float = 1e-3) -> None:
-    """One in-place Adam update (betas 0.9/0.999, eps 1e-8) over a flat list of arrays.
+def adam_step(param: np.ndarray, grad, state: AdamState, lr: float = 1e-3) -> None:
+    """One in-place Adam update (betas 0.9/0.999, eps 1e-8) of one array.
 
-    Each array is updated in blocks of ``_ADAM_BLOCK`` elements with the
+    The array is updated in blocks of ``_ADAM_BLOCK`` elements with the
     elementwise operations of Kingma & Ba in a fixed order, so the result
-    is the same float for float as one whole-array pass.  Parameters and
-    moments must be C-contiguous: they are updated through flat views.
+    is the same float for float as one whole-array pass.  The parameter
+    and the moments must be C-contiguous: they are updated through flat
+    views.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("params/grads/state lengths disagree")
-    width = 0
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not p.shape == np.shape(g) == m.shape == v.shape:
-            raise ShapeMismatchError(
-                f"param {p.shape}, grad {np.shape(g)} and moments {m.shape}/{v.shape} disagree"
-            )
-        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise ShapeMismatchError("params and moments must be C-contiguous")
-        width = max(width, min(p.size, _ADAM_BLOCK))
-    if state.work.shape[1] < width:
-        state.work = np.empty((2, width))
+    if not param.shape == np.shape(grad) == state.m.shape == state.v.shape:
+        raise ShapeMismatchError(
+            f"param {param.shape}, grad {np.shape(grad)} and moments "
+            f"{state.m.shape}/{state.v.shape} disagree"
+        )
+    if not (param.flags.c_contiguous and state.m.flags.c_contiguous
+            and state.v.flags.c_contiguous):
+        raise ShapeMismatchError("the parameter and moments must be C-contiguous")
     b1, b2 = _ADAM_BETAS
     state.t += 1
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p, g, m, v = p.reshape(-1), np.reshape(g, -1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, p.size)
-            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            mb *= b1
-            np.multiply(gb, 1.0 - b1, out=a)
-            mb += a
-            vb *= b2
-            np.multiply(gb, 1.0 - b2, out=a)
-            a *= gb
-            vb += a
-            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(mb, correct1, out=a)
-            a *= lr
-            np.divide(vb, correct2, out=b)
-            np.sqrt(b, out=b)
-            b += _ADAM_EPS
-            a /= b
-            pb -= a
+    p, g = param.reshape(-1), np.reshape(grad, -1)
+    m, v = state.m.reshape(-1), state.v.reshape(-1)
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, p.size)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(gb, 1.0 - b2, out=a)
+        a *= gb
+        vb += a
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(mb, correct1, out=a)
+        a *= lr
+        np.divide(vb, correct2, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        pb -= a
 
 
 def grad_check(f, x: np.ndarray) -> float:

@@ -91,6 +91,8 @@ class SceneSpec:
     yaw_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
+        if self.box_count < 0:
+            raise ValueError(f"box_count must be >= 0, got {self.box_count}")
         if not (math.isfinite(self.density) and self.density > 0.0):
             raise ValueError(f"density must be finite and > 0, got {self.density}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
@@ -242,10 +244,12 @@ def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
     return normal / np.linalg.norm(normal)
 
 
-def check_feature_noise(noise_sigma: float) -> None:
-    """Reject a feature noise level :func:`make_features` cannot use."""
+def check_feature_settings(noise_sigma: float, bg_per_frame: int) -> None:
+    """Reject a feature noise level or background count :func:`make_features` cannot use."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ValueError(f"feature noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if bg_per_frame < 0:
+        raise ValueError(f"bg_per_frame must be >= 0, got {bg_per_frame}")
 
 
 def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Generator,
@@ -263,7 +267,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
 
     Returns ``(centers, features, targets)``, ``centers`` an (n, 3) array.
     """
-    check_feature_noise(noise_sigma)
+    check_feature_settings(noise_sigma, bg_per_frame)
     if frame.cloud.extras is None:
         raise ValueError("frame must carry source tags (extras channel)")
     if codec_cfg is None:

@@ -73,24 +73,19 @@ def _unpack(vec: np.ndarray, templates) -> list[np.ndarray]:
     return out
 
 
-def _mlp_from_vector(widths, activations, vec):
-    layers = []
-    at = 0
-    for (din, dout), act in zip(zip(widths, widths[1:]), activations):
-        w = vec[at:at + dout * din].reshape(dout, din)
-        at += dout * din
-        b = vec[at:at + dout]
-        at += dout
-        layers.append(nn.DenseLayer(w, b, act))
-    return nn.MlpParams(layers), at
+def _draw_layers(views, rng: np.random.Generator) -> None:
+    """Fill each ``(weights, bias)`` pair with bounded values scaled to its fan-in."""
+    for weights, bias in views:
+        weights[...] = _bounded(rng, weights.shape, scale=np.sqrt(1.0 / weights.shape[1]))
+        bias[...] = _bounded(rng, bias.shape, scale=0.3)
 
 
-def _bounded_mlp_vector(widths, rng: np.random.Generator) -> np.ndarray:
-    parts = []
-    for din, dout in zip(widths, widths[1:]):
-        parts.append(_bounded(rng, (dout, din), scale=np.sqrt(1.0 / din)).ravel())
-        parts.append(_bounded(rng, dout, scale=0.3))
-    return np.concatenate(parts)
+def _load(mlps, vec: np.ndarray) -> None:
+    """Copy ``vec``, laid out by :func:`nn.layer_views`, into the layers of ``mlps``."""
+    for mlp, pairs in zip(mlps, nn.layer_views(vec, mlps)):
+        for layer, (weights, bias) in zip(mlp.layers, pairs):
+            layer.weights[...] = weights
+            layer.bias[...] = bias
 
 
 def _relu_kink_gap(params: nn.MlpParams, cache) -> float:
@@ -110,20 +105,25 @@ def _smooth_l1_kink_gap(pred, target) -> float:
 def check_mlp(rng: np.random.Generator) -> float:
     """Gradients of 0.5*||mlp(x)||^2 w.r.t. parameters and input."""
     widths = (4, 5, 3)
-    acts = ("relu", "none")
+    params = nn.MlpParams([nn.DenseLayer(np.empty((dout, din)), np.empty(dout), act)
+                           for din, dout, act in zip(widths, widths[1:], ("relu", "none"))])
+    n = sum(layer.weights.size + layer.bias.size for layer in params.layers)
 
     def f(v):
-        p, at = _mlp_from_vector(widths, acts, v)
-        xv = v[at:].reshape(3, 4)
-        y, cache = nn.mlp_forward(p, xv)
-        dx, grads = nn.mlp_backward(p, cache, y)
-        gvec = _pack([g for pair in grads for g in pair] + [dx])
+        _load([params], v[:n])
+        y, cache = nn.mlp_forward(params, v[n:].reshape(3, 4))
+        gvec = np.empty_like(v)
+        (slots,) = nn.layer_views(gvec[:n], [params])
+        gvec[n:] = nn.mlp_backward(params, cache, slots, y, input_grad=True).ravel()
         return 0.5 * float((y * y).sum()), gvec
 
     for _ in range(_MAX_REDRAWS):
         x = _bounded(rng, (3, 4), lo=0.5, hi=2.0)
-        vec = np.concatenate([_bounded_mlp_vector(widths, rng), x.ravel()])
-        params, _ = _mlp_from_vector(widths, acts, vec)
+        vec = np.empty(n + x.size)
+        vec[n:] = x.ravel()
+        (views,) = nn.layer_views(vec[:n], [params])
+        _draw_layers(views, rng)
+        _load([params], vec[:n])
         _, cache = nn.mlp_forward(params, x)
         if _relu_kink_gap(params, cache) > _SAFE_MARGIN and _weakest_alive_grad(f, vec) > _GRAD_FLOOR:
             break
@@ -221,13 +221,11 @@ def check_head_loss(rng: np.random.Generator) -> float:
     cfg = head.HeadConfig(feature_dim=5, shared_widths=(8, 6), seg_hidden=(4,))
     for _ in range(_MAX_REDRAWS):
         params = head.init_head(cfg, rng)
-        for name in head._GROUPS:
-            for layer in getattr(params, name).layers:
-                fan_in = layer.weights.shape[1]
-                layer.weights[...] = _bounded(
-                    rng, layer.weights.shape, scale=np.sqrt(1.0 / fan_in)
-                )
-                layer.bias[...] = _bounded(rng, layer.bias.shape, scale=0.3)
+        mlps = head._mlps(params)
+        start = np.empty(sum(a.size for a in head.head_param_list(params)))
+        for views in nn.layer_views(start, mlps):
+            _draw_layers(views, rng)
+        _load(mlps, start)
         features = _bounded(rng, (4, cfg.feature_dim), lo=0.5, hi=2.0)
         targets = _random_targets(4, cfg.codec, rng)
         out, caches = head._forward_cached(params, features)
@@ -241,18 +239,16 @@ def check_head_loss(rng: np.random.Generator) -> float:
         ]
         if min(gaps) <= _SAFE_MARGIN:
             continue
-        arrays = head.head_param_list(params)
-        templates = [a.copy() for a in arrays]
 
         def f(vec):
-            for ref, val in zip(arrays, _unpack(vec, templates)):
-                ref[...] = val
-            loss, grad, _ = head.head_loss(params, features, targets)
+            _load(mlps, vec)
+            grad = np.empty_like(vec)
+            loss, _ = head.head_loss(params, features, targets, grad)
             return loss, grad
 
-        if _weakest_alive_grad(f, _pack(templates)) > _GRAD_FLOOR:
+        if _weakest_alive_grad(f, start) > _GRAD_FLOOR:
             break
-    return nn.grad_check(f, _pack(templates))
+    return nn.grad_check(f, start)
 
 
 _CHECKS = {

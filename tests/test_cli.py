@@ -135,11 +135,18 @@ class TestSynth:
         ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
         ("--density", "nan", "density must be finite and > 0, got nan"),
         ("--density", "inf", "density must be finite and > 0, got inf"),
+        ("--boxes", "-1", "box_count must be >= 0, got -1"),
+        ("--bg-centers", "-1", "bg_per_frame must be >= 0, got -1"),
+        ("--scenes", "-1", "scenes must be >= 1, got -1"),
+        ("--scenes", "0", "scenes must be >= 1, got 0"),
     ], ids=["ramp-above-1", "ramp-negative", "ramp-nan", "noise-negative", "noise-inf",
-            "sensor-noise-nan", "sensor-noise-inf", "density-nan", "density-inf"])
+            "sensor-noise-nan", "sensor-noise-inf", "density-nan", "density-inf",
+            "boxes-negative", "bg-centers-negative", "scenes-negative", "scenes-zero"])
     def test_out_of_range_setting_is_data_error(self, flag, value, error, tmp_path, capsys):
-        argv = ["synth", "--scenes", "1", flag, value, "--output", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = ["synth", "--scenes", "1", flag, value, "--output", str(out)]
         assert _fail(argv, capsys) == error
+        assert not out.exists()
 
     def test_rejected_setting_writes_no_frame(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -445,6 +452,48 @@ def test_negative_seed_is_usage_error(seed, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["augment", "--input", "in", "--output", "out"],
+    ["synth", "--scenes", "1", "--output", "out"],
+    ["train-head", "--data", "data", "--out", "head.bin"],
+    ["eval", "--gt", "gt", "--pred", "pred"],
+    ["stats", "--input", "in", "--out", "stats.csv"],
+    ["nms", "--pred", "pred.jsonl"],
+    ["gradcheck"],
+    ["convert", "--input", "in", "--output", "out"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_jobs_below_one_is_usage_error(command, jobs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*command, "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: must be a positive integer, got '{jobs}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    run_ok(["synth", "--scenes", "2", "--jobs", "64", "--output", str(tmp_path / "out")])
+    assert asked == [2]
 
 
 KITTI_CALIB = """\

@@ -233,12 +233,12 @@ class TestAveragePrecision:
         return match(dets, gts, CD)
 
     def test_perfect_detector(self):
-        assert average_precision(self._perfect(), 11) == 1.0
-        assert average_precision(self._perfect(), 40) == 1.0
+        assert average_precision([self._perfect()], 11) == 1.0
+        assert average_precision([self._perfect()], 40) == 1.0
 
     def test_no_detections(self):
         res = match([], [box([0, 0, 0])], CD)
-        assert average_precision(res, 11) == 0.0
+        assert average_precision([res], 11) == 0.0
 
     def test_hand_interpolated_case(self):
         # flags in score order: TP FP TP TP FP over 4 GTs
@@ -252,36 +252,36 @@ class TestAveragePrecision:
         ]
         res = match(dets, gts, CD)
         assert list(res.det_tp) == [True, False, True, True, False]
-        assert abs(average_precision(res, 11) - 6.75 / 11) < 1e-12
-        assert abs(average_precision(res, 40) - 0.625) < 1e-12
+        assert abs(average_precision([res], 11) - 6.75 / 11) < 1e-12
+        assert abs(average_precision([res], 40) - 0.625) < 1e-12
 
     def test_positions_validated(self):
         with pytest.raises(ValueError):
-            average_precision(self._perfect(), 20)
+            average_precision([self._perfect()], 20)
 
 
 class TestTpScores:
     def test_exact_matches(self):
         gts = [box([0, 0, 0]), box([10, 0, 0])]
         dets = [box([0, 0, 0], score=0.9), box([10, 0, 0], score=0.8)]
-        s = tp_scores(match(dets, gts, CD))
+        s = tp_scores([match(dets, gts, CD)])
         assert (s.ats, s.ass, s.aos) == (1.0, 1.0, 1.0)
         assert s.defined and s.n_tp == 2
 
     def test_half_meter_offset(self):
         res = match([box([0.5, 0, 0], score=0.9)], [box([0, 0, 0])], CD)
-        s = tp_scores(res, d_th=1.0)
+        s = tp_scores([res], d_th=1.0)
         assert abs(s.ats - 0.5) < 1e-12
 
     def test_quarter_turn_orientation(self):
         det = box([0, 0, 0], tz=math.pi / 2, score=0.9)
         res = match([det], [box([0, 0, 0])], CD)
-        s = tp_scores(res)
+        s = tp_scores([res])
         assert abs(s.aos - 0.5) < 1e-12
 
     def test_no_tps_flagged(self):
         res = match([box([50, 0, 0], score=0.9)], [box([0, 0, 0])], CD)
-        s = tp_scores(res)
+        s = tp_scores([res])
         assert not s.defined
         assert (s.ats, s.ass, s.aos) == (0.0, 0.0, 0.0)
 
@@ -293,13 +293,13 @@ class TestTpScores:
                 score=float(rng.random()))
             for g in gts
         ]
-        s0 = tp_scores(match(dets, gts, CD))
+        s0 = tp_scores([match(dets, gts, CD)])
         motion = RigidTransform(
             rotation=euler_to_matrix(EulerXYZ(0, 0, 1.1)), pivot=np.array([7.0, -3.0, 2.0])
         )
         dets_m = [transform_box(b, motion) for b in dets]
         gts_m = [transform_box(b, motion) for b in gts]
-        s1 = tp_scores(match(dets_m, gts_m, CD))
+        s1 = tp_scores([match(dets_m, gts_m, CD)])
         assert abs(s0.ats - s1.ats) < 1e-9
         assert abs(s0.ass - s1.ass) < 1e-9
         assert abs(s0.aos - s1.aos) < 1e-9

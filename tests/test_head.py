@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fullpose import verify
+from fullpose import nn, verify
 from fullpose.codec import BoxTargets, CodecConfig, encode_tilt
 from fullpose.geom import EulerXYZ, FullPoseBox
 from fullpose.head import (
@@ -23,7 +23,7 @@ from fullpose.head import (
     save_head,
     train_toy,
 )
-from fullpose.nn import _ADAM_BLOCK
+from fullpose.nn import _ADAM_BLOCK, ShapeMismatchError
 
 import oracles  # noqa: E402
 
@@ -159,11 +159,11 @@ class TestLoss:
         params = init_head(SMALL, rng)
         feats = rng.standard_normal((6, 12))
         targets = verify._random_targets(6, SMALL.codec, rng)
-        loss, grad, bd = head_loss(params, feats, targets)
+        arrays = head_param_list(params)
+        grad = np.full(sum(a.size for a in arrays), np.nan)
+        loss, _ = head_loss(params, feats, targets, grad)
         want_loss, want, _ = oracles.head_loss_oracle(params, feats, targets)
         assert loss > 0 and loss == want_loss
-        arrays = head_param_list(params)
-        assert grad.shape == (sum(a.size for a in arrays),)
         # one slice per array, in parameter order, each the oracle's bytes
         at = 0
         for a, w in zip(arrays, want, strict=True):
@@ -176,6 +176,15 @@ class TestLoss:
         start = sum(a.size for a in arrays[:n_seg])
         stop = start + sum(a.size for a in arrays[n_seg:n_seg + n_shared])
         assert grad[start:stop].any()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_gradient_vector_of_another_length_rejected(self, extra):
+        rng = np.random.default_rng(6)
+        params = init_head(SMALL, rng)
+        size = sum(a.size for a in head_param_list(params)) + extra
+        targets = verify._random_targets(6, SMALL.codec, rng)
+        with pytest.raises(ShapeMismatchError):
+            head_loss(params, rng.standard_normal((6, 12)), targets, np.zeros(size))
 
 
 def _toy_dataset(rng, frames=5, centers=30, feature_dim=12):
@@ -254,6 +263,32 @@ class TestTrainToy:
         want = oracles.train_toy_oracle(dataset, cfg, epochs=1, seed=4, lr=1e-2)
         for a, b in zip(head_param_list(params), head_param_list(want), strict=True):
             assert a.tobytes() == b.tobytes()
+
+    def test_probes_see_every_backward_and_adam_step(self, monkeypatch):
+        # counting wrappers replace the module attributes, as a tracer
+        # installs its probes; each frame has its own row count
+        rng = np.random.default_rng(13)
+        dataset = [frame for centers in (5, 7, 9)
+                   for frame in _toy_dataset(rng, frames=1, centers=centers)]
+        backward_rows, adam_calls = [], []
+        mlp_backward, adam_step = nn.mlp_backward, nn.adam_step
+
+        def counted_backward(*args, **kwargs):
+            assert isinstance(args[-1], np.ndarray)
+            backward_rows.append(args[-1].shape[0])
+            return mlp_backward(*args, **kwargs)
+
+        def counted_adam(*args, **kwargs):
+            adam_calls.append(args[0].size)
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "mlp_backward", counted_backward)
+        monkeypatch.setattr(nn, "adam_step", counted_adam)
+        params, _ = train_toy(dataset, SMALL, epochs=1, seed=0)
+        groups = len(_GROUPS)
+        assert groups == 8
+        assert backward_rows == [n for n in (5, 7, 9) for _ in range(groups)]
+        assert adam_calls == [sum(a.size for a in head_param_list(params))] * 3
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):

@@ -21,6 +21,7 @@ from fullpose.nn import (
     grad_check,
     init_adam_state,
     init_mlp,
+    layer_views,
     load_mlps,
     mlp_backward,
     mlp_forward,
@@ -70,6 +71,30 @@ class TestInitMlp:
         assert [layer.weights.shape for layer in params.layers] == [(6, 4), (5, 6), (2, 5)]
 
 
+def _nan_slots(params):
+    return [(np.full(layer.weights.shape, np.nan), np.full(layer.bias.shape, np.nan))
+            for layer in params.layers]
+
+
+class TestLayerViews:
+    def test_views_tile_the_vector_in_order(self):
+        rng = np.random.default_rng(40)
+        mlps = [init_mlp((3, 4, 2), rng), init_mlp((2, 1), rng)]
+        vec = np.arange(4 * 3 + 4 + 2 * 4 + 2 + 1 * 2 + 1, dtype=np.float64)
+        views = layer_views(vec, mlps)
+        assert [[(w.shape, b.shape) for w, b in pairs] for pairs in views] == [
+            [((4, 3), (4,)), ((2, 4), (2,))], [((1, 2), (1,))]]
+        flat = np.concatenate([a.ravel() for pairs in views for pair in pairs for a in pair])
+        assert np.array_equal(flat, vec)
+        views[1][0][1][0] = -1.0
+        assert vec[-1] == -1.0
+
+    @pytest.mark.parametrize("size", [25, 27])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ShapeMismatchError):
+            layer_views(np.zeros(size), [init_mlp((3, 4, 2), np.random.default_rng(42))])
+
+
 class TestMlpBackward:
     def test_linear_layer_weight_gradient(self):
         rng = np.random.default_rng(3)
@@ -77,7 +102,8 @@ class TestMlpBackward:
         x = rng.standard_normal((5, 3))
         dy = rng.standard_normal((5, 2))
         _, cache = mlp_forward(params, x)
-        _, grads = mlp_backward(params, cache, dy)
+        grads = _nan_slots(params)
+        mlp_backward(params, cache, grads, dy, input_grad=True)
         assert np.abs(grads[0][0] - dy.T @ x).max() < 1e-12
         assert np.abs(grads[0][1] - dy.sum(0)).max() < 1e-12
 
@@ -86,9 +112,17 @@ class TestMlpBackward:
         params = init_mlp((3, 4, 2), rng)
         x = rng.standard_normal((6, 3))
         _, cache = mlp_forward(params, x)
-        dx, grads = mlp_backward(params, cache, np.zeros((6, 2)))
+        grads = _nan_slots(params)
+        dx = mlp_backward(params, cache, grads, np.zeros((6, 2)), input_grad=True)
         assert not dx.any()
         assert all(not dw.any() and not db.any() for dw, db in grads)
+
+    def test_dy_shape_mismatch(self):
+        rng = np.random.default_rng(6)
+        params = init_mlp((3, 4, 2), rng)
+        _, cache = mlp_forward(params, rng.standard_normal((6, 3)))
+        with pytest.raises(ShapeMismatchError):
+            mlp_backward(params, cache, _nan_slots(params), np.zeros((5, 2)), input_grad=True)
 
     def test_finite_difference(self):
         assert verify.check_mlp(np.random.default_rng(5)) < 1e-6
@@ -101,7 +135,8 @@ class TestMlpBackward:
         dy = rng.standard_normal((9, 3))
         dy_bytes = dy.tobytes()
         _, cache = mlp_forward(params, x)
-        dx, grads = mlp_backward(params, cache, dy)
+        grads = _nan_slots(params)
+        dx = mlp_backward(params, cache, grads, dy, input_grad=True)
         assert dy.tobytes() == dy_bytes
         want_dx, want = oracles.mlp_backward_oracle(params, cache, dy)
         assert dx.tobytes() == want_dx.tobytes()
@@ -126,7 +161,7 @@ class TestMlpBackward:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        mlp_backward(params, cache, dy)
+        mlp_backward(params, cache, _nan_slots(params), dy, input_grad=True)
         monkeypatch.undo()
         z = cache[0][1]
         want = dy * (z > 0.0).astype(np.float64)
@@ -139,14 +174,9 @@ class TestMlpBackward:
         x = rng.standard_normal((10, 6))
         dy = rng.standard_normal((10, 4))
         _, cache = mlp_forward(params, x)
-
-        def slots():
-            return [(np.full(layer.weights.shape, np.nan), np.full(layer.bias.shape, np.nan))
-                    for layer in params.layers]
-
-        with_dx, without_dx = slots(), slots()
-        dx = nn._backward(params, cache, dy, with_dx)
-        assert nn._backward(params, cache, dy, without_dx, input_grad=False) is None
+        with_dx, without_dx = _nan_slots(params), _nan_slots(params)
+        dx = mlp_backward(params, cache, with_dx, dy, input_grad=True)
+        assert mlp_backward(params, cache, without_dx, dy, input_grad=False) is None
         assert dx.shape == x.shape
         for (dw, db), (dw2, db2) in zip(with_dx, without_dx):
             assert dw.tobytes() == dw2.tobytes()
@@ -214,24 +244,31 @@ class TestFocal:
 class TestCrossEntropy:
     def test_uniform_logits(self):
         for c in (2, 5, 11):
-            loss, _ = cross_entropy(np.zeros(c), 0)
-            assert abs(loss - math.log(c)) < 1e-12
+            loss, _ = cross_entropy(np.zeros((3, c)), [0, 1, c - 1])
+            assert np.abs(loss - math.log(c)).max() < 1e-12
 
     def test_confident_logits(self):
-        loss, _ = cross_entropy(np.array([10.0, 0.0]), 0)
-        assert abs(loss - math.log(1 + math.exp(-10))) < 1e-15
-        assert abs(loss - 4.54e-5) < 1e-7
+        loss, _ = cross_entropy(np.array([[10.0, 0.0]]), [0])
+        assert abs(loss[0] - math.log(1 + math.exp(-10))) < 1e-15
+        assert abs(loss[0] - 4.54e-5) < 1e-7
 
     def test_gradient_is_softmax_minus_onehot(self):
-        logits = np.array([1.0, 2.0, 0.5])
-        _, grad = cross_entropy(logits, 1)
-        soft = np.exp(logits) / np.exp(logits).sum()
-        soft[1] -= 1.0
+        logits = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
+        _, grad = cross_entropy(logits, [1, 2])
+        soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        soft[[0, 1], [1, 2]] -= 1.0
         assert np.abs(grad - soft).max() < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy(np.zeros((2, 3)), [0, 3])
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros(3), 0), (np.zeros((2, 3)), [0]), (np.zeros((2, 3)), 0),
+    ], ids=["1-d-logits", "short-labels", "scalar-label"])
+    def test_shape_mismatch(self, logits, labels):
+        with pytest.raises(ShapeMismatchError):
+            cross_entropy(logits, labels)
 
     def test_finite_difference(self):
         assert verify.check_cross_entropy(np.random.default_rng(14)) < 1e-6
@@ -384,40 +421,38 @@ class TestCompositeLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, 2.0])]
-        state = init_adam_state(params)
-        adam_step(params, [np.zeros(2)], state, lr=0.1)
-        assert np.array_equal(params[0], [1.0, 2.0])
+        param = np.array([1.0, 2.0])
+        state = init_adam_state(param)
+        adam_step(param, np.zeros(2), state, lr=0.1)
+        assert np.array_equal(param, [1.0, 2.0])
 
     def test_single_scalar_hand_step(self):
-        params = [np.array([1.0])]
-        state = init_adam_state(params)
-        adam_step(params, [np.array([0.5])], state, lr=0.1)
+        param = np.array([1.0])
+        state = init_adam_state(param)
+        adam_step(param, np.array([0.5]), state, lr=0.1)
         m_hat = (0.1 * 0.5) / (1 - 0.9)
         v_hat = (0.001 * 0.25) / (1 - 0.999)
         want = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert abs(params[0][0] - want) < 1e-15
+        assert abs(param[0] - want) < 1e-15
 
-    def test_length_mismatch(self):
-        params = [np.array([1.0]), np.array([2.0])]
-        state = init_adam_state(params)
+    def test_state_of_another_shape_rejected(self):
+        state = init_adam_state(np.zeros(2))
+        param = np.ones(3)
         with pytest.raises(ShapeMismatchError):
-            adam_step(params, [np.array([0.5])], state)
+            adam_step(param, np.full(3, 0.5), state)
         assert state.t == 0
+        assert np.array_equal(param, np.ones(3))
 
     def test_deterministic_across_runs(self):
         def run():
             rng = np.random.default_rng(22)
-            params = [rng.standard_normal(4), rng.standard_normal((2, 3))]
-            state = init_adam_state(params)
+            param = rng.standard_normal((2, 3))
+            state = init_adam_state(param)
             for _ in range(50):
-                grads = [rng.standard_normal(4), rng.standard_normal((2, 3))]
-                adam_step(params, grads, state, lr=0.01)
-            return params
+                adam_step(param, rng.standard_normal((2, 3)), state, lr=0.01)
+            return param
 
-        a, b = run(), run()
-        assert a[0].tobytes() == b[0].tobytes()
-        assert a[1].tobytes() == b[1].tobytes()
+        assert run().tobytes() == run().tobytes()
 
 
 def _adam_oracle_run(arrays, grad_seq, lr=0.01):
@@ -429,12 +464,12 @@ def _adam_oracle_run(arrays, grad_seq, lr=0.01):
     return params, m, v
 
 
-def _adam_run(arrays, grad_seq, lr=0.01):
-    params = [a.copy() for a in arrays]
-    state = init_adam_state(params)
-    for grads in grad_seq:
-        adam_step(params, grads, state, lr=lr)
-    return params, state.m, state.v
+def _adam_run(start, grad_seq, lr=0.01):
+    param = start.copy()
+    state = init_adam_state(param)
+    for grad in grad_seq:
+        adam_step(param, grad, state, lr=lr)
+    return param, state.m, state.v
 
 
 class TestAdamBlocks:
@@ -447,37 +482,38 @@ class TestAdamBlocks:
     ], ids=["one", "block-1", "block", "block+1", "512x256"])
     def test_matches_oracle(self, shape):
         rng = np.random.default_rng(30)
-        start = [rng.standard_normal(shape)]
+        start = rng.standard_normal(shape)
         # a spread of magnitudes, exact zeros and signed zeros in the gradients
-        grad_seq = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)]
+        grad_seq = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
                     for _ in range(self.STEPS)]
-        grad_seq[1][0].flat[::7] = 0.0
-        grad_seq[2][0].flat[::5] = -0.0
-        got, want = _adam_run(start, grad_seq), _adam_oracle_run(start, grad_seq)
-        for got_arrays, want_arrays in zip(got, want):
-            assert got_arrays[0].tobytes() == want_arrays[0].tobytes()
+        grad_seq[1].flat[::7] = 0.0
+        grad_seq[2].flat[::5] = -0.0
+        got = _adam_run(start, grad_seq)
+        want = _adam_oracle_run([start], [[g] for g in grad_seq])
+        for got_array, (want_array,) in zip(got, want):
+            assert got_array.tobytes() == want_array.tobytes()
 
     def test_flat_vector_matches_arrays_one_by_one(self):
         rng = np.random.default_rng(31)
         shapes = [(3, 4), (_ADAM_BLOCK + 5,), (1,), (40, 900), (7,)]
         arrays = [rng.standard_normal(s) for s in shapes]
         grad_seq = [[rng.standard_normal(s) for s in shapes] for _ in range(self.STEPS)]
-        flat = [np.concatenate([a.ravel() for a in arrays])]
-        flat_grads = [[np.concatenate([g.ravel() for g in grads])] for grads in grad_seq]
-        one_by_one, _, _ = _adam_run(arrays, grad_seq)
-        vector, _, _ = _adam_run(flat, flat_grads)
+        one_by_one = [_adam_run(a, [grads[i] for grads in grad_seq])[0]
+                      for i, a in enumerate(arrays)]
+        vector, _, _ = _adam_run(np.concatenate([a.ravel() for a in arrays]),
+                                 [np.concatenate([g.ravel() for g in grads]) for grads in grad_seq])
         want, _, _ = _adam_oracle_run(arrays, grad_seq)
-        assert vector[0].tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+        assert vector.tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
         for got, ref in zip(one_by_one, want):
             assert got.tobytes() == ref.tobytes()
 
     def test_transposed_gradient_matches_oracle(self):
         rng = np.random.default_rng(32)
-        start = [rng.standard_normal((30, 20))]
-        grad_seq = [[rng.standard_normal((20, 30)).T] for _ in range(self.STEPS)]
+        start = rng.standard_normal((30, 20))
+        grad_seq = [rng.standard_normal((20, 30)).T for _ in range(self.STEPS)]
         got, _, _ = _adam_run(start, grad_seq)
-        want, _, _ = _adam_oracle_run(start, grad_seq)
-        assert got[0].tobytes() == want[0].tobytes()
+        want, _, _ = _adam_oracle_run([start], [[g] for g in grad_seq])
+        assert got.tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("view", [
         lambda base: base.T, lambda base: base[:, ::2], lambda base: base[::3],
@@ -486,19 +522,19 @@ class TestAdamBlocks:
         base = np.random.default_rng(33).standard_normal((6, 8))
         before = base.tobytes()
         param = view(base)
-        state = init_adam_state([param])
+        state = init_adam_state(param)
         with pytest.raises(ShapeMismatchError, match="C-contiguous"):
-            adam_step([param], [np.ones(param.shape)], state, lr=0.1)
+            adam_step(param, np.ones(param.shape), state, lr=0.1)
         assert base.tobytes() == before
         assert state.t == 0
 
     def test_gradient_shape_mismatch(self):
-        params = [np.zeros(4), np.zeros((2, 3))]
-        state = init_adam_state(params)
+        param = np.zeros((2, 3))
+        state = init_adam_state(param)
         with pytest.raises(ShapeMismatchError):
-            adam_step(params, [np.zeros(4), np.zeros(6)], state)
+            adam_step(param, np.zeros(6), state)
         assert state.t == 0
-        assert not params[0].any()
+        assert not param.any()
 
 
 class TestGradCheck:
