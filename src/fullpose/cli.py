@@ -133,6 +133,8 @@ def _synth_one(task) -> str:
 
 
 def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
+    if not 0.0 <= args.ramp_deg < 45.0:
+        raise ValueError(f"ramp_deg must lie in [0, 45) degrees, got {args.ramp_deg}")
     terrain = synth.Terrain(ramp_start=_RAMP_START, grade=math.radians(args.ramp_deg))
     spec = synth.SceneSpec(
         terrain=terrain,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FullposeError
-from .geom import TWO_PI, FullPoseBox, points_in_box
+from .geom import TWO_PI, FullPoseBox, points_in_boxes
 
 HALF_PI = math.pi / 2.0
 
@@ -213,8 +213,9 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
 
     gts = list(gts)
     if gts:
-        inside = np.stack([points_in_box(pts, b) for b in gts])  # (n_boxes, n)
-        dists = np.stack([np.linalg.norm(pts - b.center, axis=1) for b in gts])
+        inside = points_in_boxes(pts, gts)  # (n_boxes, n)
+        box_centers = np.array([b.center for b in gts])[:, None, :]
+        dists = np.linalg.norm(pts - box_centers, axis=2)
         owner = np.argmin(np.where(inside, dists, np.inf), axis=0)
         foreground = inside.any(axis=0)
         # assigned boxes in the order of their first center, so an

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +125,16 @@ class KittiCalib:
 
     def cam_to_lidar(self, pts: np.ndarray) -> np.ndarray:
         """Rectified-camera points (n, 3) to the LiDAR frame."""
-        hom = np.hstack([np.atleast_2d(pts), np.ones((np.atleast_2d(pts).shape[0], 1))])
-        out = hom @ np.linalg.inv(self.r0_rect).T @ np.linalg.inv(self.tr_velo_to_cam).T
-        return out[:, :3]
+        rect_inv_t, velo_inv_t = self._inverse_transposes
+        pts = np.atleast_2d(pts)
+        hom = np.hstack([pts, np.ones((pts.shape[0], 1))])
+        return (hom @ rect_inv_t @ velo_inv_t)[:, :3]
+
+    @cached_property
+    def _inverse_transposes(self) -> tuple[np.ndarray, np.ndarray]:
+        # inverted once per calibration, applied as two products so every
+        # point takes the same floats as with the inverses taken per call
+        return np.linalg.inv(self.r0_rect).T, np.linalg.inv(self.tr_velo_to_cam).T
 
 
 def read_kitti_calib(path) -> KittiCalib:
@@ -221,12 +229,12 @@ def read_kitti_labels(path, calib: KittiCalib) -> list[Pose6dRecord]:
                 # alpha and the 2D box's left/right go unused but must parse
                 _alpha, _, bbox_top, _, bbox_bottom = (float(v) for v in parts[3:8])
                 h, w, l = (float(v) for v in parts[8:11])
-                loc_cam = np.array([float(v) for v in parts[11:14]])
+                loc_cam = [float(v) for v in parts[11:14]]
                 ry = float(parts[14])
                 score = float(parts[15]) if len(parts) > 15 else None
-                if not np.all(np.isfinite([h, w, l, ry, *loc_cam])):
+                if not all(map(math.isfinite, (h, w, l, ry, *loc_cam))):
                     raise ValueError("dimensions, location and rotation_y must be finite")
-                bottom = calib.cam_to_lidar(loc_cam)[0]
+                bottom = calib.cam_to_lidar(np.array(loc_cam))[0]
                 box = FullPoseBox(
                     center=bottom + np.array([0.0, 0.0, h / 2.0]),
                     dims=np.array([l, w, h]),

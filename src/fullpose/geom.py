@@ -260,7 +260,25 @@ def points_in_box(points, box: FullPoseBox) -> np.ndarray:
     a face stay inside under float rounding.
     """
     local = (np.asarray(points, dtype=np.float64) - box.center) @ box.rotation()
-    return np.all(np.abs(local) <= box.dims * 0.5 + 1e-9, axis=1)
+    return _inside(local, box.dims)
+
+
+def points_in_boxes(points, boxes) -> np.ndarray:
+    """(n_boxes, n) mask whose row k is ``points_in_box(points, boxes[k])``.
+
+    One pass over all boxes with the same floats: each box's (n, 3) block
+    takes the same matmul as the one-box call.
+    """
+    n_boxes = len(boxes)
+    centers = np.array([b.center for b in boxes]).reshape(n_boxes, 1, 3)
+    rotations = np.array([b.rotation() for b in boxes]).reshape(n_boxes, 3, 3)
+    dims = np.array([b.dims for b in boxes]).reshape(n_boxes, 1, 3)
+    return _inside((np.asarray(points, dtype=np.float64) - centers) @ rotations, dims)
+
+
+def _inside(local: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    # the closed cuboid with its 1e-9 m guard, over the last axis
+    return np.all(np.abs(local) <= dims * 0.5 + 1e-9, axis=-1)
 
 
 class _Footprints(NamedTuple):

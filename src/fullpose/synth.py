@@ -26,6 +26,7 @@ GROUND_SOURCE = -1.0
 _FIT_RADIUS = 2.0
 _DIMS_JITTER = 0.1  # relative jitter of each box dimension
 _EDGE_MARGIN = 3.0  # distance (m) that box centers keep from the extent border
+_UP = (0.0, 0.0, 1.0)  # normal of the flat plane
 
 
 class PlacementFailureError(FullposeError, RuntimeError):
@@ -62,18 +63,35 @@ class Terrain:
         xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
         if self.ramp_start is None or self.grade == 0.0:
             return np.zeros(xy.shape[0])
-        rise = xy[:, 0] - self.ramp_start
-        return math.tan(self.grade) * np.maximum(rise, 0.0)
+        return self._ramp_height(xy[:, 0])
 
     def normal(self, xy) -> np.ndarray:
         """Unit surface normals at (n, 2) ground coordinates."""
         xy = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-        n = np.tile([0.0, 0.0, 1.0], (xy.shape[0], 1))
+        n = np.tile(_UP, (xy.shape[0], 1))
         if self.ramp_start is None or self.grade == 0.0:
             return n
-        # y is -sin(grade) * sin(0) == -0.0 for a ramp rising along +x
-        n[xy[:, 0] > self.ramp_start] = [-math.sin(self.grade), -0.0, math.cos(self.grade)]
+        n[xy[:, 0] > self.ramp_start] = self._ramp_normal()
         return n
+
+    def surface_at(self, x: float) -> tuple[float, tuple[float, float, float]]:
+        """Height and unit normal above abscissa ``x``, as Python floats.
+
+        The one-point read of :meth:`height` and :meth:`normal`, with the
+        same floats; the surface does not vary along y.
+        """
+        if self.ramp_start is None or self.grade == 0.0:
+            return 0.0, _UP
+        normal = self._ramp_normal() if x > self.ramp_start else _UP
+        return float(self._ramp_height(x)), normal
+
+    def _ramp_height(self, x):
+        # the one height rule, for a float abscissa and for an array of them
+        return math.tan(self.grade) * np.maximum(x - self.ramp_start, 0.0)
+
+    def _ramp_normal(self) -> tuple[float, float, float]:
+        # y is -sin(grade) * sin(0) == -0.0 for a ramp rising along +x
+        return (-math.sin(self.grade), -0.0, math.cos(self.grade))
 
 
 @dataclass(frozen=True)
@@ -104,13 +122,14 @@ class SceneSpec:
 def resting_euler(normal, yaw: float) -> EulerXYZ:
     """Roll/pitch that stand a box on a surface with the given normal.
 
-    Solves ``Rz(yaw) @ Ry(p) @ Rx(r) @ z_hat == normal`` for (r, p).
+    Solves ``Rz(yaw) @ Ry(p) @ Rx(r) @ z_hat == normal`` for (r, p), on
+    Python floats.
     """
-    n = np.asarray(normal, dtype=np.float64)
+    nx, ny, nz = normal
     c, s = math.cos(-yaw), math.sin(-yaw)
-    m = np.array([c * n[0] - s * n[1], s * n[0] + c * n[1], n[2]])
-    theta_x = math.asin(np.clip(-m[1], -1.0, 1.0))
-    theta_y = math.atan2(m[0], m[2])
+    mx, my = c * nx - s * ny, s * nx + c * ny
+    theta_x = math.asin(min(max(-my, -1.0), 1.0))
+    theta_y = math.atan2(mx, nz)
     return EulerXYZ(theta_x, theta_y, yaw)
 
 
@@ -139,11 +158,11 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
             raise PlacementFailureError(
                 f"placed {len(boxes)}/{spec.box_count} boxes after 1000 rejections"
             )
-        xy = np.array([rng.uniform(x0 + m, x1 - m), rng.uniform(y0 + m, y1 - m)])
+        x, y = rng.uniform(x0 + m, x1 - m), rng.uniform(y0 + m, y1 - m)
         if terrain.ramp_start is not None:
             want_ramp = len(boxes) < forced_ramp if spec.ramp_box_fraction is not None else None
-            on_ramp = xy[0] > terrain.ramp_start + spec.crease_margin
-            on_flat = xy[0] < terrain.ramp_start - spec.crease_margin
+            on_ramp = x > terrain.ramp_start + spec.crease_margin
+            on_flat = x < terrain.ramp_start - spec.crease_margin
             if not (on_ramp or on_flat):
                 rejections += 1
                 continue
@@ -154,11 +173,10 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
         dims = np.asarray(spec.class_dims[cls], dtype=np.float64)
         dims = dims * (1.0 + rng.uniform(-_DIMS_JITTER, _DIMS_JITTER, 3))
         yaw = rng.uniform(*spec.yaw_range)
-        normal = terrain.normal(xy)[0]
-        euler = resting_euler(normal, yaw)
-        foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
-        center = foot + normal * (dims[2] / 2.0)
-        box = FullPoseBox(center=center, dims=dims, euler=euler, class_id=cls)
+        z, (nx, ny, nz) = terrain.surface_at(x)
+        half_h = float(dims[2]) / 2.0
+        box = FullPoseBox(center=[x + nx * half_h, y + ny * half_h, z + nz * half_h],
+                          dims=dims, euler=resting_euler((nx, ny, nz), yaw), class_id=cls)
         fp = footprint(box)
         if any(bev_overlap(box, other, fp, other_fp)
                for other, other_fp in zip(boxes, footprints)):
@@ -244,6 +262,18 @@ def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
     return normal / np.linalg.norm(normal)
 
 
+def _ground_distances(ground_x: np.ndarray, ground_y: np.ndarray, x: float, y: float
+                      ) -> np.ndarray:
+    """Horizontal distances from (x, y) to every ground point.
+
+    The same floats as ``np.linalg.norm(ground_xy - (x, y), axis=1)``; over
+    two contiguous columns numpy does not reduce an axis of length 2.
+    """
+    dx = ground_x - x
+    dy = ground_y - y
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def check_feature_settings(noise_sigma: float, bg_per_frame: int) -> None:
     """Reject a feature noise level or background count :func:`make_features` cannot use."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
@@ -286,9 +316,9 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         cues.append(cue)
 
     ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
-    ground_xy = ground_pts[:, :2]
-    lo = ground_xy.min(axis=0)
-    hi = ground_xy.max(axis=0)
+    ground_x, ground_y = ground_pts[:, 0].copy(), ground_pts[:, 1].copy()
+    lo = ground_pts[:, :2].min(axis=0)
+    hi = ground_pts[:, :2].max(axis=0)
     box_centers = np.array([b.center for b in frame.boxes]).reshape(-1, 3)
     # a point inside a box lies within its circumradius; the slack covers the
     # boundary guard of points_in_box and rounding
@@ -297,8 +327,8 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     attempts = 0
     while made < bg_per_frame and attempts < 100 * bg_per_frame:
         attempts += 1
-        xy = rng.uniform(lo, hi)
-        j = int(np.argmin(np.linalg.norm(ground_xy - xy, axis=1)))
+        x, y = rng.uniform(lo, hi).tolist()
+        j = int(np.argmin(_ground_distances(ground_x, ground_y, x, y)))
         candidate = ground_pts[j].copy()
         near = np.flatnonzero(np.linalg.norm(box_centers - candidate, axis=1) <= box_reach)
         if any(points_in_box(candidate[None, :], frame.boxes[k])[0] for k in near):
@@ -309,8 +339,8 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
 
     pts = np.asarray(centers).reshape(-1, 3)
     features = np.zeros((len(pts), feature_dim))
-    for i, center in enumerate(pts):
-        dist = np.linalg.norm(ground_xy - center[:2], axis=1)
+    for i, (x, y, z) in enumerate(pts.tolist()):
+        dist = _ground_distances(ground_x, ground_y, x, y)
         radius = _FIT_RADIUS
         for _ in range(4):
             sel = dist <= radius
@@ -320,7 +350,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
             radius *= 2.0
         local_ground = ground_pts[sel] if count >= 3 else ground_pts
         features[i, 0:3] = _fit_plane_normal(local_ground)
-        features[i, 3] = center[2] - local_ground[:, 2].mean()
+        features[i, 3] = z - local_ground[:, 2].mean()
         features[i, 4] = local_ground[:, 2].std()
         features[i, 5:info_dim] = cues[i]
     features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma

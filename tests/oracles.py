@@ -6,7 +6,8 @@ shares no code path with the library functions it checks.  The scene
 synthesis and codec oracles at the end are the exception: they are the
 literal per-point, per-center and per-box loops that the vectorized code
 must repeat bit for bit, so they reuse the library's rotations, membership
-test, plane fit and target encoders (the decode oracle spells out the
+test, array terrain, plane fit and target encoders (the placement oracle
+stands boxes with a numpy resting pose; the decode oracle spells out the
 scalar decode formulas) and differ only in how they loop and draw.  The
 checks and label IO at the very end are the library's per-value numpy
 checks and per-record JSONL reader and writer, kept literally because the
@@ -199,6 +200,67 @@ def sample_box_surface_oracle(box, count: int, rng: np.random.Generator) -> np.n
         local[i, u_axis] = rng.uniform(-0.5, 0.5) * box.dims[u_axis]
         local[i, v_axis] = rng.uniform(-0.5, 0.5) * box.dims[v_axis]
     return local @ box.rotation().T + box.center
+
+
+def resting_euler_oracle(normal, yaw: float):
+    """``synth.resting_euler`` on numpy arrays: the rotated normal as an array."""
+    from fullpose.geom import EulerXYZ
+
+    n = np.asarray(normal, dtype=np.float64)
+    c, s = math.cos(-yaw), math.sin(-yaw)
+    m = np.array([c * n[0] - s * n[1], s * n[0] + c * n[1], n[2]])
+    theta_x = math.asin(np.clip(-m[1], -1.0, 1.0))
+    theta_y = math.atan2(m[0], m[2])
+    return EulerXYZ(theta_x, theta_y, yaw)
+
+
+def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
+    """``synth.place_boxes`` with one-row array reads of the terrain.
+
+    Each kept position reads ``terrain.normal`` and ``terrain.height`` on a
+    (1, 2) array and stands the box with :func:`resting_euler_oracle`.
+    """
+    from fullpose.geom import FullPoseBox, bev_overlap, footprint
+    from fullpose.synth import _DIMS_JITTER, _EDGE_MARGIN, PlacementFailureError
+
+    x0, x1, y0, y1 = terrain.extent
+    m = _EDGE_MARGIN
+    class_ids = sorted(spec.class_weights)
+    weights = np.array([spec.class_weights[i] for i in class_ids], dtype=np.float64)
+    class_p = weights / weights.sum()
+    boxes, footprints = [], []
+    rejections = forced_ramp = 0
+    if spec.ramp_box_fraction is not None and terrain.ramp_start is not None:
+        forced_ramp = round(spec.ramp_box_fraction * spec.box_count)
+    while len(boxes) < spec.box_count:
+        if rejections >= 1000:
+            raise PlacementFailureError(
+                f"placed {len(boxes)}/{spec.box_count} boxes after 1000 rejections")
+        xy = np.array([rng.uniform(x0 + m, x1 - m), rng.uniform(y0 + m, y1 - m)])
+        if terrain.ramp_start is not None:
+            want_ramp = len(boxes) < forced_ramp if spec.ramp_box_fraction is not None else None
+            on_ramp = xy[0] > terrain.ramp_start + spec.crease_margin
+            on_flat = xy[0] < terrain.ramp_start - spec.crease_margin
+            if not (on_ramp or on_flat) or (want_ramp is not None and want_ramp != on_ramp):
+                rejections += 1
+                continue
+        cls = int(class_ids[rng.choice(len(class_ids), p=class_p)])
+        dims = np.asarray(spec.class_dims[cls], dtype=np.float64)
+        dims = dims * (1.0 + rng.uniform(-_DIMS_JITTER, _DIMS_JITTER, 3))
+        yaw = rng.uniform(*spec.yaw_range)
+        normal = terrain.normal(xy)[0]
+        foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
+        box = FullPoseBox(center=foot + normal * (dims[2] / 2.0), dims=dims,
+                          euler=resting_euler_oracle(normal, yaw), class_id=cls)
+        fp = footprint(box)
+        if any(bev_overlap(box, other, fp, other_fp)
+               for other, other_fp in zip(boxes, footprints)):
+            rejections += 1
+            continue
+        rejections = 0
+        boxes.append(box)
+        footprints.append(fp)
+    return boxes
 
 
 def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,

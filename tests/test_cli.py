@@ -120,7 +120,11 @@ class TestSynth:
         (["--scenes", "3", "--boxes", "8", "--density", "2.0", "--seed", "4",
           "--ramp-fraction", "0.5", "--noise-sigma", "0.02", "--feature-noise", "0.1"],
          "46c18850bb4735f64f9792e068eb75f7bfeda4e69a062dab4c46e886545f3255"),
-    ], ids=["flat", "ramp"])
+        # sparse ground: plane fits double their radius
+        (["--scenes", "3", "--boxes", "8", "--density", "0.3", "--seed", "7",
+          "--ramp-fraction", "0.5", "--bg-centers", "40"],
+         "fd25b6f30625705d815914feeb81a4185fc98d3124b6505a621ca814859da4ce"),
+    ], ids=["flat", "ramp", "sparse"])
     def test_golden_digest(self, args, digest, tmp_path):
         run_ok(["synth", *args, "--output", str(tmp_path / "out")])
         assert synth_digest(tmp_path / "out") == digest
@@ -139,9 +143,13 @@ class TestSynth:
         ("--bg-centers", "-1", "bg_per_frame must be >= 0, got -1"),
         ("--scenes", "-1", "scenes must be >= 1, got -1"),
         ("--scenes", "0", "scenes must be >= 1, got 0"),
+        ("--ramp-deg", "50", "ramp_deg must lie in [0, 45) degrees, got 50.0"),
+        ("--ramp-deg", "-5", "ramp_deg must lie in [0, 45) degrees, got -5.0"),
+        ("--ramp-deg", "nan", "ramp_deg must lie in [0, 45) degrees, got nan"),
     ], ids=["ramp-above-1", "ramp-negative", "ramp-nan", "noise-negative", "noise-inf",
             "sensor-noise-nan", "sensor-noise-inf", "density-nan", "density-inf",
-            "boxes-negative", "bg-centers-negative", "scenes-negative", "scenes-zero"])
+            "boxes-negative", "bg-centers-negative", "scenes-negative", "scenes-zero",
+            "ramp-deg-50", "ramp-deg-negative", "ramp-deg-nan"])
     def test_out_of_range_setting_is_data_error(self, flag, value, error, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["synth", "--scenes", "1", flag, value, "--output", str(out)]
@@ -506,6 +514,26 @@ Car 0.00 0 -1.58 614.24 181.78 727.31 284.77 1.57 1.73 4.15 0.0 0.0 10.0 -1.62
 DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10
 """
 
+# small rectification and sensor-mount rotations, so the inverses carry rounding
+ROTATED_KITTI_CALIB = """\
+P2: 7.215377e+02 0.000000e+00 6.095593e+02 4.485728e+01 0.000000e+00 7.215377e+02 1.728540e+02 2.163791e-01 0.000000e+00 0.000000e+00 1.000000e+00 2.745884e-03
+R0_rect: 9.999239e-01 9.837760e-03 -7.445048e-03 -9.869795e-03 9.999421e-01 -4.278459e-03 7.402527e-03 4.351614e-03 9.999631e-01
+Tr_velo_to_cam: 7.533745e-03 -9.999714e-01 -6.166020e-04 -4.069766e-03 1.480249e-02 7.280733e-04 -9.998902e-01 -7.631618e-02 9.998621e-01 7.523790e-03 1.480755e-02 -2.717806e-01
+"""
+ROTATED_KITTI_LABELS = {
+    "000000": """\
+Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59
+Car 0.00 0 1.85 387.63 181.54 423.81 203.12 1.67 1.87 3.69 -16.53 2.39 58.49 1.57
+DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10
+Pedestrian 0.00 0 -0.20 712.40 143.00 810.73 307.92 1.89 0.48 1.20 1.84 1.47 8.41 0.01
+Cyclist 0.30 1 -2.91 100.00 150.00 160.00 230.00 1.72 0.55 1.76 -8.20 1.60 14.10 -3.40
+""",
+    "000001": """\
+Car 0.88 3 -0.69 0.00 192.37 402.31 374.00 1.60 1.57 3.23 -2.70 1.74 3.68 -1.29
+Van 0.00 1 2.51 280.02 176.49 330.43 213.95 2.12 1.86 4.74 -14.85 2.10 34.99 2.11
+""",
+}
+
 
 class TestConvert:
     @staticmethod
@@ -527,6 +555,22 @@ class TestConvert:
         assert records[0].cls == "Car"
         assert abs(records[0].center[0] - 10.0) < 1e-9
         assert records[0].difficulty == "easy"
+
+    # reference digests of the converted labels: any change to a record byte
+    # fails here; re-record only for an intended output change
+    def test_golden_digest(self, tmp_path):
+        src = tmp_path / "kitti"
+        (src / "label_2").mkdir(parents=True)
+        (src / "calib").mkdir()
+        for frame_id, text in ROTATED_KITTI_LABELS.items():
+            (src / "label_2" / f"{frame_id}.txt").write_text(text)
+            (src / "calib" / f"{frame_id}.txt").write_text(ROTATED_KITTI_CALIB)
+        summary = run_ok(["convert", "--input", str(src), "--output", str(tmp_path / "native")])
+        assert summary["objects"] == 6
+        assert tree_digest(tmp_path / "native") == {
+            "labels/000000.jsonl": "ac7c12b47b6d46656d72bdf55128520787e6c0f1fea2e1a592ba46ae2d872472",
+            "labels/000001.jsonl": "d13385fa9ab18531a62922971c3ec74b000c30cafed6d57f58785c263a278a1d",
+        }
 
     def test_kitti_results_convert_then_eval(self, tmp_path):
         # a KITTI results row carries the detection score as a 16th column

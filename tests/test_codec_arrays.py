@@ -22,6 +22,7 @@ from fullpose.codec import (  # noqa: E402
 )
 from fullpose.geom import TWO_PI, EulerXYZ, FullPoseBox  # noqa: E402
 from fullpose.head import HeadConfig, HeadOutput, head_decode  # noqa: E402
+from fullpose.synth import _sample_box_surface  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -198,6 +199,22 @@ class TestMakeTargets:
     @given(crowded_frames())
     def test_equals_per_center_oracle(self, frame):
         centers, boxes = frame
+        cfg = CodecConfig()
+        assert target_bits(make_targets(centers, boxes, cfg)) == \
+            target_bits(oracles.make_targets_oracle(centers, boxes, cfg))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_centers_on_tilted_faces_equal_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        boxes = [FullPoseBox(rng.uniform(-3.0, 3.0, 3), rng.uniform(0.5, 4.0, 3),
+                             EulerXYZ(*rng.uniform(-0.6, 0.6, 2), rng.uniform(-4.0, 4.0)),
+                             class_id=int(rng.integers(1, 4)))
+                   for _ in range(15)]
+        centers = np.vstack([_sample_box_surface(b, 9, rng) for b in boxes])
+        # some face centers lie outside their box by rounding, inside by the 1e-9 m guard
+        unguarded = [np.all(np.abs((centers[9 * k:9 * k + 9] - b.center) @ b.rotation())
+                            <= b.dims * 0.5, axis=1) for k, b in enumerate(boxes)]
+        assert not np.concatenate(unguarded).all()
         cfg = CodecConfig()
         assert target_bits(make_targets(centers, boxes, cfg)) == \
             target_bits(oracles.make_targets_oracle(centers, boxes, cfg))

@@ -112,6 +112,13 @@ R0_rect: 1 0 0 0 1 0 0 0 1
 Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0
 """
 
+# a KITTI calibration with small rectification and sensor-mount rotations
+ROTATED_CALIB_TEXT = """\
+P2: 7.215377e+02 0.000000e+00 6.095593e+02 4.485728e+01 0.000000e+00 7.215377e+02 1.728540e+02 2.163791e-01 0.000000e+00 0.000000e+00 1.000000e+00 2.745884e-03
+R0_rect: 9.999239e-01 9.837760e-03 -7.445048e-03 -9.869795e-03 9.999421e-01 -4.278459e-03 7.402527e-03 4.351614e-03 9.999631e-01
+Tr_velo_to_cam: 7.533745e-03 -9.999714e-01 -6.166020e-04 -4.069766e-03 1.480249e-02 7.280733e-04 -9.998902e-01 -7.631618e-02 9.998621e-01 7.523790e-03 1.480755e-02 -2.717806e-01
+"""
+
 
 class TestKittiCalib:
     def test_parse_blocks(self, tmp_path):
@@ -140,6 +147,16 @@ class TestKittiCalib:
         calib = read_kitti_calib(path)
         # camera (x right, y down, z forward) -> lidar (x forward, y left, z up)
         assert np.allclose(calib.cam_to_lidar(np.array([[0.0, 0.0, 10.0]]))[0], [10, 0, 0])
+
+    def test_cam_to_lidar_equals_per_call_inverses(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text(ROTATED_CALIB_TEXT)
+        calib = read_kitti_calib(path)
+        rng = np.random.default_rng(2)
+        for pts in (rng.uniform(-40, 40, (50, 3)), rng.uniform(-40, 40, 3), np.zeros((0, 3))):
+            hom = np.hstack([np.atleast_2d(pts), np.ones((np.atleast_2d(pts).shape[0], 1))])
+            want = hom @ np.linalg.inv(calib.r0_rect).T @ np.linalg.inv(calib.tr_velo_to_cam).T
+            assert calib.cam_to_lidar(pts).tobytes() == want[:, :3].tobytes()
 
     def test_missing_block(self, tmp_path):
         path = tmp_path / "calib.txt"

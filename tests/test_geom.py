@@ -24,6 +24,7 @@ from fullpose.geom import (
     pairwise_bev_iou,
     pairwise_iou3d,
     points_in_box,
+    points_in_boxes,
     to_euler_xy,
     transform_box,
 )
@@ -179,6 +180,19 @@ class TestPointsInBox:
         want = oracles.points_in_box_oracle(pts, b.center, b.dims, 0.15, -0.1, 2.1)
         got = points_in_box(pts, b)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_random", [0, 1, 130])
+    def test_points_in_boxes_rows_equal_one_box_calls(self, n_random):
+        rng = np.random.default_rng(n_random)
+        boxes = [box(rng.uniform(-2, 2, 3), rng.uniform(0.5, 3.0, 3), *rng.uniform(-0.6, 0.6, 2),
+                     rng.uniform(-4, 4)) for _ in range(15)]
+        random = rng.uniform(-3, 3, (n_random, 3))
+        # corners sit on the boundary: inside by the 1e-9 m guard only
+        with_corners = np.vstack([random, *[box_corners(b) for b in boxes]])
+        for pts in (random, with_corners):
+            got = points_in_boxes(pts, boxes)
+            assert got.shape == (15, len(pts))
+            assert got.tobytes() == np.stack([points_in_box(pts, b) for b in boxes]).tobytes()
 
     def test_invariant_under_shared_rigid_transform(self):
         rng = np.random.default_rng(7)

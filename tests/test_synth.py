@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fullpose.geom import EulerXYZ, FullPoseBox, bev_iou, euler_to_matrix, points_in_box
-from fullpose.slopeaug import SlopeAugParams, apply
+from fullpose.codec import CodecConfig
+from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, bev_iou, euler_to_matrix, points_in_box
+from fullpose.slopeaug import LabeledFrame, SlopeAugParams, apply
 from fullpose.synth import (
     GROUND_SOURCE,
     PlacementFailureError,
@@ -23,6 +24,14 @@ import oracles
 
 RAMP = Terrain(extent=(0.0, 40.0, -10.0, 10.0), ramp_start=20.0, grade=math.radians(15))
 FLAT = Terrain(extent=(0.0, 40.0, -10.0, 10.0))
+
+
+def euler_bits(e: EulerXYZ) -> bytes:
+    return np.array([e.theta_x, e.theta_y, e.theta_z]).tobytes()
+
+
+def box_bits(b: FullPoseBox) -> tuple:
+    return b.center.tobytes(), b.dims.tobytes(), euler_bits(b.euler), b.class_id
 
 
 class TestTerrain:
@@ -61,6 +70,17 @@ class TestRestingEuler:
         e = resting_euler(n, yaw=0.0)
         assert abs(abs(e.theta_y) - math.radians(15)) < 1e-9
         assert abs(e.theta_x) < 1e-12
+
+    def test_equals_array_oracle(self):
+        rng = np.random.default_rng(1)
+        normals = [(0.0, 0.0, 1.0), (-0.0, -0.0, 1.0), tuple(RAMP.normal([[30.0, 0.0]])[0])]
+        for _ in range(200):
+            raw = rng.standard_normal(3) + [0, 0, 2.0]
+            normals.append(tuple((raw / np.linalg.norm(raw)).tolist()))
+        for n in normals:
+            for yaw in (0.0, -0.0, math.pi, rng.uniform(-7.0, 7.0)):
+                assert euler_bits(resting_euler(n, yaw)) == \
+                    euler_bits(oracles.resting_euler_oracle(n, yaw))
 
     def test_rotation_maps_z_to_normal(self):
         rng = np.random.default_rng(0)
@@ -108,6 +128,33 @@ class TestPlaceBoxes:
         boxes = place_boxes(RAMP, spec, np.random.default_rng(5))
         on_ramp = sum(1 for b in boxes if b.center[0] > 20.0)
         assert on_ramp == 3
+
+    @pytest.mark.parametrize("terrain, fraction", [
+        (FLAT, None),
+        (RAMP, None),
+        (Terrain(extent=(0.0, 40.0, -10.0, 10.0), ramp_start=20.0, grade=0.0), None),
+        (RAMP, 0.5),
+    ], ids=["flat", "ramp", "ramp-grade-0", "ramp-fraction-half"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_array_terrain_oracle(self, terrain, fraction, seed):
+        spec = SceneSpec(terrain=terrain, box_count=15, ramp_box_fraction=fraction,
+                         class_weights={1: 0.7, 2: 0.3},
+                         class_dims={1: (4.2, 1.8, 1.6), 2: (0.8, 0.6, 1.7)})
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = place_boxes(terrain, spec, got_rng)
+        want = oracles.place_boxes_oracle(terrain, spec, want_rng)
+        assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_surface_at_equals_array_reads(self):
+        xs = [0.0, 19.0, 20.0, math.nextafter(20.0, 30.0), 22.5, 40.0, -0.0]
+        for terrain in (FLAT, RAMP):
+            for x in xs:
+                z, normal = terrain.surface_at(x)
+                assert type(z) is float and {type(v) for v in normal} == {float}
+                xy = np.array([[x, 3.0]])
+                assert np.array([z]).tobytes() == terrain.height(xy).tobytes()
+                assert np.array(normal).tobytes() == terrain.normal(xy)[0].tobytes()
 
     def test_placement_failure(self):
         tiny = Terrain(extent=(0.0, 9.0, -4.5, 4.5))
@@ -226,21 +273,46 @@ class TestMakeFeatures:
         b = make_features(frame, 0.1, np.random.default_rng(4), feature_dim=16)
         assert a[1].tobytes() == b[1].tobytes()
 
+    @pytest.mark.parametrize("variant", ["sampled", "grid", "fallback", "faces"])
     @pytest.mark.parametrize("terrain, seed", [(FLAT, 21), (FLAT, 22), (RAMP, 23), (RAMP, 24)])
-    def test_equals_per_center_oracle(self, terrain, seed):
+    def test_equals_per_center_oracle(self, terrain, seed, variant):
         # crowded and sparse: background candidates often land in boxes and
         # some plane fits double their radius
-        spec = SceneSpec(terrain=terrain, box_count=12, density=0.6, noise_sigma=0.01,
+        spec = SceneSpec(terrain=terrain, box_count=12, noise_sigma=0.01,
+                         density=0.004 if variant == "fallback" else 0.6,
                          ramp_box_fraction=0.5 if terrain is RAMP else None)
         frame = make_scene(spec, np.random.default_rng(seed))
+        points, tags = frame.cloud.points, frame.cloud.extras[:, 0]
+        if variant == "grid":
+            # ground snapped to a 1 m grid: duplicate points tie in the nearest
+            # ground search (the lowest index wins) and background centers see
+            # fit-radius neighbours at exactly 2 m
+            ground = tags == GROUND_SOURCE
+            points[ground, :2] = np.round(points[ground, :2])
+        elif variant == "faces":
+            # ground points exactly on the boxes' faces, tilted ones on the
+            # ramp: candidates there stay inside only by the 1e-9 m guard
+            faces = np.vstack([_sample_box_surface(b, 30, np.random.default_rng(seed))
+                               for b in frame.boxes])
+            frame = LabeledFrame(PointCloud(np.vstack([points, faces]),
+                                            np.concatenate([tags, np.full(len(faces), GROUND_SOURCE)])),
+                                 frame.boxes)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        centers, features, _ = make_features(frame, 0.05, got_rng, feature_dim=16,
-                                             bg_per_frame=60)
+        centers, features, targets = make_features(frame, 0.05, got_rng, feature_dim=16,
+                                                   bg_per_frame=60)
         want_centers, want_features = oracles.make_features_oracle(
             frame, 0.05, want_rng, feature_dim=16, bg_per_frame=60)
         assert centers.tobytes() == want_centers.tobytes()
         assert features.tobytes() == want_features.tobytes()
         assert got_rng.random() == want_rng.random()
+        want_targets = oracles.make_targets_oracle(want_centers, frame.boxes, CodecConfig())
+        assert {k: v.tobytes() for k, v in vars(targets).items()} == \
+            {k: v.tobytes() for k, v in vars(want_targets).items()}
+        if variant == "fallback":
+            # some fits find fewer than 3 ground points within the last radius, 16 m
+            ground_xy = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE, :2]
+            within = np.linalg.norm(ground_xy - centers[:, None, :2], axis=2) <= 16.0
+            assert (within.sum(axis=1) < 3).any()
 
     def test_no_centers_is_an_empty_array(self):
         frame = make_scene(SceneSpec(terrain=FLAT, box_count=0), np.random.default_rng(19))
