@@ -57,6 +57,8 @@ DEFAULT_CLASS_IDS = {
     "Misc": 8,
 }
 DEFAULT_CLASS_NAMES = {v: k for k, v in DEFAULT_CLASS_IDS.items()}
+# the types ``json`` gives a JSON number; ``type(True)`` is bool, not int
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def class_id_for(name: str) -> int:
@@ -249,12 +251,23 @@ def read_kitti_labels(path, calib: KittiCalib) -> list[Pose6dRecord]:
     return records
 
 
+def _json_float(number: int | float) -> float:
+    """A JSON number as a float; an integer past the float range reads as
+    infinite, as ``json`` reads ``1e999``."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def read_pose6d(path) -> list[Pose6dRecord]:
     """Read JSONL full-pose records; malformed lines raise with a line number.
 
-    Each line is checked on its parsed Python values.  The center, dims
-    and euler triples of the file then fill one (n, 3, 3) array, and each
-    record holds row views of it.
+    Each line is checked on its parsed Python values: center, dims and
+    euler are arrays of JSON numbers (booleans are not numbers), and score
+    is a JSON number or null.  The center, dims and euler triples of the
+    file then fill one (n, 3, 3) array, and each record holds row views
+    of it.
     """
     rows, triples = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -270,17 +283,19 @@ def read_pose6d(path) -> list[Pose6dRecord]:
             missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            center, dims, euler = obj["center"], obj["dims"], obj["euler"]
+            if not (type(center) is type(dims) is type(euler) is list
+                    and _JSON_NUMBERS.issuperset(map(type, values := center + dims + euler))):
+                raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples")
             try:
-                center, dims, euler = triple = [
-                    [float(v) for v in obj[key]] for key in ("center", "dims", "euler")
-                ]
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples") from None
+                values = list(map(float, values))
+            except OverflowError:
+                values = list(map(_json_float, values))
             if len(center) != 3 or len(dims) != 3 or len(euler) != 3:
                 raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
-            if any(d <= 0.0 for d in dims):
+            if any(d <= 0.0 for d in values[3:6]):
                 raise ParseError(f"{path}:{lineno}: dims must be positive")
-            if not all(map(math.isfinite, center + dims + euler)):
+            if not all(map(math.isfinite, values)):
                 raise ParseError(f"{path}:{lineno}: non-finite numbers")
             difficulty = obj.get("difficulty")
             if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
@@ -288,14 +303,15 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                     f"{path}:{lineno}: unknown difficulty {difficulty!r}, "
                     f"expected one of {', '.join(DIFFICULTY_LABELS)}"
                 )
-            try:
-                score = None if obj.get("score") is None else float(obj["score"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: score must be a number") from None
-            if score is not None and not 0.0 <= score <= 1.0:
-                raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
+            score = obj.get("score")
+            if score is not None:
+                if type(score) not in _JSON_NUMBERS:
+                    raise ParseError(f"{path}:{lineno}: score must be a number")
+                score = _json_float(score)
+                if not 0.0 <= score <= 1.0:
+                    raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
             rows.append((str(obj["frame"]), str(obj["class"]), score, difficulty))
-            triples.append(triple)
+            triples.append(values)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
     return [
         Pose6dRecord(frame=frame, cls=cls, center=center, dims=dims, euler=euler,

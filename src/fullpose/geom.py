@@ -127,6 +127,47 @@ class FullPoseBox:
         return euler_to_matrix(self.euler)
 
 
+def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseBox]:
+    """One box per row of (n, 3) ``centers``, ``dims``, ``euler`` and (n,) ``class_ids``, ``scores``.
+
+    The rules of :class:`EulerXYZ` and :class:`FullPoseBox` are checked on
+    the whole arrays.  When every row passes, the boxes are built without
+    checking each again: a box holds row views of ``centers`` and
+    ``dims`` and Python scalars for its angles, class id and score.
+    Otherwise the rows go through the checked constructors in order, so
+    the first bad row raises exactly their error.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    dims = np.asarray(dims, dtype=np.float64)
+    euler = np.asarray(euler, dtype=np.float64)
+    class_ids = np.asarray(class_ids)
+    scores = np.asarray(scores, dtype=np.float64)
+    shapes = {"centers": centers.shape, "dims": dims.shape, "euler": euler.shape,
+              "class_ids": class_ids.shape, "scores": scores.shape}
+    n = centers.shape[0] if centers.ndim else 0
+    if shapes != {"centers": (n, 3), "dims": (n, 3), "euler": (n, 3),
+                  "class_ids": (n,), "scores": (n,)}:
+        raise ValueError(
+            "expected (n, 3) centers, dims, euler and (n,) class_ids, scores; got "
+            + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        )
+    rows = zip(centers, dims, euler.tolist(), class_ids.tolist(), scores.tolist())
+    if not (np.isfinite(euler).all() and np.isfinite(centers).all()
+            and np.isfinite(dims).all() and (dims > 0.0).all()
+            and ((scores >= 0.0) & (scores <= 1.0)).all()):
+        return [FullPoseBox(center=c, dims=d, euler=EulerXYZ(*angles), class_id=k, score=s)
+                for c, d, angles, k, s in rows]
+    new = object.__new__
+    boxes = []
+    for c, d, (tx, ty, tz), k, s in rows:
+        e = new(EulerXYZ)  # frozen: its own __setattr__ refuses every field
+        object.__setattr__(e, "__dict__", {"theta_x": tx, "theta_y": ty, "theta_z": tz})
+        box = new(FullPoseBox)
+        box.__dict__ = {"center": c, "dims": d, "euler": e, "class_id": k, "score": s}
+        boxes.append(box)
+    return boxes
+
+
 @dataclass
 class RigidTransform:
     """Rotation about a pivot point: ``x -> R @ (x - pivot) + pivot``."""

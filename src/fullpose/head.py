@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codec, nn
 from .errors import FullposeError
-from .geom import EulerXYZ, FullPoseBox
+from .geom import FullPoseBox, boxes_from_arrays
 
 
 class EmptyDatasetError(FullposeError, ValueError):
@@ -137,14 +137,13 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
         out.s_g[:, None],
         codec.decode_tilt(out.tilt, np.array([ccfg.t_theta_x, ccfg.t_theta_y])),
     )
-    box_centers = codec.decode_center_offset(pts, out.center_offset)
-    dims = codec.decode_dims(out.log_dims)
-    return [
-        FullPoseBox(center=c, dims=d, euler=EulerXYZ(tx, ty, tz), class_id=k, score=sc)
-        for c, d, (tx, ty), tz, k, sc in zip(
-            box_centers, dims, tilt.tolist(), yaw.tolist(), cls_ids.tolist(), scores.tolist()
-        )
-    ]
+    euler = np.empty((len(out), 3))
+    euler[:, :2] = tilt
+    euler[:, 2] = yaw
+    return boxes_from_arrays(
+        codec.decode_center_offset(pts, out.center_offset), codec.decode_dims(out.log_dims),
+        euler, cls_ids, scores,
+    )
 
 
 def head_loss(params: HeadParams, features: np.ndarray, targets, grad: np.ndarray):

@@ -457,6 +457,20 @@ def read_pose6d_oracle(path) -> list:
     from fullpose.dataio import ParseError, Pose6dRecord
     from fullpose.evaluation import DIFFICULTY_LABELS
 
+    def array(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("not a JSON array")
+        return value
+
+    def number(value) -> float:
+        """A JSON number; an integer that rounds past the float range is
+        infinite, as ``1e999`` is."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("not a JSON number")
+        if isinstance(value, int) and abs(value) >= 2 ** 1024 - 2 ** 970:
+            return math.inf if value > 0 else -math.inf
+        return float(value)
+
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -472,10 +486,10 @@ def read_pose6d_oracle(path) -> list:
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
             try:
-                center = np.array([float(v) for v in obj["center"]])
-                dims = np.array([float(v) for v in obj["dims"]])
-                euler = np.array([float(v) for v in obj["euler"]])
-            except (TypeError, ValueError):
+                center = np.array([number(v) for v in array(obj["center"])])
+                dims = np.array([number(v) for v in array(obj["dims"])])
+                euler = np.array([number(v) for v in array(obj["euler"])])
+            except TypeError:
                 raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples") from None
             if center.shape != (3,) or dims.shape != (3,) or euler.shape != (3,):
                 raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
@@ -490,8 +504,8 @@ def read_pose6d_oracle(path) -> list:
                     f"expected one of {', '.join(DIFFICULTY_LABELS)}"
                 )
             try:
-                score = None if obj.get("score") is None else float(obj["score"])
-            except (TypeError, ValueError):
+                score = None if obj.get("score") is None else number(obj["score"])
+            except TypeError:
                 raise ParseError(f"{path}:{lineno}: score must be a number") from None
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")

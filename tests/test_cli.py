@@ -2,7 +2,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 
 from fullpose import cli
 from fullpose.dataio import read_pose6d, write_pose6d
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_ok(argv):
@@ -85,6 +91,42 @@ def test_library_errors_share_one_base():
     ]
     assert len(found) >= 15
     assert all(issubclass(cls, fullpose.FullposeError) for cls in found)
+
+
+# runs each argv list of argv[1] through cli.run in one interpreter
+_RUN_IN_ONE_PROCESS = """
+import json, sys
+from fullpose import cli
+outcomes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([[o.exit_code, o.summary] for o in outcomes], sort_keys=True))
+"""
+
+
+def test_subcommands_back_to_back_match_each_run_alone(dataset, tmp_path):
+    # the parser is built once per process and shared by every run in it
+    assert cli.build_parser() is cli.build_parser()
+    scored = tmp_path / "scored.jsonl"
+    labels = sorted((dataset / "labels").glob("*.jsonl"))
+    write_pose6d([replace(rec, score=0.5) for path in labels for rec in read_pose6d(path)], scored)
+    commands = [
+        ["stats", "--input", str(dataset), "--out", str(tmp_path / "stats.csv")],
+        ["eval", "--gt", str(tmp_path / "nope"), "--pred", str(tmp_path)],
+        ["nms", "--pred", str(scored), "--iou", "0.5"],
+        ["nms", "--pred", str(labels[0])],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
+
+    def in_one_process(argvs):
+        proc = subprocess.run([sys.executable, "-c", _RUN_IN_ONE_PROCESS, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    alone = [outcome for argv in commands for outcome in in_one_process([argv])]
+    assert [code for code, _ in alone] == [0, 1, 0, 1]
+    assert in_one_process(commands) == alone
+    in_this_process = [cli.run(argv) for argv in commands]
+    assert [[o.exit_code, o.summary] for o in in_this_process] == alone
 
 
 class TestSynth:

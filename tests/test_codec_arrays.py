@@ -1,6 +1,8 @@
 """Property tests of the array codec against scalar calls and per-center oracles."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -163,6 +165,81 @@ class TestHeadDecode:
         for b in got:
             assert type(b.class_id) is int and type(b.score) is float
             assert {type(v) for v in (b.euler.theta_x, b.euler.theta_y, b.euler.theta_z)} == {float}
+
+    @given(head_outputs())
+    def test_boxes_behave_like_checked_ones(self, drawn):
+        out, centers, cfg = drawn
+        got = head_decode(out, centers, cfg)
+        want = oracles.head_decode_oracle(out, centers, cfg)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert [repr(b) for b in pickle.loads(pickle.dumps(got))] == [repr(b) for b in want]
+        for g, w in zip(got, want):
+            assert repr(g) == repr(w)
+            assert dataclasses.fields(g) == dataclasses.fields(w)
+            assert repr(dataclasses.replace(g, class_id=7)) == repr(dataclasses.replace(w, class_id=7))
+            assert repr(dataclasses.replace(g.euler, theta_x=0.25)) == \
+                repr(dataclasses.replace(w.euler, theta_x=0.25))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.euler.theta_x = 1.0
+
+
+def valid_head_output(n: int, cfg: HeadConfig) -> HeadOutput:
+    """``n`` rows that decode to valid boxes: two classes, slope score 0.9."""
+    rows = np.arange(n, dtype=np.float64)
+    return HeadOutput(
+        class_logits=np.column_stack([rows * 0.1, -rows * 0.1]),
+        s_g=np.full(n, 0.9),
+        yaw_bin_logits=np.tile(np.arange(cfg.codec.n_yaw_bins, dtype=np.float64), (n, 1)),
+        yaw_residual=np.full(n, 0.25),
+        tilt=np.full((n, 2), 0.05),
+        log_dims=np.zeros((n, 3)),
+        center_offset=np.full((n, 3), 0.5),
+    )
+
+
+NAN = float("nan")
+# (HeadOutput field, row index, value) edits that make a row undecodable
+BAD_ROWS = {
+    "nan_center_offset": [("center_offset", (2, 1), NAN)],
+    "infinite_dims": [("log_dims", (1, 0), 800.0)],
+    "zero_dims": [("log_dims", (3, 2), -800.0)],
+    "nan_tilt_on_slope": [("tilt", (2, 0), NAN)],
+    "nan_yaw_residual": [("yaw_residual", 1, NAN)],
+    "nan_class_logits": [("class_logits", (3, 0), NAN), ("class_logits", (3, 1), NAN)],
+    # rows 1, 2 and 3 are bad: row 1 must win, though row 2's bad angle
+    # would be checked before row 1's center and score within one row
+    "first_bad_row_wins": [("log_dims", (3, 1), -800.0), ("tilt", (2, 1), NAN),
+                           ("class_logits", (1, 0), NAN), ("center_offset", (1, 2), NAN)],
+    # within a row the angles come first, then the center, dims and score
+    "angles_before_center": [("center_offset", (1, 2), NAN), ("log_dims", (1, 0), 800.0),
+                             ("yaw_residual", 1, NAN)],
+}
+
+
+class TestHeadDecodeErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_raises_the_per_center_error(self, case):
+        cfg = HeadConfig(class_count=2)
+        out = valid_head_output(5, cfg)
+        for name, index, value in BAD_ROWS[case]:
+            getattr(out, name)[index] = value
+        centers = np.arange(15, dtype=np.float64).reshape(5, 3)
+        with np.errstate(over="ignore"), pytest.raises(Exception) as want:
+            oracles.head_decode_oracle(out, centers, cfg)
+        with np.errstate(over="ignore"), pytest.raises(Exception) as got:
+            head_decode(out, centers, cfg)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_nan_tilt_gated_flat_decodes(self):
+        cfg = HeadConfig(class_count=2)
+        out = valid_head_output(5, cfg)
+        out.tilt[2] = NAN
+        out.s_g[2] = 0.5
+        centers = np.zeros((5, 3))
+        got = head_decode(out, centers, cfg)
+        assert [box_bits(b) for b in got] == \
+            [box_bits(b) for b in oracles.head_decode_oracle(out, centers, cfg)]
+        assert (got[2].euler.theta_x, got[2].euler.theta_y) == (0.0, 0.0)
 
 
 # -------------------------------------------------------------- make_targets

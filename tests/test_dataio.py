@@ -320,6 +320,11 @@ class TestPose6d:
         (float("nan"), "score must lie in [0, 1], got nan"),
         ("high", "score must be a number"),
         ([0.5], "score must be a number"),
+        ("0.5", "score must be a number"),
+        (True, "score must be a number"),
+        (False, "score must be a number"),
+        (10 ** 400, "score must lie in [0, 1], got inf"),
+        (-10 ** 400, "score must lie in [0, 1], got -inf"),
     ])
     def test_bad_score_names_file_and_line(self, tmp_path, score, message):
         path = tmp_path / "score.jsonl"
@@ -329,6 +334,36 @@ class TestPose6d:
         with pytest.raises(ParseError) as exc:
             read_pose6d(path)
         assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("center", "123", "center/dims/euler must be numeric triples"),
+        ("dims", {"4": 0, "2": 0, "1": 0}, "center/dims/euler must be numeric triples"),
+        ("center", ["1.5", "2", True], "center/dims/euler must be numeric triples"),
+        ("euler", [0, 0, True], "center/dims/euler must be numeric triples"),
+        ("dims", [1, None, 1], "center/dims/euler must be numeric triples"),
+        ("euler", None, "center/dims/euler must be numeric triples"),
+        ("center", 5, "center/dims/euler must be numeric triples"),
+        ("center", [0, 0], "center/dims/euler must have 3 entries"),
+        ("center", [0, 0, 10 ** 400], "non-finite numbers"),
+    ])
+    def test_triples_of_json_numbers_only(self, tmp_path, key, value, message):
+        path = tmp_path / "triples.jsonl"
+        good = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                "euler": [0, 0, 0]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{key: value})) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_pose6d(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_integers_and_floats_read_as_floats(self, tmp_path):
+        path = tmp_path / "numbers.jsonl"
+        path.write_text(json.dumps({"frame": "0", "class": "Car", "center": [1, -2.5, 3],
+                                    "dims": [4, 2, 1.5], "euler": [0, 0.25, -1],
+                                    "score": 1}) + "\n")
+        (rec,) = read_pose6d(path)
+        assert rec.center.tolist() == [1.0, -2.5, 3.0] and rec.dims.tolist() == [4.0, 2.0, 1.5]
+        assert rec.euler.tolist() == [0.0, 0.25, -1.0]
+        assert type(rec.score) is float and rec.score == 1.0
 
     def test_known_difficulties_and_null_accepted(self, tmp_path):
         path = tmp_path / "diff.jsonl"

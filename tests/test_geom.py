@@ -140,6 +140,53 @@ class TestToEulerXY:
             assert np.abs(rebuilt - rot).max() < 1e-9
 
 
+class TestBoxesFromArrays:
+    def arrays(self, n=3):
+        rows = np.arange(n, dtype=np.float64)
+        return (np.column_stack([rows, -rows, rows * 0.5]), np.full((n, 3), 1.5),
+                np.column_stack([rows * 0.01, -rows * 0.01, rows]), np.arange(n) % 2,
+                np.linspace(0.0, 1.0, n))
+
+    def test_rows_become_the_checked_boxes(self):
+        centers, dims, euler, class_ids, scores = arrays = self.arrays()
+        got = geom.boxes_from_arrays(*arrays)
+        want = [FullPoseBox(c, d, EulerXYZ(*e.tolist()), class_id=int(k), score=float(s))
+                for c, d, e, k, s in zip(*arrays)]
+        assert [repr(b) for b in got] == [repr(b) for b in want]
+        for i, b in enumerate(got):
+            assert np.shares_memory(b.center, centers) and np.shares_memory(b.dims, dims)
+            assert b.center.tolist() == centers[i].tolist()
+            assert type(b.class_id) is int and type(b.score) is float
+            assert type(b.euler.theta_z) is float
+        assert geom.boxes_from_arrays(*(a[:0] for a in arrays)) == []
+
+    def test_mismatched_shapes_name_the_arrays(self):
+        centers, dims, euler, class_ids, scores = self.arrays()
+        with pytest.raises(ValueError, match=r"dims \(2, 3\)"):
+            geom.boxes_from_arrays(centers, dims[:2], euler, class_ids, scores)
+        with pytest.raises(ValueError, match=r"scores \(3, 1\)"):
+            geom.boxes_from_arrays(centers, dims, euler, class_ids, scores[:, None])
+        with pytest.raises(ValueError, match=r"centers \(3, 2\)"):
+            geom.boxes_from_arrays(centers[:, :2], dims, euler, class_ids, scores)
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("dims", (1, 2), 0.0), ("dims", (1, 2), -0.0), ("dims", (0, 0), -1.0),
+        ("dims", (2, 1), math.inf), ("dims", (2, 1), math.nan),
+        ("centers", (1, 0), math.nan), ("centers", (0, 2), -math.inf),
+        ("euler", (2, 0), math.nan), ("euler", (1, 2), math.inf),
+        ("scores", 1, math.nan), ("scores", 2, 1.0 + 1e-12), ("scores", 0, -0.5),
+    ])
+    def test_a_bad_row_raises_the_constructor_error(self, name, index, value):
+        arrays = dict(zip(("centers", "dims", "euler", "class_ids", "scores"), self.arrays()))
+        arrays[name][index] = value
+        with pytest.raises(ValueError) as want:
+            [FullPoseBox(c, d, EulerXYZ(*e.tolist()), class_id=int(k), score=float(s))
+             for c, d, e, k, s in zip(*arrays.values())]
+        with pytest.raises(ValueError) as got:
+            geom.boxes_from_arrays(**arrays)
+        assert str(got.value) == str(want.value)
+
+
 class TestBoxCorners:
     def test_unit_cube(self):
         got = box_corners(box([0, 0, 0], [1, 1, 1]))

@@ -166,8 +166,11 @@ BAD_ROWS = (
        for key in ("center", "dims", "euler") for i in (0, 2) for v in (INF, -INF)]
     + [_bad(center=[NAN, 0.0, 0.0]), _bad(euler=[0.0, 0.0, NAN])]
     + [_bad(difficulty=d) for d in ("medium", "Easy", 2, [1])]
-    + [_bad(score=s) for s in (NAN, -0.25, 1.5, [0.5], "high", {"v": 1}, INF, True)]
-    + [_bad(score="0.5"), _bad(center="123"), "   ", ""]                  # accepted by both
+    + [_bad(score=s) for s in (NAN, -0.25, 1.5, [0.5], "high", {"v": 1}, INF, True, "0.5")]
+    + [_bad(center="123"), _bad(dims={"4": 0, "2": 0, "1": 0}), _bad(center=["1.5", "2", True])]
+    + [_bad(center=[0.0, 1.0, 10 ** 400]), _bad(dims=[1.0, -(10 ** 400), 1.0]),
+       _bad(score=10 ** 400), _bad(score=2 ** 1024 - 2 ** 970)]
+    + [_bad(euler=[0, 0, 1]), _bad(dims=[2 ** 1024 - 2 ** 970 - 1, 1, 1]), "   ", ""]  # accepted by both
 )
 
 
