@@ -22,7 +22,6 @@ import math
 import shutil
 import sys
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -104,6 +103,8 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 
 # feature-file keys of the per-center targets, in BoxTargets field order
 _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
+# the targets that are floats, not labels or flags
+_FLOAT_TARGET_KEYS = ("yaw_residual", "tilt", "log_dims", "center_offset")
 # x of the line where the synthetic ramp starts, in meters
 _RAMP_START = 20.0
 
@@ -170,10 +171,15 @@ def _load_feature_frame(path: Path):
         data = np.load(path)
         targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
         features = data["features"]
-    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+        # checked once per file: a NaN would train on silently, every epoch
+        floats = {"features": features, **{k: getattr(targets, k) for k in _FLOAT_TARGET_KEYS}}
+        non_finite = [name for name, array in floats.items() if not np.isfinite(array).all()]
+    except (ValueError, KeyError, IndexError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise dataio.ParseError(f"{path}: {exc}") from None
     if features.ndim != 2 or len(features) != len(targets):
         raise dataio.ParseError(f"{path}: features {features.shape} for {len(targets)} targets")
+    if non_finite:
+        raise dataio.ParseError(f"{path}: {non_finite[0]} holds non-finite values")
     return features, targets
 
 
@@ -373,6 +379,9 @@ def cmd_convert(args, cfg: dataio.ToolkitConfig) -> dict:
 def _map_tasks(fn, tasks, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: a single-process run does not pay for the import
+    from concurrent.futures import ProcessPoolExecutor
+
     # a fork-started pool starts every worker at once: no more than there are tasks
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))

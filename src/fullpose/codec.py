@@ -109,8 +109,13 @@ def encode_tilt(theta: float, t: float) -> float:
     """Normalized tilt target; raises for |theta| >= pi/2."""
     if abs(theta) >= HALF_PI:
         raise TiltOutOfRangeError(f"|tilt| must be < pi/2, got {theta}")
-    shift = 0.0 if theta == 0.0 else math.copysign(t, theta)
-    return (theta - shift) / HALF_PI
+    return float(_tilt_codes(theta, t))
+
+
+def _tilt_codes(theta, t):
+    # encode_tilt's formula on checked angles, elementwise, t broadcasting:
+    # an exactly-zero angle is not shifted
+    return (theta - np.where(theta == 0.0, 0.0, np.copysign(t, theta))) / HALF_PI
 
 
 def decode_tilt(theta_hat, t):
@@ -196,9 +201,11 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
 
     A center is foreground iff it lies inside some box (closed boundary);
     ties among containing boxes go to the nearest box center, then to the
-    lowest box index.  Each assigned box is encoded once and its codes are
-    scattered to its centers.  Background centers get class 0 and zeroed
-    regression slots.
+    lowest box index.  The boxes' attributes are gathered by owner and
+    encoded as arrays, one row per foreground center; an attribute that
+    cannot be encoded raises for the first such box in the order of its
+    first center.  Background centers get class 0 and zeroed regression
+    slots.
     """
     pts = np.asarray(centers, dtype=np.float64)
     n = pts.shape[0]
@@ -214,24 +221,33 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     gts = list(gts)
     if gts:
         inside = points_in_boxes(pts, gts)  # (n_boxes, n)
-        box_centers = np.array([b.center for b in gts])[:, None, :]
-        dists = np.linalg.norm(pts - box_centers, axis=2)
+        box_centers = np.array([b.center for b in gts])
+        dists = np.linalg.norm(pts - box_centers[:, None, :], axis=2)
         owner = np.argmin(np.where(inside, dists, np.inf), axis=0)
         foreground = inside.any(axis=0)
-        # assigned boxes in the order of their first center, so an
-        # out-of-range tilt raises for the same box as a per-center pass
-        assigned = list(dict.fromkeys(owner[foreground].tolist()))
-        codes = encode_yaw(np.array([gts[j].euler.theta_z for j in assigned], dtype=np.float64), cfg)
-        for j, code_bin, code_res in zip(assigned, codes.bin.tolist(), codes.residual.tolist()):
-            box = gts[j]
-            rows = foreground & (owner == j)
-            class_label[rows] = box.class_id
-            ground[rows] = ground_label(box, cfg)
-            yaw_bin[rows], yaw_res[rows] = code_bin, code_res
-            tilt[rows] = (encode_tilt(box.euler.theta_x, cfg.t_theta_x),
-                          encode_tilt(box.euler.theta_y, cfg.t_theta_y))
-            log_dims[rows] = encode_dims(box.dims)
-            offset[rows] = encode_center_offset(pts[rows], box.center)
+        # each foreground center takes its box's attributes, encoded as arrays
+        own = owner[foreground]
+        euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in gts],
+                         dtype=np.float64)[own]
+        dims = np.array([b.dims for b in gts], dtype=np.float64)[own]
+        tilt_angles = euler[:, :2]
+        tilt_abs = np.abs(tilt_angles)
+        bad = np.any(tilt_abs >= HALF_PI, axis=1) | np.any(dims <= 0.0, axis=1)
+        if bad.any():
+            # the first bad box in the order of its first center raises the
+            # first error of its encode_tilt (x, then y) and encode_dims calls
+            box = gts[own[np.argmax(bad)]]
+            encode_tilt(box.euler.theta_x, cfg.t_theta_x)
+            encode_tilt(box.euler.theta_y, cfg.t_theta_y)
+            encode_dims(box.dims)
+        thresholds = np.array([cfg.t_theta_x, cfg.t_theta_y])
+        class_label[foreground] = np.array([b.class_id for b in gts])[own]
+        ground[foreground] = np.any(tilt_abs >= thresholds, axis=1)  # ground_label
+        codes = encode_yaw(euler[:, 2], cfg)
+        yaw_bin[foreground], yaw_res[foreground] = codes.bin, codes.residual
+        tilt[foreground] = _tilt_codes(tilt_angles, thresholds)
+        log_dims[foreground] = encode_dims(dims)
+        offset[foreground] = encode_center_offset(pts[foreground], box_centers[own])
 
     return BoxTargets(
         class_label=class_label,

@@ -264,8 +264,9 @@ def read_pose6d(path) -> list[Pose6dRecord]:
     """Read JSONL full-pose records; malformed lines raise with a line number.
 
     Each line is checked on its parsed Python values: center, dims and
-    euler are arrays of JSON numbers (booleans are not numbers), and score
-    is a JSON number or null.  The center, dims and euler triples of the
+    euler are arrays of JSON numbers (booleans are not numbers), score
+    is a JSON number or null, and the class name is one
+    :func:`class_id_for` knows.  The center, dims and euler triples of the
     file then fill one (n, 3, 3) array, and each record holds row views
     of it.
     """
@@ -278,6 +279,8 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer longer than Python's int-string limit
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected a JSON object")
             missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
@@ -310,7 +313,12 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 score = _json_float(score)
                 if not 0.0 <= score <= 1.0:
                     raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
-            rows.append((str(obj["frame"]), str(obj["class"]), score, difficulty))
+            cls = str(obj["class"])
+            try:
+                class_id_for(cls)
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            rows.append((str(obj["frame"]), cls, score, difficulty))
             triples.append(values)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
     return [

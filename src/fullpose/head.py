@@ -146,17 +146,33 @@ def head_decode(out: HeadOutput, centers, cfg: HeadConfig) -> list[FullPoseBox]:
     )
 
 
-def head_loss(params: HeadParams, features: np.ndarray, targets, grad: np.ndarray):
+def loss_rows(params: HeadParams, targets) -> nn.LossRows:
+    """The per-frame part of the loss of ``targets`` (:func:`nn.loss_rows`).
+
+    The gradient buffers are zeroed arrays shaped like the outputs of
+    ``params`` on ``len(targets)`` centers.
+    """
+    n = len(targets)
+    buffers = {"s_g": np.zeros(n)}
+    for name, field_name in _BRANCHES.items():
+        width = getattr(params, name).layers[-1].weights.shape[0]
+        buffers[field_name] = np.zeros(n) if width == 1 else np.zeros((n, width))
+    return nn.loss_rows(targets, HeadOutput(**buffers))
+
+
+def head_loss(params: HeadParams, features: np.ndarray, rows: nn.LossRows, grad: np.ndarray):
     """Composite box loss; writes the gradient of every head parameter into ``grad``.
 
-    ``grad`` is a float64 vector the caller owns, laid out by
-    :func:`nn.layer_views` over the groups in :func:`head_param_list`
-    order; every element is overwritten.  Returns ``(loss, breakdown)``,
-    where ``breakdown.grad`` holds the gradient w.r.t. each raw output.
+    ``rows`` is the frame's :func:`loss_rows`.  ``grad`` is a float64
+    vector the caller owns, laid out by :func:`nn.layer_views` over the
+    groups in :func:`head_param_list` order; every element is
+    overwritten.  Returns ``(loss, breakdown)``, where ``breakdown.grad``
+    holds the gradient w.r.t. each raw output: it is the gradient buffer
+    of ``rows``, which the next call on the same rows overwrites.
     """
     slots = dict(zip(_GROUPS, nn.layer_views(grad, _mlps(params))))
     out, caches = _forward_cached(params, features)
-    loss, bd = nn.composite_box_loss(out, targets)
+    loss, bd = nn.composite_box_loss(out, rows)
 
     dtrunk = np.zeros_like(caches["shared"][-1][2])
     for name, field_name in _BRANCHES.items():
@@ -216,12 +232,15 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
             layer.weights, layer.bias = weights, bias
     grad = np.empty_like(flat)
     state = nn.init_adam_state(flat)
+    # targets do not change across epochs: each frame's loss rows and
+    # gradient buffers are built once
+    frames = [(features, loss_rows(params, targets)) for features, targets in dataset]
     log = []
     for epoch in range(epochs):
         totals = []
         term_sums = {}
-        for features, targets in dataset:
-            loss, bd = head_loss(params, features, targets, grad)
+        for features, rows in frames:
+            loss, bd = head_loss(params, features, rows, grad)
             nn.adam_step(flat, grad, state, lr=lr)
             totals.append(loss)
             for key, val in bd.terms.items():

@@ -18,7 +18,7 @@ Activation codes: 0 = none, 1 = relu.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class LabelOutOfRangeError(FullposeError, ValueError):
 _ACTIVATIONS = ("none", "relu")
 # guard against exact 0/1 probabilities from saturated sigmoids
 _PROB_EPS = 1e-12
+# focal_loss defaults, which the box loss's terrain term uses
+_FOCAL_ALPHA = 0.25
+_FOCAL_GAMMA = 2.0
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 # elements per Adam pass: a block of each operand stays in cache across the
@@ -197,7 +200,7 @@ def mlp_backward(params: MlpParams, cache: list, slots, dy: np.ndarray, *,
             dz = np.multiply(da, z > 0.0, out=da if owned else None)
         dw, db = slots[i]
         np.matmul(dz.T, x_in, out=dw)
-        np.sum(dz, axis=0, out=db)
+        np.add.reduce(dz, axis=0, out=db)
         if i == 0 and not input_grad:
             return None
         da, owned = dz @ layer.weights, True
@@ -211,13 +214,14 @@ def smooth_l1(pred, target) -> tuple[np.ndarray, np.ndarray]:
     clamped to +-1 on the linear branch.
     """
     d = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    quad = np.abs(d) < 1.0
-    loss = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5)
+    size = np.abs(d)
+    quad = size < 1.0
+    loss = np.where(quad, 0.5 * d * d, size - 0.5)
     grad = np.where(quad, d, np.sign(d))
     return loss, grad
 
 
-def focal_loss(p, y, alpha: float = 0.25, gamma_f: float = 2.0
+def focal_loss(p, y, alpha: float = _FOCAL_ALPHA, gamma_f: float = _FOCAL_GAMMA
                ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise binary focal loss and gradient w.r.t. ``p``.
 
@@ -226,19 +230,23 @@ def focal_loss(p, y, alpha: float = 0.25, gamma_f: float = 2.0
     binary cross-entropy.
     """
     p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ProbabilityOutOfRangeError("p must lie strictly inside (0, 1)")
-    pos = y == 1
+    pos = np.asarray(y) == 1
+    return _focal_loss(p, pos, np.where(pos, alpha, 1.0 - alpha), gamma_f)
+
+
+def _focal_loss(p: np.ndarray, pos: np.ndarray, a_t: np.ndarray, gamma_f: float):
+    # focal_loss on checked probabilities, its positive mask and its alphas
     p_t = np.where(pos, p, 1.0 - p)
-    a_t = np.where(pos, alpha, 1.0 - alpha)
+    neg_a_t = -a_t
     one_minus = 1.0 - p_t
-    loss = -a_t * one_minus**gamma_f * np.log(p_t)
+    log_pt = np.log(p_t)
+    weight = one_minus**gamma_f
+    loss = neg_a_t * weight * log_pt
     # dloss/dp_t = -a_t * [ -gamma (1-p_t)^(gamma-1) log p_t + (1-p_t)^gamma / p_t ]
-    modulator = (
-        0.0 if gamma_f == 0.0 else -gamma_f * one_minus ** (gamma_f - 1.0) * np.log(p_t)
-    )
-    dloss_dpt = -a_t * (modulator + one_minus**gamma_f / p_t)
+    modulator = 0.0 if gamma_f == 0.0 else -gamma_f * one_minus ** (gamma_f - 1.0) * log_pt
+    dloss_dpt = neg_a_t * (modulator + weight / p_t)
     grad = np.where(pos, dloss_dpt, -dloss_dpt)
     return loss, grad
 
@@ -254,16 +262,29 @@ def cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatchError(
             f"logits {z.shape} and labels {labels.shape} are not (n, C) and (n,)"
         )
-    if np.any(labels < 0) or np.any(labels >= z.shape[1]):
+    _check_labels(labels, z.shape[1])
+    return _cross_entropy(z, _label_picks(labels, z.shape[1]))
+
+
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    if np.any(labels < 0) or np.any(labels >= classes):
         raise LabelOutOfRangeError(
-            f"labels must lie in [0, {z.shape[1]}) for {z.shape[1]} classes"
+            f"labels must lie in [0, {classes}) for {classes} classes"
         )
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    rows = np.arange(z.shape[0])
-    loss = lse - z[rows, labels]
+
+
+def _label_picks(labels: np.ndarray, classes: int) -> np.ndarray:
+    # the flat index of each row's label logit in an (n, classes) array
+    return np.arange(labels.size) * classes + labels
+
+
+def _cross_entropy(z: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # cross_entropy on float64 logits and the _label_picks of checked labels
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.add.reduce(np.exp(z - m), axis=1))
+    loss = lse - z.take(picks)
     grad = np.exp(z - lse[:, None])
-    grad[rows, labels] -= 1.0
+    grad.put(picks, grad.take(picks) - 1.0)
     return loss, grad
 
 
@@ -272,7 +293,9 @@ class LossBreakdown:
     """Total box loss, per-term values, and the gradient w.r.t. the raw outputs.
 
     ``grad`` has the type and fields of the outputs the loss was computed
-    on: ``grad.tilt`` is d total / d ``out.tilt``, and so on.
+    on: ``grad.tilt`` is d total / d ``out.tilt``, and so on.  It is the
+    gradient buffer of the :class:`LossRows` the loss ran on, so the next
+    call on the same rows overwrites it.
     """
 
     total: float
@@ -281,12 +304,110 @@ class LossBreakdown:
 
 
 _TERM_KEYS = ("cls", "dim", "posi", "seg", "tilt", "yaw_bin", "yaw_res")
+# the supervised terms: each is the loss of one output field against one
+# target field over its rows, divided by the row count (no rows: no term).
+# Softmax cross-entropy over the foreground rows, (term, output, target):
+_CE_TERMS = (("cls", "class_logits", "class_label"), ("yaw_bin", "yaw_bin_logits", "yaw_bin"))
+# smooth-L1 over the foreground rows, tilt over the sloped ones only;
+# (term, field), the target field named as the output field
+_L1_TERMS = (("dim", "log_dims"), ("posi", "center_offset"), ("tilt", "tilt"),
+             ("yaw_res", "yaw_residual"))
 
 
-def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
+@dataclass
+class LossRows:
+    """The part of :func:`composite_box_loss` that one frame's targets fix.
+
+    Built once per frame by :func:`loss_rows`.  A term reads its rows of
+    one output field and writes the same elements of that field's gradient
+    buffer, at their flat indices ``flat``:
+
+    - ``fg``: the foreground row indices;
+    - ``ce_terms``: ``(term, field, picks, flat)`` per cross-entropy
+      term, ``picks`` locating the checked label of each foreground row
+      among that row's logits;
+    - ``l1_terms``: ``(term, field, rows, flat, pred, lo, hi)`` per
+      smooth-L1 term that has rows; the terms' values lie end to end in
+      ``l1_pred`` (the term's view is ``pred``), ``l1_target`` and
+      ``l1_count`` (the row count its term divides by), its span ``lo:hi``;
+    - ``seg_pos``, ``seg_alpha``: the focal term's positive mask and alphas;
+    - ``grad``: the frame's gradient buffers, shaped like the outputs;
+    - ``shapes``: ``(field, shape)`` of every output field.
+    """
+
+    fg: np.ndarray
+    ce_terms: tuple
+    l1_terms: tuple
+    l1_pred: np.ndarray
+    l1_target: np.ndarray
+    l1_count: np.ndarray
+    seg_pos: np.ndarray
+    seg_alpha: np.ndarray
+    grad: object
+    shapes: tuple
+
+
+def loss_rows(targets, grad) -> LossRows:
+    """The per-frame rows of :func:`composite_box_loss` for ``targets``.
+
+    ``grad`` is a dataclass of zeroed per-center arrays shaped like the
+    outputs the loss will see (a ``head.HeadOutput``); it becomes the
+    frame's gradient buffers.  Each term writes only the rows it
+    supervises and overwrites all of them on every call, so every other
+    row stays zero.  The integer labels are checked here, once, as
+    :func:`cross_entropy` checks them.
+    """
+    shapes = tuple((f.name, getattr(grad, f.name).shape) for f in fields(grad))
+    if grad.class_logits.shape[0] != len(targets):
+        raise ShapeMismatchError("outputs and targets disagree on batch size")
+    fg_mask = np.asarray(targets.foreground, dtype=bool)
+    fg = np.flatnonzero(fg_mask)
+    sloped = np.flatnonzero(fg_mask & (np.asarray(targets.ground_label) > 0))
+
+    def flat(field_name, rows):
+        # flat indices of the elements of ``rows`` in the field's buffer
+        buffer = getattr(grad, field_name)
+        return np.arange(buffer.size).reshape(buffer.shape)[rows].ravel()
+
+    ce_terms = []
+    for term, field_name, target_name in _CE_TERMS:
+        labels = np.asarray(getattr(targets, target_name), dtype=np.intp)[fg]
+        classes = getattr(grad, field_name).shape[1]
+        _check_labels(labels, classes)
+        ce_terms.append((term, field_name, _label_picks(labels, classes), flat(field_name, fg)))
+    # the empty first pieces join nothing for a frame without foreground
+    spans, targets_l1, counts, at = [], [np.empty(0)], [np.empty(0)], 0
+    for term, field_name in _L1_TERMS:
+        rows = sloped if term == "tilt" else fg
+        target = np.asarray(getattr(targets, field_name), dtype=np.float64)[rows]
+        if target.size:
+            spans.append((term, field_name, rows, target.shape, at, at + target.size))
+            targets_l1.append(target.ravel())
+            counts.append(np.full(target.size, float(rows.size)))
+            at += target.size
+    l1_pred = np.empty(at)
+    seg_pos = np.asarray(targets.ground_label)[fg] == 1
+    return LossRows(
+        fg=fg,
+        ce_terms=tuple(ce_terms),
+        l1_terms=tuple((term, field_name, rows, flat(field_name, rows),
+                        l1_pred[lo:hi].reshape(shape), lo, hi)
+                       for term, field_name, rows, shape, lo, hi in spans),
+        l1_pred=l1_pred,
+        l1_target=np.concatenate(targets_l1),
+        l1_count=np.concatenate(counts),
+        seg_pos=seg_pos,
+        seg_alpha=np.where(seg_pos, _FOCAL_ALPHA, 1.0 - _FOCAL_ALPHA),
+        grad=grad,
+        shapes=shapes,
+    )
+
+
+def composite_box_loss(out, rows: LossRows) -> tuple[float, LossBreakdown]:
     """Total training loss over a batch of per-center raw outputs.
 
-    ``out`` is a dataclass of per-center arrays (a ``head.HeadOutput``).
+    ``out`` is a dataclass of per-center arrays (a ``head.HeadOutput``);
+    ``rows`` is its frame's :func:`loss_rows`.
     Classification, dimension, position, and yaw terms sum over foreground
     centers and divide by their count; the terrain focal term does the
     same; the tilt term averages over foreground centers on sloped terrain
@@ -294,41 +415,51 @@ def composite_box_loss(out, targets) -> tuple[float, LossBreakdown]:
     zero loss and an all-zero gradient.  The total is the unweighted sum
     ``cls + dim + posi + (seg + tilt) + (yaw_bin + yaw_res)``.
     """
-    if out.class_logits.shape[0] != len(targets):
-        raise ShapeMismatchError("outputs and targets disagree on batch size")
-    grad = replace(out, **{f.name: np.zeros_like(getattr(out, f.name)) for f in fields(out)})
-    result = LossBreakdown(total=0.0, terms={k: 0.0 for k in _TERM_KEYS}, grad=grad)
-    fg = np.asarray(targets.foreground, dtype=bool)
-    n_p = int(fg.sum())
+    for name, shape in rows.shapes:
+        if getattr(out, name).shape != shape:
+            raise ShapeMismatchError(
+                f"output {name} has shape {getattr(out, name).shape}, the loss rows {shape}"
+            )
+    grad = rows.grad
+    terms = dict.fromkeys(_TERM_KEYS, 0.0)
+    result = LossBreakdown(total=0.0, terms=terms, grad=grad)
+    fg = rows.fg
+    n_p = fg.size
     if n_p == 0:
         return 0.0, result
-    sloped = fg & (np.asarray(targets.ground_label) > 0)
-    terms = result.terms
 
-    # each supervised term: loss of one output field against one target
-    # field over the given rows, divided by the row count (0 rows: no term)
-    for term, loss_fn, field_name, target_name, rows, count in (
-        ("cls", cross_entropy, "class_logits", "class_label", fg, n_p),
-        ("dim", smooth_l1, "log_dims", "log_dims", fg, n_p),
-        ("posi", smooth_l1, "center_offset", "center_offset", fg, n_p),
-        ("tilt", smooth_l1, "tilt", "tilt", sloped, int(sloped.sum())),
-        ("yaw_bin", cross_entropy, "yaw_bin_logits", "yaw_bin", fg, n_p),
-        ("yaw_res", smooth_l1, "yaw_residual", "yaw_residual", fg, n_p),
-    ):
-        if count == 0:
-            continue
-        loss, dloss = loss_fn(getattr(out, field_name)[rows], getattr(targets, target_name)[rows])
-        terms[term] = float(loss.sum()) / count
-        getattr(grad, field_name)[rows] = dloss / count
+    # rows are gathered with take and written back with put, by index;
+    # np.add.reduce is the sum that ndarray.sum runs, without its wrapper
+    for term, field_name, picks, flat in rows.ce_terms:
+        loss, dloss = _cross_entropy(getattr(out, field_name).take(fg, axis=0), picks)
+        terms[term] = float(np.add.reduce(loss)) / n_p
+        dloss /= n_p
+        getattr(grad, field_name).put(flat, dloss)
 
-    p_raw = out.s_g[fg]
-    p = np.clip(p_raw, _PROB_EPS, 1.0 - _PROB_EPS)
-    seg_loss, seg_grad = focal_loss(p, targets.ground_label[fg])
-    # a saturated score sits on the clip boundary; its true upstream
-    # gradient through the sigmoid is ~0, so drop the clipped one
-    seg_grad = np.where((p_raw > _PROB_EPS) & (p_raw < 1.0 - _PROB_EPS), seg_grad, 0.0)
-    terms["seg"] = float(seg_loss.sum()) / n_p
-    grad.s_g[fg] = seg_grad / n_p
+    # the smooth-L1 terms in one pass over their values, laid end to end;
+    # each term sums and writes back its own span
+    for _, field_name, idx, _, pred, _, _ in rows.l1_terms:
+        # the rows are in range; "clip" takes them into pred unbuffered
+        getattr(out, field_name).take(idx, axis=0, out=pred, mode="clip")
+    loss, dloss = smooth_l1(rows.l1_pred, rows.l1_target)
+    dloss /= rows.l1_count
+    for term, field_name, idx, flat, _, lo, hi in rows.l1_terms:
+        terms[term] = float(np.add.reduce(loss[lo:hi])) / idx.size
+        getattr(grad, field_name).put(flat, dloss[lo:hi])
+
+    p = out.s_g.take(fg)
+    inside = (p > _PROB_EPS) & (p < 1.0 - _PROB_EPS)
+    saturated = not inside.all()
+    if saturated:
+        p = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
+    seg_loss, seg_grad = _focal_loss(p, rows.seg_pos, rows.seg_alpha, _FOCAL_GAMMA)
+    if saturated:
+        # a saturated score sits on the clip boundary; its true upstream
+        # gradient through the sigmoid is ~0, so drop the clipped one
+        seg_grad = np.where(inside, seg_grad, 0.0)
+    terms["seg"] = float(np.add.reduce(seg_loss)) / n_p
+    seg_grad /= n_p
+    grad.s_g.put(fg, seg_grad)
 
     result.total = float(
         terms["cls"] + terms["dim"] + terms["posi"]

@@ -190,14 +190,15 @@ def check_composite_loss(rng: np.random.Generator) -> float:
         "center_offset": (n, 3),
     }
     templates = [np.zeros(s) for s in shapes.values()]
+    rows = nn.loss_rows(targets, head.HeadOutput(**{name: np.zeros(s) for name, s in shapes.items()}))
 
     def f(vec):
         fields = dict(zip(shapes, _unpack(vec, templates)))
         fields["s_g"] = nn.sigmoid(fields["s_g"])  # map into (0, 1)
         out = head.HeadOutput(**fields)
-        loss, bd = nn.composite_box_loss(out, targets)
-        bd.grad.s_g *= out.s_g * (1.0 - out.s_g)  # chain through the sigmoid
-        return loss, _pack([getattr(bd.grad, name) for name in shapes])
+        loss, bd = nn.composite_box_loss(out, rows)
+        ds_g = bd.grad.s_g * (out.s_g * (1.0 - out.s_g))  # chain through the sigmoid
+        return loss, _pack([ds_g if name == "s_g" else getattr(bd.grad, name) for name in shapes])
 
     # smooth-L1'd fields start 0.1-0.8 away from their targets: alive, off kink
     for _ in range(_MAX_REDRAWS):
@@ -228,6 +229,7 @@ def check_head_loss(rng: np.random.Generator) -> float:
         _load(mlps, start)
         features = _bounded(rng, (4, cfg.feature_dim), lo=0.5, hi=2.0)
         targets = _random_targets(4, cfg.codec, rng)
+        rows = head.loss_rows(params, targets)
         out, caches = head._forward_cached(params, features)
         gaps = [
             _relu_kink_gap(params.seg, caches["seg"]),
@@ -243,7 +245,7 @@ def check_head_loss(rng: np.random.Generator) -> float:
         def f(vec):
             _load(mlps, vec)
             grad = np.empty_like(vec)
-            loss, _ = head.head_loss(params, features, targets, grad)
+            loss, _ = head.head_loss(params, features, rows, grad)
             return loss, grad
 
         if _weakest_alive_grad(f, start) > _GRAD_FLOOR:

@@ -14,7 +14,10 @@ checks and per-record JSONL reader and writer, kept literally because the
 Python-scalar versions must repeat them message for message and byte
 for byte.  The training oracles last are the per-array forward, backward,
 head loss and Adam step that the one-vector training must repeat bit for
-bit; they reuse only the library's loss and sigmoid.
+bit; they reuse only the library's elementwise losses and sigmoid.  The
+loss oracle is the per-call composite loss that the per-frame loss rows
+must repeat bit for bit: it selects rows by boolean mask and checks the
+labels on every call, and makes fresh gradient arrays each time.
 """
 
 from __future__ import annotations
@@ -454,7 +457,7 @@ def read_pose6d_oracle(path) -> list:
     """``dataio.read_pose6d`` record by record, with numpy checks per record."""
     import json
 
-    from fullpose.dataio import ParseError, Pose6dRecord
+    from fullpose.dataio import ParseError, Pose6dRecord, class_id_for
     from fullpose.evaluation import DIFFICULTY_LABELS
 
     def array(value) -> list:
@@ -480,6 +483,8 @@ def read_pose6d_oracle(path) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer longer than Python's int-string limit
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected a JSON object")
             missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
@@ -509,6 +514,10 @@ def read_pose6d_oracle(path) -> list:
                 raise ParseError(f"{path}:{lineno}: score must be a number") from None
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
+            try:
+                class_id_for(str(obj["class"]))
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
             records.append(
                 Pose6dRecord(
                     frame=str(obj["frame"]),
@@ -586,6 +595,64 @@ def mlp_backward_oracle(params, cache, dy):
     return da, grads
 
 
+def composite_box_loss_oracle(out, targets):
+    """``nn.composite_box_loss`` on whole targets, every row selection made per call."""
+    from dataclasses import fields, replace
+
+    from fullpose.nn import (
+        _PROB_EPS,
+        _TERM_KEYS,
+        LossBreakdown,
+        ShapeMismatchError,
+        cross_entropy,
+        focal_loss,
+        smooth_l1,
+    )
+
+    if out.class_logits.shape[0] != len(targets):
+        raise ShapeMismatchError("outputs and targets disagree on batch size")
+    grad = replace(out, **{f.name: np.zeros_like(getattr(out, f.name)) for f in fields(out)})
+    result = LossBreakdown(total=0.0, terms={k: 0.0 for k in _TERM_KEYS}, grad=grad)
+    fg = np.asarray(targets.foreground, dtype=bool)
+    n_p = int(fg.sum())
+    if n_p == 0:
+        return 0.0, result
+    sloped = fg & (np.asarray(targets.ground_label) > 0)
+    terms = result.terms
+
+    # each supervised term: loss of one output field against one target
+    # field over the given rows, divided by the row count (0 rows: no term)
+    for term, loss_fn, field_name, target_name, rows, count in (
+        ("cls", cross_entropy, "class_logits", "class_label", fg, n_p),
+        ("dim", smooth_l1, "log_dims", "log_dims", fg, n_p),
+        ("posi", smooth_l1, "center_offset", "center_offset", fg, n_p),
+        ("tilt", smooth_l1, "tilt", "tilt", sloped, int(sloped.sum())),
+        ("yaw_bin", cross_entropy, "yaw_bin_logits", "yaw_bin", fg, n_p),
+        ("yaw_res", smooth_l1, "yaw_residual", "yaw_residual", fg, n_p),
+    ):
+        if count == 0:
+            continue
+        loss, dloss = loss_fn(getattr(out, field_name)[rows], getattr(targets, target_name)[rows])
+        terms[term] = float(loss.sum()) / count
+        getattr(grad, field_name)[rows] = dloss / count
+
+    p_raw = out.s_g[fg]
+    p = np.clip(p_raw, _PROB_EPS, 1.0 - _PROB_EPS)
+    seg_loss, seg_grad = focal_loss(p, targets.ground_label[fg])
+    # a saturated score sits on the clip boundary; its true upstream
+    # gradient through the sigmoid is ~0, so drop the clipped one
+    seg_grad = np.where((p_raw > _PROB_EPS) & (p_raw < 1.0 - _PROB_EPS), seg_grad, 0.0)
+    terms["seg"] = float(seg_loss.sum()) / n_p
+    grad.s_g[fg] = seg_grad / n_p
+
+    result.total = float(
+        terms["cls"] + terms["dim"] + terms["posi"]
+        + (terms["seg"] + terms["tilt"])
+        + (terms["yaw_bin"] + terms["yaw_res"])
+    )
+    return result.total, result
+
+
 def head_loss_oracle(params, features, targets):
     """``head.head_loss`` as a list of fresh per-array gradients in parameter order."""
     from fullpose import head, nn
@@ -598,7 +665,7 @@ def head_loss_oracle(params, features, targets):
         y, caches[name] = mlp_forward_oracle(getattr(params, name), trunk)
         fields[field_name] = y[:, 0] if y.shape[1] == 1 else y
     out = head.HeadOutput(**fields)
-    loss, bd = nn.composite_box_loss(out, targets)
+    loss, bd = composite_box_loss_oracle(out, targets)
     grads = {}
     dtrunk = np.zeros_like(caches["shared"][-1][2])
     for name, field_name in head._BRANCHES.items():

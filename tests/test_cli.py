@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -300,10 +301,10 @@ class TestEval:
         assert "error" in outcome.summary
 
 
-def _with_features(npz: bytes, edit) -> bytes:
-    """The archive ``npz`` with ``edit`` applied to its features array."""
+def _with_array(npz: bytes, name: str, edit) -> bytes:
+    """The archive ``npz`` with ``edit`` applied to its array ``name``."""
     arrays = dict(np.load(io.BytesIO(npz)))
-    arrays["features"] = edit(arrays["features"])
+    arrays[name] = edit(arrays[name])
     out = io.BytesIO()
     np.savez(out, **arrays)
     return out.getvalue()
@@ -341,7 +342,22 @@ class TestBadRecordsNameTheirFile:
         bad = pred / "labels" / "000001.jsonl"
         _edit_first_record(bad, **{"class": "Foo"})
         error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred)], capsys)
-        assert error == f"{bad}: unknown class name 'Foo'"
+        assert error == f"{bad}:1: unknown class name 'Foo'"
+
+    def test_nms_unknown_class(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        _edit_first_record(bad, **{"class": "Foo"})
+        error = _fail(["nms", "--pred", str(bad)], capsys)
+        assert error == f"{bad}:1: unknown class name 'Foo'"
+
+    def test_nms_integer_past_the_digit_limit(self, tmp_path, capsys):
+        bad = tmp_path / "long.jsonl"
+        bad.write_text('{"frame": "0", "class": "Car", "center": [' + "7" * 5000 + ', 0, 0], '
+                       '"dims": [1, 1, 1], "euler": [0, 0, 0], "score": 0.5}\n')
+        error = _fail(["nms", "--pred", str(bad)], capsys)
+        assert error.startswith(f"{bad}:1: invalid JSON (Exceeds the limit (4300 digits)")
 
     def test_eval_missing_score(self, dataset, tmp_path, capsys):
         pred = tmp_path / "pred"
@@ -369,8 +385,8 @@ class TestBadRecordsNameTheirFile:
     @pytest.mark.parametrize("corrupt", [
         lambda good: b"not an npz archive\n" * 8,
         lambda good: good[: len(good) // 2],
-        lambda good: _with_features(good, lambda f: f[:-1]),
-        lambda good: _with_features(good, lambda f: f[:, :-2]),
+        lambda good: _with_array(good, "features", lambda f: f[:-1]),
+        lambda good: _with_array(good, "features", lambda f: f[:, :-2]),
     ], ids=["junk", "truncated", "row_short", "narrower"])
     def test_train_head_corrupt_features(self, dataset, tmp_path, capsys, corrupt):
         data = tmp_path / "data"
@@ -380,6 +396,31 @@ class TestBadRecordsNameTheirFile:
         error = _fail(["train-head", "--data", str(data), "--epochs", "1",
                        "--out", str(tmp_path / "head.bin")], capsys)
         assert error.startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("name, row, value", [
+        ("features", (0, 0), np.nan),
+        ("features", (-1, -1), -np.inf),
+        ("yaw_residual", 0, np.nan),
+        ("tilt", (0, 1), np.inf),
+        ("log_dims", (1, 2), np.nan),
+        ("center_offset", (0, 0), -np.inf),
+    ])
+    def test_train_head_non_finite_values(self, dataset, tmp_path, capsys, name, row, value):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+
+        def spoil(array):
+            array = array.copy()
+            array[row] = value
+            return array
+
+        bad.write_bytes(_with_array(bad.read_bytes(), name, spoil))
+        params = tmp_path / "head.bin"
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1", "--out", str(params)],
+                      capsys)
+        assert error == f"{bad}: {name} holds non-finite values"
+        assert not params.exists()
 
 
 class TestStats:
@@ -541,9 +582,24 @@ def test_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # the pool class is looked up in concurrent.futures when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     run_ok(["synth", "--scenes", "2", "--jobs", "64", "--output", str(tmp_path / "out")])
     assert asked == [2]
+
+
+def test_single_process_run_imports_no_process_pool(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
+    argv = ["synth", "--scenes", "1", "--output", str(tmp_path / "out")]
+    script = ("import json, sys\nfrom fullpose import cli\n"
+              "imported = ['concurrent.futures.process' in sys.modules]\n"
+              f"cli.run({argv!r})\n"
+              "imported.append('concurrent.futures.process' in sys.modules)\n"
+              "print(json.dumps(imported))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False]
 
 
 KITTI_CALIB = """\

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from fullpose.codec import (  # noqa: E402
     CodecConfig,
+    NonPositiveDimensionError,
     TiltOutOfRangeError,
     YawCode,
     decode_tilt,
@@ -314,3 +315,36 @@ class TestMakeTargets:
         with pytest.raises(TiltOutOfRangeError) as want:
             oracles.make_targets_oracle(centers, [flat, steep], cfg)
         assert str(got.value) == str(want.value)
+
+    # box 1 is the second box assigned (its first center comes second) and
+    # box 0, of lower index, the third; each case spoils box 1 and, with a
+    # different error, box 0
+    @pytest.mark.parametrize("second, third", [
+        ({"theta_y": HALF_PI}, {"dims": 0.0}),
+        ({"theta_x": -2.0}, {"theta_y": 1.6}),
+        ({"dims": 0.0}, {"theta_x": HALF_PI}),
+        ({"dims": -1e-10}, {"dims": 0.0}),
+        ({"theta_y": -HALF_PI, "dims": 0.0}, {}),
+        ({"theta_x": 1.6, "theta_y": -1.7}, {}),
+    ], ids=["tilt-y", "tilt-x", "dims-zero", "dims-negative", "tilt-before-dims", "x-before-y"])
+    def test_second_assigned_box_raises_the_oracle_message(self, second, third):
+        def box(x, spoil):
+            b = FullPoseBox(np.array([x, 0.0, 0.0]), np.array([2.0, 1.5, 1.0]),
+                            EulerXYZ(spoil.get("theta_x", 0.2), spoil.get("theta_y", -0.3), 0.4),
+                            class_id=1)
+            if "dims" in spoil:
+                b.dims[1] = spoil["dims"]  # past the box's own check
+            return b
+
+        boxes = [box(0.0, third), box(5.0, second), box(10.0, {})]
+        # box centers are inside even at zero width: boxes 2, 1, 2, 0, 1
+        centers = np.array([[10.0, 0, 0], [5.0, 0, 0], [10.2, 0, 0], [0.0, 0, 0], [5.0, 0, 0]])
+        cfg = CodecConfig()
+        errors = (TiltOutOfRangeError, NonPositiveDimensionError)
+        with pytest.raises(errors) as got:
+            make_targets(centers, boxes, cfg)
+        with pytest.raises(errors) as want:
+            oracles.make_targets_oracle(centers, boxes, cfg)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert make_targets(centers[[0, 2]], boxes, cfg).foreground.all()

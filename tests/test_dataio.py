@@ -280,6 +280,25 @@ class TestPose6d:
         with pytest.raises(ParseError, match="bad.jsonl:2"):
             read_pose6d(path)
 
+    @pytest.mark.parametrize("name", ["Foo", "Fahrzeug_ä", "class_x", 5])
+    def test_unknown_class_names_line(self, tmp_path, name):
+        path = tmp_path / "bad.jsonl"
+        good = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                "euler": [0, 0, 0]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{"class": name})) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_pose6d(path)
+        assert str(exc.value) == f"{path}:2: unknown class name {str(name)!r}"
+
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "long.jsonl"
+        digits = "7" * 5000
+        path.write_text('{"frame": "0", "class": "Car", "center": [' + digits + ', 0, 0], '
+                        '"dims": [1, 1, 1], "euler": [0, 0, 0]}\n')
+        with pytest.raises(ParseError) as exc:
+            read_pose6d(path)
+        assert str(exc.value).startswith(f"{path}:1: invalid JSON (Exceeds the limit (4300 digits)")
+
     def test_unknown_keys_ignored_on_read_dropped_on_write(self, tmp_path):
         path = tmp_path / "extra.jsonl"
         obj = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],

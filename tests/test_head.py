@@ -20,6 +20,7 @@ from fullpose.head import (
     head_param_list,
     init_head,
     load_head,
+    loss_rows,
     save_head,
     train_toy,
 )
@@ -161,7 +162,7 @@ class TestLoss:
         targets = verify._random_targets(6, SMALL.codec, rng)
         arrays = head_param_list(params)
         grad = np.full(sum(a.size for a in arrays), np.nan)
-        loss, _ = head_loss(params, feats, targets, grad)
+        loss, _ = head_loss(params, feats, loss_rows(params, targets), grad)
         want_loss, want, _ = oracles.head_loss_oracle(params, feats, targets)
         assert loss > 0 and loss == want_loss
         # one slice per array, in parameter order, each the oracle's bytes
@@ -184,7 +185,8 @@ class TestLoss:
         size = sum(a.size for a in head_param_list(params)) + extra
         targets = verify._random_targets(6, SMALL.codec, rng)
         with pytest.raises(ShapeMismatchError):
-            head_loss(params, rng.standard_normal((6, 12)), targets, np.zeros(size))
+            head_loss(params, rng.standard_normal((6, 12)), loss_rows(params, targets),
+                      np.zeros(size))
 
 
 def _toy_dataset(rng, frames=5, centers=30, feature_dim=12):
@@ -263,6 +265,26 @@ class TestTrainToy:
         want = oracles.train_toy_oracle(dataset, cfg, epochs=1, seed=4, lr=1e-2)
         for a, b in zip(head_param_list(params), head_param_list(want), strict=True):
             assert a.tobytes() == b.tobytes()
+
+    def test_matches_per_array_oracle_over_epochs(self):
+        # frames of different row counts and foreground sets, one of them
+        # all background: a gradient buffer row left from another frame or
+        # an earlier epoch would change the parameters
+        rng = np.random.default_rng(14)
+        dataset = [frame for centers in (7, 4, 11)
+                   for frame in _toy_dataset(rng, frames=1, centers=centers)]
+        dataset.append(_toy_dataset(rng, frames=1, centers=6)[0])
+        _, bg = dataset[-1]
+        bg.foreground[:] = False
+        bg.ground_label[:] = 0
+        dataset.insert(1, dataset[-1])
+        assert len({len(t) for _, t in dataset}) == 4
+        assert [int(t.foreground.sum()) for _, t in dataset][1] == 0
+        params, log = train_toy(dataset, SMALL, epochs=4, seed=5, lr=1e-2)
+        want = oracles.train_toy_oracle(dataset, SMALL, epochs=4, seed=5, lr=1e-2)
+        for a, b in zip(head_param_list(params), head_param_list(want), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert len(log) == 4
 
     def test_probes_see_every_backward_and_adam_step(self, monkeypatch):
         # counting wrappers replace the module attributes, as a tracer

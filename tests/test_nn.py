@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fullpose.nn import (
     init_mlp,
     layer_views,
     load_mlps,
+    loss_rows,
     mlp_backward,
     mlp_forward,
     save_mlps,
@@ -348,12 +350,18 @@ def _composite_oracle(out, targets):
     return cls + dim + posi + (seg + tilt) + (ybin + yres)
 
 
+def _rows(targets, out):
+    """The loss rows of ``targets``, with zeroed gradient buffers shaped like ``out``."""
+    return loss_rows(targets, replace(out, **{f.name: np.zeros_like(getattr(out, f.name))
+                                               for f in fields(out)}))
+
+
 class TestCompositeLoss:
     def test_matching_predictions_zero_regression_terms(self):
         rng = np.random.default_rng(15)
         targets = _targets_for(8, rng)
         out = _output_for(targets, rng, exact=True)
-        _, bd = composite_box_loss(out, targets)
+        _, bd = composite_box_loss(out, _rows(targets, out))
         assert bd.terms["dim"] == 0.0
         assert bd.terms["posi"] == 0.0
         assert bd.terms["tilt"] == 0.0
@@ -365,7 +373,7 @@ class TestCompositeLoss:
         targets = _targets_for(6, rng)
         targets.ground_label[:] = 0
         out = _output_for(targets, rng)
-        loss, bd = composite_box_loss(out, targets)
+        loss, bd = composite_box_loss(out, _rows(targets, out))
         assert bd.terms["tilt"] == 0.0
         assert math.isfinite(loss)
 
@@ -375,7 +383,7 @@ class TestCompositeLoss:
         targets.foreground[:] = False
         targets.ground_label[:] = 0
         out = _output_for(targets, rng)
-        loss, bd = composite_box_loss(out, targets)
+        loss, bd = composite_box_loss(out, _rows(targets, out))
         assert loss == 0.0
         assert type(bd.grad) is HeadOutput
         for f in fields(out):
@@ -387,28 +395,29 @@ class TestCompositeLoss:
         rng = np.random.default_rng(18)
         targets = _targets_for(8, rng)
         out = _output_for(targets, rng)
-        loss, _ = composite_box_loss(out, targets)
+        loss, _ = composite_box_loss(out, _rows(targets, out))
         assert abs(loss - _composite_oracle(out, targets)) < 1e-10
 
     def test_additivity_of_terms(self):
         rng = np.random.default_rng(19)
         targets = _targets_for(8, rng)
         out = _output_for(targets, rng)
-        loss, bd = composite_box_loss(out, targets)
+        rows = _rows(targets, out)
+        loss, bd = composite_box_loss(out, rows)
         silenced = _output_for(targets, rng)
         silenced.log_dims = targets.log_dims.copy()
-        loss2, bd2 = composite_box_loss(silenced, targets)
+        loss2, bd2 = composite_box_loss(silenced, rows)
         assert bd2.terms["dim"] == 0.0
         for key in bd.terms:
             if key != "dim":
-                assert abs(bd2.terms[key] - composite_box_loss(silenced, targets)[1].terms[key]) < 1e-15
+                assert abs(bd2.terms[key] - composite_box_loss(silenced, rows)[1].terms[key]) < 1e-15
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
             targets = _targets_for(6, rng)
             out = _output_for(targets, rng)
-            loss, bd = composite_box_loss(out, targets)
+            loss, bd = composite_box_loss(out, _rows(targets, out))
             assert loss >= 0.0
             assert all(v >= 0.0 for v in bd.terms.values())
             t = bd.terms
@@ -417,6 +426,135 @@ class TestCompositeLoss:
 
     def test_finite_difference(self):
         assert verify.check_composite_loss(np.random.default_rng(21)) < 1e-6
+
+
+def _frame(rng, n, fg, sloped, n_bins=12, classes=3):
+    """Targets on ``n`` rows with foreground rows ``fg`` and ground label 1 on
+    ``sloped`` (background rows among them must not count as sloped)."""
+    foreground = np.zeros(n, dtype=bool)
+    foreground[list(fg)] = True
+    ground = np.zeros(n, dtype=np.intp)
+    ground[list(sloped)] = 1
+    return BoxTargets(
+        class_label=np.where(foreground, rng.integers(1, classes, n), 0),
+        ground_label=ground,
+        yaw_bin=rng.integers(0, n_bins, n),
+        yaw_residual=rng.uniform(0.5, 1.5, n),
+        tilt=rng.uniform(-0.3, 0.3, (n, 2)),
+        log_dims=rng.uniform(-0.5, 1.5, (n, 3)),
+        center_offset=rng.uniform(-1, 1, (n, 3)),
+        foreground=foreground,
+    )
+
+
+def _outputs(targets, rng, n_bins=12, classes=3, s_g=None):
+    # regression outputs 0-2 away from their targets: both smooth-L1 branches
+    n = len(targets)
+
+    def near(a):
+        return a + rng.uniform(-2.0, 2.0, a.shape)
+
+    return HeadOutput(
+        class_logits=rng.standard_normal((n, classes)) * 3.0,
+        s_g=rng.uniform(0.01, 0.99, n) if s_g is None else np.asarray(s_g, dtype=np.float64),
+        yaw_bin_logits=rng.standard_normal((n, n_bins)) * 3.0,
+        yaw_residual=near(targets.yaw_residual),
+        tilt=near(targets.tilt),
+        log_dims=near(targets.log_dims),
+        center_offset=near(targets.center_offset),
+    )
+
+
+def _loss_bits(loss, bd) -> tuple:
+    return (
+        struct.pack("<d", loss),
+        {key: struct.pack("<d", val) for key, val in bd.terms.items()},
+        type(bd.grad),
+        {f.name: (getattr(bd.grad, f.name).dtype.str, getattr(bd.grad, f.name).shape,
+                  getattr(bd.grad, f.name).tobytes()) for f in fields(bd.grad)},
+    )
+
+
+def _assert_repeats_oracle(targets, outs):
+    """Every output, run in turn on one frame's loss rows, gives the oracle's bits."""
+    rows = _rows(targets, outs[0])
+    for out in outs:
+        got = _loss_bits(*composite_box_loss(out, rows))
+        assert got == _loss_bits(*oracles.composite_box_loss_oracle(out, targets))
+
+
+S_G_EDGES = [0.0, 1.0, 1e-12, 1.0 - 1e-12, 5e-13, 1.0 - 5e-13, 2e-12, 1.0 - 2e-12,
+             math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0),
+             math.nextafter(1.0 - 1e-12, 0.0), math.nextafter(1.0 - 1e-12, 1.0)]
+
+
+class TestLossRowsAgainstOracle:
+    """The per-frame loss rows against the per-call loss, bit for bit."""
+
+    @pytest.mark.parametrize("fg, sloped", [
+        ((), (1, 4)),
+        ((0, 2, 3, 6), ()),
+        ((0, 2, 3, 6), (1, 5)),
+        (range(8), (0, 3, 7)),
+        (range(8), range(8)),
+        ((5,), (5,)),
+    ], ids=["all-background", "no-sloped", "sloped-only-background", "all-foreground",
+            "all-sloped", "one-row"])
+    def test_foreground_sets(self, fg, sloped):
+        rng = np.random.default_rng(40)
+        targets = _frame(rng, 8, fg, sloped)
+        _assert_repeats_oracle(targets, [_outputs(targets, rng) for _ in range(3)])
+
+    @pytest.mark.parametrize("n_bins", range(2, 17))
+    def test_yaw_bin_counts(self, n_bins):
+        rng = np.random.default_rng(41 + n_bins)
+        targets = _frame(rng, 9, (0, 1, 4, 5, 8), (1, 2, 8), n_bins=n_bins)
+        _assert_repeats_oracle(targets, [_outputs(targets, rng, n_bins=n_bins) for _ in range(3)])
+
+    def test_saturated_and_near_saturated_scores(self):
+        rng = np.random.default_rng(42)
+        n = len(S_G_EDGES)
+        targets = _frame(rng, n, range(n), range(0, n, 2))
+        outs = [_outputs(targets, rng, s_g=S_G_EDGES), _outputs(targets, rng),
+                _outputs(targets, rng, s_g=S_G_EDGES[::-1])]
+        _assert_repeats_oracle(targets, outs)
+
+    def test_background_buffer_rows_stay_zero(self):
+        rng = np.random.default_rng(43)
+        targets = _frame(rng, 6, (1, 2, 4), (2, 3))
+        outs = [_outputs(targets, rng) for _ in range(3)]
+        rows = _rows(targets, outs[0])
+        for out in outs:
+            _, bd = composite_box_loss(out, rows)
+            for f in fields(bd.grad):
+                assert not getattr(bd.grad, f.name)[[0, 3, 5]].any()
+            # tilt is supervised on sloped foreground rows only
+            assert not bd.grad.tilt[[1, 4]].any() and bd.grad.tilt[2].all()
+
+    @pytest.mark.parametrize("field_name, value", [("class_label", 3), ("yaw_bin", 12),
+                                                   ("class_label", -1)])
+    def test_labels_checked_once_with_the_oracle_message(self, field_name, value):
+        rng = np.random.default_rng(44)
+        targets = _frame(rng, 5, (0, 2, 3), (2,))
+        getattr(targets, field_name)[4] = value  # a background row goes unchecked
+        out = _outputs(targets, rng)
+        assert _loss_bits(*composite_box_loss(out, _rows(targets, out))) == \
+            _loss_bits(*oracles.composite_box_loss_oracle(out, targets))
+        getattr(targets, field_name)[2] = value
+        with pytest.raises(LabelOutOfRangeError) as want:
+            oracles.composite_box_loss_oracle(out, targets)
+        with pytest.raises(LabelOutOfRangeError) as got:
+            _rows(targets, out)
+        assert str(got.value) == str(want.value)
+
+    def test_outputs_of_another_shape_rejected(self):
+        rng = np.random.default_rng(45)
+        targets = _frame(rng, 5, (0, 2), (2,))
+        rows = _rows(targets, _outputs(targets, rng))
+        for other in (_frame(rng, 6, (0, 2), (2,)), targets):
+            out = _outputs(other, rng, n_bins=12 if other is not targets else 11)
+            with pytest.raises(ShapeMismatchError):
+                composite_box_loss(out, rows)
 
 
 class TestAdam:

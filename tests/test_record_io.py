@@ -123,7 +123,7 @@ triple = st.lists(finite, min_size=3, max_size=3)
 def valid_rows(draw) -> str:
     obj = {
         "frame": draw(st.one_of(names, st.integers(0, 999))),
-        "class": draw(st.sampled_from(["Car", "Pedestrian", "class_77", "Fahrzeug_ä"])),
+        "class": draw(st.sampled_from(["Car", "Pedestrian", "class_77", "Misc"])),
         "center": draw(triple),
         "dims": draw(st.lists(positive, min_size=3, max_size=3)),
         "euler": draw(triple),
@@ -170,6 +170,8 @@ BAD_ROWS = (
     + [_bad(center="123"), _bad(dims={"4": 0, "2": 0, "1": 0}), _bad(center=["1.5", "2", True])]
     + [_bad(center=[0.0, 1.0, 10 ** 400]), _bad(dims=[1.0, -(10 ** 400), 1.0]),
        _bad(score=10 ** 400), _bad(score=2 ** 1024 - 2 ** 970)]
+    + [_bad(**{"class": c}) for c in ("Fahrzeug_ä", "Foo", "class_x", "", 5, None)]
+    + [json.dumps(GOOD).replace("0.5", "7" * 5000, 1)]   # past the int-string limit
     + [_bad(euler=[0, 0, 1]), _bad(dims=[2 ** 1024 - 2 ** 970 - 1, 1, 1]), "   ", ""]  # accepted by both
 )
 
