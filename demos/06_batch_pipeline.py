@@ -40,7 +40,7 @@ pred = root / "echo"
 for path in sorted((sloped / "labels").glob("*.jsonl")):
     records = read_pose6d(path)
     for rec in records:
-        rec.score = 1.0
+        rec.box.score = 1.0
     write_pose6d(records, pred / "labels" / path.name)
 
 summary = run(["eval", "--gt", str(sloped), "--pred", str(pred),

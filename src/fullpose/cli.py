@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, dataio, evaluation, geom, head, slopeaug, synth, verify
+from . import codec, dataio, evaluation, geom, head, nn, slopeaug, synth, verify
 from .errors import FullposeError
 
 
@@ -61,19 +61,14 @@ def _augment_one(task) -> tuple[str, bool]:
     frame_id, in_dir, out_dir, cfg, seed = task
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     cloud = dataio.read_velodyne(in_dir / "velodyne" / f"{frame_id}.bin")
-    labels = in_dir / "labels" / f"{frame_id}.jsonl"
-    records = dataio.read_pose6d(labels)
-    with _naming(labels):
-        boxes = [rec.to_box() for rec in records]
-    frame = slopeaug.LabeledFrame(cloud=cloud, boxes=boxes, frame_id=frame_id)
+    records = dataio.read_pose6d(in_dir / "labels" / f"{frame_id}.jsonl")
+    frame = slopeaug.LabeledFrame(cloud=cloud, boxes=[rec.box for rec in records], frame_id=frame_id)
     rng = slopeaug.frame_rng(seed, frame_id)
     out = slopeaug.augment(frame, cfg, rng)
     applied = out is not frame
     dataio.write_velodyne(out.cloud, out_dir / "velodyne" / f"{frame_id}.bin")
-    out_records = [
-        dataio.Pose6dRecord.from_box(box, frame_id, difficulty=rec.difficulty)
-        for box, rec in zip(out.boxes, records)
-    ]
+    out_records = [dataio.Pose6dRecord(frame_id, box, rec.difficulty)
+                   for box, rec in zip(out.boxes, records)]
     dataio.write_pose6d(out_records, out_dir / "labels" / f"{frame_id}.jsonl")
     return frame_id, applied
 
@@ -116,10 +111,7 @@ def _synth_one(task) -> str:
     frame_id = f"{frame_index:06d}"
     frame = synth.make_scene(spec, rng, frame_id=frame_id)
     dataio.write_velodyne(frame.cloud, out_dir / "velodyne" / f"{frame_id}.bin")
-    records = [
-        dataio.Pose6dRecord.from_box(box, frame_id, difficulty="moderate")
-        for box in frame.boxes
-    ]
+    records = [dataio.Pose6dRecord(frame_id, box, "moderate") for box in frame.boxes]
     dataio.write_pose6d(records, out_dir / "labels" / f"{frame_id}.jsonl")
     centers, features, targets = synth.make_features(
         frame, feature_noise, rng, codec_cfg=codec_cfg,
@@ -166,7 +158,7 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
 
 # ---------------------------------------------------------------- train-head
 
-def _load_feature_frame(path: Path):
+def _load_feature_frame(path: Path, label_widths: dict):
     try:
         data = np.load(path)
         targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
@@ -180,6 +172,8 @@ def _load_feature_frame(path: Path):
         raise dataio.ParseError(f"{path}: features {features.shape} for {len(targets)} targets")
     if non_finite:
         raise dataio.ParseError(f"{path}: {non_finite[0]} holds non-finite values")
+    with _naming(path):  # the labels the loss checks, checked before epoch 0
+        nn.foreground_labels(targets, label_widths)
     return features, targets
 
 
@@ -187,7 +181,8 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
     paths = sorted(Path(args.data).joinpath("features").glob("*.npz"))
     if not paths:
         raise ValueError(f"no feature files under {args.data}/features")
-    dataset = [_load_feature_frame(p) for p in paths]
+    label_widths = {"class_logits": cfg.head.class_count, "yaw_bin_logits": cfg.codec.n_yaw_bins}
+    dataset = [_load_feature_frame(p, label_widths) for p in paths]
     feature_dim = dataset[0][0].shape[1]
     for path, (features, _) in zip(paths, dataset):
         if features.shape[1] != feature_dim:
@@ -222,17 +217,15 @@ def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
     pred_frames = _read_frame_records(Path(args.pred) / "labels")
     if not gt_frames:
         raise ValueError(f"no ground-truth labels under {args.gt}/labels")
-    gts, dets = {}, {}
-    for path, recs in gt_frames.items():
-        with _naming(path):
-            gts[path.stem] = [rec.to_box() for rec in recs]
+    gts = {path.stem: [rec.box for rec in recs] for path, recs in gt_frames.items()}
     difficulties = {
         path.stem: [rec.difficulty or "moderate" for rec in recs]
         for path, recs in gt_frames.items()
     }
+    dets = {}
     for path, recs in pred_frames.items():
+        dets[path.stem] = [rec.box for rec in recs]
         with _naming(path):
-            dets[path.stem] = [rec.to_box() for rec in recs]
             geom.box_scores(dets[path.stem])  # evaluate ranks every detection by its score
     report = evaluation.evaluate(dets, gts, cfg.eval, difficulties)
 
@@ -274,13 +267,13 @@ _STATS_SERIES = (
 
 def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
     frames = _read_frame_records(Path(args.input) / "labels")
-    records = [rec for recs in frames.values() for rec in recs]
-    if not records:
+    boxes = [rec.box for recs in frames.values() for rec in recs]
+    if not boxes:
         raise ValueError(f"no labels under {args.input}/labels")
-    euler = np.array([rec.euler for rec in records])
+    euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in boxes])
     euler[:, 2] = codec.wrap_angle(euler[:, 2])
-    dims = np.array([rec.dims for rec in records])
-    centers = np.array([rec.center for rec in records])
+    dims = np.array([b.dims for b in boxes])
+    centers = np.array([b.center for b in boxes])
     columns = {
         "theta_x": euler[:, 0], "theta_y": euler[:, 1], "theta_z": euler[:, 2],
         "length": dims[:, 0], "width": dims[:, 1], "height": dims[:, 2],
@@ -295,8 +288,8 @@ def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
             for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
                 log10 = math.log10(c) if c > 0 else ""
                 writer.writerow([name, f"{lo:.6f}", f"{hi:.6f}", int(c), log10])
-    _log(f"wrote pose/dimension/center histograms for {len(records)} objects")
-    return {"objects": len(records), "frames": len(frames), "out": args.out}
+    _log(f"wrote pose/dimension/center histograms for {len(boxes)} objects")
+    return {"objects": len(boxes), "frames": len(frames), "out": args.out}
 
 
 # ---------------------------------------------------------------- nms
@@ -312,7 +305,7 @@ def cmd_nms(args, cfg: dataio.ToolkitConfig) -> dict:
     for frame in sorted(by_frame):
         recs = by_frame[frame]
         with _naming(f"{args.pred}: frame {frame}"):
-            keep = geom.nms([rec.to_box() for rec in recs], iou)
+            keep = geom.nms([rec.box for rec in recs], iou)
         kept_records.extend(recs[i] for i in keep)
     if args.out:
         dataio.write_pose6d(kept_records, args.out)

@@ -8,7 +8,11 @@ Formats:
   roll/pitch and the row's KITTI difficulty.
 * native full-pose annotations: JSONL, one object per line with keys
   frame/class/center/dims/euler and optional score/difficulty.  Unknown
-  keys are ignored on read and dropped on write.
+  keys are ignored on read and dropped on write.  A record is a checked
+  :class:`~fullpose.geom.FullPoseBox` with its frame and difficulty, so
+  the writer emits only what the reader accepts, given an integer class
+  id; the class is written under its canonical name (``class_1`` is
+  written ``Car``).
 * ASCII PLY export for external viewers.
 * JSON toolkit configuration with strict unknown-key rejection.
 """
@@ -28,7 +32,7 @@ import numpy as np
 from .codec import CodecConfig, wrap_angle
 from .errors import FullposeError
 from .evaluation import DIFFICULTY_LABELS, EvalConfig, assign_difficulty
-from .geom import EulerXYZ, FullPoseBox, PointCloud
+from .geom import EulerXYZ, FullPoseBox, PointCloud, boxes_from_arrays
 from .head import HeadConfig
 from .slopeaug import SlopeAugConfig
 
@@ -154,49 +158,50 @@ def read_kitti_calib(path) -> KittiCalib:
                 values[key.strip()] = np.array([float(v) for v in rest.split()])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-    try:
-        p2 = values["P2"].reshape(3, 4)
-        r0 = np.eye(4)
-        r0[:3, :3] = values["R0_rect"].reshape(3, 3)
-        tr = np.eye(4)
-        tr[:3, :4] = values["Tr_velo_to_cam"].reshape(3, 4)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing calibration block {exc}") from None
+
+    def block(key: str, shape: tuple[int, int]) -> np.ndarray:
+        if key not in values:
+            raise ParseError(f"{path}: missing calibration block {key!r}")
+        size = shape[0] * shape[1]
+        if values[key].size != size:
+            raise ParseError(f"{path}: calibration block {key!r} has "
+                             f"{values[key].size} values, expected {size}")
+        return values[key].reshape(shape)
+
+    p2 = block("P2", (3, 4))
+    r0, tr = np.eye(4), np.eye(4)
+    r0[:3, :3] = block("R0_rect", (3, 3))
+    tr[:3, :4] = block("Tr_velo_to_cam", (3, 4))
     return KittiCalib(p2=p2, r0_rect=r0, tr_velo_to_cam=tr)
 
 
 @dataclass
 class Pose6dRecord:
-    """Native full-pose annotation: one object in one frame."""
+    """Native full-pose annotation: one checked box in one frame.
+
+    The box is the record's only box representation: its class id is
+    written under its canonical name, and its floats as they are.
+    """
 
     frame: str
-    cls: str
-    center: np.ndarray
-    dims: np.ndarray
-    euler: np.ndarray
-    score: float | None = None
+    box: FullPoseBox
     difficulty: str | None = None
 
+    def __post_init__(self):
+        if self.difficulty is not None and self.difficulty not in DIFFICULTY_LABELS:
+            raise ValueError(_unknown_difficulty(self.difficulty))
+
+    # the benchmark's per-frame infer calls these two; the library reads ``box``
     def to_box(self) -> FullPoseBox:
-        return FullPoseBox(
-            center=self.center,
-            dims=self.dims,
-            euler=EulerXYZ(*np.asarray(self.euler, dtype=np.float64).tolist()),
-            class_id=class_id_for(self.cls),
-            score=self.score,
-        )
+        return self.box
 
     @classmethod
     def from_box(cls, box: FullPoseBox, frame: str, difficulty: str | None = None) -> "Pose6dRecord":
-        return cls(
-            frame=frame,
-            cls=class_name_for(box.class_id),
-            center=np.asarray(box.center, dtype=np.float64),
-            dims=np.asarray(box.dims, dtype=np.float64),
-            euler=box.euler.as_array(),
-            score=box.score,
-            difficulty=difficulty,
-        )
+        return cls(frame, box, difficulty)
+
+
+def _unknown_difficulty(difficulty) -> str:
+    return f"unknown difficulty {difficulty!r}, expected one of {', '.join(DIFFICULTY_LABELS)}"
 
 
 def read_kitti_labels(path, calib: KittiCalib) -> list[Pose6dRecord]:
@@ -247,7 +252,7 @@ def read_kitti_labels(path, calib: KittiCalib) -> list[Pose6dRecord]:
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             difficulty = assign_difficulty(bbox_bottom - bbox_top, occl, trunc)
-            records.append(Pose6dRecord.from_box(box, frame, difficulty=difficulty))
+            records.append(Pose6dRecord(frame, box, difficulty))
     return records
 
 
@@ -267,10 +272,10 @@ def read_pose6d(path) -> list[Pose6dRecord]:
     euler are arrays of JSON numbers (booleans are not numbers), score
     is a JSON number or null, and the class name is one
     :func:`class_id_for` knows.  The center, dims and euler triples of the
-    file then fill one (n, 3, 3) array, and each record holds row views
-    of it.
+    file then fill one (n, 3, 3) array, from which one
+    :func:`~fullpose.geom.boxes_from_arrays` call builds the file's boxes.
     """
-    rows, triples = [], []
+    rows, triples, class_ids, scores = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -302,10 +307,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 raise ParseError(f"{path}:{lineno}: non-finite numbers")
             difficulty = obj.get("difficulty")
             if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
-                raise ParseError(
-                    f"{path}:{lineno}: unknown difficulty {difficulty!r}, "
-                    f"expected one of {', '.join(DIFFICULTY_LABELS)}"
-                )
+                raise ParseError(f"{path}:{lineno}: {_unknown_difficulty(difficulty)}")
             score = obj.get("score")
             if score is not None:
                 if type(score) not in _JSON_NUMBERS:
@@ -313,34 +315,37 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 score = _json_float(score)
                 if not 0.0 <= score <= 1.0:
                     raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
-            cls = str(obj["class"])
             try:
-                class_id_for(cls)
+                class_ids.append(class_id_for(str(obj["class"])))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((str(obj["frame"]), cls, score, difficulty))
+            rows.append((str(obj["frame"]), difficulty))
             triples.append(values)
+            scores.append(score)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
-    return [
-        Pose6dRecord(frame=frame, cls=cls, center=center, dims=dims, euler=euler,
-                     score=score, difficulty=difficulty)
-        for (frame, cls, score, difficulty), (center, dims, euler) in zip(rows, block)
-    ]
+    boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], class_ids, scores)
+    return [Pose6dRecord(frame, box, difficulty) for (frame, difficulty), box in zip(rows, boxes)]
 
 
 def write_pose6d(records, path) -> None:
-    """Write records as JSONL, with one write per file."""
+    """Write records as JSONL, with one write per file.
+
+    The class is written as :func:`class_name_for` names the box's class
+    id, so a ``class_<id>`` that has a name comes back under that name.
+    """
     lines = []
     for rec in records:
+        box = rec.box
+        euler = box.euler
         obj = {
             "frame": rec.frame,
-            "class": rec.cls,
-            "center": np.asarray(rec.center, dtype=np.float64).tolist(),
-            "dims": np.asarray(rec.dims, dtype=np.float64).tolist(),
-            "euler": np.asarray(rec.euler, dtype=np.float64).tolist(),
+            "class": class_name_for(box.class_id),
+            "center": np.asarray(box.center, dtype=np.float64).tolist(),
+            "dims": np.asarray(box.dims, dtype=np.float64).tolist(),
+            "euler": [float(euler.theta_x), float(euler.theta_y), float(euler.theta_z)],
         }
-        if rec.score is not None:
-            obj["score"] = float(rec.score)
+        if box.score is not None:
+            obj["score"] = float(box.score)
         if rec.difficulty is not None:
             obj["difficulty"] = rec.difficulty
         lines.append(json.dumps(obj) + "\n")
@@ -441,6 +446,8 @@ def load_config(path=None) -> ToolkitConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer longer than Python's int-string limit
+                raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(data, _TOP_KEYS, "")

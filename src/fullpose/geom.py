@@ -130,10 +130,11 @@ class FullPoseBox:
 def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseBox]:
     """One box per row of (n, 3) ``centers``, ``dims``, ``euler`` and (n,) ``class_ids``, ``scores``.
 
-    The rules of :class:`EulerXYZ` and :class:`FullPoseBox` are checked on
-    the whole arrays.  When every row passes, the boxes are built without
-    checking each again: a box holds row views of ``centers`` and
-    ``dims`` and Python scalars for its angles, class id and score.
+    A None in ``scores`` makes a box without a score.  The rules of
+    :class:`EulerXYZ` and :class:`FullPoseBox` are checked on the whole
+    arrays.  When every row passes, the boxes are built without checking
+    each again: a box holds row views of ``centers`` and ``dims`` and
+    Python scalars for its angles, class id and score.
     Otherwise the rows go through the checked constructors in order, so
     the first bad row raises exactly their error.
     """
@@ -141,7 +142,9 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
     dims = np.asarray(dims, dtype=np.float64)
     euler = np.asarray(euler, dtype=np.float64)
     class_ids = np.asarray(class_ids)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.dtype != object:  # an object array holds a None per box without a score
+        scores = scores.astype(np.float64, copy=False)
     shapes = {"centers": centers.shape, "dims": dims.shape, "euler": euler.shape,
               "class_ids": class_ids.shape, "scores": scores.shape}
     n = centers.shape[0] if centers.ndim else 0
@@ -151,10 +154,13 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
             "expected (n, 3) centers, dims, euler and (n,) class_ids, scores; got "
             + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
         )
-    rows = zip(centers, dims, euler.tolist(), class_ids.tolist(), scores.tolist())
+    score_list = scores.tolist()
+    given = scores if scores.dtype != object else np.array(
+        [s for s in score_list if s is not None], dtype=np.float64)
+    rows = zip(centers, dims, euler.tolist(), class_ids.tolist(), score_list)
     if not (np.isfinite(euler).all() and np.isfinite(centers).all()
             and np.isfinite(dims).all() and (dims > 0.0).all()
-            and ((scores >= 0.0) & (scores <= 1.0)).all()):
+            and ((given >= 0.0) & (given <= 1.0)).all()):
         return [FullPoseBox(center=c, dims=d, euler=EulerXYZ(*angles), class_id=k, score=s)
                 for c, d, angles, k, s in rows]
     new = object.__new__

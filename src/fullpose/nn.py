@@ -347,6 +347,23 @@ class LossRows:
     shapes: tuple
 
 
+def foreground_labels(targets, widths: dict) -> list[np.ndarray]:
+    """The foreground labels of each cross-entropy term, in ``_CE_TERMS`` order.
+
+    ``widths`` maps each term's output field to its class count, and a
+    label outside ``[0, count)`` raises as :func:`cross_entropy` does.
+    :func:`loss_rows` checks its labels here; a caller may check a
+    frame's targets here before any output exists.
+    """
+    fg = np.asarray(targets.foreground, dtype=bool)
+    out = []
+    for _, field_name, target_name in _CE_TERMS:
+        labels = np.asarray(getattr(targets, target_name), dtype=np.intp)[fg]
+        _check_labels(labels, widths[field_name])
+        out.append(labels)
+    return out
+
+
 def loss_rows(targets, grad) -> LossRows:
     """The per-frame rows of :func:`composite_box_loss` for ``targets``.
 
@@ -354,8 +371,8 @@ def loss_rows(targets, grad) -> LossRows:
     outputs the loss will see (a ``head.HeadOutput``); it becomes the
     frame's gradient buffers.  Each term writes only the rows it
     supervises and overwrites all of them on every call, so every other
-    row stays zero.  The integer labels are checked here, once, as
-    :func:`cross_entropy` checks them.
+    row stays zero.  The integer labels are checked here, once, by
+    :func:`foreground_labels`.
     """
     shapes = tuple((f.name, getattr(grad, f.name).shape) for f in fields(grad))
     if grad.class_logits.shape[0] != len(targets):
@@ -369,12 +386,11 @@ def loss_rows(targets, grad) -> LossRows:
         buffer = getattr(grad, field_name)
         return np.arange(buffer.size).reshape(buffer.shape)[rows].ravel()
 
-    ce_terms = []
-    for term, field_name, target_name in _CE_TERMS:
-        labels = np.asarray(getattr(targets, target_name), dtype=np.intp)[fg]
-        classes = getattr(grad, field_name).shape[1]
-        _check_labels(labels, classes)
-        ce_terms.append((term, field_name, _label_picks(labels, classes), flat(field_name, fg)))
+    widths = {field_name: getattr(grad, field_name).shape[1] for _, field_name, _ in _CE_TERMS}
+    ce_terms = [
+        (term, field_name, _label_picks(labels, widths[field_name]), flat(field_name, fg))
+        for (term, field_name, _), labels in zip(_CE_TERMS, foreground_labels(targets, widths))
+    ]
     # the empty first pieces join nothing for a frame without foreground
     spans, targets_l1, counts, at = [], [np.empty(0)], [np.empty(0)], 0
     for term, field_name in _L1_TERMS:

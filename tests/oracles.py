@@ -459,6 +459,7 @@ def read_pose6d_oracle(path) -> list:
 
     from fullpose.dataio import ParseError, Pose6dRecord, class_id_for
     from fullpose.evaluation import DIFFICULTY_LABELS
+    from fullpose.geom import EulerXYZ, FullPoseBox
 
     def array(value) -> list:
         if not isinstance(value, list):
@@ -515,20 +516,13 @@ def read_pose6d_oracle(path) -> list:
             if score is not None and not 0.0 <= score <= 1.0:
                 raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
             try:
-                class_id_for(str(obj["class"]))
+                class_id = class_id_for(str(obj["class"]))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            records.append(
-                Pose6dRecord(
-                    frame=str(obj["frame"]),
-                    cls=str(obj["class"]),
-                    center=center,
-                    dims=dims,
-                    euler=euler,
-                    score=score,
-                    difficulty=difficulty,
-                )
-            )
+            # each box goes through the checked constructors on its own
+            box = FullPoseBox(center=center, dims=dims, euler=EulerXYZ(*euler.tolist()),
+                              class_id=class_id, score=score)
+            records.append(Pose6dRecord(frame=str(obj["frame"]), box=box, difficulty=difficulty))
     return records
 
 
@@ -536,17 +530,20 @@ def write_pose6d_oracle(records, path) -> None:
     """``dataio.write_pose6d`` with one ``json.dumps`` and one write per record."""
     import json
 
+    from fullpose.dataio import class_name_for
+
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
+            box = rec.box
             obj = {
                 "frame": rec.frame,
-                "class": rec.cls,
-                "center": list(map(float, rec.center)),
-                "dims": list(map(float, rec.dims)),
-                "euler": list(map(float, rec.euler)),
+                "class": class_name_for(box.class_id),
+                "center": list(map(float, box.center)),
+                "dims": list(map(float, box.dims)),
+                "euler": list(map(float, box.euler.as_array())),
             }
-            if rec.score is not None:
-                obj["score"] = float(rec.score)
+            if box.score is not None:
+                obj["score"] = float(box.score)
             if rec.difficulty is not None:
                 obj["difficulty"] = rec.difficulty
             fh.write(json.dumps(obj) + "\n")

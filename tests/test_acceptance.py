@@ -273,7 +273,7 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
     gts, diffs = {}, {}
     for path in sorted((sloped / "labels").glob("*.jsonl")):
         recs = read_pose6d(path)
-        gts[path.stem] = [r.to_box() for r in recs]
+        gts[path.stem] = [r.box for r in recs]
         diffs[path.stem] = [r.difficulty or "moderate" for r in recs]
 
     def echo(noise, seed=0):
@@ -331,28 +331,29 @@ def test_criterion_8_format_fidelity(tmp_path):
     from fullpose.dataio import Pose6dRecord
 
     records = [
-        Pose6dRecord(frame="000001", cls="Car", center=rng.uniform(-50, 50, 3),
-                     dims=rng.uniform(0.5, 5, 3), euler=rng.uniform(-math.pi, math.pi, 3),
-                     score=float(rng.random()), difficulty="moderate")
+        Pose6dRecord("000001", FullPoseBox(
+            rng.uniform(-50, 50, 3), rng.uniform(0.5, 5, 3),
+            EulerXYZ(*rng.uniform(-math.pi, math.pi, 3).tolist()),
+            class_id=1, score=float(rng.random())), "moderate")
         for _ in range(64)
     ]
     jsonl = tmp_path / "labels.jsonl"
     write_pose6d(records, jsonl)
     for a, b in zip(records, read_pose6d(jsonl)):
-        assert np.array_equal(a.center, b.center)
-        assert np.array_equal(a.dims, b.dims)
-        assert np.array_equal(a.euler, b.euler)
-        assert a.score == b.score
+        assert np.array_equal(a.box.center, b.box.center)
+        assert np.array_equal(a.box.dims, b.box.dims)
+        assert a.box.euler == b.box.euler
+        assert a.box.score == b.box.score
 
     calib_path = tmp_path / "calib.txt"
     calib_path.write_text(CALIB_TEXT)
     label_path = tmp_path / "label.txt"
     label_path.write_text(LABEL_TEXT)
     calib = read_kitti_calib(calib_path)
-    car = read_kitti_labels(label_path, calib)[0]
+    car = read_kitti_labels(label_path, calib)[0].box
     # hand computation: camera (0, 0, 10) -> lidar (10, 0, 0), lifted h/2;
     # camera rotation_y -1.62 -> lidar yaw 1.62 - pi/2
     assert np.abs(car.center - [10.0, 0.0, 0.785]).max() < 1e-6
     assert np.abs(car.dims - [4.15, 1.73, 1.57]).max() < 1e-6
-    assert abs(car.euler[2] - (1.62 - math.pi / 2)) < 1e-6
+    assert abs(car.euler.theta_z - (1.62 - math.pi / 2)) < 1e-6
     _report(8, "velodyne bit-exact, jsonl value-exact, calib ingestion matches hand result")

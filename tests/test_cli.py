@@ -108,7 +108,8 @@ def test_subcommands_back_to_back_match_each_run_alone(dataset, tmp_path):
     assert cli.build_parser() is cli.build_parser()
     scored = tmp_path / "scored.jsonl"
     labels = sorted((dataset / "labels").glob("*.jsonl"))
-    write_pose6d([replace(rec, score=0.5) for path in labels for rec in read_pose6d(path)], scored)
+    write_pose6d([replace(rec, box=replace(rec.box, score=0.5))
+                  for path in labels for rec in read_pose6d(path)], scored)
     commands = [
         ["stats", "--input", str(dataset), "--out", str(tmp_path / "stats.csv")],
         ["eval", "--gt", str(tmp_path / "nope"), "--pred", str(tmp_path)],
@@ -237,7 +238,7 @@ class TestAugment:
         ])
         assert summary["augmented"] == 3
         tilts = [
-            math.acos(math.cos(rec.euler[0]) * math.cos(rec.euler[1]))
+            math.acos(math.cos(rec.box.euler.theta_x) * math.cos(rec.box.euler.theta_y))
             for path in sorted((out / "labels").glob("*.jsonl")) for rec in read_pose6d(path)
         ]
         tilted = [t for t in tilts if t != 0.0]
@@ -251,8 +252,8 @@ def _make_predictions(dataset: Path, out_dir: Path, jitter=0.0, seed=0):
     for path in sorted((dataset / "labels").glob("*.jsonl")):
         records = read_pose6d(path)
         for rec in records:
-            rec.score = 1.0 if jitter == 0 else float(rng.uniform(0.5, 1.0))
-            rec.center = rec.center + rng.normal(0, jitter, 3)
+            rec.box.score = 1.0 if jitter == 0 else float(rng.uniform(0.5, 1.0))
+            rec.box.center = rec.box.center + rng.normal(0, jitter, 3)
         write_pose6d(records, out_dir / "labels" / path.name)
 
 
@@ -422,6 +423,50 @@ class TestBadRecordsNameTheirFile:
         assert error == f"{bad}: {name} holds non-finite values"
         assert not params.exists()
 
+    @pytest.mark.parametrize("name, value, classes", [
+        ("class_label", 2, 2), ("class_label", -1, 2), ("yaw_bin", 12, 12), ("yaw_bin", -3, 12),
+    ])
+    def test_train_head_label_out_of_range(self, dataset, tmp_path, capsys, name, value, classes):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+        (row, *_) = np.flatnonzero(np.load(bad)["foreground"])
+
+        def spoil(array):
+            array = array.copy()
+            array[row] = value
+            return array
+
+        bad.write_bytes(_with_array(bad.read_bytes(), name, spoil))
+        params = tmp_path / "head.bin"
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1", "--out", str(params)],
+                      capsys)
+        assert error == f"{bad}: labels must lie in [0, {classes}) for {classes} classes"
+        assert not params.exists()
+
+    def test_train_head_background_label_is_not_checked(self, dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "features" / "000001.npz"
+        (row, *_) = np.flatnonzero(~np.load(path)["foreground"])
+
+        def spoil(array):
+            array = array.copy()
+            array[row] = 99
+            return array
+
+        path.write_bytes(_with_array(path.read_bytes(), "yaw_bin", spoil))
+        run_ok(["train-head", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "h.bin")])
+
+
+class TestConfigErrors:
+    def test_integer_past_the_digit_limit_names_config(self, dataset, tmp_path, capsys):
+        config = tmp_path / "big.json"
+        config.write_text('{"nms_iou": ' + "7" * 5000 + "}")
+        error = _fail(["stats", "--input", str(dataset), "--out", str(tmp_path / "s.csv"),
+                       "--config", str(config)], capsys)
+        assert error.startswith(f"{config}: invalid JSON (Exceeds the limit (4300 digits)")
+
 
 class TestStats:
     def test_histograms_written(self, dataset, tmp_path):
@@ -445,14 +490,24 @@ class TestNms:
         dupes = []
         for rec in records:
             import dataclasses
-            twin = dataclasses.replace(rec, score=0.4)
+            twin = dataclasses.replace(rec, box=dataclasses.replace(rec.box, score=0.4))
             dupes.append(twin)
         write_pose6d(records + dupes, merged)
         out = tmp_path / "kept.jsonl"
         summary = run_ok(["nms", "--pred", str(merged), "--iou", "0.1", "--out", str(out)])
         assert summary["input"] == 2 * len(records)
         assert summary["kept"] == len(records)
-        assert all(rec.score == 1.0 for rec in read_pose6d(out))
+        assert all(rec.box.score == 1.0 for rec in read_pose6d(out))
+
+    def test_writes_canonical_class_names(self, tmp_path):
+        row = {"frame": "0", "class": "class_1", "center": [0, 0, 0], "dims": [4, 2, 1.5],
+               "euler": [0, 0, 0], "score": 0.9}
+        far = dict(row, center=[20, 0, 0], score=0.5, **{"class": "class_77"})
+        pred, out = tmp_path / "pred.jsonl", tmp_path / "kept.jsonl"
+        pred.write_text(json.dumps(row) + "\n" + json.dumps(far) + "\n", encoding="utf-8")
+        assert run_ok(["nms", "--pred", str(pred), "--out", str(out)])["kept"] == 2
+        kept = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["class"] for obj in kept] == ["Car", "class_77"]
 
     def test_default_iou_is_config_nms_iou(self, dataset, tmp_path):
         import dataclasses
@@ -464,7 +519,8 @@ class TestNms:
             records.extend(read_pose6d(path))
         # twins shifted 0.6 m along x partly overlap their originals
         shifted = [
-            dataclasses.replace(rec, score=0.4, center=np.asarray(rec.center) + [0.6, 0.0, 0.0])
+            dataclasses.replace(rec, box=dataclasses.replace(rec.box, score=0.4,
+                                                             center=rec.box.center + [0.6, 0.0, 0.0]))
             for rec in records
         ]
         merged = tmp_path / "merged.jsonl"
@@ -650,8 +706,8 @@ class TestConvert:
         summary = run_ok(argv)
         assert summary["objects"] == 1
         records = read_pose6d(tmp_path / "kitti_native" / "labels" / "000000.jsonl")
-        assert records[0].cls == "Car"
-        assert abs(records[0].center[0] - 10.0) < 1e-9
+        assert records[0].box.class_id == 1
+        assert abs(records[0].box.center[0] - 10.0) < 1e-9
         assert records[0].difficulty == "easy"
 
     # reference digests of the converted labels: any change to a record byte
@@ -676,10 +732,20 @@ class TestConvert:
         pred_argv, _ = self._convert(tmp_path, "pred", KITTI_LABEL.replace(" -1.62\n", " -1.62 0.75\n"))
         run_ok(gt_argv)
         run_ok(pred_argv)
-        assert read_pose6d(tmp_path / "pred_native" / "labels" / "000000.jsonl")[0].score == 0.75
+        assert read_pose6d(tmp_path / "pred_native" / "labels" / "000000.jsonl")[0].box.score == 0.75
         summary = run_ok(["eval", "--gt", str(tmp_path / "gt_native"),
                           "--pred", str(tmp_path / "pred_native")])
         assert summary["ap"] and set(summary["ap"].values()) == {1.0}
+
+    def test_calib_block_of_wrong_size_names_file(self, tmp_path, capsys):
+        argv, _ = self._convert(tmp_path, "kitti", KITTI_LABEL)
+        calib = tmp_path / "kitti" / "calib" / "000000.txt"
+        lines = calib.read_text().splitlines()
+        (at,) = [i for i, line in enumerate(lines) if line.startswith("P2:")]
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+        calib.write_text("\n".join(lines) + "\n")
+        error = _fail(argv, capsys)
+        assert error == f"{calib}: calibration block 'P2' has 11 values, expected 12"
 
     def test_kitti_score_above_one_names_file_and_line(self, tmp_path, capsys):
         argv, label = self._convert(tmp_path, "pred", KITTI_LABEL.replace(" -1.62\n", " -1.62 1.5\n"))

@@ -26,7 +26,7 @@ from fullpose.dataio import (
     write_velodyne,
 )
 from fullpose import dataio
-from fullpose.geom import PointCloud
+from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud
 
 
 class TestVelodyne:
@@ -95,8 +95,7 @@ class TestAtomicWrites:
 
     def test_failed_pose6d_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "000000.jsonl"
-        record = Pose6dRecord(frame="000000", cls="Car", center=np.zeros(3),
-                              dims=np.ones(3), euler=np.zeros(3))
+        record = Pose6dRecord("000000", FullPoseBox(np.zeros(3), np.ones(3), class_id=1))
         write_pose6d([record], path)
         before = path.read_bytes()
         _fill_disk(monkeypatch)
@@ -164,6 +163,17 @@ class TestKittiCalib:
         with pytest.raises(ParseError, match="R0_rect"):
             read_kitti_calib(path)
 
+    @pytest.mark.parametrize("key, count, want", [("P2", 11, 12), ("R0_rect", 10, 9),
+                                                  ("Tr_velo_to_cam", 13, 12)])
+    def test_block_of_wrong_size_names_file_and_block(self, tmp_path, key, count, want):
+        path = tmp_path / "calib.txt"
+        lines = [line if not line.startswith(f"{key}:") else f"{key}: " + " ".join(["1"] * count)
+                 for line in CALIB_TEXT.splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_kitti_calib(path)
+        assert str(exc.value) == f"{path}: calibration block {key!r} has {count} values, expected {want}"
+
 
 LABEL_TEXT = """\
 Car 0.00 0 -1.58 614.24 181.78 727.31 284.77 1.57 1.73 4.15 0.0 0.0 10.0 -1.62
@@ -185,13 +195,13 @@ class TestKittiLabels:
         records = read_kitti_labels(path, calib)
         assert len(records) == 2  # DontCare skipped
         car = records[0]
-        assert car.cls == "Car" and car.frame == "label"
+        assert car.box.class_id == 1 and car.frame == "label"
         # bottom center (0, 0, 10) in camera -> (10, 0, 0) lidar, lifted h/2
-        assert np.abs(car.center - [10.0, 0.0, 1.57 / 2]).max() < 1e-9
-        assert np.allclose(car.dims, [4.15, 1.73, 1.57])
+        assert np.abs(car.box.center - [10.0, 0.0, 1.57 / 2]).max() < 1e-9
+        assert np.allclose(car.box.dims, [4.15, 1.73, 1.57])
         want_yaw = (1.62 - math.pi / 2) % (2 * math.pi)
-        assert abs(car.euler[2] - want_yaw) < 1e-12
-        assert car.euler[0] == 0.0 and car.euler[1] == 0.0
+        assert abs(car.box.euler.theta_z - want_yaw) < 1e-12
+        assert car.box.euler.theta_x == 0.0 and car.box.euler.theta_y == 0.0
         # 2D box height 284.77 - 181.78 >= 40 px, unoccluded, untruncated
         assert car.difficulty == "easy"
 
@@ -203,9 +213,9 @@ class TestKittiLabels:
         write_pose6d(records, out)
         back = read_pose6d(out)
         for orig, rec in zip(records, back):
-            assert np.abs(rec.to_box().center - orig.center).max() < 1e-6
-            assert np.abs(rec.to_box().dims - orig.dims).max() < 1e-6
-            assert abs(rec.to_box().euler.theta_z - orig.euler[2]) < 1e-6
+            assert np.abs(rec.box.center - orig.box.center).max() < 1e-6
+            assert np.abs(rec.box.dims - orig.box.dims).max() < 1e-6
+            assert abs(rec.box.euler.theta_z - orig.box.euler.theta_z) < 1e-6
             assert (rec.frame, rec.difficulty) == (orig.frame, orig.difficulty)
 
     def test_malformed_row(self, tmp_path, calib):
@@ -251,13 +261,11 @@ class TestPose6d:
         rng = np.random.default_rng(2)
         records = [
             Pose6dRecord(
-                frame="000042",
-                cls="Car",
-                center=rng.uniform(-50, 50, 3),
-                dims=rng.uniform(0.5, 5, 3),
-                euler=rng.uniform(-math.pi, math.pi, 3),
-                score=0.731,
-                difficulty="moderate",
+                "000042",
+                FullPoseBox(rng.uniform(-50, 50, 3), rng.uniform(0.5, 5, 3),
+                            EulerXYZ(*rng.uniform(-math.pi, math.pi, 3).tolist()),
+                            class_id=1, score=0.731),
+                "moderate",
             )
             for _ in range(10)
         ]
@@ -265,11 +273,11 @@ class TestPose6d:
         write_pose6d(records, path)
         back = read_pose6d(path)
         for a, b in zip(records, back):
-            assert b.frame == a.frame and b.cls == a.cls
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.dims, b.dims)
-            assert np.array_equal(a.euler, b.euler)
-            assert b.score == a.score
+            assert b.frame == a.frame and b.box.class_id == a.box.class_id
+            assert np.array_equal(a.box.center, b.box.center)
+            assert np.array_equal(a.box.dims, b.box.dims)
+            assert b.box.euler == a.box.euler
+            assert b.box.score == a.box.score
             assert b.difficulty == a.difficulty
 
     def test_malformed_line_names_line(self, tmp_path):
@@ -380,9 +388,10 @@ class TestPose6d:
                                     "dims": [4, 2, 1.5], "euler": [0, 0.25, -1],
                                     "score": 1}) + "\n")
         (rec,) = read_pose6d(path)
-        assert rec.center.tolist() == [1.0, -2.5, 3.0] and rec.dims.tolist() == [4.0, 2.0, 1.5]
-        assert rec.euler.tolist() == [0.0, 0.25, -1.0]
-        assert type(rec.score) is float and rec.score == 1.0
+        box = rec.box
+        assert box.center.tolist() == [1.0, -2.5, 3.0] and box.dims.tolist() == [4.0, 2.0, 1.5]
+        assert box.euler.as_array().tolist() == [0.0, 0.25, -1.0]
+        assert type(box.score) is float and box.score == 1.0
 
     def test_known_difficulties_and_null_accepted(self, tmp_path):
         path = tmp_path / "diff.jsonl"
@@ -529,6 +538,13 @@ class TestConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    def test_integer_past_the_digit_limit_names_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"nms_iou": ' + "7" * 5000 + "}")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 digits)")
 
     def test_invalid_value_reported(self, tmp_path):
         path = tmp_path / "cfg.json"

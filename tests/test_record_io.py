@@ -4,7 +4,8 @@
 and ``read_pose6d``/``write_pose6d`` check and format a whole file at
 once.  They must reject exactly what the numpy checks of
 ``tests/oracles.py`` reject, with the same messages, and read and write
-the same values and bytes.
+the same values and bytes.  A record holds a checked box, so what the
+writer writes the reader reads back bit for bit.
 """
 
 import importlib.util
@@ -20,7 +21,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from fullpose import cli  # noqa: E402
-from fullpose.dataio import ParseError, Pose6dRecord, read_pose6d, write_pose6d  # noqa: E402
+from fullpose.dataio import (  # noqa: E402
+    DEFAULT_CLASS_IDS, ParseError, Pose6dRecord, class_name_for, read_pose6d, write_pose6d,
+)
 from fullpose.evaluation import DIFFICULTY_LABELS  # noqa: E402
 from fullpose.geom import EulerXYZ, FullPoseBox, _as_vec3  # noqa: E402
 
@@ -97,12 +100,13 @@ class TestBoxChecks:
         name = ("theta_x", "theta_y", "theta_z")[i]
         assert outcome(EulerXYZ, *angles) == (ValueError, f"{name} must be finite")
 
-    def test_to_box_hands_euler_python_floats(self):
-        rec = Pose6dRecord("0", "Car", np.zeros(3), np.ones(3), np.array([0.1, -0.2, 3.0]))
-        euler = rec.to_box().euler
-        assert [type(v) for v in (euler.theta_x, euler.theta_y, euler.theta_z)] == [float] * 3
-        assert bits([euler.theta_x, euler.theta_y, euler.theta_z]) == bits(rec.euler)
-        listed = Pose6dRecord("0", "Car", [0, 0, 0], [1, 1, 1], [0, 1, 2]).to_box().euler
+    def test_read_boxes_hold_python_float_angles(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps(dict(GOOD, euler=[0.1, -0.2, 3.0])) + "\n"
+                        + json.dumps(dict(GOOD, euler=[0, 1, 2])) + "\n", encoding="utf-8")
+        floated, listed = (rec.box.euler for rec in read_pose6d(path))
+        assert [type(v) for v in (floated.theta_x, floated.theta_y, floated.theta_z)] == [float] * 3
+        assert bits([floated.theta_x, floated.theta_y, floated.theta_z]) == bits([0.1, -0.2, 3.0])
         assert [listed.theta_x, listed.theta_y, listed.theta_z] == [0.0, 1.0, 2.0]
         assert {type(v) for v in (listed.theta_x, listed.theta_y, listed.theta_z)} == {float}
 
@@ -176,10 +180,16 @@ BAD_ROWS = (
 )
 
 
+def float_bits(value) -> tuple:
+    return type(value), struct.pack("<d", value)
+
+
 def record_bits(rec) -> tuple:
-    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (rec.center, rec.dims, rec.euler))
-    score = None if rec.score is None else (type(rec.score), struct.pack("<d", rec.score))
-    return rec.frame, rec.cls, arrays, score, rec.difficulty
+    box = rec.box
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (box.center, box.dims))
+    angles = tuple(map(float_bits, (box.euler.theta_x, box.euler.theta_y, box.euler.theta_z)))
+    score = None if box.score is None else float_bits(box.score)
+    return rec.frame, (type(box.class_id), box.class_id), arrays, angles, score, rec.difficulty
 
 
 def read_outcome(reader, path):
@@ -212,8 +222,8 @@ class TestReadPose6d:
         path = tmp_path / "labels.jsonl"
         path.write_text(f"{json.dumps(GOOD)}\n\n{json.dumps(GOOD)}\n", encoding="utf-8")
         a, b = read_pose6d(path)
-        assert a.center.base is b.euler.base is not None
-        assert a.center.shape == a.dims.shape == a.euler.shape == (3,)
+        assert a.box.center.base is b.box.dims.base is not None
+        assert a.box.center.shape == a.box.dims.shape == (3,)
 
 
 # ------------------------------------------------------------ label writer
@@ -226,31 +236,52 @@ def write_bytes(writer, records, path) -> bytes:
     return path.read_bytes()
 
 
+scores = st.one_of(st.none(), st.sampled_from([-0.0, 0.0, SUBNORMAL, SPECIAL[3], 1.0]),
+                   st.floats(0.0, 1.0))
+class_ids = st.one_of(st.sampled_from(sorted(DEFAULT_CLASS_IDS.values())), st.integers(-3, 100))
+
+
+@st.composite
+def records(draw) -> Pose6dRecord:
+    box = FullPoseBox(np.array(draw(triple)), np.array(draw(st.lists(positive, min_size=3, max_size=3))),
+                      EulerXYZ(*draw(triple)), class_id=draw(class_ids), score=draw(scores))
+    return Pose6dRecord(draw(names), box, draw(st.sampled_from((None,) + DIFFICULTY_LABELS)))
+
+
 class TestWritePose6d:
-    @given(st.lists(st.tuples(names, names, st.lists(finite, min_size=9, max_size=9),
-                              st.one_of(st.none(), st.sampled_from(SPECIAL), st.floats(0.0, 1.0)),
-                              st.sampled_from((None,) + DIFFICULTY_LABELS)), max_size=6))
-    def test_equals_per_record_oracle(self, tmp_path_factory, rows):
-        records = [
-            Pose6dRecord(frame, cls, np.array(v[:3]), np.array(v[3:6]), np.array(v[6:]), score, d)
-            for frame, cls, v, score, d in rows
-        ]
+    @given(st.lists(records(), max_size=6))
+    def test_equals_per_record_oracle(self, tmp_path_factory, recs):
         tmp = tmp_path_factory.mktemp("write")
-        assert write_bytes(write_pose6d, records, tmp / "a.jsonl") == \
-            write_bytes(oracles.write_pose6d_oracle, records, tmp / "b.jsonl")
+        assert write_bytes(write_pose6d, recs, tmp / "a.jsonl") == \
+            write_bytes(oracles.write_pose6d_oracle, recs, tmp / "b.jsonl")
+
+    @given(st.lists(records(), max_size=8))
+    def test_read_back_keeps_every_bit(self, tmp_path_factory, recs):
+        path = tmp_path_factory.mktemp("round") / "labels.jsonl"
+        write_pose6d(recs, path)
+        written = [json.loads(line)["class"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert written == [class_name_for(rec.box.class_id) for rec in recs]
+        assert [record_bits(rec) for rec in read_pose6d(path)] == [record_bits(rec) for rec in recs]
 
     def test_special_values_and_names(self, tmp_path):
-        records = [
-            Pose6dRecord("Bild_ü", "車", np.array(SPECIAL[:3]), np.array(SPECIAL[3:6]),
-                         np.array(SPECIAL[5:]), -0.0, "hard"),
-            Pose6dRecord("000001", "Car", np.array([1e16, -0.0, SUBNORMAL]), np.ones(3),
-                         np.zeros(3), 0.25, None),
-            Pose6dRecord("int_arrays", "Car", np.array([0, 1, 2]), [1, 2, 3],
-                         np.zeros(3, dtype=np.float32), 1, "easy"),
+        recs = [
+            Pose6dRecord("Bild_ü", FullPoseBox(np.array(SPECIAL[:3]), np.array(SPECIAL[1:2] + SPECIAL[3:5]),
+                                               EulerXYZ(*SPECIAL[5:]), class_id=77, score=-0.0), "hard"),
+            Pose6dRecord("000001", FullPoseBox(np.array([1e16, -0.0, SUBNORMAL]), np.ones(3),
+                                               class_id=1, score=0.25)),
+            Pose6dRecord("int_arrays", FullPoseBox(np.array([0, 1, 2]), [1, 2, 3],
+                                                   EulerXYZ(*np.zeros(3, dtype=np.float32)),
+                                                   class_id=np.int64(2), score=1), "easy"),
+            Pose6dRecord("unscored", FullPoseBox(np.zeros(3), np.ones(3), class_id=1)),
         ]
-        got = write_bytes(write_pose6d, records, tmp_path / "a.jsonl")
-        assert got == write_bytes(oracles.write_pose6d_oracle, records, tmp_path / "b.jsonl")
-        assert b"-0.0" in got and b"5e-324" in got and b"1e+16" in got and b"\\u8eca" in got
+        got = write_bytes(write_pose6d, recs, tmp_path / "a.jsonl")
+        assert got == write_bytes(oracles.write_pose6d_oracle, recs, tmp_path / "b.jsonl")
+        assert b"-0.0" in got and b"5e-324" in got and b"1e+16" in got and b"\\u00fc" in got
+        lines = [json.loads(line) for line in got.decode().splitlines()]
+        assert [obj["class"] for obj in lines] == ["class_77", "Car", "Pedestrian", "Car"]
+        assert ["score" in obj for obj in lines] == [True, True, True, False]
+        assert [record_bits(rec) for rec in read_pose6d(tmp_path / "a.jsonl")][:2] == \
+            [record_bits(rec) for rec in recs[:2]]
 
 
 # ------------------------------------------------------- infer-path round trip
@@ -282,5 +313,5 @@ def test_infer_path_round_trip_keeps_bytes(tmp_path):
     tilted = 0
     for path in paths:
         assert round_trip(path, tmp_path / "out.jsonl") == path.read_bytes(), path
-        tilted += sum(r.euler[0] != 0.0 or r.euler[1] != 0.0 for r in read_pose6d(path))
+        tilted += sum(r.box.euler.theta_x != 0.0 or r.box.euler.theta_y != 0.0 for r in read_pose6d(path))
     assert tilted > 0
