@@ -323,7 +323,11 @@ def read_pose6d(path) -> list[Pose6dRecord]:
             triples.append(values)
             scores.append(score)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
-    boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], class_ids, scores)
+    try:
+        ids = np.array(class_ids, dtype=np.int64)
+    except OverflowError:  # numpy would read ids past int64 as floats or objects
+        ids = np.array(class_ids, dtype=object)
+    boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], ids, scores)
     return [Pose6dRecord(frame, box, difficulty) for (frame, difficulty), box in zip(rows, boxes)]
 
 

@@ -17,6 +17,7 @@ construction and are safe to share across workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -118,6 +119,10 @@ class FullPoseBox:
             raise ValueError(f"dims must be positive, got {self.dims}")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        try:
+            self.class_id = operator.index(self.class_id)
+        except TypeError:
+            raise ValueError(f"class_id must be an integer, got {self.class_id!r}") from None
 
     @property
     def volume(self) -> float:
@@ -135,8 +140,9 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
     arrays.  When every row passes, the boxes are built without checking
     each again: a box holds row views of ``centers`` and ``dims`` and
     Python scalars for its angles, class id and score.
-    Otherwise the rows go through the checked constructors in order, so
-    the first bad row raises exactly their error.
+    Otherwise, or when ``class_ids`` is not of an integer dtype, the rows
+    go through the checked constructors in order, so the first bad row
+    raises exactly their error.
     """
     centers = np.asarray(centers, dtype=np.float64)
     dims = np.asarray(dims, dtype=np.float64)
@@ -158,7 +164,8 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
     given = scores if scores.dtype != object else np.array(
         [s for s in score_list if s is not None], dtype=np.float64)
     rows = zip(centers, dims, euler.tolist(), class_ids.tolist(), score_list)
-    if not (np.isfinite(euler).all() and np.isfinite(centers).all()
+    if not (class_ids.dtype.kind in "iu"
+            and np.isfinite(euler).all() and np.isfinite(centers).all()
             and np.isfinite(dims).all() and (dims > 0.0).all()
             and ((given >= 0.0) & (given <= 1.0)).all()):
         return [FullPoseBox(center=c, dims=d, euler=EulerXYZ(*angles), class_id=k, score=s)
@@ -374,10 +381,14 @@ class Footprint(NamedTuple):
 
 def footprint(box: FullPoseBox) -> Footprint:
     """The footprint frame of ``box`` (roll and pitch ignored, as in BEV IoU)."""
-    l, w = float(box.dims[0]), float(box.dims[1])
-    yaw = box.euler.theta_z
-    return Footprint(float(box.center[0]), float(box.center[1]), math.cos(yaw), math.sin(yaw),
-                     l / 2.0, w / 2.0, float(np.hypot(l, w)) / 2.0)
+    return footprint_at(float(box.center[0]), float(box.center[1]), box.euler.theta_z,
+                        float(box.dims[0]), float(box.dims[1]))
+
+
+def footprint_at(x: float, y: float, yaw: float, l: float, w: float) -> Footprint:
+    """The footprint frame of a box centered at (x, y) with yaw, length and width."""
+    return Footprint(x, y, math.cos(yaw), math.sin(yaw), l / 2.0, w / 2.0,
+                     float(np.hypot(l, w)) / 2.0)
 
 
 # separating-axis gap or penetration (m) that decides overlap without clipping
@@ -399,8 +410,18 @@ def bev_overlap(a: FullPoseBox, b: FullPoseBox,
     clipped.  ``fa``/``fb`` are the footprints of ``a``/``b`` when the
     caller already has them.
     """
-    fa = footprint(a) if fa is None else fa
-    fb = footprint(b) if fb is None else fb
+    overlap = footprints_overlap(footprint(a) if fa is None else fa,
+                                 footprint(b) if fb is None else fb)
+    if overlap is None:
+        return float(pairwise_bev_iou([a], [b])[0, 0]) > 0.0
+    return overlap
+
+
+def footprints_overlap(fa: Footprint, fb: Footprint) -> bool | None:
+    """The decision of :func:`bev_overlap` from the two footprints alone.
+
+    None for a near-touching pair, which only clipping decides.
+    """
     dx, dy = fb.x - fa.x, fb.y - fa.y
     reach = fa.radius + fb.radius
     if dx * dx + dy * dy > reach * reach:
@@ -417,7 +438,7 @@ def bev_overlap(a: FullPoseBox, b: FullPoseBox,
         return False
     if gap < -_SAT_TOL:
         return True
-    return float(pairwise_bev_iou([a], [b])[0, 0]) > 0.0
+    return None
 
 
 def _polygon_areas(poly: np.ndarray) -> np.ndarray:

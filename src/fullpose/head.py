@@ -160,17 +160,22 @@ def loss_rows(params: HeadParams, targets) -> nn.LossRows:
     return nn.loss_rows(targets, HeadOutput(**buffers))
 
 
-def head_loss(params: HeadParams, features: np.ndarray, rows: nn.LossRows, grad: np.ndarray):
-    """Composite box loss; writes the gradient of every head parameter into ``grad``.
+def grad_slots(params: HeadParams, grad: np.ndarray) -> dict:
+    """Per-group layer views of ``grad``, a float64 vector laid out by
+    :func:`nn.layer_views` over the groups in :func:`head_param_list` order."""
+    return dict(zip(_GROUPS, nn.layer_views(grad, _mlps(params))))
 
-    ``rows`` is the frame's :func:`loss_rows`.  ``grad`` is a float64
-    vector the caller owns, laid out by :func:`nn.layer_views` over the
-    groups in :func:`head_param_list` order; every element is
-    overwritten.  Returns ``(loss, breakdown)``, where ``breakdown.grad``
-    holds the gradient w.r.t. each raw output: it is the gradient buffer
-    of ``rows``, which the next call on the same rows overwrites.
+
+def head_loss(params: HeadParams, features: np.ndarray, rows: nn.LossRows, slots: dict):
+    """Composite box loss; writes the gradient of every head parameter into ``slots``.
+
+    ``rows`` is the frame's :func:`loss_rows`; ``slots`` is the
+    :func:`grad_slots` of a gradient vector the caller owns, whose every
+    element is overwritten.  Returns ``(loss, breakdown)``, where
+    ``breakdown.grad`` holds the gradient w.r.t. each raw output: it is
+    the gradient buffer of ``rows``, which the next call on the same rows
+    overwrites.
     """
-    slots = dict(zip(_GROUPS, nn.layer_views(grad, _mlps(params))))
     out, caches = _forward_cached(params, features)
     loss, bd = nn.composite_box_loss(out, rows)
 
@@ -231,6 +236,7 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
         for layer, (weights, bias) in zip(mlp.layers, pairs):
             layer.weights, layer.bias = weights, bias
     grad = np.empty_like(flat)
+    slots = grad_slots(params, grad)
     state = nn.init_adam_state(flat)
     # targets do not change across epochs: each frame's loss rows and
     # gradient buffers are built once
@@ -240,7 +246,7 @@ def train_toy(dataset, cfg: HeadConfig, epochs: int, seed: int,
         totals = []
         term_sums = {}
         for features, rows in frames:
-            loss, bd = head_loss(params, features, rows, grad)
+            loss, bd = head_loss(params, features, rows, slots)
             nn.adam_step(flat, grad, state, lr=lr)
             totals.append(loss)
             for key, val in bd.terms.items():

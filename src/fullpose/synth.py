@@ -11,6 +11,7 @@ feature synthesis relies on.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,15 @@ import numpy as np
 
 from . import codec
 from .errors import FullposeError
-from .geom import EulerXYZ, FullPoseBox, PointCloud, bev_overlap, footprint, points_in_box
+from .geom import (
+    EulerXYZ,
+    FullPoseBox,
+    PointCloud,
+    bev_overlap,
+    footprint_at,
+    footprints_overlap,
+    points_in_box,
+)
 from .slopeaug import LabeledFrame
 
 GROUND_SOURCE = -1.0
@@ -117,6 +126,22 @@ class SceneSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.ramp_box_fraction is not None and not 0.0 <= self.ramp_box_fraction <= 1.0:
             raise ValueError(f"ramp_box_fraction must lie in [0, 1], got {self.ramp_box_fraction}")
+        # place_boxes draws the class from the CDF of these weights, which
+        # rng.choice would have checked
+        weights = np.array([self.class_weights[i] for i in sorted(self.class_weights)],
+                           dtype=np.float64)
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all() and 0.0 < total < math.inf):
+            raise ValueError("class_weights must be finite and >= 0 with a positive "
+                             f"finite sum, got {self.class_weights}")
+        for cls in self.class_weights:
+            if cls not in self.class_dims:
+                raise ValueError(f"class_dims has no entry for class {cls!r} of class_weights")
+            dims = np.asarray(self.class_dims[cls], dtype=np.float64)
+            if dims.shape != (3,) or not (np.isfinite(dims).all() and (dims > 0.0).all()):
+                raise ValueError(f"class_dims[{cls!r}] must be 3 finite lengths > 0, "
+                                 f"got {self.class_dims[cls]}")
 
 
 def resting_euler(normal, yaw: float) -> EulerXYZ:
@@ -146,7 +171,12 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
     m = _EDGE_MARGIN
     class_ids = sorted(spec.class_weights)
     weights = np.array([spec.class_weights[i] for i in class_ids], dtype=np.float64)
-    class_p = weights / weights.sum()
+    # the CDF rng.choice(len(class_ids), p=weights / weights.sum()) searches
+    # for its one rng.random() draw
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    class_dims = {i: np.asarray(spec.class_dims[i], dtype=np.float64) for i in class_ids}
     boxes: list[FullPoseBox] = []
     footprints = []
     rejections = 0
@@ -169,23 +199,35 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
             if want_ramp is not None and want_ramp != on_ramp:
                 rejections += 1
                 continue
-        cls = int(class_ids[rng.choice(len(class_ids), p=class_p)])
-        dims = np.asarray(spec.class_dims[cls], dtype=np.float64)
-        dims = dims * (1.0 + rng.uniform(-_DIMS_JITTER, _DIMS_JITTER, 3))
+        # bisect_right is searchsorted(side="right"), as rng.choice searches
+        cls = int(class_ids[bisect.bisect_right(cdf, rng.random())])
+        dims = class_dims[cls] * (1.0 + rng.uniform(-_DIMS_JITTER, _DIMS_JITTER, 3))
         yaw = rng.uniform(*spec.yaw_range)
         z, (nx, ny, nz) = terrain.surface_at(x)
-        half_h = float(dims[2]) / 2.0
-        box = FullPoseBox(center=[x + nx * half_h, y + ny * half_h, z + nz * half_h],
-                          dims=dims, euler=resting_euler((nx, ny, nz), yaw), class_id=cls)
-        fp = footprint(box)
-        if any(bev_overlap(box, other, fp, other_fp)
-               for other, other_fp in zip(boxes, footprints)):
+        l, w, h = dims.tolist()
+        half_h = h / 2.0
+        center = (x + nx * half_h, y + ny * half_h, z + nz * half_h)
+        fp = footprint_at(center[0], center[1], yaw, l, w)
+        box = None
+        overlap = False
+        for other, other_fp in zip(boxes, footprints):
+            overlap = footprints_overlap(fp, other_fp)
+            if overlap is None:  # near-touching: only clipping the two boxes decides
+                box = box or _resting_box(center, dims, (nx, ny, nz), yaw, cls)
+                overlap = bev_overlap(box, other, fp, other_fp)
+            if overlap:
+                break
+        if overlap:
             rejections += 1
             continue
         rejections = 0
-        boxes.append(box)
+        boxes.append(box or _resting_box(center, dims, (nx, ny, nz), yaw, cls))
         footprints.append(fp)
     return boxes
+
+
+def _resting_box(center, dims, normal, yaw: float, cls: int) -> FullPoseBox:
+    return FullPoseBox(center=center, dims=dims, euler=resting_euler(normal, yaw), class_id=cls)
 
 
 # local face frame, one column per face (top, bottom, +y, -y, +x, -x side):
@@ -201,11 +243,15 @@ def _sample_box_surface(box: FullPoseBox, count: int, rng: np.random.Generator
     """``count`` points uniform on the faces of ``box``.
 
     Draws the face indices, then one (u, v) pair per point: the same
-    stream, in the same order, as one scalar draw per coordinate.
+    stream, in the same order, as one scalar draw per coordinate.  The
+    faces are those of ``rng.choice(6, size=count, p=areas / areas.sum())``:
+    ``count`` draws of ``rng.random`` searched in the CDF it builds.
     """
     l, w, h = box.dims
     areas = np.array([l * w, l * w, l * h, l * h, w * h, w * h])
-    faces = rng.choice(len(_FACE_AXIS), size=count, p=areas / areas.sum())
+    cdf = (areas / areas.sum()).cumsum()
+    cdf /= cdf[-1]
+    faces = cdf.searchsorted(rng.random(count), side="right")
     uv = rng.uniform(-0.5, 0.5, size=(count, 2))
     rows = np.arange(count)
     axis, u_axis, v_axis = _FACE_AXIS[faces], _FACE_U[faces], _FACE_V[faces]
@@ -254,24 +300,87 @@ def frame_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _fit_plane_normal(points: np.ndarray) -> np.ndarray:
-    """Least-squares plane z = ax + by + c through points; unit normal."""
-    a = np.column_stack([points[:, 0], points[:, 1], np.ones(len(points))])
-    coef, *_ = np.linalg.lstsq(a, points[:, 2], rcond=None)
-    normal = np.array([-coef[0], -coef[1], 1.0])
-    return normal / np.linalg.norm(normal)
+def _design(points: np.ndarray) -> np.ndarray:
+    """Rows (x, y, 1) of the plane fit z = ax + by + c through ``points``."""
+    a = np.ones((len(points), 3))
+    a[:, :2] = points[:, :2]
+    return a
 
 
-def _ground_distances(ground_x: np.ndarray, ground_y: np.ndarray, x: float, y: float
-                      ) -> np.ndarray:
-    """Horizontal distances from (x, y) to every ground point.
+def _fit_plane_normal(design: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Unit normal of the least-squares plane z = ax + by + c; ``design`` is the :func:`_design`."""
+    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
+    normal = -coef
+    normal[2] = 1.0
+    # np.linalg.norm of a vector is sqrt(x.dot(x))
+    normal /= math.sqrt(normal.dot(normal))
+    return normal
 
-    The same floats as ``np.linalg.norm(ground_xy - (x, y), axis=1)``; over
-    two contiguous columns numpy does not reduce an axis of length 2.
+
+# largest distance block (rows x ground points) made at once: 8 MB of float64
+_BLOCK_SIZE = 1 << 20
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of ``range(rows)`` whose (rows, cols) blocks hold at most ``_BLOCK_SIZE``."""
+    step = max(1, _BLOCK_SIZE // max(cols, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _xy_distances(ground_x: np.ndarray, ground_y: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """(k, n) horizontal distances from each of k (x, y) rows to every ground point.
+
+    Row i holds the floats of ``np.linalg.norm(ground_xy - xy[i], axis=1)``:
+    ``sqrt(dx * dx + dy * dy)``, computed in two (k, n) buffers.
     """
-    dx = ground_x - x
-    dy = ground_y - y
-    return np.sqrt(dx * dx + dy * dy)
+    dist = np.subtract(ground_x, xy[:, :1])
+    dist *= dist
+    dy = np.subtract(ground_y, xy[:, 1:2])
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
+
+
+def _local_ground(ground_pts: np.ndarray, ground_x: np.ndarray, ground_y: np.ndarray,
+                  centers: np.ndarray) -> np.ndarray:
+    """(k, 5) plane-fit normal, height above the mean ground z and ground z std
+    of the local ground under each center.
+
+    The fit starts from the ground points within ``_FIT_RADIUS`` in xy and
+    doubles the radius, up to three times, while it holds fewer than 8 of
+    them; with fewer than 3 at the last radius it takes the whole ground.
+    """
+    dist = _xy_distances(ground_x, ground_y, centers)
+    radius = np.full(len(centers), _FIT_RADIUS)
+    within = dist <= _FIT_RADIUS
+    counts = np.count_nonzero(within, axis=1)
+    for _ in range(3):
+        short = np.flatnonzero(counts < 8)
+        if not short.size:
+            break
+        radius[short] *= 2.0
+        within[short] = dist[short] <= radius[short, None]
+        counts[short] = np.count_nonzero(within[short], axis=1)
+    # each center's neighbourhood in turn, in ground order: center i's
+    # points are rows ends[i - 1]:ends[i]
+    local = ground_pts[np.nonzero(within)[1]]
+    design = _design(local)
+    ends = np.cumsum(counts).tolist()
+    out = np.empty((len(centers), 5))
+    for i, count in enumerate(counts.tolist()):
+        rows = slice(ends[i] - count, ends[i])
+        if count >= 3:
+            a, z = design[rows], local[rows, 2]
+        else:
+            a, z = _design(ground_pts), ground_pts[:, 2]
+        out[i, 0:3] = _fit_plane_normal(a, z)
+        # the sums of ndarray.mean and ndarray.std
+        mean = np.add.reduce(z) / len(z)
+        dev = z - mean
+        out[i, 3] = mean
+        out[i, 4] = math.sqrt(np.add.reduce(dev * dev) / len(z))
+    out[:, 3] = centers[:, 2] - out[:, 3]
+    return out
 
 
 def check_feature_settings(noise_sigma: float, bg_per_frame: int) -> None:
@@ -306,53 +415,46 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     if feature_dim < info_dim:
         raise ValueError(f"feature_dim must be >= {info_dim}")
 
-    centers = []
-    cues = []
-    for box in frame.boxes:
-        local = rng.uniform(-0.25, 0.25, 3) * box.dims
-        centers.append(box.center + box.rotation() @ local)
-        cue = np.zeros(class_count)
-        cue[box.class_id % class_count] = 1.0
-        cues.append(cue)
+    boxes = frame.boxes
+    offsets = rng.uniform(-0.25, 0.25, (len(boxes), 3))
+    centers = [np.array([b.center + b.rotation() @ (off * b.dims)
+                         for b, off in zip(boxes, offsets)]).reshape(-1, 3)]
 
     ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
     ground_x, ground_y = ground_pts[:, 0].copy(), ground_pts[:, 1].copy()
     lo = ground_pts[:, :2].min(axis=0)
     hi = ground_pts[:, :2].max(axis=0)
-    box_centers = np.array([b.center for b in frame.boxes]).reshape(-1, 3)
+    box_centers = np.array([b.center for b in boxes]).reshape(-1, 3)
     # a point inside a box lies within its circumradius; the slack covers the
     # boundary guard of points_in_box and rounding
-    box_reach = np.array([np.linalg.norm(b.dims) / 2.0 + 1e-6 for b in frame.boxes])
+    box_dims = np.array([b.dims for b in boxes]).reshape(-1, 3)
+    box_reach = np.linalg.norm(box_dims, axis=1) / 2.0 + 1e-6
     made = 0
     attempts = 0
-    while made < bg_per_frame and attempts < 100 * bg_per_frame:
-        attempts += 1
-        x, y = rng.uniform(lo, hi).tolist()
-        j = int(np.argmin(_ground_distances(ground_x, ground_y, x, y)))
-        candidate = ground_pts[j].copy()
-        near = np.flatnonzero(np.linalg.norm(box_centers - candidate, axis=1) <= box_reach)
-        if any(points_in_box(candidate[None, :], frame.boxes[k])[0] for k in near):
-            continue
-        centers.append(candidate)
-        cues.append(np.zeros(class_count))
-        made += 1
+    limit = 100 * bg_per_frame
+    while made < bg_per_frame and attempts < limit:
+        # the one-at-a-time loop cannot stop before it has made k more
+        # attempts, so one call draws them: the same stream and count
+        k = min(bg_per_frame - made, limit - attempts)
+        attempts += k
+        xy = rng.uniform(lo, hi, size=(k, 2))
+        nearest = np.concatenate([_xy_distances(ground_x, ground_y, xy[rows]).argmin(axis=1)
+                                  for rows in _row_blocks(k, len(ground_x))])
+        candidates = ground_pts[nearest]
+        near = np.linalg.norm(box_centers - candidates[:, None, :], axis=2) <= box_reach
+        keep = np.ones(k, dtype=bool)
+        for i in np.flatnonzero(near.any(axis=1)).tolist():
+            keep[i] = not any(points_in_box(candidates[i:i + 1], boxes[j])[0]
+                              for j in np.flatnonzero(near[i]).tolist())
+        centers.append(candidates[keep])
+        made += int(np.count_nonzero(keep))
 
-    pts = np.asarray(centers).reshape(-1, 3)
+    pts = np.concatenate(centers)
     features = np.zeros((len(pts), feature_dim))
-    for i, (x, y, z) in enumerate(pts.tolist()):
-        dist = _ground_distances(ground_x, ground_y, x, y)
-        radius = _FIT_RADIUS
-        for _ in range(4):
-            sel = dist <= radius
-            count = np.count_nonzero(sel)
-            if count >= 8:
-                break
-            radius *= 2.0
-        local_ground = ground_pts[sel] if count >= 3 else ground_pts
-        features[i, 0:3] = _fit_plane_normal(local_ground)
-        features[i, 3] = z - local_ground[:, 2].mean()
-        features[i, 4] = local_ground[:, 2].std()
-        features[i, 5:info_dim] = cues[i]
+    for rows in _row_blocks(len(pts), len(ground_x)):
+        features[rows, :5] = _local_ground(ground_pts, ground_x, ground_y, pts[rows])
+    cue_cols = np.array([5 + b.class_id % class_count for b in boxes], dtype=np.intp)
+    features[np.arange(len(boxes)), cue_cols] = 1.0
     features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))

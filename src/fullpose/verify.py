@@ -245,7 +245,7 @@ def check_head_loss(rng: np.random.Generator) -> float:
         def f(vec):
             _load(mlps, vec)
             grad = np.empty_like(vec)
-            loss, _ = head.head_loss(params, features, rows, grad)
+            loss, _ = head.head_loss(params, features, rows, head.grad_slots(params, grad))
             return loss, grad
 
         if _weakest_alive_grad(f, start) > _GRAD_FLOOR:

@@ -266,6 +266,14 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
     return boxes
 
 
+def fit_plane_normal_oracle(points) -> np.ndarray:
+    """Unit normal of the least-squares plane z = ax + by + c, via ``column_stack`` and ``norm``."""
+    a = np.column_stack([points[:, 0], points[:, 1], np.ones(len(points))])
+    coef, *_ = np.linalg.lstsq(a, points[:, 2], rcond=None)
+    normal = np.array([-coef[0], -coef[1], 1.0])
+    return normal / np.linalg.norm(normal)
+
+
 def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,
                          feature_dim: int = 16, class_count: int = 2,
                          bg_per_frame: int = 12, fit_radius: float = 2.0):
@@ -275,7 +283,7 @@ def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,
     radius doubling recomputes the distances to all ground points.
     """
     from fullpose.geom import points_in_box
-    from fullpose.synth import GROUND_SOURCE, _fit_plane_normal
+    from fullpose.synth import GROUND_SOURCE
 
     info_dim = 5 + class_count
     centers, cues = [], []
@@ -311,7 +319,7 @@ def make_features_oracle(frame, noise_sigma: float, rng: np.random.Generator,
                 break
             radius *= 2.0
         local_ground = ground_pts[sel] if sel.sum() >= 3 else ground_pts
-        features[i, 0:3] = _fit_plane_normal(local_ground)
+        features[i, 0:3] = fit_plane_normal_oracle(local_ground)
         features[i, 3] = center[2] - local_ground[:, 2].mean()
         features[i, 4] = local_ground[:, 2].std()
         features[i, 5:info_dim] = cues[i]

@@ -187,6 +187,22 @@ class TestBoxesFromArrays:
         assert str(got.value) == str(want.value)
 
 
+    @pytest.mark.parametrize("class_ids", [[0.0, 1.0, 1.5], np.array([0.0, 1.0, 2.0]), [0, 1, None]])
+    def test_non_integer_class_ids_raise_the_constructor_error(self, class_ids):
+        centers, dims, euler, _, scores = self.arrays()
+        with pytest.raises(ValueError, match="class_id must be an integer") as got:
+            geom.boxes_from_arrays(centers, dims, euler, class_ids, scores)
+        with pytest.raises(ValueError) as want:
+            [FullPoseBox(c, d, EulerXYZ(*e.tolist()), class_id=k, score=float(s))
+             for c, d, e, k, s in zip(centers, dims, euler, np.asarray(class_ids).tolist(), scores)]
+        assert str(got.value) == str(want.value)
+
+    def test_class_ids_past_int64_stay_python_ints(self):
+        centers, dims, euler, _, scores = self.arrays()
+        boxes = geom.boxes_from_arrays(centers, dims, euler, [2**70, 1, -2], scores)
+        assert [b.class_id for b in boxes] == [2**70, 1, -2]
+
+
 class TestBoxCorners:
     def test_unit_cube(self):
         got = box_corners(box([0, 0, 0], [1, 1, 1]))

@@ -14,6 +14,7 @@ from fullpose.head import (
     HeadConfig,
     HeadOutput,
     HeadParams,
+    grad_slots,
     head_decode,
     head_forward,
     head_loss,
@@ -162,7 +163,7 @@ class TestLoss:
         targets = verify._random_targets(6, SMALL.codec, rng)
         arrays = head_param_list(params)
         grad = np.full(sum(a.size for a in arrays), np.nan)
-        loss, _ = head_loss(params, feats, loss_rows(params, targets), grad)
+        loss, _ = head_loss(params, feats, loss_rows(params, targets), grad_slots(params, grad))
         want_loss, want, _ = oracles.head_loss_oracle(params, feats, targets)
         assert loss > 0 and loss == want_loss
         # one slice per array, in parameter order, each the oracle's bytes
@@ -183,10 +184,8 @@ class TestLoss:
         rng = np.random.default_rng(6)
         params = init_head(SMALL, rng)
         size = sum(a.size for a in head_param_list(params)) + extra
-        targets = verify._random_targets(6, SMALL.codec, rng)
         with pytest.raises(ShapeMismatchError):
-            head_loss(params, rng.standard_normal((6, 12)), loss_rows(params, targets),
-                      np.zeros(size))
+            grad_slots(params, np.zeros(size))
 
 
 def _toy_dataset(rng, frames=5, centers=30, feature_dim=12):

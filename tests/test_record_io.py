@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from fullpose import cli  # noqa: E402
 from fullpose.dataio import (  # noqa: E402
@@ -91,6 +91,16 @@ class TestBoxChecks:
         got = outcome(lambda: FullPoseBox([NAN, 0.0, 0.0], [0.0, 1.0, 1.0], score=2.0))
         assert got == outcome(oracles.box_checks_oracle, [NAN, 0.0, 0.0], [0.0, 1.0, 1.0], 2.0)
         assert got[1].startswith("center has non-finite components")
+
+    @pytest.mark.parametrize("class_id", [1.5, 1.0, np.float64(2.0), "1", None, np.array([1])])
+    def test_class_id_must_be_an_integer(self, class_id):
+        with pytest.raises(ValueError, match="class_id must be an integer"):
+            FullPoseBox(np.zeros(3), np.ones(3), class_id=class_id)
+
+    @pytest.mark.parametrize("class_id", [1, -3, 2**70, np.int64(2), np.uint8(3), np.array(4), True])
+    def test_integer_class_id_is_held_as_int(self, class_id):
+        box = FullPoseBox(np.zeros(3), np.ones(3), class_id=class_id)
+        assert type(box.class_id) is int and box.class_id == class_id
 
     @pytest.mark.parametrize("i", range(3))
     @pytest.mark.parametrize("value", [NAN, INF, -INF])
@@ -262,6 +272,17 @@ class TestWritePose6d:
         written = [json.loads(line)["class"] for line in path.read_text(encoding="utf-8").splitlines()]
         assert written == [class_name_for(rec.box.class_id) for rec in recs]
         assert [record_bits(rec) for rec in read_pose6d(path)] == [record_bits(rec) for rec in recs]
+
+    @given(st.lists(st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                              st.integers(0, 255).map(np.uint8), st.booleans()), max_size=6))
+    @example(ids=[-1, 2**63])  # numpy reads this list as float64
+    @example(ids=[2**63, 1])   # and this one as uint64
+    def test_reader_accepts_every_class_name_written(self, tmp_path_factory, ids):
+        # a box holds only integer class ids, so each written name reads back
+        recs = [Pose6dRecord("f", FullPoseBox(np.zeros(3), np.ones(3), class_id=k)) for k in ids]
+        path = tmp_path_factory.mktemp("classes") / "labels.jsonl"
+        write_pose6d(recs, path)
+        assert [rec.box.class_id for rec in read_pose6d(path)] == [int(k) for k in ids]
 
     def test_special_values_and_names(self, tmp_path):
         recs = [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fullpose import synth
 from fullpose.codec import CodecConfig
 from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, bev_iou, euler_to_matrix, points_in_box
 from fullpose.slopeaug import LabeledFrame, SlopeAugParams, apply
@@ -92,6 +93,43 @@ class TestRestingEuler:
             assert np.abs(rot @ [0, 0, 1] - n).max() < 1e-9
 
 
+class TestSceneSpecChecks:
+    DIMS = {1: (4.2, 1.8, 1.6), 2: (0.8, 0.6, 1.7)}
+
+    @pytest.mark.parametrize("weights", [{1: 0.0}, {1: 0.0, 2: 0.0}, {}])
+    def test_weights_without_positive_sum_rejected(self, weights):
+        with pytest.raises(ValueError, match="class_weights"):
+            SceneSpec(class_weights=weights, class_dims=self.DIMS)
+
+    @pytest.mark.parametrize("weights", [{1: math.nan}, {1: 1.0, 2: math.nan}])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="class_weights"):
+            SceneSpec(class_weights=weights, class_dims=self.DIMS)
+
+    @pytest.mark.parametrize("weights", [{1: -0.5, 2: 1.0}, {1: 1.0, 2: -1e-300}])
+    def test_negative_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="class_weights"):
+            SceneSpec(class_weights=weights, class_dims=self.DIMS)
+
+    @pytest.mark.parametrize("weights", [{1: math.inf}, {1: 1e308, 2: 1e308}])
+    def test_infinite_weight_or_sum_rejected(self, weights):
+        with pytest.raises(ValueError, match="class_weights"):
+            SceneSpec(class_weights=weights, class_dims=self.DIMS)
+
+    def test_weighted_class_without_dims_rejected(self):
+        with pytest.raises(ValueError, match="class_dims has no entry for class 2"):
+            SceneSpec(class_weights={1: 0.5, 2: 0.5}, class_dims={1: (4.2, 1.8, 1.6)})
+
+    @pytest.mark.parametrize("dims", [(4.2, 1.8), (4.2, 0.0, 1.6), (4.2, -1.8, 1.6),
+                                      (4.2, math.nan, 1.6), (math.inf, 1.8, 1.6)])
+    def test_bad_class_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match=r"class_dims\[1\]"):
+            SceneSpec(class_weights={1: 1.0}, class_dims={1: dims})
+
+    def test_unweighted_dims_are_not_read(self):
+        SceneSpec(class_weights={1: 1.0}, class_dims={1: (4.2, 1.8, 1.6), 9: (0.0,)})
+
+
 class TestPlaceBoxes:
     def test_flat_terrain_zero_tilt(self):
         spec = SceneSpec(terrain=FLAT, box_count=6)
@@ -145,6 +183,25 @@ class TestPlaceBoxes:
         want = oracles.place_boxes_oracle(terrain, spec, want_rng)
         assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("weights", [
+        {1: 0.0, 2: 1.0, 3: 0.0},
+        {1: 1.0, 2: 0.0},
+        {1: 1e-300, 2: 1.0, 3: 5e-324},
+        {1: 0.1, 2: 0.2, 3: 0.7},
+        {3: 1.0},
+    ], ids=["zero-first-last", "zero-last", "tiny", "thirds", "one-class"])
+    def test_class_draw_equals_choice(self, weights):
+        # the oracle draws each class with rng.choice
+        spec = SceneSpec(terrain=RAMP, box_count=15, class_weights=weights,
+                         class_dims={1: (4.2, 1.8, 1.6), 2: (0.8, 0.6, 1.7), 3: (1.7, 0.6, 1.7)})
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = place_boxes(RAMP, spec, got_rng)
+            want = oracles.place_boxes_oracle(RAMP, spec, want_rng)
+            assert [box_bits(b) for b in got] == [box_bits(b) for b in want]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert {b.class_id for b in got} <= {k for k, w in weights.items() if w > 0.0}
 
     def test_surface_at_equals_array_reads(self):
         xs = [0.0, 19.0, 20.0, math.nextafter(20.0, 30.0), 22.5, 40.0, -0.0]
@@ -313,6 +370,51 @@ class TestMakeFeatures:
             ground_xy = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE, :2]
             within = np.linalg.norm(ground_xy - centers[:, None, :2], axis=2) <= 16.0
             assert (within.sum(axis=1) < 3).any()
+
+    def _assert_equals_oracle(self, frame, seed, bg_per_frame):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, features, _ = make_features(frame, 0.05, got_rng, feature_dim=16,
+                                             bg_per_frame=bg_per_frame)
+        want_centers, want_features = oracles.make_features_oracle(
+            frame, 0.05, want_rng, feature_dim=16, bg_per_frame=bg_per_frame)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert features.tobytes() == want_features.tobytes()
+        assert got_rng.random() == want_rng.random()
+        return centers
+
+    @pytest.mark.parametrize("bg_per_frame", [1, 3])
+    def test_attempt_limit_equals_oracle(self, bg_per_frame):
+        # every ground point lies inside the one box, so no candidate is
+        # kept and all 100 * bg_per_frame attempts run out
+        rng = np.random.default_rng(31)
+        box = FullPoseBox(np.array([5.0, 0.0, 0.5]), np.array([12.0, 8.0, 3.0]),
+                          EulerXYZ(0.0, 0.0, 0.3), class_id=1)
+        ground = np.column_stack([rng.uniform(2.0, 8.0, 200), rng.uniform(-2.0, 2.0, 200),
+                                  np.zeros(200)])
+        faces = _sample_box_surface(box, 50, rng)
+        cloud = PointCloud(np.vstack([ground, faces]),
+                           np.concatenate([np.full(200, GROUND_SOURCE), np.zeros(50)]))
+        assert points_in_box(ground, box).all()
+        centers = self._assert_equals_oracle(LabeledFrame(cloud, [box]), 7, bg_per_frame)
+        assert len(centers) == 1
+
+    @pytest.mark.parametrize("terrain, seed", [(FLAT, 21), (RAMP, 23), (RAMP, 24)])
+    def test_one_background_center_equals_oracle(self, terrain, seed):
+        spec = SceneSpec(terrain=terrain, box_count=12, noise_sigma=0.01, density=0.6,
+                         ramp_box_fraction=0.5 if terrain is RAMP else None)
+        frame = make_scene(spec, np.random.default_rng(seed))
+        for rng_seed in range(8):
+            centers = self._assert_equals_oracle(frame, rng_seed, 1)
+            assert len(centers) == len(frame.boxes) + 1
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_distance_blocks_of_few_rows_equal_oracle(self, monkeypatch, block_rows):
+        spec = SceneSpec(terrain=RAMP, box_count=12, noise_sigma=0.01, density=0.6,
+                         ramp_box_fraction=0.5)
+        frame = make_scene(spec, np.random.default_rng(23))
+        n_ground = int(np.count_nonzero(frame.cloud.extras[:, 0] == GROUND_SOURCE))
+        monkeypatch.setattr(synth, "_BLOCK_SIZE", block_rows * n_ground)
+        assert len(self._assert_equals_oracle(frame, 5, 60)) == len(frame.boxes) + 60
 
     def test_no_centers_is_an_empty_array(self):
         frame = make_scene(SceneSpec(terrain=FLAT, box_count=0), np.random.default_rng(19))
