@@ -21,7 +21,6 @@ from .geom import (
     RigidTransform,
     axis_angle_transform,
     bev_iou,
-    bev_overlap,
     box_corners,
     center_distance,
     euler_to_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "YawCode",
     "axis_angle_transform",
     "bev_iou",
-    "bev_overlap",
     "box_corners",
     "center_distance",
     "euler_to_matrix",

@@ -60,9 +60,12 @@ def _naming(path):
 def _augment_one(task) -> tuple[str, bool]:
     frame_id, in_dir, out_dir, cfg, seed = task
     in_dir, out_dir = Path(in_dir), Path(out_dir)
-    cloud = dataio.read_velodyne(in_dir / "velodyne" / f"{frame_id}.bin")
+    cloud_path = in_dir / "velodyne" / f"{frame_id}.bin"
+    cloud = dataio.read_velodyne(cloud_path)
     records = dataio.read_pose6d(in_dir / "labels" / f"{frame_id}.jsonl")
-    frame = slopeaug.LabeledFrame(cloud=cloud, boxes=[rec.box for rec in records], frame_id=frame_id)
+    with _naming(cloud_path):  # an empty cloud makes no frame
+        frame = slopeaug.LabeledFrame(cloud=cloud, boxes=[rec.box for rec in records],
+                                      frame_id=frame_id)
     rng = slopeaug.frame_rng(seed, frame_id)
     out = slopeaug.augment(frame, cfg, rng)
     applied = out is not frame

@@ -70,7 +70,7 @@ class MatchCriterion:
         if self.kind not in CRITERIA:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.uses_distance:
-            if self.threshold <= 0.0:
+            if not (math.isfinite(self.threshold) and self.threshold > 0.0):
                 raise ValueError("distance threshold must be positive")
         elif not 0.0 < self.threshold <= 1.0:
             raise ValueError("IoU threshold must lie in (0, 1]")
@@ -285,6 +285,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.recall_positions not in (11, 40):
             raise ValueError("recall_positions must be 11 or 40")
+        # the thresholds of the criteria evaluate builds, under their rules
+        MatchCriterion("iou3d", self.iou_threshold)
+        MatchCriterion("center_distance", self.cd_threshold)
 
 
 @dataclass

@@ -313,25 +313,20 @@ def points_in_box(points, box: FullPoseBox) -> np.ndarray:
     boundary is inclusive with a 1e-9 m guard so points sampled exactly on
     a face stay inside under float rounding.
     """
-    local = (np.asarray(points, dtype=np.float64) - box.center) @ box.rotation()
-    return _inside(local, box.dims)
+    return points_in_boxes(points, [box])[0]
 
 
 def points_in_boxes(points, boxes) -> np.ndarray:
     """(n_boxes, n) mask whose row k is ``points_in_box(points, boxes[k])``.
 
-    One pass over all boxes with the same floats: each box's (n, 3) block
-    takes the same matmul as the one-box call.
+    Each box's (n, 3) block of local coordinates takes its own matmul, so a
+    row does not depend on the other boxes.  No boxes give a (0, n) mask.
     """
     n_boxes = len(boxes)
     centers = np.array([b.center for b in boxes]).reshape(n_boxes, 1, 3)
     rotations = np.array([b.rotation() for b in boxes]).reshape(n_boxes, 3, 3)
     dims = np.array([b.dims for b in boxes]).reshape(n_boxes, 1, 3)
-    return _inside((np.asarray(points, dtype=np.float64) - centers) @ rotations, dims)
-
-
-def _inside(local: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    # the closed cuboid with its 1e-9 m guard, over the last axis
+    local = (np.asarray(points, dtype=np.float64) - centers) @ rotations
     return np.all(np.abs(local) <= dims * 0.5 + 1e-9, axis=-1)
 
 
@@ -345,9 +340,24 @@ class _Footprints(NamedTuple):
     radius: np.ndarray   # (n,) circumradius: half the footprint diagonal
 
 
-# local footprint corners as multiples of (l, w), counterclockwise
-_CORNER_X = np.array([0.5, -0.5, -0.5, 0.5])
-_CORNER_Y = np.array([0.5, 0.5, -0.5, -0.5])
+# signs of the local footprint corners along the length and width axes,
+# counterclockwise
+_CORNER_X = np.array([1.0, -1.0, -1.0, 1.0])
+_CORNER_Y = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _corners(x, y, cos, sin, half_l, half_w) -> np.ndarray:
+    """(n, 4) counterclockwise footprint corners as complex x + iy.
+
+    Every argument is an (n, 1) column, in the field order of
+    :class:`Footprint`.
+    """
+    lx = half_l * _CORNER_X
+    ly = half_w * _CORNER_Y
+    corners = np.empty(lx.shape, dtype=np.complex128)
+    corners.real = lx * cos - ly * sin + x
+    corners.imag = lx * sin + ly * cos + y
+    return corners
 
 
 def _footprints(boxes) -> _Footprints:
@@ -358,11 +368,8 @@ def _footprints(boxes) -> _Footprints:
     yaw = [b.euler.theta_z for b in boxes]
     c = np.array([math.cos(t) for t in yaw])[:, None]
     s = np.array([math.sin(t) for t in yaw])[:, None]
-    lx = dims[:, :1] * _CORNER_X
-    ly = dims[:, 1:2] * _CORNER_Y
-    corners = np.empty((n, 4), dtype=np.complex128)
-    corners.real = lx * c - ly * s + centers[:, :1]
-    corners.imag = lx * s + ly * c + centers[:, 1:2]
+    corners = _corners(centers[:, :1], centers[:, 1:2], c, s,
+                       dims[:, :1] * 0.5, dims[:, 1:2] * 0.5)
     radius = np.hypot(dims[:, 0], dims[:, 1]) / 2.0
     return _Footprints(corners, _polygon_areas(corners), centers, dims, radius)
 
@@ -395,32 +402,19 @@ def footprint_at(x: float, y: float, yaw: float, l: float, w: float) -> Footprin
 _SAT_TOL = 1e-6
 
 
-def bev_overlap(a: FullPoseBox, b: FullPoseBox,
-                fa: Footprint | None = None, fb: Footprint | None = None) -> bool:
-    """Whether the footprints of ``a`` and ``b`` overlap, decided as
-    ``pairwise_bev_iou([a], [b])[0, 0] > 0.0`` is.
+def footprints_overlap(fa: Footprint, fb: Footprint) -> bool:
+    """Whether two footprints overlap, decided as
+    ``pairwise_bev_iou([a], [b])[0, 0] > 0.0`` is for their boxes a and b.
 
     Pairs beyond their circumradii are rejected by the test of
     :func:`_near`.  The rest take the separating-axis test of two rectangles
     (Gottschalk, Lin & Manocha, OBBTree, 1996): the largest gap over the
     four edge normals.  A gap beyond ``_SAT_TOL`` leaves every clipped
     vertex that far outside, and a penetration beyond it leaves an area
-    far above the rounding of scene-scale coordinates, so only
-    near-touching pairs, whose clipped area is a rounding residue, are
-    clipped.  ``fa``/``fb`` are the footprints of ``a``/``b`` when the
-    caller already has them.
-    """
-    overlap = footprints_overlap(footprint(a) if fa is None else fa,
-                                 footprint(b) if fb is None else fb)
-    if overlap is None:
-        return float(pairwise_bev_iou([a], [b])[0, 0]) > 0.0
-    return overlap
-
-
-def footprints_overlap(fa: Footprint, fb: Footprint) -> bool | None:
-    """The decision of :func:`bev_overlap` from the two footprints alone.
-
-    None for a near-touching pair, which only clipping decides.
+    far above the rounding of scene-scale coordinates.  Only a
+    near-touching pair, whose clipped area is a rounding residue, is
+    clipped, from the same corners and with the same arithmetic as the
+    kernel.
     """
     dx, dy = fb.x - fa.x, fb.y - fa.y
     reach = fa.radius + fb.radius
@@ -434,11 +428,14 @@ def footprints_overlap(fa: Footprint, fb: Footprint) -> bool | None:
         abs(dx * fb.cos + dy * fb.sin) - fb.half_l - fa.half_l * cos_d - fa.half_w * sin_d,
         abs(dy * fb.cos - dx * fb.sin) - fb.half_w - fa.half_l * sin_d - fa.half_w * cos_d,
     )
-    if gap > _SAT_TOL:
-        return False
-    if gap < -_SAT_TOL:
-        return True
-    return None
+    if abs(gap) > _SAT_TOL:
+        return gap < 0.0
+    # columns x, y, cos, sin, half_l, half_w of the two frames
+    corners = _corners(*np.array([fa, fb]).T[:6, :, None])
+    inter = _clipped_areas(corners[:1], corners[1:])[0]
+    area = _polygon_areas(corners)
+    union = area[0] + area[1] - inter
+    return bool(union > 0.0 and inter / union > 0.0)
 
 
 def _polygon_areas(poly: np.ndarray) -> np.ndarray:

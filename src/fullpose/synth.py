@@ -23,10 +23,9 @@ from .geom import (
     EulerXYZ,
     FullPoseBox,
     PointCloud,
-    bev_overlap,
     footprint_at,
     footprints_overlap,
-    points_in_box,
+    points_in_boxes,
 )
 from .slopeaug import LabeledFrame
 
@@ -126,6 +125,10 @@ class SceneSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.ramp_box_fraction is not None and not 0.0 <= self.ramp_box_fraction <= 1.0:
             raise ValueError(f"ramp_box_fraction must lie in [0, 1], got {self.ramp_box_fraction}")
+        low, high = self.yaw_range
+        if not (math.isfinite(low) and low <= high and math.isfinite(high - low)):
+            raise ValueError("yaw_range must be finite (low, high) with low <= high and a "
+                             f"finite width, got {self.yaw_range}")
         # place_boxes draws the class from the CDF of these weights, which
         # rng.choice would have checked
         weights = np.array([self.class_weights[i] for i in sorted(self.class_weights)],
@@ -208,26 +211,16 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
         half_h = h / 2.0
         center = (x + nx * half_h, y + ny * half_h, z + nz * half_h)
         fp = footprint_at(center[0], center[1], yaw, l, w)
-        box = None
-        overlap = False
-        for other, other_fp in zip(boxes, footprints):
-            overlap = footprints_overlap(fp, other_fp)
-            if overlap is None:  # near-touching: only clipping the two boxes decides
-                box = box or _resting_box(center, dims, (nx, ny, nz), yaw, cls)
-                overlap = bev_overlap(box, other, fp, other_fp)
-            if overlap:
+        for other_fp in footprints:
+            if footprints_overlap(fp, other_fp):
+                rejections += 1
                 break
-        if overlap:
-            rejections += 1
-            continue
-        rejections = 0
-        boxes.append(box or _resting_box(center, dims, (nx, ny, nz), yaw, cls))
-        footprints.append(fp)
+        else:
+            rejections = 0
+            boxes.append(FullPoseBox(center=center, dims=dims,
+                                     euler=resting_euler((nx, ny, nz), yaw), class_id=cls))
+            footprints.append(fp)
     return boxes
-
-
-def _resting_box(center, dims, normal, yaw: float, cls: int) -> FullPoseBox:
-    return FullPoseBox(center=center, dims=dims, euler=resting_euler(normal, yaw), class_id=cls)
 
 
 # local face frame, one column per face (top, bottom, +y, -y, +x, -x side):
@@ -424,11 +417,6 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     ground_x, ground_y = ground_pts[:, 0].copy(), ground_pts[:, 1].copy()
     lo = ground_pts[:, :2].min(axis=0)
     hi = ground_pts[:, :2].max(axis=0)
-    box_centers = np.array([b.center for b in boxes]).reshape(-1, 3)
-    # a point inside a box lies within its circumradius; the slack covers the
-    # boundary guard of points_in_box and rounding
-    box_dims = np.array([b.dims for b in boxes]).reshape(-1, 3)
-    box_reach = np.linalg.norm(box_dims, axis=1) / 2.0 + 1e-6
     made = 0
     attempts = 0
     limit = 100 * bg_per_frame
@@ -441,11 +429,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         nearest = np.concatenate([_xy_distances(ground_x, ground_y, xy[rows]).argmin(axis=1)
                                   for rows in _row_blocks(k, len(ground_x))])
         candidates = ground_pts[nearest]
-        near = np.linalg.norm(box_centers - candidates[:, None, :], axis=2) <= box_reach
-        keep = np.ones(k, dtype=bool)
-        for i in np.flatnonzero(near.any(axis=1)).tolist():
-            keep[i] = not any(points_in_box(candidates[i:i + 1], boxes[j])[0]
-                              for j in np.flatnonzero(near[i]).tolist())
+        keep = ~points_in_boxes(candidates, boxes).any(axis=0)
         centers.append(candidates[keep])
         made += int(np.count_nonzero(keep))
 

@@ -222,8 +222,9 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
 
     Each kept position reads ``terrain.normal`` and ``terrain.height`` on a
     (1, 2) array and stands the box with :func:`resting_euler_oracle`.
+    Overlap is the BEV IoU kernel's decision on the two boxes.
     """
-    from fullpose.geom import FullPoseBox, bev_overlap, footprint
+    from fullpose.geom import FullPoseBox, pairwise_bev_iou
     from fullpose.synth import _DIMS_JITTER, _EDGE_MARGIN, PlacementFailureError
 
     x0, x1, y0, y1 = terrain.extent
@@ -231,7 +232,7 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
     class_ids = sorted(spec.class_weights)
     weights = np.array([spec.class_weights[i] for i in class_ids], dtype=np.float64)
     class_p = weights / weights.sum()
-    boxes, footprints = [], []
+    boxes = []
     rejections = forced_ramp = 0
     if spec.ramp_box_fraction is not None and terrain.ramp_start is not None:
         forced_ramp = round(spec.ramp_box_fraction * spec.box_count)
@@ -255,14 +256,11 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
         foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
         box = FullPoseBox(center=foot + normal * (dims[2] / 2.0), dims=dims,
                           euler=resting_euler_oracle(normal, yaw), class_id=cls)
-        fp = footprint(box)
-        if any(bev_overlap(box, other, fp, other_fp)
-               for other, other_fp in zip(boxes, footprints)):
+        if any(pairwise_bev_iou([box], [other])[0, 0] > 0.0 for other in boxes):
             rejections += 1
             continue
         rejections = 0
         boxes.append(box)
-        footprints.append(fp)
     return boxes
 
 

@@ -245,6 +245,14 @@ class TestAugment:
         assert tilted
         assert all(lo - 1e-9 <= t <= hi + 1e-9 for t in tilted)
 
+    def test_empty_cloud_names_file(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        cloud = sorted((data / "velodyne").glob("*.bin"))[1]
+        cloud.write_bytes(b"")
+        argv = ["augment", "--input", str(data), "--output", str(tmp_path / "out"), "--p-s", "1"]
+        assert _fail(argv, capsys) == f"{cloud}: frame cloud must be nonempty"
+
 
 def _make_predictions(dataset: Path, out_dir: Path, jitter=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -466,6 +474,15 @@ class TestConfigErrors:
         error = _fail(["stats", "--input", str(dataset), "--out", str(tmp_path / "s.csv"),
                        "--config", str(config)], capsys)
         assert error.startswith(f"{config}: invalid JSON (Exceeds the limit (4300 digits)")
+
+    def test_nan_distance_threshold_stops_eval(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        config = tmp_path / "eval.json"
+        config.write_text('{"eval": {"cd_threshold": NaN}}')
+        error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred),
+                       "--config", str(config)], capsys)
+        assert error == "invalid config value: distance threshold must be positive"
 
 
 class TestStats:

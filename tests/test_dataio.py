@@ -493,6 +493,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cd_threshold", "NaN", "distance threshold must be positive"),
+        ("cd_threshold", "Infinity", "distance threshold must be positive"),
+        ("cd_threshold", "0", "distance threshold must be positive"),
+        ("cd_threshold", "-1", "distance threshold must be positive"),
+        ("iou_threshold", "NaN", "IoU threshold must lie in (0, 1]"),
+        ("iou_threshold", "0", "IoU threshold must lie in (0, 1]"),
+        ("iou_threshold", "1.5", "IoU threshold must lie in (0, 1]"),
+    ])
+    def test_eval_threshold_rejected_on_load(self, tmp_path, key, value, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"eval": {{"{key}": {value}}}}}')
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
     def test_top_level_value_cast(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"nms_iou": 1, "head": {"shared_widths": [8, 4]}}))

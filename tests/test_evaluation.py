@@ -215,6 +215,11 @@ class TestCriterionLabels:
         with pytest.raises(ValueError, match="unknown criterion kind"):
             MatchCriterion("iou2d", 0.7)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_distance_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="distance threshold must be positive"):
+            MatchCriterion("center_distance", threshold)
+
     def test_report_keys(self):
         gts = {"a": [box([0, 0, 0]), box([10, 0, 0], class_id=2)]}
         dets = {"a": [box([0.1, 0, 0], score=0.9)]}

@@ -301,6 +301,48 @@ class TestBevIou:
             union = pa.area + pb.area - inter
             assert abs(bev_iou(a, b) - inter / union) < 1e-9
 
+    def test_against_convex_hull(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(8)
+
+        def quad(bb):
+            l, w = bb.dims[:2]
+            local = np.array([[l / 2, w / 2], [-l / 2, w / 2], [-l / 2, -w / 2], [l / 2, -w / 2]])
+            return local @ oracles.rot_z(bb.euler.theta_z)[:2, :2].T + bb.center[:2]
+
+        def inside(points, q):
+            # within every edge of the counterclockwise quad q
+            edges = np.roll(q, -1, axis=0) - q
+            rel = points[:, None, :] - q[None, :, :]
+            cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
+            return (cross >= -1e-12).all(axis=1)
+
+        def crossings(p, q):
+            out = []
+            for p0, p1 in zip(p, np.roll(p, -1, axis=0)):
+                for q0, q1 in zip(q, np.roll(q, -1, axis=0)):
+                    # p0 + s (p1 - p0) == q0 + t (q1 - q0)
+                    m = np.column_stack([p1 - p0, q0 - q1])
+                    if abs(np.linalg.det(m)) < 1e-15:
+                        continue
+                    s, t = np.linalg.solve(m, q0 - p0)
+                    if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+                        out.append(p0 + s * (p1 - p0))
+            return out
+
+        def area(q):
+            x, y = q[:, 0], q[:, 1]
+            return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+        for _ in range(200):
+            a = box(rng.uniform(-2, 2, 3), rng.uniform(0.5, 4, 3), tz=rng.uniform(0, 2 * math.pi))
+            b = box(rng.uniform(-2, 2, 3), rng.uniform(0.5, 4, 3), tz=rng.uniform(0, 2 * math.pi))
+            qa, qb = quad(a), quad(b)
+            pts = [*qa[inside(qa, qb)], *qb[inside(qb, qa)], *crossings(qa, qb)]
+            inter = spatial.ConvexHull(np.array(pts)).volume if len(pts) >= 3 else 0.0
+            union = area(qa) + area(qb) - inter
+            assert abs(bev_iou(a, b) - inter / union) < 1e-9
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(9)
         for _ in range(100):

@@ -12,7 +12,8 @@ from fullpose.geom import (  # noqa: E402
     EulerXYZ,
     FullPoseBox,
     bev_iou,
-    bev_overlap,
+    footprint,
+    footprints_overlap,
     iou3d,
     nms,
     pairwise_bev_iou,
@@ -159,20 +160,26 @@ def _kernel_overlap(a, b):
     return pairwise_bev_iou([a], [b])[0, 0] > 0.0
 
 
+def _overlap(a, b):
+    got = footprints_overlap(footprint(a), footprint(b))
+    assert type(got) is bool  # decided for every pair, near-touching ones too
+    return got
+
+
 @given(full_pose_boxes(), full_pose_boxes())
-def test_bev_overlap_equals_kernel_decision(a, b):
-    assert bev_overlap(a, b) == _kernel_overlap(a, b)
-    assert bev_overlap(b, a) == _kernel_overlap(b, a)
+def test_footprints_overlap_equals_kernel_decision(a, b):
+    assert _overlap(a, b) == _kernel_overlap(a, b)
+    assert _overlap(b, a) == _kernel_overlap(b, a)
 
 
 # contact pairs whose clipped area is a rounding residue are a few percent of
 # the draws; 200 examples meet several of them
 @settings(max_examples=200)
 @given(contact_pairs())
-def test_bev_overlap_equals_kernel_decision_at_contact(pair):
+def test_footprints_overlap_equals_kernel_decision_at_contact(pair):
     a, b = pair
-    assert bev_overlap(a, b) == _kernel_overlap(a, b)
-    assert bev_overlap(b, a) == _kernel_overlap(b, a)
+    assert _overlap(a, b) == _kernel_overlap(a, b)
+    assert _overlap(b, a) == _kernel_overlap(b, a)
 
 
 @st.composite

@@ -126,6 +126,21 @@ class TestSceneSpecChecks:
         with pytest.raises(ValueError, match=r"class_dims\[1\]"):
             SceneSpec(class_weights={1: 1.0}, class_dims={1: dims})
 
+    @pytest.mark.parametrize("yaw_range", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+                                           (3.0, 1.0), (-1e308, 1e308)],
+                             ids=["inf", "nan-low", "nan-high", "reversed", "infinite-width"])
+    def test_bad_yaw_range_rejected(self, yaw_range):
+        with pytest.raises(ValueError, match="yaw_range"):
+            SceneSpec(yaw_range=yaw_range)
+
+    @pytest.mark.parametrize("yaw_range", [(1.0, 1.0), (0.0, 2.0 * math.pi),
+                                           (math.radians(35), math.radians(55))])
+    def test_yaw_range_accepted(self, yaw_range):
+        spec = SceneSpec(terrain=FLAT, box_count=3, yaw_range=yaw_range)
+        low, high = yaw_range
+        assert all(low <= b.euler.theta_z <= high
+                   for b in place_boxes(FLAT, spec, np.random.default_rng(0)))
+
     def test_unweighted_dims_are_not_read(self):
         SceneSpec(class_weights={1: 1.0}, class_dims={1: (4.2, 1.8, 1.6), 9: (0.0,)})
 
