@@ -103,6 +103,8 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
 # the targets that are floats, not labels or flags
 _FLOAT_TARGET_KEYS = ("yaw_residual", "tilt", "log_dims", "center_offset")
+# the targets that are 0/1 flags
+_FLAG_TARGET_KEYS = ("foreground", "ground_label")
 # x of the line where the synthetic ramp starts, in meters
 _RAMP_START = 20.0
 
@@ -169,12 +171,17 @@ def _load_feature_frame(path: Path, label_widths: dict):
         # checked once per file: a NaN would train on silently, every epoch
         floats = {"features": features, **{k: getattr(targets, k) for k in _FLOAT_TARGET_KEYS}}
         non_finite = [name for name, array in floats.items() if not np.isfinite(array).all()]
+        # the flags are cast to bool: a 0.5 would make its row foreground
+        flags = {name: getattr(targets, name) for name in _FLAG_TARGET_KEYS}
+        non_flag = [name for name, a in flags.items() if not ((a == 0) | (a == 1)).all()]
     except (ValueError, KeyError, IndexError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise dataio.ParseError(f"{path}: {exc}") from None
     if features.ndim != 2 or len(features) != len(targets):
         raise dataio.ParseError(f"{path}: features {features.shape} for {len(targets)} targets")
     if non_finite:
         raise dataio.ParseError(f"{path}: {non_finite[0]} holds non-finite values")
+    if non_flag:
+        raise dataio.ParseError(f"{path}: {non_flag[0]} holds values other than 0 and 1")
     with _naming(path):  # the labels the loss checks, checked before epoch 0
         nn.foreground_labels(targets, label_widths)
     return features, targets
@@ -191,7 +198,13 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
         if features.shape[1] != feature_dim:
             raise dataio.ParseError(f"{path}: feature width {features.shape[1]} != {feature_dim}")
     head_cfg = replace(cfg.head, feature_dim=feature_dim, codec=cfg.codec)
-    params, log = head.train_toy(dataset, head_cfg, epochs=args.epochs, seed=args.seed)
+    try:
+        params, log = head.train_toy(dataset, head_cfg, epochs=args.epochs, seed=args.seed)
+    except MemoryError as exc:  # the head's arrays scale with its widths
+        raise ValueError(
+            f"head widths feature_dim={feature_dim}, shared_widths={list(head_cfg.shared_widths)}, "
+            f"seg_hidden={list(head_cfg.seg_hidden)} do not fit in memory: {exc}"
+        ) from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     head.save_head(params, out)

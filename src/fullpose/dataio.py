@@ -89,6 +89,10 @@ def read_velodyne(path) -> PointCloud:
             f"{path}: length {len(raw)} is not a multiple of 16 bytes"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
+    finite = np.isfinite(data[:, :3])
+    if not finite.all():
+        first = np.flatnonzero(~finite.all(axis=1))[0]
+        raise ParseError(f"{path}: point {first} has a non-finite x/y/z")
     return PointCloud(data[:, :3].astype(np.float64), data[:, 3:4].astype(np.float64))
 
 

@@ -17,6 +17,7 @@ Activation codes: 0 = none, 1 = relu.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -50,6 +51,99 @@ _ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 15
 # central-difference step of grad_check
 _FD_STEP = 1e-6
+# the helper thread takes a share of a call only when that share pays for
+# the hand-off, about 39 us round trip: a dW product of at least this many
+# multiply-adds, an Adam update of at least this many whole blocks, on a
+# process allowed at least this many CPUs
+_HELPER_MIN_MACS = 1 << 21
+_HELPER_MIN_ADAM_BLOCKS = 2
+_HELPER_MIN_CPUS = 2
+
+
+class _Helper:
+    """One daemon thread that runs a numpy call while the caller runs another.
+
+    :meth:`start` hands over a call, :meth:`wait` returns once it is done
+    and raises what it raised.  One caller holds the thread from ``start``
+    to ``wait``; ``start`` returns False while another one does, and that
+    caller runs its call itself.
+    """
+
+    def __init__(self):
+        # imported here: a process that never trains a large head starts no thread
+        import queue
+        import threading
+
+        self._todo = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        threading.Thread(target=self._serve, name="fullpose-nn-helper", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._done.put(self._run(*self._todo.get()))
+
+    @staticmethod
+    def _run(fn, args, kwargs) -> BaseException | None:
+        # the call's outcome; returning drops this thread's references to
+        # its arrays, which would otherwise stay alive until the next call
+        try:
+            fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised by the caller, in wait
+            return exc
+        return None
+
+    def start(self, fn, *args, **kwargs) -> bool:
+        if not self._lock.acquire(blocking=False):
+            return False
+        self._todo.put((fn, args, kwargs))
+        return True
+
+    def wait(self) -> None:
+        # a wait broken by an interrupt keeps the lock, so every later call
+        # runs inline instead of reading this call's result as its own
+        exc = self._done.get()
+        self._lock.release()
+        if exc is not None:
+            raise exc
+
+
+_helper_thread: _Helper | None = None
+
+
+def _helper() -> _Helper | None:
+    """The helper thread, started on first use; None on fewer than
+    ``_HELPER_MIN_CPUS`` CPUs, where the caller runs both shares."""
+    global _helper_thread
+    if _helper_thread is None:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        if cpus < _HELPER_MIN_CPUS:
+            return None
+        _helper_thread = _Helper()
+    return _helper_thread
+
+
+def _offload(fn, *args, **kwargs) -> _Helper | None:
+    """Hand ``fn(*args, **kwargs)`` to the helper thread.
+
+    Returns the helper, whose ``wait`` the caller must reach, or None when
+    the caller runs ``fn`` itself.
+    """
+    helper = _helper()
+    return helper if helper is not None and helper.start(fn, *args, **kwargs) else None
+
+
+def _drop_helper() -> None:
+    # a forked child has no helper thread, only its parent's handle to one
+    global _helper_thread
+    _helper_thread = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
 
 
 def sigmoid(x) -> np.ndarray:
@@ -199,11 +293,22 @@ def mlp_backward(params: MlpParams, cache: list, slots, dy: np.ndarray, *,
             # multiplying by the 0/1 mask keeps the sign of each zeroed entry
             dz = np.multiply(da, z > 0.0, out=da if owned else None)
         dw, db = slots[i]
-        np.matmul(dz.T, x_in, out=dw)
-        np.add.reduce(dz, axis=0, out=db)
-        if i == 0 and not input_grad:
-            return None
-        da, owned = dz @ layer.weights, True
+        last = i == 0 and not input_grad
+        # a large dW product runs on the helper thread while this one takes
+        # dz @ W; neither call writes an array the other reads
+        helper = None
+        if not last and dw.size * len(dz) >= _HELPER_MIN_MACS:
+            helper = _offload(np.matmul, dz.T, x_in, out=dw)
+        if helper is None:
+            np.matmul(dz.T, x_in, out=dw)
+        try:
+            np.add.reduce(dz, axis=0, out=db)
+            if last:
+                return None
+            da, owned = dz @ layer.weights, True
+        finally:
+            if helper is not None:
+                helper.wait()
     return da
 
 
@@ -489,8 +594,9 @@ def composite_box_loss(out, rows: LossRows) -> tuple[float, LossBreakdown]:
 class AdamState:
     """First/second moments shaped like the parameter array, and the step count.
 
-    ``work`` holds the two block-sized buffers that :func:`adam_step`
-    computes its temporaries in.
+    ``work`` holds two pairs of block-sized buffers that :func:`adam_step`
+    computes its temporaries in: ``work[0]`` for the calling thread,
+    ``work[1]`` for the helper thread.
     """
 
     m: np.ndarray
@@ -503,7 +609,7 @@ def init_adam_state(param: np.ndarray) -> AdamState:
     return AdamState(
         m=np.zeros_like(param),
         v=np.zeros_like(param),
-        work=np.empty((2, min(param.size, _ADAM_BLOCK))),
+        work=np.empty((2, 2, min(param.size, _ADAM_BLOCK))),
     )
 
 
@@ -524,16 +630,33 @@ def adam_step(param: np.ndarray, grad, state: AdamState, lr: float = 1e-3) -> No
     if not (param.flags.c_contiguous and state.m.flags.c_contiguous
             and state.v.flags.c_contiguous):
         raise ShapeMismatchError("the parameter and moments must be C-contiguous")
-    b1, b2 = _ADAM_BETAS
     state.t += 1
-    correct1 = 1.0 - b1**state.t
-    correct2 = 1.0 - b2**state.t
-    p, g = param.reshape(-1), np.reshape(grad, -1)
-    m, v = state.m.reshape(-1), state.v.reshape(-1)
-    for lo in range(0, p.size, _ADAM_BLOCK):
-        hi = min(lo + _ADAM_BLOCK, p.size)
-        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        a, b = state.work[0, :hi - lo], state.work[1, :hi - lo]
+    b1, b2 = _ADAM_BETAS
+    step = (lr, 1.0 - b1**state.t, 1.0 - b2**state.t)
+    flat = (param.reshape(-1), np.reshape(grad, -1), state.m.reshape(-1), state.v.reshape(-1))
+    size = param.size
+    # the helper thread takes the upper half of the blocks in its own buffers;
+    # every element's update is the same whichever thread runs it
+    split = (size + _ADAM_BLOCK - 1) // _ADAM_BLOCK // 2 * _ADAM_BLOCK
+    helper = None
+    if size >= _HELPER_MIN_ADAM_BLOCKS * _ADAM_BLOCK:
+        helper = _offload(_adam_blocks, *flat, state.work[1], split, size, step)
+    try:
+        _adam_blocks(*flat, state.work[0], 0, size if helper is None else split, step)
+    finally:
+        if helper is not None:
+            helper.wait()
+
+
+def _adam_blocks(p, g, m, v, work, lo: int, hi: int, step) -> None:
+    # adam_step on elements lo:hi of the flat arrays, one block at a time;
+    # step is (lr, bias correction 1, bias correction 2)
+    b1, b2 = _ADAM_BETAS
+    lr, correct1, correct2 = step
+    for start in range(lo, hi, _ADAM_BLOCK):
+        end = min(start + _ADAM_BLOCK, hi)
+        pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+        a, b = work[0, :end - start], work[1, :end - start]
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         mb *= b1
         np.multiply(gb, 1.0 - b1, out=a)

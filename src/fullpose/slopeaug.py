@@ -56,7 +56,10 @@ class SlopeAugConfig:
         if not 0.0 <= self.p_s <= 1.0:
             raise ValueError(f"p_s must lie in [0, 1], got {self.p_s}")
         for name in ("r_range", "gamma_range"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if len(pair) != 2:
+                raise ValueError(f"{name} must be a (min, max) pair, got {len(pair)} values")
+            lo, hi = pair
             if not lo < hi:
                 raise ValueError(f"{name} must be a nondegenerate (min, max) pair")
         if not (0.0 <= self.gamma_range[0] and self.gamma_range[1] < math.pi / 2):

@@ -452,6 +452,37 @@ class TestBadRecordsNameTheirFile:
         assert error == f"{bad}: labels must lie in [0, {classes}) for {classes} classes"
         assert not params.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("foreground", 0.5), ("foreground", 2.0), ("ground_label", 2), ("ground_label", -1),
+    ])
+    def test_train_head_flag_other_than_0_or_1(self, dataset, tmp_path, capsys, name, value):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+
+        def spoil(array):
+            array = array.astype(type(value))
+            array[0] = value
+            return array
+
+        bad.write_bytes(_with_array(bad.read_bytes(), name, spoil))
+        params = tmp_path / "head.bin"
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1", "--out", str(params)],
+                      capsys)
+        assert error == f"{bad}: {name} holds values other than 0 and 1"
+        assert not params.exists()
+
+    def test_augment_non_finite_cloud(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "velodyne" / "000001.bin"
+        cloud = np.fromfile(bad, dtype="<f4").reshape(-1, 4)
+        cloud[5, 2] = np.inf
+        cloud.tofile(bad)
+        error = _fail(["augment", "--input", str(data), "--output", str(tmp_path / "aug"),
+                       "--p-s", "1.0"], capsys)
+        assert error == f"{bad}: point 5 has a non-finite x/y/z"
+
     def test_train_head_background_label_is_not_checked(self, dataset, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
@@ -600,6 +631,17 @@ class TestTrainHead:
                        "--out", str(tmp_path / "head.bin")], capsys)
         assert error == f"epochs must be >= 1, got {epochs}"
         assert not (tmp_path / "head.bin").exists()
+
+    def test_head_no_host_can_hold_is_data_error(self, dataset, tmp_path, capsys):
+        # 1.82 PiB for the trunk's first weight matrix: numpy refuses it at once
+        config = tmp_path / "head.json"
+        config.write_text(json.dumps({"head": {"shared_widths": [10**12]}}))
+        params = tmp_path / "head.bin"
+        error = _fail(["train-head", "--data", str(dataset), "--epochs", "1",
+                       "--out", str(params), "--config", str(config)], capsys)
+        assert error.startswith("head widths feature_dim=256, shared_widths=[1000000000000], "
+                                "seg_hidden=[128] do not fit in memory: ")
+        assert not params.exists()
 
     def test_empty_trunk_is_config_error(self, dataset, tmp_path, capsys):
         config = tmp_path / "head.json"

@@ -45,6 +45,19 @@ class TestVelodyne:
         with pytest.raises(TruncatedFileError):
             read_velodyne(path)
 
+    @pytest.mark.parametrize("row, column, value", [
+        (1, 0, np.nan), (0, 2, np.inf), (2, 1, -np.inf),
+    ])
+    def test_non_finite_coordinate_names_file(self, tmp_path, row, column, value):
+        data = np.arange(12, dtype="<f4").reshape(3, 4)
+        data[row, column] = value
+        data[2, 3] = np.nan  # intensity is not a coordinate
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data.tobytes())
+        message = f"{path}: point {row} has a non-finite x/y/z"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_velodyne(path)
+
     def test_write_read_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-50, 50, (100, 3)).astype(np.float32).astype(np.float64)
@@ -505,6 +518,16 @@ class TestConfig:
     def test_eval_threshold_rejected_on_load(self, tmp_path, key, value, message):
         path = tmp_path / "cfg.json"
         path.write_text(f'{{"eval": {{"{key}": {value}}}}}')
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_range", [0.1, 0.2, 0.3]), ("r_range", [8.0]), ("r_range", []),
+    ])
+    def test_slope_range_must_be_a_pair(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"slopeaug": {key: value}}))
+        message = f"{key} must be a (min, max) pair, got {len(value)} values"
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 

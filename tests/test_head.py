@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import select
+import signal
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -314,6 +319,78 @@ class TestTrainToy:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             train_toy([], SMALL, epochs=1, seed=0)
+
+
+def _training_digest(params, log) -> str:
+    h = hashlib.sha256(repr(log).encode())
+    for a in head_param_list(params):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestHelperThread:
+    """Training gives the same bytes whether or not the helper thread runs."""
+
+    @pytest.fixture
+    def paper_frames(self):
+        # the paper-default head on 130 rows per frame: every trunk dW
+        # product and the Adam step are over the helper's gates
+        return _toy_dataset(np.random.default_rng(60), frames=2, centers=130, feature_dim=256)
+
+    def test_paper_default_head_trains_to_the_same_bytes(self, paper_frames, monkeypatch):
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        offload, handed = nn._offload, []
+
+        def counted(fn, *args, **kwargs):
+            helper = offload(fn, *args, **kwargs)
+            handed.append(helper is not None)
+            return helper
+
+        monkeypatch.setattr(nn, "_offload", counted)
+        with_helper = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
+        assert any(handed)
+        monkeypatch.setattr(nn, "_helper", lambda: None)
+        inline = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
+        assert with_helper[1] == inline[1]
+        assert _training_digest(*with_helper) == _training_digest(*inline)
+
+    def test_small_head_starts_no_thread(self, monkeypatch):
+        # the crowded benchmark's head: no call is over a gate
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        monkeypatch.setattr(nn, "_helper_thread", None)
+        before = threading.active_count()
+        cfg = HeadConfig(feature_dim=16, shared_widths=(32, 16), seg_hidden=(16,))
+        train_toy(_toy_dataset(np.random.default_rng(61), frames=2, centers=130, feature_dim=16),
+                  cfg, epochs=2, seed=0)
+        assert nn._helper_thread is None
+        assert threading.active_count() == before
+
+    def test_forked_child_trains_without_the_parents_helper(self, paper_frames, monkeypatch):
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        want = _training_digest(*train_toy(paper_frames, HeadConfig(), epochs=1, seed=7))
+        assert nn._helper_thread is not None
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports its digest and exits without the parent's cleanup
+            code = 1
+            try:
+                os.close(read_end)
+                got = _training_digest(*train_toy(paper_frames, HeadConfig(), epochs=1, seed=7))
+                os.write(write_end, got.encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60.0)
+            got = os.read(read_end, 64).decode() if ready else None
+        finally:
+            os.close(read_end)
+            if not ready:  # a child waiting on a helper that fork did not copy
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        assert got == want
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPersistence:

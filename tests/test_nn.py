@@ -1,5 +1,8 @@
 import math
 import struct
+import sys
+import threading
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -673,6 +676,180 @@ class TestAdamBlocks:
             adam_step(param, np.zeros(6), state)
         assert state.t == 0
         assert not param.any()
+
+
+@pytest.fixture
+def helper_on(monkeypatch):
+    """The helper thread's gate passes on any host: one CPU is enough."""
+    monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+
+
+def _large_backward_case(seed):
+    # layer 0's dW product is 130 x 512 x 256 multiply-adds, over the
+    # helper's gate; layer 1's (130 x 8 x 512) stays under it
+    rng = np.random.default_rng(seed)
+    params = init_mlp((256, 512, 8), rng)
+    assert 130 * 512 * 256 >= nn._HELPER_MIN_MACS > 130 * 8 * 512
+    _, cache = mlp_forward(params, rng.standard_normal((130, 256)))
+    return params, cache, rng.standard_normal((130, 8))
+
+
+class _Boom(Exception):
+    pass
+
+
+def _spy(fn, raise_off_main=False):
+    """``fn`` and the list of the threads that called it; with
+    ``raise_off_main``, a call off the main thread raises _Boom instead."""
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        if raise_off_main and threading.current_thread() is not threading.main_thread():
+            raise _Boom("raised on the helper thread")
+        return fn(*args, **kwargs)
+
+    return spy, threads
+
+
+def _helper_idle() -> bool:
+    helper = nn._helper_thread
+    return not helper._lock.locked() and helper._done.empty() and helper._todo.empty()
+
+
+class TestHelperThread:
+    """A large dW product and half of a large Adam step run on one helper
+    thread; every float is the same as when the caller runs them."""
+
+    def test_backward_matches_inline_bit_for_bit(self, helper_on, monkeypatch):
+        params, cache, dy = _large_backward_case(50)
+        spy, threads = _spy(np.matmul)
+        monkeypatch.setattr(np, "matmul", spy)
+        grads = _nan_slots(params)
+        dx = mlp_backward(params, cache, grads, dy, input_grad=True)
+        # the large product ran off the main thread, the small one on it
+        assert threads[0] == threading.main_thread().ident != threads[1]
+        monkeypatch.setattr(nn, "_helper", lambda: None)
+        want = _nan_slots(params)
+        want_dx = mlp_backward(params, cache, want, dy, input_grad=True)
+        assert dx.tobytes() == want_dx.tobytes()
+        for (dw, db), (want_dw, want_db) in zip(grads, want):
+            assert dw.tobytes() == want_dw.tobytes()
+            assert db.tobytes() == want_db.tobytes()
+
+    def test_adam_matches_oracle_bit_for_bit(self, helper_on, monkeypatch):
+        shape = (3 * _ADAM_BLOCK + 5,)
+        rng = np.random.default_rng(51)
+        start = rng.standard_normal(shape)
+        grad_seq = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
+                    for _ in range(4)]
+        spy, threads = _spy(nn._adam_blocks)
+        monkeypatch.setattr(nn, "_adam_blocks", spy)
+        got = _adam_run(start, grad_seq)
+        want = _adam_oracle_run([start], [[g] for g in grad_seq])
+        for got_array, (want_array,) in zip(got, want):
+            assert got_array.tobytes() == want_array.tobytes()
+        assert len(set(threads)) == 2
+
+    def test_backward_error_on_helper_keeps_its_type(self, helper_on, monkeypatch):
+        params, cache, dy = _large_backward_case(52)
+        want = _nan_slots(params)
+        want_dx = mlp_backward(params, cache, want, dy, input_grad=True)
+        spy, threads = _spy(np.matmul, raise_off_main=True)
+        monkeypatch.setattr(np, "matmul", spy)
+        with pytest.raises(_Boom, match="helper thread"):
+            mlp_backward(params, cache, _nan_slots(params), dy, input_grad=True)
+        assert len(set(threads)) == 2
+        assert _helper_idle()
+        monkeypatch.undo()
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        grads = _nan_slots(params)
+        dx = mlp_backward(params, cache, grads, dy, input_grad=True)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert all(dw.tobytes() == w.tobytes() for (dw, _), (w, _) in zip(grads, want))
+
+    def test_caller_error_waits_for_the_helper(self, helper_on):
+        params, cache, dy = _large_backward_case(53)
+        grads = _nan_slots(params)
+        # dz @ W fails on the caller while the helper forms layer 0's dW
+        params.layers[0].weights = params.layers[0].weights[:-1].copy()
+        with pytest.raises(ValueError):
+            mlp_backward(params, cache, grads, dy, input_grad=True)
+        assert _helper_idle()
+        assert not np.isnan(grads[0][0]).any()
+
+    def test_adam_error_on_helper_keeps_its_type(self, helper_on, monkeypatch):
+        param = np.zeros(2 * _ADAM_BLOCK)
+        state = init_adam_state(param)
+        spy, threads = _spy(nn._adam_blocks, raise_off_main=True)
+        monkeypatch.setattr(nn, "_adam_blocks", spy)
+        with pytest.raises(_Boom, match="helper thread"):
+            adam_step(param, np.ones_like(param), state, lr=0.1)
+        assert len(set(threads)) == 2
+        assert _helper_idle()
+        monkeypatch.undo()
+        got = _adam_run(param, [np.ones_like(param)] * 2)
+        want = _adam_oracle_run([param], [[np.ones_like(param)]] * 2)
+        for got_array, (want_array,) in zip(got, want):
+            assert got_array.tobytes() == want_array.tobytes()
+
+    def test_concurrent_callers_get_their_own_results(self, helper_on):
+        # more callers than cores and a short switch interval: a caller that
+        # read another's hand-off, or waited on it, would differ or hang
+        params, cache, dy = _large_backward_case(55)
+        want = _nan_slots(params)
+        want_dx = mlp_backward(params, cache, want, dy, input_grad=True)
+        failures = []
+
+        def caller():
+            for _ in range(10):
+                grads = _nan_slots(params)
+                dx = mlp_backward(params, cache, grads, dy, input_grad=True)
+                if dx.tobytes() != want_dx.tobytes() or any(
+                        dw.tobytes() != w.tobytes() for (dw, _), (w, _) in zip(grads, want)):
+                    failures.append(threading.get_ident())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert _helper_idle()
+
+    def test_helper_keeps_no_array_of_a_finished_call(self, helper_on):
+        param = np.zeros(2 * _ADAM_BLOCK)
+        grad = np.ones_like(param)
+        state = init_adam_state(param)
+        adam_step(param, grad, state, lr=0.1)
+        assert nn._helper_thread is not None
+        refs = [weakref.ref(a) for a in (param, grad, state.m, state.v, state.work)]
+        del param, grad, state
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_small_calls_start_no_thread(self, helper_on, monkeypatch):
+        monkeypatch.setattr(nn, "_helper_thread", None)
+        before = threading.active_count()
+        rng = np.random.default_rng(54)
+        params = init_mlp((64, 128, 8), rng)
+        _, cache = mlp_forward(params, rng.standard_normal((100, 64)))
+        mlp_backward(params, cache, _nan_slots(params), rng.standard_normal((100, 8)),
+                     input_grad=True)
+        _adam_run(np.zeros(2 * _ADAM_BLOCK - 1), [np.ones(2 * _ADAM_BLOCK - 1)])
+        assert nn._helper_thread is None
+        assert threading.active_count() == before
+
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(nn, "_helper_thread", None)
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0})
+        _adam_run(np.zeros(4 * _ADAM_BLOCK), [np.ones(4 * _ADAM_BLOCK)])
+        assert nn._helper_thread is None
 
 
 class TestGradCheck:
