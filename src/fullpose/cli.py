@@ -105,6 +105,8 @@ _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
 _FLOAT_TARGET_KEYS = ("yaw_residual", "tilt", "log_dims", "center_offset")
 # the targets that are 0/1 flags
 _FLAG_TARGET_KEYS = ("foreground", "ground_label")
+# the targets that are integer class labels
+_LABEL_TARGET_KEYS = ("class_label", "yaw_bin")
 # x of the line where the synthetic ramp starts, in meters
 _RAMP_START = 20.0
 
@@ -174,6 +176,10 @@ def _load_feature_frame(path: Path, label_widths: dict):
         # the flags are cast to bool: a 0.5 would make its row foreground
         flags = {name: getattr(targets, name) for name in _FLAG_TARGET_KEYS}
         non_flag = [name for name, a in flags.items() if not ((a == 0) | (a == 1)).all()]
+        # the labels are cast to integers: a 1.5 would train as class 1
+        labels = {name: getattr(targets, name) for name in _LABEL_TARGET_KEYS}
+        non_integer = [name for name, a in labels.items()
+                       if not (np.isfinite(a) & (np.floor(a) == a)).all()]
     except (ValueError, KeyError, IndexError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise dataio.ParseError(f"{path}: {exc}") from None
     if features.ndim != 2 or len(features) != len(targets):
@@ -182,6 +188,8 @@ def _load_feature_frame(path: Path, label_widths: dict):
         raise dataio.ParseError(f"{path}: {non_finite[0]} holds non-finite values")
     if non_flag:
         raise dataio.ParseError(f"{path}: {non_flag[0]} holds values other than 0 and 1")
+    if non_integer:
+        raise dataio.ParseError(f"{path}: {non_integer[0]} holds non-integer values")
     with _naming(path):  # the labels the loss checks, checked before epoch 0
         nn.foreground_labels(targets, label_widths)
     return features, targets

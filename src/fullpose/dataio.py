@@ -89,10 +89,11 @@ def read_velodyne(path) -> PointCloud:
             f"{path}: length {len(raw)} is not a multiple of 16 bytes"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    finite = np.isfinite(data[:, :3])
+    finite = np.isfinite(data)
     if not finite.all():
         first = np.flatnonzero(~finite.all(axis=1))[0]
-        raise ParseError(f"{path}: point {first} has a non-finite x/y/z")
+        what = "intensity" if finite[first, :3].all() else "x/y/z"
+        raise ParseError(f"{path}: point {first} has a non-finite {what}")
     return PointCloud(data[:, :3].astype(np.float64), data[:, 3:4].astype(np.float64))
 
 

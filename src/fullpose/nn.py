@@ -52,12 +52,19 @@ _ADAM_BLOCK = 1 << 15
 # central-difference step of grad_check
 _FD_STEP = 1e-6
 # the helper thread takes a share of a call only when that share pays for
-# the hand-off, about 39 us round trip: a dW product of at least this many
-# multiply-adds, an Adam update of at least this many whole blocks, on a
-# process allowed at least this many CPUs
+# the hand-off, 40-90 us round trip: a dW product or half a split product
+# of at least this many multiply-adds, an Adam update of at least this many
+# whole blocks, on a process allowed at least this many CPUs
 _HELPER_MIN_MACS = 1 << 21
 _HELPER_MIN_ADAM_BLOCKS = 2
 _HELPER_MIN_CPUS = 2
+# a product splits across its output only where sweeps (OpenBLAS 0.3.31)
+# found both halves bit for bit equal to the one call: halves that are whole
+# multiples of _SPLIT_STEP, a batch of at least _SPLIT_MIN_ROWS rows, and a
+# weight gradient's input width a multiple of _SPLIT_DW_IN_STEP
+_SPLIT_STEP = 64
+_SPLIT_MIN_ROWS = 32
+_SPLIT_DW_IN_STEP = 8
 
 
 class _Helper:
@@ -134,6 +141,52 @@ def _offload(fn, *args, **kwargs) -> _Helper | None:
     """
     helper = _helper()
     return helper if helper is not None and helper.start(fn, *args, **kwargs) else None
+
+
+def _split_at(m: int, p: int, k: int, by_rows: bool) -> int:
+    """Where :func:`_product` splits an ``(m, k) @ (k, p)`` product: half of
+    the output's rows (``by_rows``) or columns, or 0 for one call.
+
+    ``by_rows`` is a weight gradient ``dz.T @ x``, whose batch is the
+    reduction ``k``; otherwise it is a forward ``a @ W.T`` over a batch of
+    ``m`` rows.  The rule reads the shapes only, so a split never depends
+    on the CPU count or on another caller.
+    """
+    width, rows = (m, k) if by_rows else (p, m)
+    splits = (width % (2 * _SPLIT_STEP) == 0 and rows >= _SPLIT_MIN_ROWS
+              and not (by_rows and p % _SPLIT_DW_IN_STEP)
+              and m * p * k // 2 >= _HELPER_MIN_MACS)
+    return width // 2 if splits else 0
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
+             by_rows: bool) -> np.ndarray:
+    """``np.matmul(a, b, out=out)``, computed in two halves where :func:`_split_at` allows.
+
+    The halves split the output, never the reduction, so each element is
+    the same dot product as in the one call.  The helper thread computes
+    the second half into its slice of the output while the caller computes
+    the first; with no helper free, the caller computes both in turn.
+    """
+    (m, k), p = a.shape, b.shape[1]
+    at = _split_at(m, p, k, by_rows)
+    if not at:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, p))
+    if by_rows:
+        first, second = (a[:at], b, out[:at]), (a[at:], b, out[at:])
+    else:
+        first, second = (a, b[:, :at], out[:, :at]), (a, b[:, at:], out[:, at:])
+    helper = _offload(np.matmul, *second[:2], out=second[2])
+    try:
+        np.matmul(*first[:2], out=first[2])
+        if helper is None:
+            np.matmul(*second[:2], out=second[2])
+    finally:
+        if helper is not None:
+            helper.wait()
+    return out
 
 
 def _drop_helper() -> None:
@@ -261,7 +314,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
         )
     cache = []
     for layer in params.layers:
-        z = a @ layer.weights.T
+        z = _product(a, layer.weights.T, by_rows=False)
         z += layer.bias
         out = _apply_activation(z, layer.activation)
         cache.append((a, z, out))
@@ -293,18 +346,20 @@ def mlp_backward(params: MlpParams, cache: list, slots, dy: np.ndarray, *,
             # multiplying by the 0/1 mask keeps the sign of each zeroed entry
             dz = np.multiply(da, z > 0.0, out=da if owned else None)
         dw, db = slots[i]
-        last = i == 0 and not input_grad
+        if i == 0 and not input_grad:
+            # no dz @ W to run beside: a large dW product splits instead
+            _product(dz.T, x_in, dw, by_rows=True)
+            np.add.reduce(dz, axis=0, out=db)
+            return None
         # a large dW product runs on the helper thread while this one takes
         # dz @ W; neither call writes an array the other reads
         helper = None
-        if not last and dw.size * len(dz) >= _HELPER_MIN_MACS:
+        if dw.size * len(dz) >= _HELPER_MIN_MACS:
             helper = _offload(np.matmul, dz.T, x_in, out=dw)
         if helper is None:
             np.matmul(dz.T, x_in, out=dw)
         try:
             np.add.reduce(dz, axis=0, out=db)
-            if last:
-                return None
             da, owned = dz @ layer.weights, True
         finally:
             if helper is not None:

@@ -472,6 +472,36 @@ class TestBadRecordsNameTheirFile:
         assert error == f"{bad}: {name} holds values other than 0 and 1"
         assert not params.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("class_label", 1.5), ("yaw_bin", 2.7), ("class_label", np.nan), ("yaw_bin", np.inf),
+    ])
+    def test_train_head_non_integer_label(self, dataset, tmp_path, capsys, name, value):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+        (row, *_) = np.flatnonzero(np.load(bad)["foreground"])
+
+        def spoil(array):
+            array = array.astype(np.float64)
+            array[row] = value
+            return array
+
+        bad.write_bytes(_with_array(bad.read_bytes(), name, spoil))
+        params = tmp_path / "head.bin"
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1", "--out", str(params)],
+                      capsys)
+        assert error == f"{bad}: {name} holds non-integer values"
+        assert not params.exists()
+
+    def test_train_head_integral_float_labels_accepted(self, dataset, tmp_path):
+        # a float array holding whole numbers trains as its integer labels
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "features" / "000001.npz"
+        for name in ("class_label", "yaw_bin"):
+            path.write_bytes(_with_array(path.read_bytes(), name, lambda a: a.astype(np.float64)))
+        run_ok(["train-head", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "h.bin")])
+
     def test_augment_non_finite_cloud(self, dataset, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)
@@ -592,7 +622,47 @@ class TestGradcheck:
         }
 
 
+# runs train-head with argv in a child whose CPUs are the JSON list argv[1]
+# (all of them when it is null); prints whether the helper thread started
+_TRAIN_ON_CPUS = """\
+import json, os, sys
+cpus = json.loads(sys.argv[1])
+if cpus is not None:
+    os.sched_setaffinity(0, cpus)
+from fullpose import cli, nn
+code = cli.main(sys.argv[2:])
+print(json.dumps(nn._helper_thread is not None))
+sys.exit(code)
+"""
+
+
 class TestTrainHead:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+    def test_paper_default_head_same_bytes_on_one_cpu(self, tmp_path):
+        # 130 rows per frame: every product the split rule admits splits; the
+        # affinity is set in each child, which owns it, before numpy loads
+        data = tmp_path / "data"
+        run_ok(["synth", "--scenes", "2", "--boxes", "10", "--density", "1.0",
+                "--bg-centers", "120", "--seed", "5", "--output", str(data)])
+        for path in (data / "features").glob("*.npz"):
+            assert np.load(path)["features"].shape == (130, 256)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
+        runs = {}
+        for name, cpus in (("one", [min(os.sched_getaffinity(0))]), ("all", None)):
+            params, log = tmp_path / f"{name}.bin", tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", _TRAIN_ON_CPUS, json.dumps(cpus), "train-head",
+                 "--data", str(data), "--epochs", "3", "--out", str(params), "--log", str(log)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            runs[name] = (json.loads(proc.stdout.splitlines()[-1]),
+                          params.read_bytes(), log.read_bytes())
+        assert runs["one"][0] is False and runs["all"][0] is True
+        assert runs["one"][1:] == runs["all"][1:]
+
     def test_short_training_run(self, dataset, tmp_path):
         params = tmp_path / "head.bin"
         summary = run_ok([

@@ -58,6 +58,17 @@ class TestVelodyne:
         with pytest.raises(ParseError, match=re.escape(message)):
             read_velodyne(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_names_file(self, tmp_path, value):
+        data = np.arange(12, dtype="<f4").reshape(3, 4)
+        data[1, 3] = value
+        data[2, 0] = np.nan  # a later point's coordinate is not reported
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data.tobytes())
+        message = f"{path}: point 1 has a non-finite intensity"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            read_velodyne(path)
+
     def test_write_read_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-50, 50, (100, 3)).astype(np.float32).astype(np.float64)

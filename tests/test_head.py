@@ -354,6 +354,24 @@ class TestHelperThread:
         assert with_helper[1] == inline[1]
         assert _training_digest(*with_helper) == _training_digest(*inline)
 
+    def test_split_products_train_to_the_one_call_bytes(self, paper_frames, monkeypatch):
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        split_at, split = nn._split_at, []
+
+        def counted(m, p, k, by_rows):
+            split.append(split_at(m, p, k, by_rows))
+            return split[-1]
+
+        monkeypatch.setattr(nn, "_split_at", counted)
+        with_split = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
+        # per step: the trunk's two forward layers, the seg stack's first, and
+        # the first-layer dW of each
+        assert sum(map(bool, split)) == 5 * 2 * len(paper_frames)
+        monkeypatch.setattr(nn, "_split_at", lambda m, p, k, by_rows: 0)
+        one_call = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
+        assert with_split[1] == one_call[1]
+        assert _training_digest(*with_split) == _training_digest(*one_call)
+
     def test_small_head_starts_no_thread(self, monkeypatch):
         # the crowded benchmark's head: no call is over a gate
         monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)

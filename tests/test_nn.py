@@ -852,6 +852,175 @@ class TestHelperThread:
         assert nn._helper_thread is None
 
 
+# the weight shapes (out, in) of the paper-default head's forward products
+# that may split, and of its first-layer dW products (the trunk, the seg stack)
+_PAPER_FORWARD = ((512, 256), (256, 512), (128, 256))
+_PAPER_DW = ((512, 256), (128, 256))
+
+
+def _rows_of(flat, n, width):
+    # a C-contiguous (n, width) view of the leading values of ``flat``
+    return flat[:n * width].reshape(n, width)
+
+
+def _one_call_dw(dz, x):
+    dw = np.empty((dz.shape[1], x.shape[1]))
+    np.matmul(dz.T, x, out=dw)
+    return dw
+
+
+def _split_dw(dz, x):
+    dw = np.empty((dz.shape[1], x.shape[1]))
+    nn._product(dz.T, x, dw, by_rows=True)
+    return dw
+
+
+class TestSplitProduct:
+    """A large product splits across its output, never its reduction, and
+    gives the one call's bytes whichever thread computes each half."""
+
+    def test_paper_shapes_match_one_call_at_every_row_count(self, helper_on, monkeypatch):
+        # with the multiply-add gate open, every row count from the floor splits
+        monkeypatch.setattr(nn, "_HELPER_MIN_MACS", 0)
+        rng = np.random.default_rng(70)
+        a_flat, b_flat = rng.standard_normal(1024 * 512), rng.standard_normal(1024 * 512)
+        weights = [rng.standard_normal(shape) for shape in _PAPER_FORWARD]
+        for n in (*range(nn._SPLIT_MIN_ROWS, 601), 1024):
+            for w in weights:
+                out, inn = w.shape
+                assert nn._split_at(n, out, inn, False) == out // 2
+                a = _rows_of(a_flat, n, inn)
+                assert nn._product(a, w.T, by_rows=False).tobytes() == (a @ w.T).tobytes(), (n, out)
+            for out, inn in _PAPER_DW:
+                assert nn._split_at(out, inn, n, True) == out // 2
+                dz, x = _rows_of(a_flat, n, out), _rows_of(b_flat, n, inn)
+                assert _split_dw(dz, x).tobytes() == _one_call_dw(dz, x).tobytes(), (n, out)
+
+    def test_paper_head_products_at_130_rows_split_on_two_threads(self, helper_on, monkeypatch):
+        rng = np.random.default_rng(71)
+        a, w = rng.standard_normal((130, 256)), rng.standard_normal((512, 256))
+        dz = rng.standard_normal((130, 128))
+        spy, threads = _spy(np.matmul)
+        monkeypatch.setattr(np, "matmul", spy)
+        z = nn._product(a, w.T, by_rows=False)
+        dw = _split_dw(dz, a)
+        monkeypatch.undo()
+        # each product: one half on this thread, the other on the helper
+        main = threading.main_thread().ident
+        for pair in (threads[:2], threads[2:]):
+            assert len(pair) == len(set(pair)) == 2 and main in pair
+        assert z.tobytes() == (a @ w.T).tobytes()
+        assert dw.tobytes() == _one_call_dw(dz, a).tobytes()
+
+    @pytest.mark.parametrize("n, out, inn", [
+        (nn._SPLIT_MIN_ROWS - 1, 512, 256),  # under the row floor
+        (30, 512, 256),  # the decode's rows
+        (130, 320, 256),  # halves of 160 columns
+        (130, 200, 256),  # halves of 100 columns
+        (63, 128, 256),  # a half of 63 x 64 x 256 multiply-adds
+    ])
+    def test_forward_outside_the_rule_is_one_call(self, helper_on, monkeypatch, n, out, inn):
+        rng = np.random.default_rng(72)
+        a, w = rng.standard_normal((n, inn)), rng.standard_normal((out, inn))
+        calls = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append((threading.get_ident(), args[1].shape, kwargs.get("out")))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        z = nn._product(a, w.T, by_rows=False)
+        monkeypatch.undo()
+        assert calls == [(threading.main_thread().ident, (inn, out), None)]
+        assert z.tobytes() == (a @ w.T).tobytes()
+
+    @pytest.mark.parametrize("n, out, inn", [
+        (nn._SPLIT_MIN_ROWS - 1, 512, 256),  # under the row floor
+        (130, 512, 257),  # an input width off the multiple of 8
+        (130, 512, 260),
+        (130, 320, 256),  # halves of 160 rows
+        (63, 128, 256),  # a half of 64 x 256 x 63 multiply-adds
+    ])
+    def test_weight_gradient_outside_the_rule_is_one_call(self, helper_on, monkeypatch,
+                                                          n, out, inn):
+        rng = np.random.default_rng(73)
+        dz, x = rng.standard_normal((n, out)), rng.standard_normal((n, inn))
+        calls = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append((threading.get_ident(), kwargs["out"].shape))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        dw = _split_dw(dz, x)
+        monkeypatch.undo()
+        assert calls == [(threading.main_thread().ident, (out, inn))]
+        assert dw.tobytes() == _one_call_dw(dz, x).tobytes()
+
+    @pytest.mark.parametrize("helper_state", ["none", "busy"])
+    def test_caller_computes_both_halves_without_the_helper(self, helper_on, monkeypatch,
+                                                             helper_state):
+        rng = np.random.default_rng(74)
+        a, w = rng.standard_normal((130, 512)), rng.standard_normal((256, 512))
+        dz = rng.standard_normal((130, 512))
+        want = (a @ w.T).tobytes(), _one_call_dw(dz, a[:, :256].copy()).tobytes()
+        spy, threads = _spy(np.matmul)
+        if helper_state == "none":
+            monkeypatch.setattr(nn, "_helper", lambda: None)
+        else:  # another caller holds the helper
+            assert nn._helper()._lock.acquire(blocking=False)
+        try:
+            monkeypatch.setattr(np, "matmul", spy)
+            got = (nn._product(a, w.T, by_rows=False).tobytes(),
+                   _split_dw(dz, a[:, :256].copy()).tobytes())
+        finally:
+            monkeypatch.undo()
+            if helper_state == "busy":
+                nn._helper_thread._lock.release()
+        # both products still split, into four calls on this thread
+        assert threads == [threading.main_thread().ident] * 4
+        assert got == want
+
+    def test_error_on_helper_keeps_its_type(self, helper_on, monkeypatch):
+        rng = np.random.default_rng(75)
+        a, w = rng.standard_normal((130, 256)), rng.standard_normal((512, 256))
+        spy, threads = _spy(np.matmul, raise_off_main=True)
+        monkeypatch.setattr(np, "matmul", spy)
+        with pytest.raises(_Boom, match="helper thread"):
+            nn._product(a, w.T, by_rows=False)
+        assert len(set(threads)) == 2
+        assert _helper_idle()
+
+    def test_first_layer_weight_gradient_splits_without_input_gradient(self, helper_on,
+                                                                       monkeypatch):
+        # the trunk's shapes: layer 0's dW has no dz @ W to run beside
+        rng = np.random.default_rng(76)
+        params = init_mlp((256, 512, 256), rng, output_activation="relu")
+        _, cache = mlp_forward(params, rng.standard_normal((130, 256)))
+        dy = rng.standard_normal((130, 256))
+        want = _nan_slots(params)
+        monkeypatch.setattr(nn, "_split_at", lambda m, p, k, by_rows: 0)
+        mlp_backward(params, cache, want, dy, input_grad=False)
+        monkeypatch.undo()
+        monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
+        split = []
+        split_at = nn._split_at
+
+        def spy(m, p, k, by_rows):
+            split.append((by_rows, split_at(m, p, k, by_rows)))
+            return split[-1][1]
+
+        monkeypatch.setattr(nn, "_split_at", spy)
+        grads = _nan_slots(params)
+        mlp_backward(params, cache, grads, dy, input_grad=False)
+        assert split == [(True, 256)]
+        for (dw, db), (want_dw, want_db) in zip(grads, want):
+            assert dw.tobytes() == want_dw.tobytes()
+            assert db.tobytes() == want_db.tobytes()
+
+
 class TestGradCheck:
     def test_linear_function_near_exact(self):
         w = np.array([2.0, -3.0, 0.5])
