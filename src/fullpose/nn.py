@@ -52,19 +52,24 @@ _ADAM_BLOCK = 1 << 15
 # central-difference step of grad_check
 _FD_STEP = 1e-6
 # the helper thread takes a share of a call only when that share pays for
-# the hand-off, 40-90 us round trip: a dW product or half a split product
-# of at least this many multiply-adds, an Adam update of at least this many
-# whole blocks, on a process allowed at least this many CPUs
+# the hand-off, 40-90 us round trip: a dW product of at least this many
+# multiply-adds, an Adam update of at least this many whole blocks, on a
+# process allowed at least this many CPUs
 _HELPER_MIN_MACS = 1 << 21
 _HELPER_MIN_ADAM_BLOCKS = 2
 _HELPER_MIN_CPUS = 2
-# a product splits across its output only where sweeps (OpenBLAS 0.3.31)
-# found both halves bit for bit equal to the one call: halves that are whole
-# multiples of _SPLIT_STEP, a batch of at least _SPLIT_MIN_ROWS rows, and a
-# weight gradient's input width a multiple of _SPLIT_DW_IN_STEP
+# a product splits across its output only where sweeps found both halves bit
+# for bit equal to the one call: halves that are whole multiples of
+# _SPLIT_STEP, a batch of at least _SPLIT_MIN_ROWS rows, and a weight
+# gradient's input width a multiple of _SPLIT_DW_IN_STEP.  The sweeps ran on
+# one BLAS build (OpenBLAS 0.3.31, SkylakeX kernels); other kernels may round
+# a half differently, and then a split head trains to other bytes.  Each half
+# must also be at least _SPLIT_MIN_MACS multiply-adds: a half of the seg
+# stack's 2**21 did not beat the one call
 _SPLIT_STEP = 64
 _SPLIT_MIN_ROWS = 32
 _SPLIT_DW_IN_STEP = 8
+_SPLIT_MIN_MACS = 1 << 22
 
 
 class _Helper:
@@ -149,13 +154,12 @@ def _split_at(m: int, p: int, k: int, by_rows: bool) -> int:
 
     ``by_rows`` is a weight gradient ``dz.T @ x``, whose batch is the
     reduction ``k``; otherwise it is a forward ``a @ W.T`` over a batch of
-    ``m`` rows.  The rule reads the shapes only, so a split never depends
-    on the CPU count or on another caller.
+    ``m`` rows.  The rule reads the shapes only.
     """
     width, rows = (m, k) if by_rows else (p, m)
     splits = (width % (2 * _SPLIT_STEP) == 0 and rows >= _SPLIT_MIN_ROWS
               and not (by_rows and p % _SPLIT_DW_IN_STEP)
-              and m * p * k // 2 >= _HELPER_MIN_MACS)
+              and m * p * k // 2 >= _SPLIT_MIN_MACS)
     return width // 2 if splits else 0
 
 
@@ -166,7 +170,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
     The halves split the output, never the reduction, so each element is
     the same dot product as in the one call.  The helper thread computes
     the second half into its slice of the output while the caller computes
-    the first; with no helper free, the caller computes both in turn.
+    the first; with no helper free, the caller makes the one call.
     """
     (m, k), p = a.shape, b.shape[1]
     at = _split_at(m, p, k, by_rows)
@@ -179,13 +183,12 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
     else:
         first, second = (a, b[:, :at], out[:, :at]), (a, b[:, at:], out[:, at:])
     helper = _offload(np.matmul, *second[:2], out=second[2])
+    if helper is None:
+        return np.matmul(a, b, out=out)
     try:
         np.matmul(*first[:2], out=first[2])
-        if helper is None:
-            np.matmul(*second[:2], out=second[2])
     finally:
-        if helper is not None:
-            helper.wait()
+        helper.wait()
     return out
 
 

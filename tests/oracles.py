@@ -18,6 +18,8 @@ bit; they reuse only the library's elementwise losses and sigmoid.  The
 loss oracle is the per-call composite loss that the per-frame loss rows
 must repeat bit for bit: it selects rows by boolean mask and checks the
 labels on every call, and makes fresh gradient arrays each time.
+``blas_build`` names numpy's BLAS for the messages of byte-equality checks
+whose split products were swept on one BLAS build only.
 """
 
 from __future__ import annotations
@@ -698,3 +700,11 @@ def train_toy_oracle(dataset, cfg, epochs: int, seed: int, lr: float):
             t += 1
             adam_step_oracle(arrays, grads, m, v, t, lr)
     return params
+
+
+def blas_build() -> str:
+    """numpy's BLAS build, for a byte-equality failure: the split rule of
+    ``nn._split_at`` was swept on OpenBLAS 0.3.31 with SkylakeX kernels,
+    and other kernels may round a half of a split product differently."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"BLAS {blas.get('name')} {blas.get('version')}: {blas.get('openblas configuration')}"

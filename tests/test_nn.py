@@ -881,7 +881,7 @@ class TestSplitProduct:
 
     def test_paper_shapes_match_one_call_at_every_row_count(self, helper_on, monkeypatch):
         # with the multiply-add gate open, every row count from the floor splits
-        monkeypatch.setattr(nn, "_HELPER_MIN_MACS", 0)
+        monkeypatch.setattr(nn, "_SPLIT_MIN_MACS", 0)
         rng = np.random.default_rng(70)
         a_flat, b_flat = rng.standard_normal(1024 * 512), rng.standard_normal(1024 * 512)
         weights = [rng.standard_normal(shape) for shape in _PAPER_FORWARD]
@@ -890,16 +890,18 @@ class TestSplitProduct:
                 out, inn = w.shape
                 assert nn._split_at(n, out, inn, False) == out // 2
                 a = _rows_of(a_flat, n, inn)
-                assert nn._product(a, w.T, by_rows=False).tobytes() == (a @ w.T).tobytes(), (n, out)
+                assert (nn._product(a, w.T, by_rows=False).tobytes()
+                        == (a @ w.T).tobytes()), (n, out, oracles.blas_build())
             for out, inn in _PAPER_DW:
                 assert nn._split_at(out, inn, n, True) == out // 2
                 dz, x = _rows_of(a_flat, n, out), _rows_of(b_flat, n, inn)
-                assert _split_dw(dz, x).tobytes() == _one_call_dw(dz, x).tobytes(), (n, out)
+                assert (_split_dw(dz, x).tobytes()
+                        == _one_call_dw(dz, x).tobytes()), (n, out, oracles.blas_build())
 
     def test_paper_head_products_at_130_rows_split_on_two_threads(self, helper_on, monkeypatch):
         rng = np.random.default_rng(71)
         a, w = rng.standard_normal((130, 256)), rng.standard_normal((512, 256))
-        dz = rng.standard_normal((130, 128))
+        dz = rng.standard_normal((130, 512))
         spy, threads = _spy(np.matmul)
         monkeypatch.setattr(np, "matmul", spy)
         z = nn._product(a, w.T, by_rows=False)
@@ -909,8 +911,8 @@ class TestSplitProduct:
         main = threading.main_thread().ident
         for pair in (threads[:2], threads[2:]):
             assert len(pair) == len(set(pair)) == 2 and main in pair
-        assert z.tobytes() == (a @ w.T).tobytes()
-        assert dw.tobytes() == _one_call_dw(dz, a).tobytes()
+        assert z.tobytes() == (a @ w.T).tobytes(), oracles.blas_build()
+        assert dw.tobytes() == _one_call_dw(dz, a).tobytes(), oracles.blas_build()
 
     @pytest.mark.parametrize("n, out, inn", [
         (nn._SPLIT_MIN_ROWS - 1, 512, 256),  # under the row floor
@@ -918,6 +920,7 @@ class TestSplitProduct:
         (130, 320, 256),  # halves of 160 columns
         (130, 200, 256),  # halves of 100 columns
         (63, 128, 256),  # a half of 63 x 64 x 256 multiply-adds
+        (130, 128, 256),  # the seg stack's first layer: a half of 2**21 and a bit
     ])
     def test_forward_outside_the_rule_is_one_call(self, helper_on, monkeypatch, n, out, inn):
         rng = np.random.default_rng(72)
@@ -941,6 +944,7 @@ class TestSplitProduct:
         (130, 512, 260),
         (130, 320, 256),  # halves of 160 rows
         (63, 128, 256),  # a half of 64 x 256 x 63 multiply-adds
+        (130, 128, 256),  # the seg stack's first layer: a half of 2**21 and a bit
     ])
     def test_weight_gradient_outside_the_rule_is_one_call(self, helper_on, monkeypatch,
                                                           n, out, inn):
@@ -960,13 +964,19 @@ class TestSplitProduct:
         assert dw.tobytes() == _one_call_dw(dz, x).tobytes()
 
     @pytest.mark.parametrize("helper_state", ["none", "busy"])
-    def test_caller_computes_both_halves_without_the_helper(self, helper_on, monkeypatch,
-                                                             helper_state):
+    def test_caller_makes_the_one_call_without_the_helper(self, helper_on, monkeypatch,
+                                                          helper_state):
         rng = np.random.default_rng(74)
         a, w = rng.standard_normal((130, 512)), rng.standard_normal((256, 512))
         dz = rng.standard_normal((130, 512))
         want = (a @ w.T).tobytes(), _one_call_dw(dz, a[:, :256].copy()).tobytes()
-        spy, threads = _spy(np.matmul)
+        calls = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append((threading.get_ident(), args[0].shape, args[1].shape))
+            return matmul(*args, **kwargs)
+
         if helper_state == "none":
             monkeypatch.setattr(nn, "_helper", lambda: None)
         else:  # another caller holds the helper
@@ -979,8 +989,9 @@ class TestSplitProduct:
             monkeypatch.undo()
             if helper_state == "busy":
                 nn._helper_thread._lock.release()
-        # both products still split, into four calls on this thread
-        assert threads == [threading.main_thread().ident] * 4
+        # each product is its one whole call, on this thread
+        main = threading.main_thread().ident
+        assert calls == [(main, (130, 512), (512, 256)), (main, (512, 130), (130, 256))]
         assert got == want
 
     def test_error_on_helper_keeps_its_type(self, helper_on, monkeypatch):
