@@ -294,10 +294,8 @@ def cmd_stats(args, cfg: dataio.ToolkitConfig) -> dict:
     boxes = [rec.box for recs in frames.values() for rec in recs]
     if not boxes:
         raise ValueError(f"no labels under {args.input}/labels")
-    euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in boxes])
+    centers, dims, euler, _, _ = geom.box_columns(boxes)
     euler[:, 2] = codec.wrap_angle(euler[:, 2])
-    dims = np.array([b.dims for b in boxes])
-    centers = np.array([b.center for b in boxes])
     columns = {
         "theta_x": euler[:, 0], "theta_y": euler[:, 1], "theta_z": euler[:, 2],
         "length": dims[:, 0], "width": dims[:, 1], "height": dims[:, 2],

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FullposeError
-from .geom import TWO_PI, FullPoseBox, points_in_boxes
+from .geom import TWO_PI, FullPoseBox, box_columns, points_in_boxes
 
 HALF_PI = math.pi / 2.0
 
@@ -221,15 +221,13 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     gts = list(gts)
     if gts:
         inside = points_in_boxes(pts, gts)  # (n_boxes, n)
-        box_centers = np.array([b.center for b in gts])
+        box_centers, dims, euler, class_ids, _ = box_columns(gts)
         dists = np.linalg.norm(pts - box_centers[:, None, :], axis=2)
         owner = np.argmin(np.where(inside, dists, np.inf), axis=0)
         foreground = inside.any(axis=0)
         # each foreground center takes its box's attributes, encoded as arrays
         own = owner[foreground]
-        euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in gts],
-                         dtype=np.float64)[own]
-        dims = np.array([b.dims for b in gts], dtype=np.float64)[own]
+        euler, dims = euler[own], dims[own]
         tilt_angles = euler[:, :2]
         tilt_abs = np.abs(tilt_angles)
         bad = np.any(tilt_abs >= HALF_PI, axis=1) | np.any(dims <= 0.0, axis=1)
@@ -241,7 +239,7 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
             encode_tilt(box.euler.theta_y, cfg.t_theta_y)
             encode_dims(box.dims)
         thresholds = np.array([cfg.t_theta_x, cfg.t_theta_y])
-        class_label[foreground] = np.array([b.class_id for b in gts])[own]
+        class_label[foreground] = class_ids[own]
         ground[foreground] = np.any(tilt_abs >= thresholds, axis=1)  # ground_label
         codes = encode_yaw(euler[:, 2], cfg)
         yaw_bin[foreground], yaw_res[foreground] = codes.bin, codes.residual

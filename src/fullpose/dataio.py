@@ -32,7 +32,7 @@ import numpy as np
 from .codec import CodecConfig, wrap_angle
 from .errors import FullposeError
 from .evaluation import DIFFICULTY_LABELS, EvalConfig, assign_difficulty
-from .geom import EulerXYZ, FullPoseBox, PointCloud, boxes_from_arrays
+from .geom import EulerXYZ, FullPoseBox, PointCloud, boxes_from_arrays, class_id_array
 from .head import HeadConfig
 from .slopeaug import SlopeAugConfig
 
@@ -328,10 +328,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
             triples.append(values)
             scores.append(score)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
-    try:
-        ids = np.array(class_ids, dtype=np.int64)
-    except OverflowError:  # numpy would read ids past int64 as floats or objects
-        ids = np.array(class_ids, dtype=object)
+    ids = class_id_array(class_ids)
     boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], ids, scores)
     return [Pose6dRecord(frame, box, difficulty) for (frame, difficulty), box in zip(rows, boxes)]
 
@@ -432,24 +429,29 @@ def _typed(value, default, key: str):
     return type(default)(value)
 
 
-def _section(data: dict, name: str) -> dict:
+def _section(data: dict, name: str, cls, **fixed):
+    """The config section ``name`` of ``data`` built as ``cls``; its checks name the section."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     defaults = _SECTION_DEFAULTS[name]
     _check_keys(section, defaults, f"{name}.")
-    return {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in section.items()}
+    kwargs = {k: _typed(v, defaults[k], f"{name}.{k}") for k, v in section.items()}
+    try:
+        return cls(**fixed, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid config value in section {name}: {exc}") from None
 
 
 def load_config(path=None) -> ToolkitConfig:
     """Load a JSON config; omitted keys fall back to the library defaults.
 
     Unknown keys and values without the JSON type of their default raise
-    ConfigError naming the offending key.
+    ConfigError naming the offending key, and values a config class rejects
+    one naming its section.  Every message starts with the path.
     """
-    if path is None:
-        data = {}
-    else:
+    data = {}
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -457,20 +459,19 @@ def load_config(path=None) -> ToolkitConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
             except ValueError as exc:  # an integer longer than Python's int-string limit
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "")
-    try:
-        codec_cfg = CodecConfig(**_section(data, "codec"))
-        head_kwargs = _section(data, "head")
+    try:  # the defaults pass every check: an error comes from the file
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a JSON object")
+        _check_keys(data, _TOP_KEYS, "")
+        codec_cfg = _section(data, "codec", CodecConfig)
         return ToolkitConfig(
             **{k: _typed(data[k], d, k) for k, d in _TOP_DEFAULTS.items() if k in data},
             codec=codec_cfg,
-            slopeaug=SlopeAugConfig(**_section(data, "slopeaug")),
-            eval=EvalConfig(**_section(data, "eval")),
-            head=HeadConfig(codec=codec_cfg, **head_kwargs),
+            slopeaug=_section(data, "slopeaug", SlopeAugConfig),
+            eval=_section(data, "eval", EvalConfig),
+            head=_section(data, "head", HeadConfig, codec=codec_cfg),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # a top-level value
+        raise ConfigError(f"{path}: invalid config value: {exc}") from None

@@ -181,6 +181,28 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
     return boxes
 
 
+def box_columns(boxes):
+    """Fresh (n, 3) ``centers``, ``dims``, ``euler`` and (n,) ``class_ids``, ``scores``
+    of a sequence of boxes: the arguments of :func:`boxes_from_arrays`, its inverse.
+    A missing score or an id past int64 makes that column an object array."""
+    centers = np.array([b.center for b in boxes], dtype=np.float64).reshape(-1, 3)
+    dims = np.array([b.dims for b in boxes], dtype=np.float64).reshape(-1, 3)
+    euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in boxes],
+                     dtype=np.float64).reshape(-1, 3)
+    scores = [b.score for b in boxes]
+    return centers, dims, euler, class_id_array([b.class_id for b in boxes]), np.array(
+        scores, dtype=object if None in scores else np.float64)
+
+
+def class_id_array(class_ids) -> np.ndarray:
+    """``class_ids`` as int64, or as Python ints in an object array when one is past
+    int64 (a box takes any int; numpy alone would read such a list as floats or objects)."""
+    try:
+        return np.array(class_ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(class_ids, dtype=object)
+
+
 @dataclass
 class RigidTransform:
     """Rotation about a pivot point: ``x -> R @ (x - pivot) + pivot``."""
@@ -215,6 +237,18 @@ def euler_to_matrix(euler: EulerXYZ) -> np.ndarray:
             [-sy, cy * sx, cy * cx],
         ]
     )
+
+
+def rotations(euler) -> np.ndarray:
+    """(n, 3, 3) matrices of the (n, 3) Euler angles ``euler``: each has the bits of
+    :func:`euler_to_matrix`, from the same products in the same order."""
+    euler = np.asarray(euler, dtype=np.float64).reshape(-1, 3)
+    (cx, cy, cz), (sx, sy, sz) = np.cos(euler).T, np.sin(euler).T
+    return np.stack([
+        cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx,
+        sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx,
+        -sy, cy * sx, cy * cx,
+    ], axis=-1).reshape(-1, 3, 3)
 
 
 def matrix_to_euler(rotation: np.ndarray) -> EulerXYZ:
@@ -322,12 +356,9 @@ def points_in_boxes(points, boxes) -> np.ndarray:
     Each box's (n, 3) block of local coordinates takes its own matmul, so a
     row does not depend on the other boxes.  No boxes give a (0, n) mask.
     """
-    n_boxes = len(boxes)
-    centers = np.array([b.center for b in boxes]).reshape(n_boxes, 1, 3)
-    rotations = np.array([b.rotation() for b in boxes]).reshape(n_boxes, 3, 3)
-    dims = np.array([b.dims for b in boxes]).reshape(n_boxes, 1, 3)
-    local = (np.asarray(points, dtype=np.float64) - centers) @ rotations
-    return np.all(np.abs(local) <= dims * 0.5 + 1e-9, axis=-1)
+    centers, dims, euler, _, _ = box_columns(boxes)
+    local = (np.asarray(points, dtype=np.float64) - centers[:, None, :]) @ rotations(euler)
+    return np.all(np.abs(local) <= dims[:, None, :] * 0.5 + 1e-9, axis=-1)
 
 
 class _Footprints(NamedTuple):
@@ -360,15 +391,10 @@ def _corners(x, y, cos, sin, half_l, half_w) -> np.ndarray:
     return corners
 
 
-def _footprints(boxes) -> _Footprints:
-    """Footprints of a sequence of boxes, in the order given."""
-    n = len(boxes)
-    centers = np.array([b.center for b in boxes], dtype=np.float64).reshape(n, 3)
-    dims = np.array([b.dims for b in boxes], dtype=np.float64).reshape(n, 3)
-    yaw = [b.euler.theta_z for b in boxes]
-    c = np.array([math.cos(t) for t in yaw])[:, None]
-    s = np.array([math.sin(t) for t in yaw])[:, None]
-    corners = _corners(centers[:, :1], centers[:, 1:2], c, s,
+def _footprints(centers, dims, euler) -> _Footprints:
+    """Footprints of the boxes with (n, 3) ``centers``, ``dims`` and ``euler``."""
+    yaw = euler[:, 2:].copy()  # contiguous, as the angles of `rotations` are
+    corners = _corners(centers[:, :1], centers[:, 1:2], np.cos(yaw), np.sin(yaw),
                        dims[:, :1] * 0.5, dims[:, 1:2] * 0.5)
     radius = np.hypot(dims[:, 0], dims[:, 1]) / 2.0
     return _Footprints(corners, _polygon_areas(corners), centers, dims, radius)
@@ -384,12 +410,6 @@ class Footprint(NamedTuple):
     half_l: float
     half_w: float
     radius: float  # circumradius: half the footprint diagonal
-
-
-def footprint(box: FullPoseBox) -> Footprint:
-    """The footprint frame of ``box`` (roll and pitch ignored, as in BEV IoU)."""
-    return footprint_at(float(box.center[0]), float(box.center[1]), box.euler.theta_z,
-                        float(box.dims[0]), float(box.dims[1]))
 
 
 def footprint_at(x: float, y: float, yaw: float, l: float, w: float) -> Footprint:
@@ -561,7 +581,7 @@ def _pairwise_iou(a, b, three_d: bool) -> np.ndarray:
     out = np.zeros((m, g))
     if not m or not g:
         return out
-    fp = _footprints(a + b)
+    fp = _footprints(*box_columns(a + b)[:3])
     near = _near(fp, slice(0, m), slice(m, None))
     dz = None
     if three_d:
@@ -619,9 +639,8 @@ def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:
 
 def pairwise_center_distance(a, b) -> np.ndarray:
     """(m, g) 3D center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
-    ca = np.array([box.center for box in a], dtype=np.float64).reshape(-1, 3)
-    cb = np.array([box.center for box in b], dtype=np.float64).reshape(-1, 3)
-    return np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+    centers, m = box_columns([*a, *b])[0], len(a)
+    return np.linalg.norm(centers[:m, None, :] - centers[None, m:, :], axis=2)
 
 
 def box_scores(boxes) -> np.ndarray:
@@ -654,8 +673,9 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     boxes = list(boxes)
     order = score_order(box_scores(boxes))
+    centers, dims, euler, _, _ = box_columns(boxes)
     n = len(order)
-    fp = _footprints([boxes[i] for i in order.tolist()])
+    fp = _footprints(centers[order], dims[order], euler[order])
     kept = np.zeros(n, dtype=bool)
     block = max(1, _PAIR_BATCH // max(n, 1))
     for start in range(0, n, block):

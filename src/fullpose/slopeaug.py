@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FullposeError
 from .geom import (
-    EulerXYZ,
     FullPoseBox,
     PointCloud,
     axis_angle_transform,
+    box_columns,
+    boxes_from_arrays,
     to_euler_xy,
 )
 
@@ -152,41 +153,21 @@ def apply(frame: LabeledFrame, params: SlopeAugParams) -> LabeledFrame:
     Euler split of the composed rotation instead).  A zero angle is an
     exact identity (no arithmetic touches the far side).
     """
-    if params.gamma == 0.0:
-        return LabeledFrame(
-            cloud=PointCloud(
-                frame.cloud.points.copy(),
-                None if frame.cloud.extras is None else frame.cloud.extras.copy(),
-            ),
-            boxes=[replace(b, center=b.center.copy(), dims=b.dims.copy()) for b in frame.boxes],
-            frame_id=frame.frame_id,
-        )
-    transform = axis_angle_transform(params.v, params.gamma, params.tau)
-    _, far = split_cloud(frame.cloud, params.tau)
     points = frame.cloud.points.copy()
-    if far.size:
-        points[far] = transform.apply(points[far])
     extras = None if frame.cloud.extras is None else frame.cloud.extras.copy()
-
-    tilt_x, tilt_y = to_euler_xy(params.v, params.gamma)
-    centers = np.array([box.center for box in frame.boxes]).reshape(-1, 3)
-    boxes = []
-    for box, side in zip(frame.boxes, _side(centers, params.tau).tolist()):
-        if side < 0.0:
-            boxes.append(
-                FullPoseBox(
-                    center=transform.apply(box.center),
-                    dims=box.dims.copy(),
-                    euler=EulerXYZ(tilt_x, tilt_y, box.euler.theta_z),
-                    class_id=box.class_id,
-                    score=box.score,
-                )
-            )
-        else:
-            boxes.append(replace(box, center=box.center.copy(), dims=box.dims.copy()))
-    return LabeledFrame(
-        cloud=PointCloud(points, extras), boxes=boxes, frame_id=frame.frame_id
-    )
+    centers, dims, euler, class_ids, scores = box_columns(frame.boxes)
+    if params.gamma != 0.0:
+        transform = axis_angle_transform(params.v, params.gamma, params.tau)
+        _, far = split_cloud(frame.cloud, params.tau)
+        if far.size:
+            points[far] = transform.apply(points[far])
+        far_boxes = np.nonzero(_side(centers, params.tau) < 0.0)[0]
+        for k in far_boxes.tolist():
+            # one call per center: a stacked call rounds differently
+            centers[k] = transform.apply(centers[k])
+        euler[far_boxes, :2] = to_euler_xy(params.v, params.gamma)
+    boxes = boxes_from_arrays(centers, dims, euler, class_ids, scores)
+    return LabeledFrame(PointCloud(points, extras), boxes, frame.frame_id)
 
 
 def augment(

@@ -23,9 +23,11 @@ from .geom import (
     EulerXYZ,
     FullPoseBox,
     PointCloud,
+    box_columns,
     footprint_at,
     footprints_overlap,
     points_in_boxes,
+    rotations,
 )
 from .slopeaug import LabeledFrame
 
@@ -409,9 +411,9 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         raise ValueError(f"feature_dim must be >= {info_dim}")
 
     boxes = frame.boxes
+    box_centers, dims, euler, class_ids, _ = box_columns(boxes)
     offsets = rng.uniform(-0.25, 0.25, (len(boxes), 3))
-    centers = [np.array([b.center + b.rotation() @ (off * b.dims)
-                         for b, off in zip(boxes, offsets)]).reshape(-1, 3)]
+    centers = [box_centers + (rotations(euler) @ (offsets * dims)[:, :, None])[:, :, 0]]
 
     ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
     ground_x, ground_y = ground_pts[:, 0].copy(), ground_pts[:, 1].copy()
@@ -437,8 +439,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     features = np.zeros((len(pts), feature_dim))
     for rows in _row_blocks(len(pts), len(ground_x)):
         features[rows, :5] = _local_ground(ground_pts, ground_x, ground_y, pts[rows])
-    cue_cols = np.array([5 + b.class_id % class_count for b in boxes], dtype=np.intp)
-    features[np.arange(len(boxes)), cue_cols] = 1.0
+    features[np.arange(len(boxes)), (5 + class_ids % class_count).astype(np.intp)] = 1.0
     features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))

@@ -545,7 +545,7 @@ class TestConfigErrors:
         config.write_text('{"eval": {"cd_threshold": NaN}}')
         error = _fail(["eval", "--gt", str(dataset), "--pred", str(pred),
                        "--config", str(config)], capsys)
-        assert error == "invalid config value: distance threshold must be positive"
+        assert error == f"{config}: invalid config value in section eval: distance threshold must be positive"
 
 
 class TestStats:
@@ -557,6 +557,23 @@ class TestStats:
         assert lines[0] == "series,bin_left,bin_right,count,log10_count"
         series = {line.split(",")[0] for line in lines[1:]}
         assert {"theta_x", "theta_y", "theta_z", "length", "width", "height"} <= series
+
+
+def test_class_ids_past_int64_run_through_the_commands(dataset, tmp_path):
+    data, pred = tmp_path / "data", tmp_path / "pred"
+    shutil.copytree(dataset, data)
+    for path in sorted((data / "labels").glob("*.jsonl")):
+        _edit_first_record(path, **{"class": f"class_{2**70}"})
+    _make_predictions(data, pred)
+    assert run_ok(["stats", "--input", str(data), "--out", str(tmp_path / "s.csv")])["objects"] == 12
+    run_ok(["augment", "--input", str(data), "--output", str(tmp_path / "aug"), "--p-s", "1"])
+    labels = sorted((tmp_path / "aug" / "labels").glob("*.jsonl"))
+    assert [read_pose6d(path)[0].box.class_id for path in labels] == [2**70] * 3
+    summary = run_ok(["eval", "--gt", str(data), "--pred", str(pred)])
+    assert summary["rotated"][str(2**70)]["rods"] == 1.0
+    kept = tmp_path / "kept.jsonl"
+    run_ok(["nms", "--pred", str(sorted((pred / "labels").glob("*.jsonl"))[0]), "--out", str(kept)])
+    assert read_pose6d(kept)[0].box.class_id == 2**70
 
 
 class TestNms:
@@ -720,7 +737,8 @@ class TestTrainHead:
         config.write_text(json.dumps({"head": {"shared_widths": []}}))
         error = _fail(["train-head", "--data", str(dataset), "--epochs", "1",
                        "--out", str(tmp_path / "head.bin"), "--config", str(config)], capsys)
-        assert error == "invalid config value: shared_widths needs at least one trunk width"
+        assert error == (f"{config}: invalid config value in section head: "
+                         "shared_widths needs at least one trunk width")
 
 
 @pytest.mark.parametrize("seed", ["-1", "x"])

@@ -595,11 +595,26 @@ class TestConfig:
             load_config(path)
         assert str(exc.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 digits)")
 
-    def test_invalid_value_reported(self, tmp_path):
+    @pytest.mark.parametrize("data, message", [
+        ({"eval": {"iou_threshold": 2}},
+         "invalid config value in section eval: IoU threshold must lie in (0, 1]"),
+        ({"head": {"shared_widths": [0]}},
+         "invalid config value in section head: all widths must be positive"),
+        ({"codec": {"n_yaw_bins": 1}},
+         "invalid config value in section codec: n_yaw_bins must be >= 2"),
+        ({"slopeaug": {"p_s": 2}},
+         "invalid config value in section slopeaug: p_s must lie in [0, 1], got 2.0"),
+        ({"nms_iou": -3}, "invalid config value: nms_iou must lie in [0, 1], got -3.0"),
+        ([1, 2], "config root must be a JSON object"),
+        ({"frobnicate": 1}, "unknown config key: frobnicate"),
+        ({"codec": {"wat": 1}}, "unknown config key: codec.wat"),
+    ])
+    def test_error_names_file_and_section(self, tmp_path, data, message):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"codec": {"n_yaw_bins": 1}}))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as exc:
             load_config(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_integer_beyond_float_range(self, tmp_path):
         path = tmp_path / "cfg.json"

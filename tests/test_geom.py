@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fullpose import geom
+from fullpose import geom, slopeaug
 from fullpose.geom import (
     EulerXYZ,
     FullPoseBox,
@@ -28,6 +28,7 @@ from fullpose.geom import (
     to_euler_xy,
     transform_box,
 )
+from fullpose.codec import CodecConfig, make_targets
 
 import oracles
 
@@ -201,6 +202,55 @@ class TestBoxesFromArrays:
         centers, dims, euler, _, scores = self.arrays()
         boxes = geom.boxes_from_arrays(centers, dims, euler, [2**70, 1, -2], scores)
         assert [b.class_id for b in boxes] == [2**70, 1, -2]
+
+
+class TestBoxColumns:
+    @pytest.mark.parametrize("scores", [[0.25, 1.0, 0.0, 0.5], [None] * 4, [0.25, None, 0.0, None]],
+                             ids=["scores", "no_scores", "some_scores"])
+    def test_boxes_from_arrays_inverts_it(self, scores):
+        rng = np.random.default_rng(12)
+        boxes = [box(rng.uniform(-9, 9, 3), rng.uniform(0.5, 4, 3), *rng.uniform(-3, 3, 3).tolist(),
+                     class_id=k, score=s) for k, s in zip([0, 3, 1, 2**40], scores)]
+        columns = geom.box_columns(boxes)
+        assert [c.shape for c in columns] == [(4, 3)] * 3 + [(4,)] * 2
+        assert not any(np.shares_memory(c, b.center) or np.shares_memory(c, b.dims)
+                       for c in columns[:2] for b in boxes)
+        assert columns[4].dtype == (np.float64 if None not in scores else object)
+        got = geom.boxes_from_arrays(*columns)
+        assert [repr(b) for b in got] == [repr(b) for b in boxes]
+        assert [b.center.tobytes() + b.dims.tobytes() for b in got] == \
+            [b.center.tobytes() + b.dims.tobytes() for b in boxes]
+        assert [(type(b.class_id), type(b.score)) for b in got] == \
+            [(int, type(s)) for s in scores]
+
+    def test_class_ids_past_int64(self):
+        boxes = [box([0, 0, 0], [4, 2, 1.5], class_id=2**70, score=0.9),
+                 box([0.2, 0, 0], [4, 2, 1.5], class_id=-1, score=0.5),
+                 box([30, 0, 0], [4, 2, 1.5], tz=0.3, class_id=2**63, score=0.7)]
+        class_ids = geom.box_columns(boxes)[3]
+        assert class_ids.dtype == object and class_ids.tolist() == [2**70, -1, 2**63]
+        got = geom.boxes_from_arrays(*geom.box_columns(boxes))
+        assert [repr(b) for b in got] == [repr(b) for b in boxes]
+        assert nms(boxes, 0.1).tolist() == [0, 2]
+        assert geom.box_scores(boxes).tolist() == [0.9, 0.5, 0.7]
+        assert points_in_boxes(np.zeros((1, 3)), boxes).tolist() == [[True], [True], [False]]
+        assert geom.pairwise_center_distance(boxes[:1], boxes)[0, 2] == 30.0
+        assert pairwise_bev_iou(boxes, boxes).diagonal().tolist() == [1.0, 1.0, 1.0]
+        out = slopeaug.apply(slopeaug.LabeledFrame(geom.PointCloud(np.zeros((1, 3))), boxes),
+                             slopeaug.SlopeAugParams([10.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.2))
+        assert [b.class_id for b in out.boxes] == [2**70, -1, 2**63]
+        assert out.boxes[2].euler != boxes[2].euler and out.boxes[0].euler == boxes[0].euler
+
+    def test_no_boxes(self):
+        centers, dims, euler, class_ids, scores = geom.box_columns([])
+        assert (centers.shape, dims.shape, euler.shape) == ((0, 3),) * 3
+        assert (class_ids.shape, scores.shape) == ((0,), (0,))
+        assert geom.rotations(euler).shape == (0, 3, 3)
+        pts = np.random.default_rng(13).uniform(-2, 2, (5, 3))
+        assert points_in_boxes(pts, []).shape == (0, 5)
+        assert nms([], 0.1).tolist() == []
+        targets = make_targets(pts, [], CodecConfig())
+        assert not targets.foreground.any() and not targets.class_label.any()
 
 
 class TestBoxCorners:

@@ -12,7 +12,7 @@ from fullpose.geom import (  # noqa: E402
     EulerXYZ,
     FullPoseBox,
     bev_iou,
-    footprint,
+    footprint_at,
     footprints_overlap,
     iou3d,
     nms,
@@ -160,8 +160,13 @@ def _kernel_overlap(a, b):
     return pairwise_bev_iou([a], [b])[0, 0] > 0.0
 
 
+def _frame(box):
+    return footprint_at(float(box.center[0]), float(box.center[1]), box.euler.theta_z,
+                        float(box.dims[0]), float(box.dims[1]))
+
+
 def _overlap(a, b):
-    got = footprints_overlap(footprint(a), footprint(b))
+    got = footprints_overlap(_frame(a), _frame(b))
     assert type(got) is bool  # decided for every pair, near-touching ones too
     return got
 

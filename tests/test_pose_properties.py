@@ -15,8 +15,11 @@ from fullpose.geom import (  # noqa: E402
     PointCloud,
     euler_to_matrix,
     matrix_to_euler,
+    rotations,
 )
 from fullpose.slopeaug import LabeledFrame, SlopeAugParams, apply, split_cloud  # noqa: E402
+
+import oracles  # noqa: E402
 
 open_pi = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
 pitch = st.floats(-math.radians(89.0), math.radians(89.0))
@@ -30,6 +33,14 @@ def test_euler_round_trip_away_from_gimbal_lock(roll, pitch, yaw):
     assert abs(back.theta_y - pitch) <= 1e-9
     assert abs(back.theta_z - yaw) <= 1e-9
     assert np.abs(euler_to_matrix(back) - rotation).max() <= 1e-12
+
+
+@given(st.lists(st.tuples(*[st.one_of(open_pi, st.floats(-1e3, 1e3))] * 3), max_size=12))
+def test_rotations_equal_euler_to_matrix_bit_for_bit(angles):
+    euler = np.array(angles, dtype=np.float64).reshape(-1, 3)
+    want = np.array([euler_to_matrix(EulerXYZ(*row)) for row in angles]).reshape(-1, 3, 3)
+    assert rotations(euler).tobytes() == want.tobytes(), \
+        f"numpy {np.__version__}, {oracles.blas_build()}"
 
 
 @given(open_pi, st.sampled_from([-1.0, 1.0]), open_pi)

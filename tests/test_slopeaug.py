@@ -162,6 +162,17 @@ class TestApply:
         assert np.array_equal(out.boxes[0].center, [2, 0, 0])
         assert out.boxes[0].euler == EulerXYZ(0, 0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_output_shares_no_memory_with_input(self, gamma):
+        boxes = [flat_box([2, 0, 0]), flat_box([20, 0, 0])]  # near and far side
+        frame = make_frame(np.random.default_rng(37), boxes=boxes)
+        out = apply(frame, SlopeAugParams(PARAMS.tau, PARAMS.v, gamma))
+
+        def arrays(f):
+            return [f.cloud.points, f.cloud.extras, *(a for b in f.boxes for a in (b.center, b.dims))]
+
+        assert not any(np.shares_memory(a, b) for a in arrays(frame) for b in arrays(out))
+
     def test_extras_carried_through(self):
         frame = make_frame(np.random.default_rng(36))
         out = apply(frame, PARAMS)

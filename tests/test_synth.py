@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fullpose import synth
+from fullpose import geom, synth
 from fullpose.codec import CodecConfig
-from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, bev_iou, euler_to_matrix, points_in_box
-from fullpose.slopeaug import LabeledFrame, SlopeAugParams, apply
+from fullpose.geom import (
+    EulerXYZ, FullPoseBox, PointCloud, bev_iou, box_columns, euler_to_matrix, footprint_at,
+    points_in_box, rotations,
+)
+from fullpose.slopeaug import LabeledFrame, SlopeAugConfig, SlopeAugParams, apply, augment
 from fullpose.synth import (
     GROUND_SOURCE,
     PlacementFailureError,
@@ -463,3 +466,39 @@ class TestSlopeAugCrossCheck:
                 assert after.euler.theta_y == ty
             else:
                 assert after.euler == before.euler
+
+
+# the benchmark's (boxes per frame, scenes, seed) of each split: crowded, then training
+BENCH_SPLITS = [(15, 4, 0), (15, 20, 1_000_003), (10, 3, 0), (10, 24, 1_000_003)]
+
+
+def _benchmark_boxes():
+    """Every box of the benchmark's synthesized frames and of their slope-augmented copies."""
+    boxes = []
+    for count, scenes, seed in BENCH_SPLITS:
+        spec = SceneSpec(terrain=Terrain(ramp_start=20.0, grade=math.radians(15)),
+                         box_count=count, density=1.0)
+        for i in range(scenes):
+            frame = make_scene(spec, frame_rng(seed, i))
+            tilted = augment(frame, SlopeAugConfig(p_s=1.0), np.random.default_rng(i))
+            boxes += frame.boxes + tilted.boxes
+    assert len(boxes) == 2 * (15 * 24 + 10 * 27)
+    return boxes
+
+
+def test_rotations_of_benchmark_boxes_equal_euler_to_matrix():
+    boxes = _benchmark_boxes()
+    want = np.array([euler_to_matrix(b.euler) for b in boxes])
+    assert rotations(box_columns(boxes)[2]).tobytes() == want.tobytes(), \
+        f"numpy {np.__version__}, {oracles.blas_build()}"
+
+
+def test_footprints_of_benchmark_boxes_equal_footprint_at():
+    """The batched footprint corners (``np.cos``/``np.sin`` of the yaw column) have
+    the bits of corners built from ``footprint_at``'s ``math.cos``/``math.sin``."""
+    boxes = _benchmark_boxes()
+    frames = [footprint_at(float(b.center[0]), float(b.center[1]), b.euler.theta_z,
+                           float(b.dims[0]), float(b.dims[1])) for b in boxes]
+    want = geom._corners(*(np.array(col)[:, None] for col in list(zip(*frames))[:6]))
+    got = geom._footprints(*box_columns(boxes)[:3]).corners
+    assert got.tobytes() == want.tobytes(), f"numpy {np.__version__}, {oracles.blas_build()}"
