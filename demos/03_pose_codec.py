@@ -47,8 +47,8 @@ flat = FullPoseBox(np.array([5.0, 0, 0.8]), np.array([4.2, 1.8, 1.6]),
                    EulerXYZ(0, 0, 0.4), class_id=1)
 sloped = FullPoseBox(np.array([25.0, 2, 2.1]), np.array([4.2, 1.8, 1.6]),
                      EulerXYZ(0, math.radians(-18), 1.2), class_id=1)
-print("\nground labels:", ground_label(flat, cfg), "(flat box),",
-      ground_label(sloped, cfg), "(sloped box)")
+print("\nground labels:", ground_label(flat.euler.as_array(), cfg), "(flat box),",
+      ground_label(sloped.euler.as_array(), cfg), "(sloped box)")
 
 centers = np.array([
     [5.2, 0.1, 0.7],    # inside the flat box

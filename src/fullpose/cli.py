@@ -101,12 +101,6 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
 
 # feature-file keys of the per-center targets, in BoxTargets field order
 _TARGET_KEYS = tuple(f.name for f in fields(codec.BoxTargets))
-# the targets that are floats, not labels or flags
-_FLOAT_TARGET_KEYS = ("yaw_residual", "tilt", "log_dims", "center_offset")
-# the targets that are 0/1 flags
-_FLAG_TARGET_KEYS = ("foreground", "ground_label")
-# the targets that are integer class labels
-_LABEL_TARGET_KEYS = ("class_label", "yaw_bin")
 # x of the line where the synthetic ramp starts, in meters
 _RAMP_START = 20.0
 
@@ -153,7 +147,13 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     tasks = [(i, str(out_dir), spec, args.seed, args.feature_noise, args.bg_centers,
               cfg.head.feature_dim, cfg.codec) for i in range(args.scenes)]
-    frame_ids = _map_tasks(_synth_one, tasks, args.jobs)
+    try:
+        frame_ids = _map_tasks(_synth_one, tasks, args.jobs)
+    except MemoryError as exc:  # a frame's arrays scale with these sizes
+        raise ValueError(
+            f"synth sizes density={args.density}, boxes={args.boxes}, "
+            f"bg_centers={args.bg_centers} do not fit in memory: {exc}"
+        ) from None
     _log(f"wrote {len(frame_ids)} scenes -> {out_dir}")
     return {
         "frames": len(frame_ids),
@@ -168,30 +168,17 @@ def cmd_synth(args, cfg: dataio.ToolkitConfig) -> dict:
 def _load_feature_frame(path: Path, label_widths: dict):
     try:
         data = np.load(path)
-        targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
-        features = data["features"]
+        features, rows = data["features"], len(data["class_label"])
+        if features.ndim != 2 or len(features) != rows:
+            raise ValueError(f"features {features.shape} for {rows} targets")
         # checked once per file: a NaN would train on silently, every epoch
-        floats = {"features": features, **{k: getattr(targets, k) for k in _FLOAT_TARGET_KEYS}}
-        non_finite = [name for name, array in floats.items() if not np.isfinite(array).all()]
-        # the flags are cast to bool: a 0.5 would make its row foreground
-        flags = {name: getattr(targets, name) for name in _FLAG_TARGET_KEYS}
-        non_flag = [name for name, a in flags.items() if not ((a == 0) | (a == 1)).all()]
-        # the labels are cast to integers: a 1.5 would train as class 1
-        labels = {name: getattr(targets, name) for name in _LABEL_TARGET_KEYS}
-        non_integer = [name for name, a in labels.items()
-                       if not (np.isfinite(a) & (np.floor(a) == a)).all()]
+        if not np.isfinite(features).all():
+            raise ValueError("features holds non-finite values")
+        # BoxTargets checks the targets' shapes and kinds
+        targets = codec.BoxTargets(**{name: data[name] for name in _TARGET_KEYS})
+        nn.foreground_labels(targets, label_widths)  # the loss's label ranges, before epoch 0
     except (ValueError, KeyError, IndexError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise dataio.ParseError(f"{path}: {exc}") from None
-    if features.ndim != 2 or len(features) != len(targets):
-        raise dataio.ParseError(f"{path}: features {features.shape} for {len(targets)} targets")
-    if non_finite:
-        raise dataio.ParseError(f"{path}: {non_finite[0]} holds non-finite values")
-    if non_flag:
-        raise dataio.ParseError(f"{path}: {non_flag[0]} holds values other than 0 and 1")
-    if non_integer:
-        raise dataio.ParseError(f"{path}: {non_integer[0]} holds non-integer values")
-    with _naming(path):  # the labels the loss checks, checked before epoch 0
-        nn.foreground_labels(targets, label_widths)
     return features, targets
 
 
@@ -238,9 +225,12 @@ def cmd_train_head(args, cfg: dataio.ToolkitConfig) -> dict:
 
 def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
     gt_frames = _read_frame_records(Path(args.gt) / "labels")
-    pred_frames = _read_frame_records(Path(args.pred) / "labels")
     if not gt_frames:
         raise ValueError(f"no ground-truth labels under {args.gt}/labels")
+    pred_dir = Path(args.pred) / "labels"
+    if not pred_dir.is_dir():  # an empty one means no detections, a missing one a wrong path
+        raise ValueError(f"no prediction directory {pred_dir}")
+    pred_frames = _read_frame_records(pred_dir)
     gts = {path.stem: [rec.box for rec in recs] for path, recs in gt_frames.items()}
     difficulties = {
         path.stem: [rec.difficulty or "moderate" for rec in recs]

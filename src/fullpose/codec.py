@@ -22,12 +22,12 @@ return a float for a scalar input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import FullposeError
-from .geom import TWO_PI, FullPoseBox, box_columns, points_in_boxes
+from .geom import TWO_PI, box_columns, points_in_boxes
 
 HALF_PI = math.pi / 2.0
 
@@ -100,9 +100,14 @@ def decode_yaw(code: YawCode, cfg: CodecConfig):
     return wrap_angle((code.bin + code.residual) * delta - delta / 2.0)
 
 
-def ground_label(box: FullPoseBox, cfg: CodecConfig) -> int:
-    """Terrain class of a box: 1 if sloped, 0 if flat."""
-    return int(abs(box.euler.theta_x) >= cfg.t_theta_x or abs(box.euler.theta_y) >= cfg.t_theta_y)
+def ground_label(euler, cfg: CodecConfig):
+    """Terrain class: 1 (sloped) if |roll| or |pitch| reaches its threshold, else 0.
+
+    One (roll, pitch, yaw) triple gives an int, an (n, 3) array an (n,) int array.
+    """
+    tilt_abs = np.abs(np.asarray(euler, dtype=np.float64)[..., :2])
+    labels = np.any(tilt_abs >= (cfg.t_theta_x, cfg.t_theta_y), axis=-1).astype(np.intp)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def encode_tilt(theta: float, t: float) -> float:
@@ -157,13 +162,24 @@ def decode_center_offset(point, offset) -> np.ndarray:
     return np.asarray(point, dtype=np.float64) + np.asarray(offset, dtype=np.float64)
 
 
+# each kind of target, its value rule and its error: a NaN would train on silently,
+# a flag of 0.5 make its row foreground, a label of 1.5 train as class 1
+_TARGET_KINDS = (
+    (("yaw_residual", "tilt", "log_dims", "center_offset"), np.isfinite, "non-finite values"),
+    (("foreground", "ground_label"), lambda a: (a == 0) | (a == 1), "values other than 0 and 1"),
+    (("class_label", "yaw_bin"), lambda a: np.isfinite(a) & (np.floor(a) == a),
+     "non-integer values"),
+)
+
+
 @dataclass
 class BoxTargets:
     """Per-center regression/classification targets, one row per center.
 
     Background rows (``foreground`` False) carry class 0 and zeroed
     regression slots; rows with ``ground_label == 0`` have tilt targets
-    that are present but unsupervised.
+    that are present but unsupervised.  Construction checks each field's
+    shape, then the rule of its kind (``_TARGET_KINDS``).
     """
 
     class_label: np.ndarray      # (n,) int
@@ -177,20 +193,16 @@ class BoxTargets:
 
     def __post_init__(self):
         n = len(self.class_label)
-        shapes = {
-            "class_label": (n,),
-            "ground_label": (n,),
-            "yaw_bin": (n,),
-            "yaw_residual": (n,),
-            "tilt": (n, 2),
-            "log_dims": (n, 3),
-            "center_offset": (n, 3),
-            "foreground": (n,),
-        }
-        for name, want in shapes.items():
-            got = np.asarray(getattr(self, name)).shape
+        widths = {"tilt": 2, "log_dims": 3, "center_offset": 3}
+        for f in fields(self):
+            want = (n, widths[f.name]) if f.name in widths else (n,)
+            got = np.asarray(getattr(self, f.name)).shape
             if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
+                raise ValueError(f"{f.name} has shape {got}, expected {want}")
+        for names, ok, what in _TARGET_KINDS:
+            for name in names:
+                if not ok(np.asarray(getattr(self, name))).all():
+                    raise ValueError(f"{name} holds {what}")
 
     def __len__(self) -> int:
         return len(self.class_label)
@@ -238,12 +250,11 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
             encode_tilt(box.euler.theta_x, cfg.t_theta_x)
             encode_tilt(box.euler.theta_y, cfg.t_theta_y)
             encode_dims(box.dims)
-        thresholds = np.array([cfg.t_theta_x, cfg.t_theta_y])
         class_label[foreground] = class_ids[own]
-        ground[foreground] = np.any(tilt_abs >= thresholds, axis=1)  # ground_label
+        ground[foreground] = ground_label(euler, cfg)
         codes = encode_yaw(euler[:, 2], cfg)
         yaw_bin[foreground], yaw_res[foreground] = codes.bin, codes.residual
-        tilt[foreground] = _tilt_codes(tilt_angles, thresholds)
+        tilt[foreground] = _tilt_codes(tilt_angles, np.array([cfg.t_theta_x, cfg.t_theta_y]))
         log_dims[foreground] = encode_dims(dims)
         offset[foreground] = encode_center_offset(pts[foreground], box_centers[own])
 

@@ -9,10 +9,10 @@ Formats:
 * native full-pose annotations: JSONL, one object per line with keys
   frame/class/center/dims/euler and optional score/difficulty.  Unknown
   keys are ignored on read and dropped on write.  A record is a checked
-  :class:`~fullpose.geom.FullPoseBox` with its frame and difficulty, so
-  the writer emits only what the reader accepts, given an integer class
-  id; the class is written under its canonical name (``class_1`` is
-  written ``Car``).
+  :class:`~fullpose.geom.FullPoseBox` (which holds only an integer class
+  id) with its frame and difficulty, so the writer emits only what the
+  reader accepts; the class is written under its canonical name
+  (``class_1`` is written ``Car``).
 * ASCII PLY export for external viewers.
 * JSON toolkit configuration with strict unknown-key rejection.
 """

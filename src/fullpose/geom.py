@@ -633,14 +633,16 @@ def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
 
 
 def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:
-    """Euclidean distance between the 3D box centers."""
+    """Distance between the 3D box centers: ``pairwise_center_distance([a], [b])[0, 0]``."""
     return float(np.linalg.norm(a.center - b.center))
 
 
 def pairwise_center_distance(a, b) -> np.ndarray:
     """(m, g) 3D center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
     centers, m = box_columns([*a, *b])[0], len(a)
-    return np.linalg.norm(centers[:m, None, :] - centers[None, m:, :], axis=2)
+    d = centers[:m, None, :] - centers[None, m:, :]
+    # the sqrt of each pair's dot, as center_distance's norm forms it (norm(axis=2) does not)
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
 
 
 def box_scores(boxes) -> np.ndarray:

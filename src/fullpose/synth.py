@@ -36,6 +36,7 @@ GROUND_SOURCE = -1.0
 _FIT_RADIUS = 2.0
 _DIMS_JITTER = 0.1  # relative jitter of each box dimension
 _EDGE_MARGIN = 3.0  # distance (m) that box centers keep from the extent border
+_CLASS_CUES = 2  # feature slots of the one-hot class cue, indexed by class id % 2
 _UP = (0.0, 0.0, 1.0)  # normal of the flat plane
 
 
@@ -388,12 +389,12 @@ def check_feature_settings(noise_sigma: float, bg_per_frame: int) -> None:
 
 def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Generator,
                   codec_cfg: codec.CodecConfig | None = None, feature_dim: int = 16,
-                  class_count: int = 2, bg_per_frame: int = 12):
+                  bg_per_frame: int = 12):
     """Coarse centers with synthetic per-center features and targets.
 
     One perturbed center per ground-truth box plus background centers on
     the ground.  Feature layout: ``[plane-fit normal (3), z above local
-    ground mean (1), local ground z std (1), class cue (class_count),
+    ground mean (1), local ground z std (1), class cue (2: one-hot of class id % 2),
     unit-normal distractor padding]``; ``noise_sigma`` adds Gaussian noise
     to the informative block.  Terrain class and tilt are linearly
     recoverable from the normal components by construction.  Each plane
@@ -406,7 +407,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
         raise ValueError("frame must carry source tags (extras channel)")
     if codec_cfg is None:
         codec_cfg = codec.CodecConfig()
-    info_dim = 5 + class_count
+    info_dim = 5 + _CLASS_CUES
     if feature_dim < info_dim:
         raise ValueError(f"feature_dim must be >= {info_dim}")
 
@@ -439,7 +440,7 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     features = np.zeros((len(pts), feature_dim))
     for rows in _row_blocks(len(pts), len(ground_x)):
         features[rows, :5] = _local_ground(ground_pts, ground_x, ground_y, pts[rows])
-    features[np.arange(len(boxes)), (5 + class_ids % class_count).astype(np.intp)] = 1.0
+    features[np.arange(len(boxes)), (5 + class_ids % _CLASS_CUES).astype(np.intp)] = 1.0
     features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))

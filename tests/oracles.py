@@ -395,7 +395,6 @@ def make_targets_oracle(centers, gts, cfg):
         encode_center_offset,
         encode_dims,
         encode_tilt,
-        ground_label,
     )
     from fullpose.geom import points_in_box
 
@@ -422,7 +421,9 @@ def make_targets_oracle(centers, gts, cfg):
             box = gts[j]
             foreground[i] = True
             class_label[i] = box.class_id
-            ground[i] = ground_label(box, cfg)
+            # the slope rule written out: |roll| or |pitch| reaches its threshold
+            ground[i] = int(abs(box.euler.theta_x) >= cfg.t_theta_x
+                            or abs(box.euler.theta_y) >= cfg.t_theta_y)
             yaw_bin[i], yaw_res[i] = encode_yaw_oracle(box.euler.theta_z, cfg)
             tilt[i, 0] = encode_tilt(box.euler.theta_x, cfg.t_theta_x)
             tilt[i, 1] = encode_tilt(box.euler.theta_y, cfg.t_theta_y)

@@ -202,6 +202,19 @@ class TestSynth:
         assert _fail(argv, capsys) == error
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+    @pytest.mark.parametrize("flag, value, sizes", [
+        ("--density", "1e15", "density=1000000000000000.0, boxes=5, bg_centers=12"),
+        ("--bg-centers", "1000000000000000", "density=4.0, boxes=5, bg_centers=1000000000000000"),
+    ], ids=["density", "bg-centers"])
+    def test_sizes_no_host_can_hold_are_data_error(self, flag, value, sizes, jobs, tmp_path,
+                                                   capsys):
+        # 5.55 EiB of cloud points or 14.2 PiB of background draws: numpy refuses at once
+        argv = ["synth", "--scenes", "2", "--jobs", jobs, flag, value,
+                "--output", str(tmp_path / "out")]
+        error = _fail(argv, capsys)
+        assert error.startswith(f"synth sizes {sizes} do not fit in memory: Unable to allocate")
+
     def test_rejected_setting_writes_no_frame(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["synth", "--scenes", "2", "--feature-noise", "-1", "--output", str(out)]
@@ -310,6 +323,17 @@ class TestEval:
         outcome = cli.run(["eval", "--gt", str(tmp_path / "nope"), "--pred", str(tmp_path)])
         assert outcome.exit_code == 1
         assert "error" in outcome.summary
+
+    def test_missing_prediction_dir_is_data_error(self, dataset, tmp_path, capsys):
+        typo = tmp_path / "typo"
+        error = _fail(["eval", "--gt", str(dataset), "--pred", str(typo)], capsys)
+        assert error == f"no prediction directory {typo / 'labels'}"
+
+    def test_empty_prediction_dir_means_no_detections(self, dataset, tmp_path):
+        (tmp_path / "pred" / "labels").mkdir(parents=True)
+        summary = run_ok(["eval", "--gt", str(dataset), "--pred", str(tmp_path / "pred")])
+        assert summary["frames"] == 3
+        assert summary["ap"] and all(v == 0.0 for v in summary["ap"].values())
 
 
 def _with_array(npz: bytes, name: str, edit) -> bytes:
@@ -852,8 +876,12 @@ class TestConvert:
 
     def test_kitti_to_pose6d(self, tmp_path):
         argv, _ = self._convert(tmp_path, "kitti", KITTI_LABEL)
+        cloud = tmp_path / "kitti" / "velodyne" / "000000.bin"
+        cloud.parent.mkdir()
+        cloud.write_bytes(np.arange(8, dtype="<f4").tobytes())
         summary = run_ok(argv)
-        assert summary["objects"] == 1
+        assert summary["objects"] == 1 and summary["clouds_copied"] == 1
+        assert (tmp_path / "kitti_native" / "velodyne" / "000000.bin").read_bytes() == cloud.read_bytes()
         records = read_pose6d(tmp_path / "kitti_native" / "labels" / "000000.jsonl")
         assert records[0].box.class_id == 1
         assert abs(records[0].box.center[0] - 10.0) < 1e-9

@@ -69,28 +69,37 @@ class TestYaw:
 
 class TestGroundLabel:
     def test_flat_box(self):
-        assert ground_label(box([0, 0, 0], [1, 1, 1]), CFG) == 0
+        assert ground_label(box([0, 0, 0], [1, 1, 1]).euler.as_array(), CFG) == 0
 
     def test_pitched_box(self):
-        assert ground_label(box([0, 0, 0], [1, 1, 1], ty=20 * DEG), CFG) == 1
+        assert ground_label(box([0, 0, 0], [1, 1, 1], ty=20 * DEG).euler.as_array(), CFG) == 1
 
     def test_negative_pitch_modes(self):
         b = box([0, 0, 0], [1, 1, 1], ty=-20 * DEG)
-        assert ground_label(b, CFG) == 1
+        assert ground_label(b.euler.as_array(), CFG) == 1
 
     def test_threshold_is_inclusive(self):
         b = box([0, 0, 0], [1, 1, 1], tx=CFG.t_theta_x)
-        assert ground_label(b, CFG) == 1
+        assert ground_label(b.euler.as_array(), CFG) == 1
 
     def test_invariant_under_yaw(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             tx, ty = rng.uniform(-0.6, 0.6, 2)
             labels = {
-                ground_label(box([0, 0, 0], [1, 1, 1], tx, ty, tz), CFG)
+                ground_label(box([0, 0, 0], [1, 1, 1], tx, ty, tz).euler.as_array(), CFG)
                 for tz in rng.uniform(0, 2 * math.pi, 5)
             }
             assert len(labels) == 1
+
+    def test_array_matches_each_row(self):
+        t = CFG.t_theta_x
+        euler = np.array([[0.0, 0.0, 1.0], [t, 0.0, 0.0], [0.0, -t, 0.0],
+                          [np.nextafter(t, 0.0), -np.nextafter(t, 0.0), 2.0], [-0.5, 0.3, 0.0]])
+        labels = ground_label(euler, CFG)
+        assert labels.dtype == np.intp and labels.tolist() == [0, 1, 1, 0, 1]
+        assert labels.tolist() == [ground_label(row, CFG) for row in euler]
+        assert ground_label(np.zeros((0, 3)), CFG).shape == (0,)
 
 
 class TestTilt:

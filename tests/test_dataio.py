@@ -146,7 +146,7 @@ Tr_velo_to_cam: 7.533745e-03 -9.999714e-01 -6.166020e-04 -4.069766e-03 1.480249e
 class TestKittiCalib:
     def test_parse_blocks(self, tmp_path):
         path = tmp_path / "calib.txt"
-        path.write_text(CALIB_TEXT)
+        path.write_text("\n" + CALIB_TEXT.replace("\n", "\n  \n"))  # blank lines are skipped
         calib = read_kitti_calib(path)
         assert calib.p2.shape == (3, 4)
         assert calib.r0_rect.shape == (4, 4)
@@ -180,6 +180,18 @@ class TestKittiCalib:
             hom = np.hstack([np.atleast_2d(pts), np.ones((np.atleast_2d(pts).shape[0], 1))])
             want = hom @ np.linalg.inv(calib.r0_rect).T @ np.linalg.inv(calib.tr_velo_to_cam).T
             assert calib.cam_to_lidar(pts).tobytes() == want[:, :3].tobytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("P3 1 2 3", "expected 'KEY: values'"),
+        ("P3: 1 2 x", "could not convert string to float: 'x'"),
+    ], ids=["no-colon", "non-numeric"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "calib.txt"
+        path.write_text(CALIB_TEXT + line + "\n")
+        lineno = len(CALIB_TEXT.splitlines()) + 1
+        with pytest.raises(ParseError) as exc:
+            read_kitti_calib(path)
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
 
     def test_missing_block(self, tmp_path):
         path = tmp_path / "calib.txt"
@@ -215,7 +227,7 @@ class TestKittiLabels:
 
     def test_hand_computed_car(self, tmp_path, calib):
         path = tmp_path / "label.txt"
-        path.write_text(LABEL_TEXT)
+        path.write_text("\n" + LABEL_TEXT.replace("\n", "\n \n"))  # blank lines are skipped
         records = read_kitti_labels(path, calib)
         assert len(records) == 2  # DontCare skipped
         car = records[0]
@@ -364,6 +376,8 @@ class TestPose6d:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ParseError, match="diff.jsonl:2: unknown difficulty"):
             read_pose6d(path)
+        with pytest.raises(ValueError, match=f"unknown difficulty {difficulty!r}, expected one of"):
+            Pose6dRecord("0", FullPoseBox(np.zeros(3), np.ones(3)), difficulty)
 
     @pytest.mark.parametrize("score, message", [
         (1.5, "score must lie in [0, 1], got 1.5"),
@@ -608,6 +622,8 @@ class TestConfig:
         ([1, 2], "config root must be a JSON object"),
         ({"frobnicate": 1}, "unknown config key: frobnicate"),
         ({"codec": {"wat": 1}}, "unknown config key: codec.wat"),
+        ({"codec": [12]}, "config section 'codec' must be an object"),
+        ({"eval": None}, "config section 'eval' must be an object"),
     ])
     def test_error_names_file_and_section(self, tmp_path, data, message):
         path = tmp_path / "cfg.json"

@@ -1,8 +1,12 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fullpose import dataio
 from fullpose.evaluation import (
     EvalConfig,
     FrameMismatchError,
@@ -22,14 +26,17 @@ from fullpose.geom import (
     FullPoseBox,
     MissingScoreError,
     RigidTransform,
+    center_distance,
     euler_to_matrix,
     nms,
+    pairwise_center_distance,
     transform_box,
 )
 
 import oracles
 
 CD = MatchCriterion("center_distance", 1.0)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def box(center, dims=(4.0, 2.0, 1.5), tx=0.0, ty=0.0, tz=0.0, class_id=1, score=None):
@@ -497,3 +504,29 @@ class TestEvaluate:
         rows = report.csv_rows()
         assert rows[0] == "class,difficulty,criterion,metric,value"
         assert all(len(r.split(",")) == 5 for r in rows[1:])
+
+
+def test_center_distance_is_the_matrix_entry_on_a_crowded_eval(tmp_path, monkeypatch):
+    """Every det-GT pair of the benchmark's seed-0 crowded eval: the distance
+    a true positive was matched on is its translation error, bit for bit."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    from pipeline import Pipeline
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["crowded"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload.config))
+    result = Pipeline(workload, 0, tmp_path, config, dataio.load_config(config)).run()
+    assert result.failed == 0, result.errors
+    build = f"numpy {np.__version__}, {oracles.blas_build()}"
+    pairs, gt_paths = 0, sorted((tmp_path / "run" / "aug" / "labels").glob("*.jsonl"))
+    for gt_path in gt_paths:
+        gts = [rec.box for rec in dataio.read_pose6d(gt_path)]
+        dets = [rec.box for rec in dataio.read_pose6d(tmp_path / "run" / "pred" / "labels"
+                                                      / gt_path.name)]
+        matrix = pairwise_center_distance(dets, gts)
+        scalar = [[center_distance(det, gt) for gt in gts] for det in dets]
+        assert matrix.tolist() == scalar, (gt_path.name, build)
+        pairs += matrix.size
+    assert len(gt_paths) == workload.test_scenes and pairs > 5_000

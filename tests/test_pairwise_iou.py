@@ -12,11 +12,13 @@ from fullpose.geom import (  # noqa: E402
     EulerXYZ,
     FullPoseBox,
     bev_iou,
+    center_distance,
     footprint_at,
     footprints_overlap,
     iou3d,
     nms,
     pairwise_bev_iou,
+    pairwise_center_distance,
     pairwise_iou3d,
 )
 
@@ -70,6 +72,18 @@ def test_scalar_api_equals_matrix_entry(a, b):
     # equal up to the scalar path's pure-Python circumradius reject
     assert bev_iou(a, b) == pytest.approx(pairwise_bev_iou([a], [b])[0, 0], abs=1e-15)
     assert iou3d(a, b) == pytest.approx(pairwise_iou3d([a], [b])[0, 0], abs=1e-15)
+
+
+@given(box_lists, box_lists)
+def test_center_distance_is_the_matrix_entry_bit_for_bit(a, b):
+    # a true positive's translation error is then the distance it was matched on
+    build = f"numpy {np.__version__}, {oracles.blas_build()}"
+    matrix = pairwise_center_distance(a, b)
+    for i, box_a in enumerate(a):
+        for j, box_b in enumerate(b):
+            one = center_distance(box_a, box_b)
+            assert one == pairwise_center_distance([box_a], [box_b])[0, 0], build
+            assert one == matrix[i, j], build
 
 
 def _box(center, dims, yaw=0.0, score=None):

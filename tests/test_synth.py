@@ -336,7 +336,7 @@ class TestMakeFeatures:
     def test_class_cue_matches_labels(self):
         frame = self._ramp_frame(seed=15)
         _, features, targets = make_features(
-            frame, 0.0, np.random.default_rng(3), feature_dim=16, class_count=2
+            frame, 0.0, np.random.default_rng(3), feature_dim=16
         )
         for i in range(len(targets)):
             cue = features[i, 5:7]
