@@ -19,6 +19,7 @@ from fullpose.codec import (
     ground_label,
     make_targets,
 )
+from fullpose.geom import box_columns
 
 cfg = CodecConfig()  # 12 yaw bins, 10 degree terrain thresholds
 deg = math.degrees
@@ -55,7 +56,7 @@ centers = np.array([
     [24.8, 2.0, 2.0],   # inside the sloped box
     [40.0, -8.0, 0.0],  # background
 ])
-targets = make_targets(centers, [flat, sloped], cfg)
+targets = make_targets(centers, box_columns([flat, sloped]), cfg)
 for i in range(len(targets)):
     if not targets.foreground[i]:
         print(f"  center {i}: background")

@@ -169,6 +169,8 @@ def _load_feature_frame(path: Path, label_widths: dict):
     try:
         data = np.load(path)
         features, rows = data["features"], len(data["class_label"])
+        if features.dtype.kind not in "biuf":  # a complex array would train on its real part
+            raise ValueError(f"features must be real-valued, got dtype {features.dtype}")
         if features.ndim != 2 or len(features) != rows:
             raise ValueError(f"features {features.shape} for {rows} targets")
         # checked once per file: a NaN would train on silently, every epoch
@@ -240,7 +242,7 @@ def cmd_eval(args, cfg: dataio.ToolkitConfig) -> dict:
     for path, recs in pred_frames.items():
         dets[path.stem] = [rec.box for rec in recs]
         with _naming(path):
-            geom.box_scores(dets[path.stem])  # evaluate ranks every detection by its score
+            geom.checked_scores(geom.box_columns(dets[path.stem]).scores)  # evaluate ranks by them
     report = evaluation.evaluate(dets, gts, cfg.eval, difficulties)
 
     shown = report

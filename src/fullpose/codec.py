@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FullposeError
-from .geom import TWO_PI, box_columns, points_in_boxes
+from .geom import TWO_PI, BoxColumns, points_in_boxes
 
 HALF_PI = math.pi / 2.0
 
@@ -208,12 +208,13 @@ class BoxTargets:
         return len(self.class_label)
 
 
-def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
+def make_targets(centers, gts: BoxColumns, cfg: CodecConfig) -> BoxTargets:
     """Assign each (n, 3) coarse center to a ground-truth box and encode targets.
 
-    A center is foreground iff it lies inside some box (closed boundary);
-    ties among containing boxes go to the nearest box center, then to the
-    lowest box index.  The boxes' attributes are gathered by owner and
+    ``gts`` are :class:`~fullpose.geom.BoxColumns`.  A center is foreground iff
+    it lies inside some box (closed boundary); ties among containing boxes go
+    to the nearest box center, then to the lowest box index.  The boxes'
+    attributes are gathered by owner and
     encoded as arrays, one row per foreground center; an attribute that
     cannot be encoded raises for the first such box in the order of its
     first center.  Background centers get class 0 and zeroed regression
@@ -221,19 +222,16 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
     """
     pts = np.asarray(centers, dtype=np.float64)
     n = pts.shape[0]
-    class_label = np.zeros(n, dtype=np.intp)
-    ground = np.zeros(n, dtype=np.intp)
-    yaw_bin = np.zeros(n, dtype=np.intp)
+    class_label, ground, yaw_bin = np.zeros((3, n), dtype=np.intp)
     yaw_res = np.full(n, 0.5)
     tilt = np.zeros((n, 2))
     log_dims = np.zeros((n, 3))
     offset = np.zeros((n, 3))
     foreground = np.zeros(n, dtype=bool)
 
-    gts = list(gts)
-    if gts:
+    if len(gts.centers):
         inside = points_in_boxes(pts, gts)  # (n_boxes, n)
-        box_centers, dims, euler, class_ids, _ = box_columns(gts)
+        box_centers, dims, euler, class_ids, _ = gts
         dists = np.linalg.norm(pts - box_centers[:, None, :], axis=2)
         owner = np.argmin(np.where(inside, dists, np.inf), axis=0)
         foreground = inside.any(axis=0)
@@ -246,10 +244,10 @@ def make_targets(centers, gts, cfg: CodecConfig) -> BoxTargets:
         if bad.any():
             # the first bad box in the order of its first center raises the
             # first error of its encode_tilt (x, then y) and encode_dims calls
-            box = gts[own[np.argmax(bad)]]
-            encode_tilt(box.euler.theta_x, cfg.t_theta_x)
-            encode_tilt(box.euler.theta_y, cfg.t_theta_y)
-            encode_dims(box.dims)
+            k = np.argmax(bad)
+            encode_tilt(float(euler[k, 0]), cfg.t_theta_x)
+            encode_tilt(float(euler[k, 1]), cfg.t_theta_y)
+            encode_dims(dims[k])
         class_label[foreground] = class_ids[own]
         ground[foreground] = ground_label(euler, cfg)
         codes = encode_yaw(euler[:, 2], cfg)

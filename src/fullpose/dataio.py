@@ -296,6 +296,8 @@ def read_pose6d(path) -> list[Pose6dRecord]:
             missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            if type(frame := obj["frame"]) is not str:  # str() would write null as "None"
+                raise ParseError(f"{path}:{lineno}: frame must be a JSON string")
             center, dims, euler = obj["center"], obj["dims"], obj["euler"]
             if not (type(center) is type(dims) is type(euler) is list
                     and _JSON_NUMBERS.issuperset(map(type, values := center + dims + euler))):
@@ -324,7 +326,7 @@ def read_pose6d(path) -> list[Pose6dRecord]:
                 class_ids.append(class_id_for(str(obj["class"])))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((str(obj["frame"]), difficulty))
+            rows.append((frame, difficulty))
             triples.append(values)
             scores.append(score)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)

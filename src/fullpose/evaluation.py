@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import FullposeError
 from .geom import (
-    FullPoseBox,
-    box_scores,
-    center_distance,
+    BoxColumns,
+    box_columns,
+    checked_scores,
+    lengths,
     pairwise_bev_iou,
     pairwise_center_distance,
     pairwise_iou3d,
+    rotations,
     score_order,
 )
 
@@ -48,7 +50,7 @@ class CriterionKind(NamedTuple):
     """How one kind of match criterion compares a detection with a ground truth."""
 
     prefix: str         # report label prefix: ``f"{prefix}@{threshold:g}"``
-    kernel: Callable    # (dets, gts) -> (m, g) matrix of values
+    kernel: Callable    # (det columns, gt columns) -> (m, g) matrix of values
     is_distance: bool   # a match lies below the threshold, not above it
 
 
@@ -84,7 +86,7 @@ class MatchCriterion:
         """The report label, e.g. ``iou3d@0.7`` or ``cd@1``."""
         return f"{CRITERIA[self.kind].prefix}@{self.threshold:g}"
 
-    def values(self, dets, gts) -> np.ndarray:
+    def values(self, dets: BoxColumns, gts: BoxColumns) -> np.ndarray:
         """(m, g) criterion values of every detection against every ground truth."""
         return CRITERIA[self.kind].kernel(dets, gts)
 
@@ -100,20 +102,32 @@ def assign_difficulty(bbox_height: float, occlusion: int, truncation: float) -> 
     return "ignored"
 
 
-def geodesic_distance(a: FullPoseBox, b: FullPoseBox) -> float:
-    """Rotation angle between the two full orientations, in [0, pi]."""
-    rot_a, rot_b = a.rotation(), b.rotation()
-    if np.array_equal(rot_a, rot_b):
-        # acos would turn float noise in the product into a ~1e-8 angle
-        return 0.0
-    trace = float(np.trace(rot_a.T @ rot_b))
-    return math.acos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+def _tp_errors(dets, gts):
+    """Center distance, 3D IoU after aligning centers and orientations, and geodesic angle
+    in [0, pi] between the rotations of the row pairs of the (centers, dims, euler) ``dets``
+    and ``gts``.  The angle takes ``math.acos``: ``np.arccos`` rounds some inputs differently."""
+    (center_a, a, euler_a), (center_b, b, euler_b) = dets[:3], gts[:3]
+    trans = lengths(center_a - center_b)
+    inter = np.prod(np.minimum(a, b), axis=1)
+    scale = inter / (np.prod(a, axis=1) + np.prod(b, axis=1) - inter)
+    rot_a, rot_b = rotations(euler_a), rotations(euler_b)
+    trace = np.trace(np.matmul(rot_a.transpose(0, 2, 1), rot_b), axis1=1, axis2=2)
+    orient = np.array(list(map(math.acos, np.clip((trace - 1.0) / 2.0, -1.0, 1.0).tolist())))
+    # acos would turn float noise in the product of equal rotations into a ~1e-8 angle
+    orient[(rot_a == rot_b).all(axis=(1, 2))] = 0.0
+    return trans, scale, orient
 
 
-def aligned_scale_iou(a: FullPoseBox, b: FullPoseBox) -> float:
-    """3D IoU after aligning centers and orientations (dimension quality)."""
-    inter = float(np.prod(np.minimum(a.dims, b.dims)))
-    return inter / (a.volume + b.volume - inter)
+def _set_tp_errors(frames, results) -> None:
+    """Fill in the errors of the true positives of ``results`` in one batched
+    :func:`_tp_errors` pass; ``frames`` holds each result's (dets, gts) columns."""
+    tps = [r.det_tp for r in results]
+    dets = [np.concatenate([d[f][t] for (d, _), t in zip(frames, tps)]) for f in range(3)]
+    gts = [np.concatenate([g[f][r.det_gt[t]] for (_, g), r, t in zip(frames, results, tps)])
+           for f in range(3)]
+    ends = np.cumsum([np.count_nonzero(t) for t in tps])[:-1]
+    for r, t, errors in zip(results, tps, np.split(np.stack(_tp_errors(dets, gts)), ends, axis=1)):
+        r.trans_error[t], r.scale_score[t], r.orient_error[t] = errors
 
 
 @dataclass
@@ -138,20 +152,20 @@ def match(dets, gts, criterion: MatchCriterion, gt_ignored=None) -> MatchResult:
     targets nor turn detections into false positives; a detection whose
     only qualifying match is ignored is dropped from the PR curve.
     """
-    dets = list(dets)
-    gts = list(gts)
-    scores = box_scores(dets)
-    values = criterion.values(dets, gts)
-    return _greedy_match(dets, gts, scores, values, criterion, gt_ignored)
+    dets, gts = box_columns(list(dets)), box_columns(list(gts))
+    result = _greedy_match(checked_scores(dets.scores), criterion.values(dets, gts), criterion,
+                           gt_ignored)
+    _set_tp_errors([(dets, gts)], [result])
+    return result
 
 
-def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
-                  gt_ignored) -> MatchResult:
+def _greedy_match(scores, values, criterion: MatchCriterion, gt_ignored) -> MatchResult:
     """The greedy pass of :func:`match` over a precomputed criterion matrix.
 
     Detections go in descending score order (ties: lower index first);
     each takes the qualifying untaken counted GT with the best value, the
-    lowest GT index winning ties.
+    lowest GT index winning ties.  The TPs' errors stay NaN: :func:`_set_tp_errors`
+    fills them in for the results that report them.
     """
     m, g = values.shape
     ignored_mask = np.zeros(g, dtype=bool) if gt_ignored is None else np.asarray(gt_ignored, dtype=bool)
@@ -165,13 +179,10 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
     has_counted = ok_counted.any(axis=1).tolist()
     has_ignored = (ok & ignored_mask).any(axis=1).tolist()
 
-    tp = np.zeros(m, dtype=bool)
     ign = np.zeros(m, dtype=bool)
     matched_gt = np.full(m, -1, dtype=np.intp)
     gt_taken = np.zeros(g, dtype=bool)
-    trans = np.full(m, np.nan)
-    scale = np.full(m, np.nan)
-    orient = np.full(m, np.nan)
+    trans, scale, orient = np.full((3, m), np.nan)
 
     for i in score_order(scores).tolist():
         if has_counted[i]:
@@ -179,18 +190,13 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
             if free.any():
                 j = int(np.argmin(np.where(free, cost[i], np.inf)))
                 gt_taken[j] = True
-                tp[i] = True
                 matched_gt[i] = j
-                det, gt = dets[i], gts[j]
-                trans[i] = center_distance(det, gt)
-                scale[i] = aligned_scale_iou(det, gt)
-                orient[i] = geodesic_distance(det, gt)
                 continue
         ign[i] = has_ignored[i]
 
     return MatchResult(
         det_scores=scores,
-        det_tp=tp,
+        det_tp=matched_gt >= 0,
         det_ignored=ign,
         det_gt=matched_gt,
         gt_matched=gt_taken[~ignored_mask],
@@ -202,15 +208,9 @@ def _greedy_match(dets, gts, scores, values, criterion: MatchCriterion,
 
 
 def _pool(results) -> tuple[np.ndarray, np.ndarray, int]:
-    scores, tps, n_gt = [], [], 0
-    for r in results:
-        keep = ~r.det_ignored
-        scores.append(r.det_scores[keep])
-        tps.append(r.det_tp[keep])
-        n_gt += r.n_gt
-    if scores:
-        return np.concatenate(scores), np.concatenate(tps), n_gt
-    return np.zeros(0), np.zeros(0, dtype=bool), n_gt
+    scores = np.concatenate([np.zeros(0)] + [r.det_scores[~r.det_ignored] for r in results])
+    tps = np.concatenate([np.zeros(0, dtype=bool)] + [r.det_tp[~r.det_ignored] for r in results])
+    return scores, tps, sum(r.n_gt for r in results)
 
 
 def average_precision(results, positions: int = 40) -> float:
@@ -249,15 +249,9 @@ class TpScores:
 
 def tp_scores(results, d_th: float = 1.0) -> TpScores:
     """Average the bounded per-TP quality scores over a list of match results."""
-    trans, scale, orient = [], [], []
-    for r in results:
-        sel = r.det_tp
-        trans.append(r.trans_error[sel])
-        scale.append(r.scale_score[sel])
-        orient.append(r.orient_error[sel])
-    trans = np.concatenate(trans) if trans else np.zeros(0)
-    scale = np.concatenate(scale) if scale else np.zeros(0)
-    orient = np.concatenate(orient) if orient else np.zeros(0)
+    trans, scale, orient = (
+        np.concatenate([np.zeros(0)] + [getattr(r, name)[r.det_tp] for r in results])
+        for name in ("trans_error", "scale_score", "orient_error"))
     if trans.size == 0:
         return TpScores(0.0, 0.0, 0.0, 0, defined=False)
     ats = float(np.mean(1.0 - np.minimum(1.0, trans / d_th)))
@@ -335,11 +329,8 @@ def _match_frames(per_frame, criterion: MatchCriterion, bucket: str) -> list[Mat
     """Every frame of ``per_frame`` matched under ``criterion``; GTs harder than
     ``bucket`` are ignored."""
     rank = _RANK[bucket]
-    return [
-        _greedy_match(dets, gts, scores, values[criterion], criterion,
-                      [_RANK[d] > rank for d in diffs])
-        for dets, gts, diffs, scores, values in per_frame
-    ]
+    return [_greedy_match(scores, values[criterion], criterion, [_RANK[d] > rank for d in diffs])
+            for _, _, diffs, scores, values in per_frame]
 
 
 def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None = None,
@@ -363,40 +354,33 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
             raise ValueError(f"gt_difficulty_by_frame has no entry for frame {frame!r}")
         diffs = list(gt_difficulty_by_frame[frame])
         if len(diffs) != len(gts):
-            raise ValueError(
-                f"frame {frame!r}: {len(diffs)} difficulties for {len(gts)} ground truths"
-            )
+            raise ValueError(f"frame {frame!r}: {len(diffs)} difficulties for "
+                             f"{len(gts)} ground truths")
         unknown = sorted({d for d in diffs if d not in _RANK})
         if unknown:
             raise ValueError(f"frame {frame!r}: unknown difficulty {unknown[0]!r}")
         return diffs
 
-    classes = sorted(
-        {b.class_id for gts in gts_by_frame.values() for b in gts}
-    )
+    frame_diffs = {frame: difficulties(frame, gts_by_frame[frame]) for frame in frames}
+    # each frame's boxes are gathered once, then split by class
+    columns = {frame: (box_columns(dets_by_frame.get(frame, [])), box_columns(gts_by_frame[frame]))
+               for frame in frames}
+    classes = sorted({k for _, gts in columns.values() for k in gts.class_ids.tolist()})
     report = EvalReport(recall_positions=config.recall_positions)
-    iou_criteria = (
-        MatchCriterion("iou3d", config.iou_threshold),
-        MatchCriterion("bev_iou", config.iou_threshold),
-    )
+    iou_criteria = (MatchCriterion("iou3d", config.iou_threshold),
+                    MatchCriterion("bev_iou", config.iou_threshold))
     cd_criterion = MatchCriterion("center_distance", config.cd_threshold)
-    frame_diffs = {
-        frame: difficulties(frame, gts_by_frame[frame]) for frame in frames
-    }
 
     for cls in classes:
-        # each frame's criterion matrices are built once and shared by
-        # every difficulty bucket
+        # each frame's criterion matrices are built once, for every difficulty bucket
         per_frame = []
         for frame in frames:
-            gts, diffs = [], []
-            for b, d in zip(gts_by_frame[frame], frame_diffs[frame]):
-                if b.class_id == cls:
-                    gts.append(b)
-                    diffs.append(d)
-            dets = [b for b in dets_by_frame.get(frame, []) if b.class_id == cls]
+            dets, gts = columns[frame]
+            det_rows, gt_rows = dets.class_ids == cls, gts.class_ids == cls
+            diffs = [d for d, keep in zip(frame_diffs[frame], gt_rows.tolist()) if keep]
+            dets, gts = dets.take(det_rows), gts.take(gt_rows)
             values = {c: c.values(dets, gts) for c in (*iou_criteria, cd_criterion)}
-            per_frame.append((dets, gts, diffs, box_scores(dets), values))
+            per_frame.append((dets, gts, diffs, checked_scores(dets.scores), values))
 
         for criterion in iou_criteria:
             for bucket in DIFFICULTIES:
@@ -404,11 +388,11 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
                 if sum(r.n_gt for r in results) == 0:
                     continue  # no targets at this difficulty; bucket omitted
                 report.ap[(cls, bucket, criterion.label)] = average_precision(
-                    results, config.recall_positions
-                )
+                    results, config.recall_positions)
 
         # the center-distance suite counts every difficulty but "ignored"
         cd_results = _match_frames(per_frame, cd_criterion, DIFFICULTIES[-1])
+        _set_tp_errors([f[:2] for f in per_frame], cd_results)  # the only errors reported
         ap_cd = average_precision(cd_results, config.recall_positions)
         scores = tp_scores(cd_results, d_th=config.cd_threshold)
         report.rotated[cls] = {

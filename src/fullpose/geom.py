@@ -181,17 +181,31 @@ def boxes_from_arrays(centers, dims, euler, class_ids, scores) -> list[FullPoseB
     return boxes
 
 
-def box_columns(boxes):
-    """Fresh (n, 3) ``centers``, ``dims``, ``euler`` and (n,) ``class_ids``, ``scores``
-    of a sequence of boxes: the arguments of :func:`boxes_from_arrays`, its inverse.
-    A missing score or an id past int64 makes that column an object array."""
+class BoxColumns(NamedTuple):
+    """The fields of n boxes as arrays, in the argument order of :func:`boxes_from_arrays`:
+    what the box kernels take."""
+
+    centers: np.ndarray    # (n, 3)
+    dims: np.ndarray       # (n, 3) l, w, h
+    euler: np.ndarray      # (n, 3) roll, pitch, yaw
+    class_ids: np.ndarray  # (n,) int64, or Python ints in an object array past int64
+    scores: np.ndarray     # (n,) float64, or an object array holding None
+
+    def take(self, rows) -> "BoxColumns":
+        """The columns of the boxes that ``rows`` (an index or mask array) selects."""
+        return BoxColumns(*(column[rows] for column in self))
+
+
+def box_columns(boxes) -> BoxColumns:
+    """Fresh :class:`BoxColumns` of a sequence of boxes, the one gather of box fields;
+    :func:`boxes_from_arrays` is its inverse."""
     centers = np.array([b.center for b in boxes], dtype=np.float64).reshape(-1, 3)
     dims = np.array([b.dims for b in boxes], dtype=np.float64).reshape(-1, 3)
     euler = np.array([(b.euler.theta_x, b.euler.theta_y, b.euler.theta_z) for b in boxes],
                      dtype=np.float64).reshape(-1, 3)
     scores = [b.score for b in boxes]
-    return centers, dims, euler, class_id_array([b.class_id for b in boxes]), np.array(
-        scores, dtype=object if None in scores else np.float64)
+    return BoxColumns(centers, dims, euler, class_id_array([b.class_id for b in boxes]),
+                      np.array(scores, dtype=object if None in scores else np.float64))
 
 
 def class_id_array(class_ids) -> np.ndarray:
@@ -347,18 +361,19 @@ def points_in_box(points, box: FullPoseBox) -> np.ndarray:
     boundary is inclusive with a 1e-9 m guard so points sampled exactly on
     a face stay inside under float rounding.
     """
-    return points_in_boxes(points, [box])[0]
+    return points_in_boxes(points, box_columns([box]))[0]
 
 
-def points_in_boxes(points, boxes) -> np.ndarray:
-    """(n_boxes, n) mask whose row k is ``points_in_box(points, boxes[k])``.
+def points_in_boxes(points, boxes: BoxColumns) -> np.ndarray:
+    """(n_boxes, n) mask whose row k is ``points_in_box(points, box k)`` of the
+    :class:`BoxColumns` ``boxes``.
 
     Each box's (n, 3) block of local coordinates takes its own matmul, so a
     row does not depend on the other boxes.  No boxes give a (0, n) mask.
     """
-    centers, dims, euler, _, _ = box_columns(boxes)
-    local = (np.asarray(points, dtype=np.float64) - centers[:, None, :]) @ rotations(euler)
-    return np.all(np.abs(local) <= dims[:, None, :] * 0.5 + 1e-9, axis=-1)
+    points = np.asarray(points, dtype=np.float64)
+    local = (points - boxes.centers[:, None, :]) @ rotations(boxes.euler)
+    return np.all(np.abs(local) <= boxes.dims[:, None, :] * 0.5 + 1e-9, axis=-1)
 
 
 class _Footprints(NamedTuple):
@@ -424,7 +439,7 @@ _SAT_TOL = 1e-6
 
 def footprints_overlap(fa: Footprint, fb: Footprint) -> bool:
     """Whether two footprints overlap, decided as
-    ``pairwise_bev_iou([a], [b])[0, 0] > 0.0`` is for their boxes a and b.
+    ``bev_iou(a, b) > 0.0`` is for their boxes a and b.
 
     Pairs beyond their circumradii are rejected by the test of
     :func:`_near`.  The rest take the separating-axis test of two rectangles
@@ -575,13 +590,12 @@ def _near(fp: _Footprints, rows: slice, cols: slice) -> np.ndarray:
     return d2 <= reach
 
 
-def _pairwise_iou(a, b, three_d: bool) -> np.ndarray:
-    a, b = list(a), list(b)
-    m, g = len(a), len(b)
+def _pairwise_iou(a: BoxColumns, b: BoxColumns, three_d: bool) -> np.ndarray:
+    m, g = len(a.centers), len(b.centers)
     out = np.zeros((m, g))
     if not m or not g:
         return out
-    fp = _footprints(*box_columns(a + b)[:3])
+    fp = _footprints(*(np.concatenate(pair) for pair in zip(a[:3], b[:3])))
     near = _near(fp, slice(0, m), slice(m, None))
     dz = None
     if three_d:
@@ -595,18 +609,18 @@ def _pairwise_iou(a, b, three_d: bool) -> np.ndarray:
     return out
 
 
-def pairwise_bev_iou(a, b) -> np.ndarray:
-    """(m, g) BEV IoU matrix of boxes ``a`` (rows) against boxes ``b`` (columns).
+def pairwise_bev_iou(a: BoxColumns, b: BoxColumns) -> np.ndarray:
+    """(m, g) BEV IoU matrix of the :class:`BoxColumns` ``a`` (rows) against ``b`` (columns).
 
-    Entry ``[i, j]`` equals ``bev_iou(a[i], b[j])``: the footprint of the
-    row box is clipped by the footprint of the column box.  Pairs beyond
-    their circumradii are rejected before any clipping.
+    Entry ``[i, j]`` equals ``bev_iou`` of boxes ``a[i]`` and ``b[j]``: the
+    footprint of the row box is clipped by the footprint of the column box.
+    Pairs beyond their circumradii are rejected before any clipping.
     """
     return _pairwise_iou(a, b, three_d=False)
 
 
-def pairwise_iou3d(a, b) -> np.ndarray:
-    """(m, g) KITTI-style 3D IoU matrix; entry ``[i, j]`` is ``iou3d(a[i], b[j])``.
+def pairwise_iou3d(a: BoxColumns, b: BoxColumns) -> np.ndarray:
+    """(m, g) KITTI-style 3D IoU matrix; entry ``[i, j]`` is ``iou3d`` of boxes ``a[i]``, ``b[j]``.
 
     Pairs without z-overlap or beyond their circumradii are rejected
     before any clipping.
@@ -619,38 +633,40 @@ def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
 
     Roll and pitch are deliberately ignored so that yaw-only predictions
     and full-pose ground truth remain comparable with one number.  Equals
-    ``pairwise_bev_iou([a], [b])[0, 0]``.
+    ``pairwise_bev_iou(box_columns([a]), box_columns([b]))[0, 0]``.
     """
-    return float(_pairwise_iou([a], [b], three_d=False)[0, 0])
+    return float(_pairwise_iou(box_columns([a]), box_columns([b]), three_d=False)[0, 0])
 
 
 def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
     """KITTI-style 3D IoU: rotated footprint overlap times z-extent overlap.
 
-    Equals ``pairwise_iou3d([a], [b])[0, 0]``.
+    Equals ``pairwise_iou3d(box_columns([a]), box_columns([b]))[0, 0]``.
     """
-    return float(_pairwise_iou([a], [b], three_d=True)[0, 0])
+    return float(_pairwise_iou(box_columns([a]), box_columns([b]), three_d=True)[0, 0])
 
 
 def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:
-    """Distance between the 3D box centers: ``pairwise_center_distance([a], [b])[0, 0]``."""
+    """Distance between the 3D box centers: the 1x1 entry of :func:`pairwise_center_distance`."""
     return float(np.linalg.norm(a.center - b.center))
 
 
-def pairwise_center_distance(a, b) -> np.ndarray:
-    """(m, g) 3D center distances of boxes ``a`` (rows) to boxes ``b`` (columns)."""
-    centers, m = box_columns([*a, *b])[0], len(a)
-    d = centers[:m, None, :] - centers[None, m:, :]
-    # the sqrt of each pair's dot, as center_distance's norm forms it (norm(axis=2) does not)
+def lengths(d) -> np.ndarray:
+    """Lengths of the 3-vectors in the last axis of ``d``: the sqrt of each one's
+    dot, as :func:`center_distance`'s norm forms it (``norm(axis=-1)`` does not)."""
     return np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
 
 
-def box_scores(boxes) -> np.ndarray:
-    """The scores of ``boxes``; MissingScoreError names the first box without one."""
-    scores = [box.score for box in boxes]
-    if None in scores:
-        raise MissingScoreError(f"box {scores.index(None)} has no score")
-    return np.array(scores, dtype=np.float64)
+def pairwise_center_distance(a: BoxColumns, b: BoxColumns) -> np.ndarray:
+    """(m, g) 3D center distances of the :class:`BoxColumns` ``a`` (rows) to ``b`` (columns)."""
+    return lengths(a.centers[:, None, :] - b.centers[None, :, :])
+
+
+def checked_scores(scores) -> np.ndarray:
+    """A score column as float64; MissingScoreError names the first box without a score."""
+    if scores.dtype == object and None in (listed := scores.tolist()):
+        raise MissingScoreError(f"box {listed.index(None)} has no score")
+    return scores.astype(np.float64, copy=False)
 
 
 def score_order(scores) -> np.ndarray:
@@ -673,9 +689,8 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    boxes = list(boxes)
-    order = score_order(box_scores(boxes))
-    centers, dims, euler, _, _ = box_columns(boxes)
+    centers, dims, euler, _, scores = box_columns(list(boxes))
+    order = score_order(checked_scores(scores))
     n = len(order)
     fp = _footprints(centers[order], dims[order], euler[order])
     kept = np.zeros(n, dtype=bool)

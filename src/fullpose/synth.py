@@ -411,9 +411,8 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     if feature_dim < info_dim:
         raise ValueError(f"feature_dim must be >= {info_dim}")
 
-    boxes = frame.boxes
-    box_centers, dims, euler, class_ids, _ = box_columns(boxes)
-    offsets = rng.uniform(-0.25, 0.25, (len(boxes), 3))
+    box_centers, dims, euler, class_ids, _ = boxes = box_columns(frame.boxes)  # the one gather
+    offsets = rng.uniform(-0.25, 0.25, (len(box_centers), 3))
     centers = [box_centers + (rotations(euler) @ (offsets * dims)[:, :, None])[:, :, 0]]
 
     ground_pts = frame.cloud.points[frame.cloud.extras[:, 0] == GROUND_SOURCE]
@@ -440,10 +439,10 @@ def make_features(frame: LabeledFrame, noise_sigma: float, rng: np.random.Genera
     features = np.zeros((len(pts), feature_dim))
     for rows in _row_blocks(len(pts), len(ground_x)):
         features[rows, :5] = _local_ground(ground_pts, ground_x, ground_y, pts[rows])
-    features[np.arange(len(boxes)), (5 + class_ids % _CLASS_CUES).astype(np.intp)] = 1.0
+    features[np.arange(len(box_centers)), (5 + class_ids % _CLASS_CUES).astype(np.intp)] = 1.0
     features[:, :info_dim] += rng.standard_normal((len(pts), info_dim)) * noise_sigma
     if feature_dim > info_dim:
         features[:, info_dim:] = rng.standard_normal((len(pts), feature_dim - info_dim))
 
-    targets = codec.make_targets(pts, frame.boxes, codec_cfg)
+    targets = codec.make_targets(pts, boxes, codec_cfg)
     return pts, features, targets

@@ -18,8 +18,10 @@ bit; they reuse only the library's elementwise losses and sigmoid.  The
 loss oracle is the per-call composite loss that the per-frame loss rows
 must repeat bit for bit: it selects rows by boolean mask and checks the
 labels on every call, and makes fresh gradient arrays each time.
-``blas_build`` names numpy's BLAS for the messages of byte-equality checks
-whose split products were swept on one BLAS build only.
+The true-positive error oracle is the per-pair scalar arithmetic that the
+batched error pass of matching must repeat bit for bit.  ``blas_build``
+names numpy's BLAS and the core it runs, for the messages of
+byte-equality checks whose products were swept on one BLAS build only.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
     (1, 2) array and stands the box with :func:`resting_euler_oracle`.
     Overlap is the BEV IoU kernel's decision on the two boxes.
     """
-    from fullpose.geom import FullPoseBox, pairwise_bev_iou
+    from fullpose.geom import FullPoseBox, bev_iou
     from fullpose.synth import _DIMS_JITTER, _EDGE_MARGIN, PlacementFailureError
 
     x0, x1, y0, y1 = terrain.extent
@@ -258,7 +260,7 @@ def place_boxes_oracle(terrain, spec, rng: np.random.Generator) -> list:
         foot = np.array([xy[0], xy[1], float(terrain.height(xy)[0])])
         box = FullPoseBox(center=foot + normal * (dims[2] / 2.0), dims=dims,
                           euler=resting_euler_oracle(normal, yaw), class_id=cls)
-        if any(pairwise_bev_iou([box], [other])[0, 0] > 0.0 for other in boxes):
+        if any(bev_iou(box, other) > 0.0 for other in boxes):
             rejections += 1
             continue
         rejections = 0
@@ -500,6 +502,8 @@ def read_pose6d_oracle(path) -> list:
             missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            if not isinstance(obj["frame"], str):
+                raise ParseError(f"{path}:{lineno}: frame must be a JSON string")
             try:
                 center = np.array([number(v) for v in array(obj["center"])])
                 dims = np.array([number(v) for v in array(obj["dims"])])
@@ -531,7 +535,7 @@ def read_pose6d_oracle(path) -> list:
             # each box goes through the checked constructors on its own
             box = FullPoseBox(center=center, dims=dims, euler=EulerXYZ(*euler.tolist()),
                               class_id=class_id, score=score)
-            records.append(Pose6dRecord(frame=str(obj["frame"]), box=box, difficulty=difficulty))
+            records.append(Pose6dRecord(frame=obj["frame"], box=box, difficulty=difficulty))
     return records
 
 
@@ -703,9 +707,43 @@ def train_toy_oracle(dataset, cfg, epochs: int, seed: int, lr: float):
     return params
 
 
+def tp_errors_oracle(det, gt) -> tuple[float, float, float]:
+    """Translation error, aligned scale IoU and geodesic orientation error of one
+    true positive, one scalar call each, as ``evaluation`` computed them per pair."""
+    trans = float(np.linalg.norm(det.center - gt.center))
+    inter = float(np.prod(np.minimum(det.dims, gt.dims)))
+    scale = inter / (det.volume + gt.volume - inter)
+    rot_a, rot_b = det.rotation(), gt.rotation()
+    if np.array_equal(rot_a, rot_b):
+        return trans, scale, 0.0
+    trace = float(np.trace(rot_a.T @ rot_b))
+    return trans, scale, math.acos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+
+
 def blas_build() -> str:
-    """numpy's BLAS build, for a byte-equality failure: the split rule of
-    ``nn._split_at`` was swept on OpenBLAS 0.3.31 with SkylakeX kernels,
-    and other kernels may round a half of a split product differently."""
+    """numpy's BLAS and the OpenBLAS core it runs, for a byte-equality failure:
+    the split rule of ``nn._split_at`` was swept on OpenBLAS 0.3.31 with
+    SkylakeX kernels, and other kernels may round a half of a split product
+    differently.  A ``DYNAMIC_ARCH`` build picks its core at load time, so the
+    core is read from the loaded library; the build configuration, which
+    names only the core it was compiled on, is the fallback."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"BLAS {blas.get('name')} {blas.get('version')}: {blas.get('openblas configuration')}"
+    core = _openblas_core()
+    detail = f"core {core}" if core else blas.get("openblas configuration")
+    return f"BLAS {blas.get('name')} {blas.get('version')}: {detail}"
+
+
+def _openblas_core() -> str | None:
+    """The core name that numpy's bundled scipy-openblas reports, or None."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None

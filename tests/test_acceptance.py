@@ -14,7 +14,7 @@ from fullpose import cli, codec, head, synth, verify
 from fullpose.codec import CodecConfig, decode_tilt, decode_yaw, encode_tilt, encode_yaw, gate_tilt, wrap_angle
 from fullpose.dataio import read_pose6d, read_kitti_calib, read_kitti_labels, write_pose6d, write_velodyne, read_velodyne
 from fullpose.evaluation import EvalConfig, evaluate, rods
-from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, iou3d, nms, pairwise_bev_iou
+from fullpose.geom import EulerXYZ, FullPoseBox, PointCloud, box_columns, iou3d, nms, pairwise_bev_iou
 from fullpose.slopeaug import LabeledFrame, SlopeAugConfig, SlopeAugParams, apply, sample_params, split_cloud
 
 DEG = math.radians(1.0)
@@ -180,7 +180,8 @@ def test_criterion_5_geometry_oracles():
                         EulerXYZ(0, 0, r.uniform(0, 2 * math.pi)), score=float(r.random()))
             for _ in range(n)
         ]
-        iou = pairwise_bev_iou(boxes, boxes)
+        columns = box_columns(boxes)
+        iou = pairwise_bev_iou(columns, columns)
         assert list(nms(boxes, 0.1)) == oracles.nms_oracle(boxes, 0.1, lambda i, j: iou[i, j])
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -410,6 +410,17 @@ class TestBadRecordsNameTheirFile:
         error = _fail(["nms", "--pred", str(bad)], capsys)
         assert error == f"{bad}: frame 000001: box 0 has no score"
 
+    @pytest.mark.parametrize("frame", ["null", "7"])
+    def test_nms_frame_not_a_string(self, dataset, tmp_path, capsys, frame):
+        pred = tmp_path / "pred"
+        _make_predictions(dataset, pred)
+        bad = pred / "labels" / "000001.jsonl"
+        text = bad.read_text()
+        assert text.count('"frame": "000001"') > 1
+        bad.write_text(text.replace('"frame": "000001"', f'"frame": {frame}', 1))
+        error = _fail(["nms", "--pred", str(bad)], capsys)
+        assert error == f"{bad}:1: frame must be a JSON string"
+
     def test_nms_threshold_out_of_range(self, dataset, tmp_path, capsys):
         pred = tmp_path / "pred"
         _make_predictions(dataset, pred)
@@ -431,6 +442,20 @@ class TestBadRecordsNameTheirFile:
         error = _fail(["train-head", "--data", str(data), "--epochs", "1",
                        "--out", str(tmp_path / "head.bin")], capsys)
         assert error.startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("cast, message", [
+        (lambda f: f + 5j, "features must be real-valued, got dtype complex128"),
+        (lambda f: f.astype(str), "features must be real-valued, got dtype <U"),
+        (lambda f: f.astype(object), "Object arrays cannot be loaded when allow_pickle=False"),
+    ], ids=["complex", "string", "object"])
+    def test_train_head_features_not_real(self, dataset, tmp_path, capsys, cast, message):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "features" / "000001.npz"
+        bad.write_bytes(_with_array(bad.read_bytes(), "features", cast))
+        error = _fail(["train-head", "--data", str(data), "--epochs", "1",
+                       "--out", str(tmp_path / "head.bin")], capsys)
+        assert error.startswith(f"{bad}: {message}")
 
     @pytest.mark.parametrize("name, row, value", [
         ("features", (0, 0), np.nan),

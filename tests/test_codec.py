@@ -22,7 +22,7 @@ from fullpose.codec import (
     make_targets,
     wrap_angle,
 )
-from fullpose.geom import EulerXYZ, FullPoseBox
+from fullpose.geom import EulerXYZ, FullPoseBox, box_columns
 
 CFG = CodecConfig()
 DEG = math.radians(1.0)
@@ -187,20 +187,20 @@ class TestDimsAndOffsets:
 class TestMakeTargets:
     def test_flat_box_center(self):
         gts = [box([5, 0, 0], [4, 2, 1.5], tz=0.4)]
-        t = make_targets(np.array([[5.0, 0.0, 0.2]]), gts, CFG)
+        t = make_targets(np.array([[5.0, 0.0, 0.2]]), box_columns(gts), CFG)
         assert t.foreground[0]
         assert t.class_label[0] == 1
         assert t.ground_label[0] == 0
 
     def test_sloped_box_center(self):
         gts = [box([5, 0, 0], [4, 2, 1.5], ty=20 * DEG)]
-        t = make_targets(np.array([[5.0, 0.0, 0.0]]), gts, CFG)
+        t = make_targets(np.array([[5.0, 0.0, 0.0]]), box_columns(gts), CFG)
         assert t.ground_label[0] == 1
         assert abs(t.tilt[0, 1] - 1.0 / 9.0) < 1e-12
 
     def test_background_center(self):
         gts = [box([5, 0, 0], [4, 2, 1.5])]
-        t = make_targets(np.array([[50.0, 0.0, 0.0]]), gts, CFG)
+        t = make_targets(np.array([[50.0, 0.0, 0.0]]), box_columns(gts), CFG)
         assert not t.foreground[0]
         assert t.class_label[0] == 0
         assert np.array_equal(t.center_offset[0], np.zeros(3))
@@ -210,13 +210,13 @@ class TestMakeTargets:
             box([0, 0, 0], [6, 6, 2], class_id=1),
             box([1, 0, 0], [6, 6, 2], class_id=2),
         ]
-        t = make_targets(np.array([[0.9, 0.0, 0.0]]), gts, CFG)
+        t = make_targets(np.array([[0.9, 0.0, 0.0]]), box_columns(gts), CFG)
         assert t.class_label[0] == 2
         assert np.allclose(t.center_offset[0], [0.1, 0, 0])
 
     def test_targets_encode_box_attributes(self):
         gt = box([2, 1, 0.5], [4, 2, 1.5], tz=1.1)
-        t = make_targets(np.array([[2.5, 1.0, 0.3]]), [gt], CFG)
+        t = make_targets(np.array([[2.5, 1.0, 0.3]]), box_columns([gt]), CFG)
         assert t.yaw_bin[0] == encode_yaw(1.1, CFG).bin
         assert abs(t.yaw_residual[0] - encode_yaw(1.1, CFG).residual) < 1e-15
         assert np.allclose(t.log_dims[0], np.log([4, 2, 1.5]))
@@ -229,7 +229,7 @@ class TestMakeTargets:
             for _ in range(4)
         ]
         centers = rng.uniform(-6, 6, (200, 3))
-        t = make_targets(centers, gts, CFG)
+        t = make_targets(centers, box_columns(gts), CFG)
         from fullpose.geom import points_in_box
 
         union = np.zeros(200, dtype=bool)

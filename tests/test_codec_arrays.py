@@ -23,7 +23,7 @@ from fullpose.codec import (  # noqa: E402
     make_targets,
     wrap_angle,
 )
-from fullpose.geom import TWO_PI, EulerXYZ, FullPoseBox  # noqa: E402
+from fullpose.geom import TWO_PI, EulerXYZ, FullPoseBox, box_columns  # noqa: E402
 from fullpose.head import HeadConfig, HeadOutput, head_decode  # noqa: E402
 from fullpose.synth import _sample_box_surface  # noqa: E402
 
@@ -278,7 +278,7 @@ class TestMakeTargets:
     def test_equals_per_center_oracle(self, frame):
         centers, boxes = frame
         cfg = CodecConfig()
-        assert target_bits(make_targets(centers, boxes, cfg)) == \
+        assert target_bits(make_targets(centers, box_columns(boxes), cfg)) == \
             target_bits(oracles.make_targets_oracle(centers, boxes, cfg))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -294,24 +294,24 @@ class TestMakeTargets:
                             <= b.dims * 0.5, axis=1) for k, b in enumerate(boxes)]
         assert not np.concatenate(unguarded).all()
         cfg = CodecConfig()
-        assert target_bits(make_targets(centers, boxes, cfg)) == \
+        assert target_bits(make_targets(centers, box_columns(boxes), cfg)) == \
             target_bits(oracles.make_targets_oracle(centers, boxes, cfg))
 
     def test_ties_go_to_the_lowest_box_index(self):
         # two boxes share a center: the center sits in both at distance 0
         boxes = [FullPoseBox(np.zeros(3), np.ones(3) * 2, class_id=c) for c in (2, 1, 3)]
-        t = make_targets(np.zeros((1, 3)), boxes, CodecConfig())
+        t = make_targets(np.zeros((1, 3)), box_columns(boxes), CodecConfig())
         assert t.class_label[0] == 2
 
     def test_out_of_range_tilt_raises_only_when_assigned(self):
         steep = FullPoseBox(np.array([10.0, 0, 0]), np.ones(3), EulerXYZ(0.0, HALF_PI, 0.0))
         flat = FullPoseBox(np.zeros(3), np.ones(3))
         cfg = CodecConfig()
-        t = make_targets(np.zeros((1, 3)), [flat, steep], cfg)
+        t = make_targets(np.zeros((1, 3)), box_columns([flat, steep]), cfg)
         assert t.foreground.tolist() == [True]
         centers = np.array([[0.0, 0, 0], [10.0, 0, 0]])
         with pytest.raises(TiltOutOfRangeError) as got:
-            make_targets(centers, [flat, steep], cfg)
+            make_targets(centers, box_columns([flat, steep]), cfg)
         with pytest.raises(TiltOutOfRangeError) as want:
             oracles.make_targets_oracle(centers, [flat, steep], cfg)
         assert str(got.value) == str(want.value)
@@ -342,9 +342,9 @@ class TestMakeTargets:
         cfg = CodecConfig()
         errors = (TiltOutOfRangeError, NonPositiveDimensionError)
         with pytest.raises(errors) as got:
-            make_targets(centers, boxes, cfg)
+            make_targets(centers, box_columns(boxes), cfg)
         with pytest.raises(errors) as want:
             oracles.make_targets_oracle(centers, boxes, cfg)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-        assert make_targets(centers[[0, 2]], boxes, cfg).foreground.all()
+        assert make_targets(centers[[0, 2]], box_columns(boxes), cfg).foreground.all()

@@ -379,6 +379,16 @@ class TestPose6d:
         with pytest.raises(ValueError, match=f"unknown difficulty {difficulty!r}, expected one of"):
             Pose6dRecord("0", FullPoseBox(np.zeros(3), np.ones(3)), difficulty)
 
+    @pytest.mark.parametrize("frame", [None, 7])
+    def test_frame_must_be_a_json_string(self, tmp_path, frame):
+        path = tmp_path / "frame.jsonl"
+        good = {"frame": "0", "class": "Car", "center": [0, 0, 0], "dims": [1, 1, 1],
+                "euler": [0, 0, 0]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, frame=frame)) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_pose6d(path)
+        assert str(exc.value) == f"{path}:2: frame must be a JSON string"
+
     @pytest.mark.parametrize("score, message", [
         (1.5, "score must lie in [0, 1], got 1.5"),
         (-0.25, "score must lie in [0, 1], got -0.25"),

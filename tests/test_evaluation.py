@@ -12,11 +12,10 @@ from fullpose.evaluation import (
     FrameMismatchError,
     InputOutOfRangeError,
     MatchCriterion,
-    aligned_scale_iou,
+    _tp_errors,
     assign_difficulty,
     average_precision,
     evaluate,
-    geodesic_distance,
     match,
     rods,
     tp_scores,
@@ -26,6 +25,7 @@ from fullpose.geom import (
     FullPoseBox,
     MissingScoreError,
     RigidTransform,
+    box_columns,
     center_distance,
     euler_to_matrix,
     nms,
@@ -58,22 +58,66 @@ class TestDifficulty:
         assert assign_difficulty(10.0, 3, 0.9) == "ignored"
 
 
+def tp_errors(a, b):
+    """(translation error, aligned scale IoU, geodesic) of the one pair (a, b)."""
+    return tuple(e[0] for e in _tp_errors(box_columns([a]), box_columns([b])))
+
+
 class TestTpComponents:
     def test_geodesic_identity(self):
         b = box([0, 0, 0])
-        assert geodesic_distance(b, b) == 0.0
+        assert tp_errors(b, b)[2] == 0.0
 
     def test_geodesic_quarter_turn(self):
         a = box([0, 0, 0])
         for e in (EulerXYZ(math.pi / 2, 0, 0), EulerXYZ(0, 0, math.pi / 2)):
             b = FullPoseBox(a.center, a.dims, e)
-            assert abs(geodesic_distance(a, b) - math.pi / 2) < 1e-12
+            assert abs(tp_errors(a, b)[2] - math.pi / 2) < 1e-12
 
     def test_aligned_scale_iou(self):
         a = box([0, 0, 0], dims=(2, 2, 2))
         b = box([5, 5, 5], dims=(1, 1, 1), tz=1.0)
-        assert aligned_scale_iou(a, a) == 1.0
-        assert abs(aligned_scale_iou(a, b) - 1.0 / 8.0) < 1e-12
+        assert tp_errors(a, a)[1] == 1.0
+        assert abs(tp_errors(a, b)[1] - 1.0 / 8.0) < 1e-12
+
+    def test_batched_errors_equal_the_scalar_oracle_bit_for_bit(self):
+        # full-pose pairs, a quarter of them with identical rotations
+        rng = np.random.default_rng(26)
+        n = 4000
+
+        def boxes(euler):
+            return [FullPoseBox(c, d, EulerXYZ(*e)) for c, d, e in
+                    zip(rng.uniform(-20, 20, (n, 3)), rng.uniform(0.3, 5, (n, 3)), euler.tolist())]
+
+        euler = rng.uniform(-math.pi, math.pi, (n, 3))
+        euler[:, 1] /= 2.0
+        other = rng.uniform(-math.pi, math.pi, (n, 3))
+        other[:, 1] /= 2.0
+        order = rng.permutation(n)  # det i is paired with gt order[i]
+        other[order[::4]] = euler[::4]
+        dets, gts = boxes(euler), boxes(other)
+        got = _tp_errors(box_columns(dets), box_columns(gts).take(order))
+        want = np.array([oracles.tp_errors_oracle(dets[i], gts[j])
+                         for i, j in enumerate(order.tolist())]).T
+        build = f"numpy {np.__version__}, {oracles.blas_build()}"
+        for name, g, w in zip(("trans", "scale", "orient"), got, want):
+            assert g.tobytes() == w.tobytes(), (name, build)
+        same = np.flatnonzero((euler == other[order]).all(axis=1))
+        assert same.size >= n // 4 and not got[2][same].any()
+
+    def test_match_gives_each_tp_the_scalar_errors(self):
+        rng = np.random.default_rng(27)
+        gts = [box(rng.uniform(-15, 15, 3), rng.uniform(1, 4, 3), *rng.uniform(-0.5, 0.5, 3))
+               for _ in range(15)]
+        dets = [box(g.center + rng.uniform(-0.4, 0.4, 3), g.dims * rng.uniform(0.8, 1.2, 3),
+                    *(g.euler.as_array() + rng.uniform(-0.2, 0.2, 3)).tolist(),
+                    score=float(rng.uniform())) for g in gts + gts[:5]]
+        res = match(dets, gts, CD)
+        assert res.det_tp.sum() >= 10
+        for i in np.flatnonzero(res.det_tp).tolist():
+            want = oracles.tp_errors_oracle(dets[i], gts[res.det_gt[i]])
+            assert (res.trans_error[i], res.scale_score[i], res.orient_error[i]) == want
+        assert np.isnan(res.trans_error[~res.det_tp]).all()
 
 
 class TestMatch:
@@ -525,7 +569,7 @@ def test_center_distance_is_the_matrix_entry_on_a_crowded_eval(tmp_path, monkeyp
         gts = [rec.box for rec in dataio.read_pose6d(gt_path)]
         dets = [rec.box for rec in dataio.read_pose6d(tmp_path / "run" / "pred" / "labels"
                                                       / gt_path.name)]
-        matrix = pairwise_center_distance(dets, gts)
+        matrix = pairwise_center_distance(box_columns(dets), box_columns(gts))
         scalar = [[center_distance(det, gt) for gt in gts] for det in dets]
         assert matrix.tolist() == scalar, (gt_path.name, build)
         pairs += matrix.size

@@ -15,6 +15,7 @@ from fullpose.geom import (
     axis_angle_matrix,
     axis_angle_transform,
     bev_iou,
+    box_columns,
     box_corners,
     center_distance,
     euler_to_matrix,
@@ -229,13 +230,14 @@ class TestBoxColumns:
                  box([30, 0, 0], [4, 2, 1.5], tz=0.3, class_id=2**63, score=0.7)]
         class_ids = geom.box_columns(boxes)[3]
         assert class_ids.dtype == object and class_ids.tolist() == [2**70, -1, 2**63]
-        got = geom.boxes_from_arrays(*geom.box_columns(boxes))
+        columns = geom.box_columns(boxes)
+        got = geom.boxes_from_arrays(*columns)
         assert [repr(b) for b in got] == [repr(b) for b in boxes]
         assert nms(boxes, 0.1).tolist() == [0, 2]
-        assert geom.box_scores(boxes).tolist() == [0.9, 0.5, 0.7]
-        assert points_in_boxes(np.zeros((1, 3)), boxes).tolist() == [[True], [True], [False]]
-        assert geom.pairwise_center_distance(boxes[:1], boxes)[0, 2] == 30.0
-        assert pairwise_bev_iou(boxes, boxes).diagonal().tolist() == [1.0, 1.0, 1.0]
+        assert geom.checked_scores(columns.scores).tolist() == [0.9, 0.5, 0.7]
+        assert points_in_boxes(np.zeros((1, 3)), columns).tolist() == [[True], [True], [False]]
+        assert geom.pairwise_center_distance(box_columns(boxes[:1]), columns)[0, 2] == 30.0
+        assert pairwise_bev_iou(columns, columns).diagonal().tolist() == [1.0, 1.0, 1.0]
         out = slopeaug.apply(slopeaug.LabeledFrame(geom.PointCloud(np.zeros((1, 3))), boxes),
                              slopeaug.SlopeAugParams([10.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.2))
         assert [b.class_id for b in out.boxes] == [2**70, -1, 2**63]
@@ -247,9 +249,9 @@ class TestBoxColumns:
         assert (class_ids.shape, scores.shape) == ((0,), (0,))
         assert geom.rotations(euler).shape == (0, 3, 3)
         pts = np.random.default_rng(13).uniform(-2, 2, (5, 3))
-        assert points_in_boxes(pts, []).shape == (0, 5)
+        assert points_in_boxes(pts, box_columns([])).shape == (0, 5)
         assert nms([], 0.1).tolist() == []
-        targets = make_targets(pts, [], CodecConfig())
+        targets = make_targets(pts, box_columns([]), CodecConfig())
         assert not targets.foreground.any() and not targets.class_label.any()
 
 
@@ -303,7 +305,7 @@ class TestPointsInBox:
         # corners sit on the boundary: inside by the 1e-9 m guard only
         with_corners = np.vstack([random, *[box_corners(b) for b in boxes]])
         for pts in (random, with_corners):
-            got = points_in_boxes(pts, boxes)
+            got = points_in_boxes(pts, box_columns(boxes))
             assert got.shape == (15, len(pts))
             assert got.tobytes() == np.stack([points_in_box(pts, b) for b in boxes]).tobytes()
 
@@ -454,7 +456,8 @@ def test_pairwise_equals_scalar_bit_for_bit_over_many_near_pairs(spread, m, g, m
                     tz=rng.uniform(0, 2 * math.pi)) for _ in range(n)]
 
     a, b = boxes(m), boxes(g)
-    bev, iou = pairwise_bev_iou(a, b), pairwise_iou3d(a, b)
+    cols_a, cols_b = box_columns(a), box_columns(b)
+    bev, iou = pairwise_bev_iou(cols_a, cols_b), pairwise_iou3d(cols_a, cols_b)
     assert np.count_nonzero(bev) > min_pairs and np.count_nonzero(iou) > min_pairs
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):

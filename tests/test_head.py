@@ -11,7 +11,7 @@ import pytest
 
 from fullpose import nn, verify
 from fullpose.codec import BoxTargets, CodecConfig, encode_tilt
-from fullpose.geom import EulerXYZ, FullPoseBox
+from fullpose.geom import EulerXYZ, FullPoseBox, box_columns
 from fullpose.head import (
     _BRANCHES,
     _GROUPS,
@@ -132,7 +132,7 @@ class TestDecode:
         center = np.array([[8.2, -2.1, 0.5]])
         from fullpose.codec import make_targets
 
-        t = make_targets(center, [gt], cfg.codec)
+        t = make_targets(center, box_columns([gt]), cfg.codec)
         assert t.foreground[0] and t.ground_label[0] == 1
         out = HeadOutput(
             class_logits=np.array([[-20.0, 20.0]]),

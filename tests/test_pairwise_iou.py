@@ -16,6 +16,7 @@ from fullpose.geom import (  # noqa: E402
     footprint_at,
     footprints_overlap,
     iou3d,
+    box_columns,
     nms,
     pairwise_bev_iou,
     pairwise_center_distance,
@@ -42,10 +43,15 @@ def full_pose_boxes(draw):
 box_lists = st.lists(full_pose_boxes(), min_size=0, max_size=6)
 
 
+def _cols(*boxes):
+    return box_columns(boxes)
+
+
 @given(box_lists, box_lists)
 def test_matrices_equal_oracle_per_pair(a, b):
-    bev = pairwise_bev_iou(a, b)
-    iou = pairwise_iou3d(a, b)
+    cols_a, cols_b = box_columns(a), box_columns(b)
+    bev = pairwise_bev_iou(cols_a, cols_b)
+    iou = pairwise_iou3d(cols_a, cols_b)
     assert bev.shape == iou.shape == (len(a), len(b))
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
@@ -56,33 +62,34 @@ def test_matrices_equal_oracle_per_pair(a, b):
 @given(box_lists, box_lists)
 def test_symmetric_and_bounded(a, b):
     for fn in (pairwise_bev_iou, pairwise_iou3d):
-        ab, ba = fn(a, b), fn(b, a)
+        ab, ba = fn(box_columns(a), box_columns(b)), fn(box_columns(b), box_columns(a))
         assert np.all((ab >= 0.0) & (ab <= 1.0))
         assert np.abs(ab - ba.T).max(initial=0.0) <= 1e-12
 
 
 @given(st.lists(full_pose_boxes(), min_size=1, max_size=6))
 def test_self_iou_is_one(boxes):
-    assert np.all(np.diag(pairwise_bev_iou(boxes, boxes)) == 1.0)
-    assert np.abs(np.diag(pairwise_iou3d(boxes, boxes)) - 1.0).max() <= 1e-12
+    cols = box_columns(boxes)
+    assert np.all(np.diag(pairwise_bev_iou(cols, cols)) == 1.0)
+    assert np.abs(np.diag(pairwise_iou3d(cols, cols)) - 1.0).max() <= 1e-12
 
 
 @given(full_pose_boxes(), full_pose_boxes())
 def test_scalar_api_equals_matrix_entry(a, b):
     # equal up to the scalar path's pure-Python circumradius reject
-    assert bev_iou(a, b) == pytest.approx(pairwise_bev_iou([a], [b])[0, 0], abs=1e-15)
-    assert iou3d(a, b) == pytest.approx(pairwise_iou3d([a], [b])[0, 0], abs=1e-15)
+    assert bev_iou(a, b) == pytest.approx(pairwise_bev_iou(_cols(a), _cols(b))[0, 0], abs=1e-15)
+    assert iou3d(a, b) == pytest.approx(pairwise_iou3d(_cols(a), _cols(b))[0, 0], abs=1e-15)
 
 
 @given(box_lists, box_lists)
 def test_center_distance_is_the_matrix_entry_bit_for_bit(a, b):
     # a true positive's translation error is then the distance it was matched on
     build = f"numpy {np.__version__}, {oracles.blas_build()}"
-    matrix = pairwise_center_distance(a, b)
+    matrix = pairwise_center_distance(box_columns(a), box_columns(b))
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
             one = center_distance(box_a, box_b)
-            assert one == pairwise_center_distance([box_a], [box_b])[0, 0], build
+            assert one == pairwise_center_distance(_cols(box_a), _cols(box_b))[0, 0], build
             assert one == matrix[i, j], build
 
 
@@ -94,44 +101,44 @@ def _box(center, dims, yaw=0.0, score=None):
 class TestKnownPairs:
     def test_identical(self):
         a = _box([1, 2, 0], [4, 2, 1.5], 0.7)
-        assert pairwise_bev_iou([a], [a])[0, 0] == 1.0
-        assert pairwise_iou3d([a], [a])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert pairwise_bev_iou(_cols(a), _cols(a))[0, 0] == 1.0
+        assert pairwise_iou3d(_cols(a), _cols(a))[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_contained(self):
         big = _box([0, 0, 0], [4, 4, 2])
         small = _box([0.5, -0.3, 0], [1, 1, 1], 0.4)
-        assert pairwise_bev_iou([small], [big])[0, 0] == pytest.approx(1.0 / 16.0, abs=1e-12)
-        assert pairwise_bev_iou([big], [small])[0, 0] == pytest.approx(1.0 / 16.0, abs=1e-12)
-        assert pairwise_iou3d([small], [big])[0, 0] == pytest.approx(1.0 / 32.0, abs=1e-12)
+        assert pairwise_bev_iou(_cols(small), _cols(big))[0, 0] == pytest.approx(1.0 / 16.0, abs=1e-12)
+        assert pairwise_bev_iou(_cols(big), _cols(small))[0, 0] == pytest.approx(1.0 / 16.0, abs=1e-12)
+        assert pairwise_iou3d(_cols(small), _cols(big))[0, 0] == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     def test_edge_touching(self):
         a = _box([0, 0, 0], [2, 2, 1])
         b = _box([2, 0.5, 0], [2, 2, 1])
         rotated = _box([0, 2, 0], [2, 2, 1], math.pi / 2)
-        got = pairwise_bev_iou([a], [b, rotated])
+        got = pairwise_bev_iou(_cols(a), _cols(b, rotated))
         assert np.abs(got).max() <= 1e-12
-        assert pairwise_iou3d([a], [_box([0, 0, 1.0], [2, 2, 1])])[0, 0] == 0.0
+        assert pairwise_iou3d(_cols(a), _cols(_box([0, 0, 1.0], [2, 2, 1])))[0, 0] == 0.0
 
     def test_disjoint_is_exactly_zero(self):
         a = _box([0, 0, 0], [2, 2, 1])
         far = _box([10, 0, 0], [2, 2, 1])
         above = _box([0, 0, 5], [2, 2, 1])
-        assert pairwise_bev_iou([a], [far])[0, 0] == 0.0
-        assert pairwise_iou3d([a], [far, above]).tolist() == [[0.0, 0.0]]
+        assert pairwise_bev_iou(_cols(a), _cols(far))[0, 0] == 0.0
+        assert pairwise_iou3d(_cols(a), _cols(far, above)).tolist() == [[0.0, 0.0]]
 
     def test_empty_inputs(self):
-        boxes = [_box([0, 0, 0], [1, 1, 1]), _box([3, 0, 0], [1, 1, 1])]
+        boxes, empty = _cols(_box([0, 0, 0], [1, 1, 1]), _box([3, 0, 0], [1, 1, 1])), _cols()
         for fn in (pairwise_bev_iou, pairwise_iou3d):
-            assert fn([], boxes).shape == (0, 2)
-            assert fn(boxes, []).shape == (2, 0)
-            assert fn([], []).shape == (0, 0)
+            assert fn(empty, boxes).shape == (0, 2)
+            assert fn(boxes, empty).shape == (2, 0)
+            assert fn(empty, empty).shape == (0, 0)
 
     def test_octagonal_overlap_matches_oracle(self):
         # a square and its 45-degree turn overlap in an octagon, the
         # widest polygon a quad-by-quad clip can produce
         a = _box([0, 0, 0], [3, 3, 1], 0.0)
         b = _box([0.1, 0.05, 0], [3, 3, 1], math.pi / 4)
-        got = pairwise_bev_iou([a], [b])[0, 0]
+        got = pairwise_bev_iou(_cols(a), _cols(b))[0, 0]
         assert got == pytest.approx(oracles.bev_iou_oracle(a, b), abs=1e-15)
 
 
@@ -171,7 +178,7 @@ def contact_pairs(draw):
 
 
 def _kernel_overlap(a, b):
-    return pairwise_bev_iou([a], [b])[0, 0] > 0.0
+    return pairwise_bev_iou(_cols(a), _cols(b))[0, 0] > 0.0
 
 
 def _frame(box):

@@ -170,6 +170,7 @@ BAD_ROWS = (
     ["{oops", "[1, 2", '{"frame": "0",}', "nul"]                          # invalid JSON
     + ["[1, 2, 3]", "5", '"text"', "null"]                                # not an object
     + [_bad(**{key: _DROP}) for key in ("frame", "class", "center", "dims", "euler")]
+    + [_bad(frame=f) for f in (None, 7, 0.5, ["0"], {"id": "0"}, True)]
     + [_bad(center="abc"), _bad(dims="123"), _bad(euler=[True, False, True]),
        _bad(dims=[True, False, True]), _bad(center=[[1.0], [2.0], [3.0]]), _bad(euler=[]),
        _bad(center=None), _bad(dims=5), _bad(euler={"a": 1}), _bad(center=["1", "2", "x"])]
