@@ -378,7 +378,8 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
             dets, gts = columns[frame]
             det_rows, gt_rows = dets.class_ids == cls, gts.class_ids == cls
             diffs = [d for d, keep in zip(frame_diffs[frame], gt_rows.tolist()) if keep]
-            dets, gts = dets.take(det_rows), gts.take(gt_rows)
+            dets = dets if det_rows.all() else dets.take(det_rows)
+            gts = gts if gt_rows.all() else gts.take(gt_rows)
             values = {c: c.values(dets, gts) for c in (*iou_criteria, cd_criterion)}
             per_frame.append((dets, gts, diffs, checked_scores(dets.scores), values))
 

@@ -58,17 +58,8 @@ _FD_STEP = 1e-6
 _HELPER_MIN_MACS = 1 << 21
 _HELPER_MIN_ADAM_BLOCKS = 2
 _HELPER_MIN_CPUS = 2
-# a product splits across its output only where sweeps found both halves bit
-# for bit equal to the one call: halves that are whole multiples of
-# _SPLIT_STEP, a batch of at least _SPLIT_MIN_ROWS rows, and a weight
-# gradient's input width a multiple of _SPLIT_DW_IN_STEP.  The sweeps ran on
-# one BLAS build (OpenBLAS 0.3.31, SkylakeX kernels); other kernels may round
-# a half differently, and then a split head trains to other bytes.  Each half
-# must also be at least _SPLIT_MIN_MACS multiply-adds: a half of the seg
-# stack's 2**21 did not beat the one call
-_SPLIT_STEP = 64
-_SPLIT_MIN_ROWS = 32
-_SPLIT_DW_IN_STEP = 8
+# a product splits across its output only where each half is at least this
+# many multiply-adds: a half of the seg stack's 2**21 did not beat the one call
 _SPLIT_MIN_MACS = 1 << 22
 
 
@@ -89,6 +80,7 @@ class _Helper:
         self._todo = queue.SimpleQueue()
         self._done = queue.SimpleQueue()
         self._lock = threading.Lock()
+        self.verdicts: dict[tuple, bool] = {}  # product key -> are its halves exact (_verdict)
         threading.Thread(target=self._serve, name="fullpose-nn-helper", daemon=True).start()
 
     def _serve(self):
@@ -148,48 +140,63 @@ def _offload(fn, *args, **kwargs) -> _Helper | None:
     return helper if helper is not None and helper.start(fn, *args, **kwargs) else None
 
 
-def _split_at(m: int, p: int, k: int, by_rows: bool) -> int:
-    """Where :func:`_product` splits an ``(m, k) @ (k, p)`` product: half of
-    the output's rows (``by_rows``) or columns, or 0 for one call.
-
-    ``by_rows`` is a weight gradient ``dz.T @ x``, whose batch is the
-    reduction ``k``; otherwise it is a forward ``a @ W.T`` over a batch of
-    ``m`` rows.  The rule reads the shapes only.
-    """
-    width, rows = (m, k) if by_rows else (p, m)
-    splits = (width % (2 * _SPLIT_STEP) == 0 and rows >= _SPLIT_MIN_ROWS
-              and not (by_rows and p % _SPLIT_DW_IN_STEP)
-              and m * p * k // 2 >= _SPLIT_MIN_MACS)
-    return width // 2 if splits else 0
-
-
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
              by_rows: bool) -> np.ndarray:
-    """``np.matmul(a, b, out=out)``, computed in two halves where :func:`_split_at` allows.
-
-    The halves split the output, never the reduction, so each element is
-    the same dot product as in the one call.  The helper thread computes
-    the second half into its slice of the output while the caller computes
-    the first; with no helper free, the caller makes the one call.
+    """``np.matmul(a, b, out=out)``, as two halves of the output's rows
+    (``by_rows``: a weight gradient ``dz.T @ x``) or columns (a forward
+    ``a @ W.T``) on two threads where :func:`_verdict` found that this gives
+    the one call's bytes.  With no helper free, the caller makes the one call.
     """
     (m, k), p = a.shape, b.shape[1]
-    at = _split_at(m, p, k, by_rows)
-    if not at:
+    # the cost gate comes first: a product under it starts no thread
+    helper = _helper() if m * p * k // 2 >= _SPLIT_MIN_MACS else None
+    if helper is None:
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, p))
+    key = (m, k, p, by_rows, *map(_layout, (a, b, out)))
+    if key not in helper.verdicts:
+        _verdict(helper, key, a, b, out, by_rows)
+    if not (helper.verdicts.get(key) and _halves(helper, a, b, out, by_rows)):
+        np.matmul(a, b, out=out)
+    return out
+
+
+def _layout(x: np.ndarray) -> str:
+    # the memory order the BLAS reads a matrix in: "F" when its columns are contiguous
+    return "F" if x.strides[0] < x.strides[1] else "C"
+
+
+def _halves(helper: _Helper, a, b, out, by_rows: bool) -> bool:
+    # a @ b into out as halves, the second on the helper; False, computing nothing, if it is busy
+    at = (len(out) if by_rows else out.shape[1]) // 2
     if by_rows:
         first, second = (a[:at], b, out[:at]), (a[at:], b, out[at:])
     else:
         first, second = (a, b[:, :at], out[:, :at]), (a, b[:, at:], out[:, at:])
-    helper = _offload(np.matmul, *second[:2], out=second[2])
-    if helper is None:
-        return np.matmul(a, b, out=out)
+    if not helper.start(np.matmul, *second[:2], out=second[2]):
+        return False
     try:
         np.matmul(*first[:2], out=first[2])
     finally:
         helper.wait()
-    return out
+    return True
+
+
+def _verdict(helper: _Helper, key: tuple, a, b, out, by_rows: bool) -> None:
+    """Record under ``key`` whether :func:`_halves` gives the one call's bytes for a
+    product shaped and laid out like ``a @ b`` into ``out``, unless the helper is busy.
+    The probe runs fixed-seed generic operands, not the call's own (an all-background
+    frame's zero ``dz`` splits exactly on any shape): it assumes that shapes, layouts
+    and threads decide the rounding (Goto & van de Geijn, 2008), not values.  The
+    halves go into ``out``, which the call then overwrites."""
+    (m, k), p = a.shape, b.shape[1]
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, max(m * k, k * p))  # both operands
+    a = values[:m * k].reshape((m, k), order=_layout(a))
+    b = values[:k * p].reshape((k, p), order=_layout(b))
+    if _halves(helper, a, b, out, by_rows):
+        one_call = np.matmul(a, b, out=np.empty_like(out))
+        helper.verdicts[key] = np.array_equal(one_call.view(np.int64), out.view(np.int64))
 
 
 def _drop_helper() -> None:
@@ -350,7 +357,7 @@ def mlp_backward(params: MlpParams, cache: list, slots, dy: np.ndarray, *,
             dz = np.multiply(da, z > 0.0, out=da if owned else None)
         dw, db = slots[i]
         if i == 0 and not input_grad:
-            # no dz @ W to run beside: a large dW product splits instead
+            # no dz @ W to run beside: a large dW product may split instead
             _product(dz.T, x_in, dw, by_rows=True)
             np.add.reduce(dz, axis=0, out=db)
             return None
@@ -805,20 +812,12 @@ def load_mlps(path) -> list[MlpParams]:
             if code >= len(_ACTIVATIONS):
                 raise ValueError(f"{path}: unknown activation code {code}")
             count = out_dim * in_dim
-            need = (count + out_dim) * 8
-            if offset + need > len(data):
+            if offset + (count + out_dim) * 8 > len(data):
                 raise ValueError(f"{path}: truncated parameter container")
-            weights = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            offset += count * 8
-            bias = np.frombuffer(data, dtype="<f8", count=out_dim, offset=offset)
-            offset += out_dim * 8
-            layers.append(
-                DenseLayer(
-                    weights=weights.reshape(out_dim, in_dim).copy(),
-                    bias=bias.copy(),
-                    activation=_ACTIVATIONS[code],
-                )
-            )
+            values = np.frombuffer(data, dtype="<f8", count=count + out_dim, offset=offset)
+            offset += values.nbytes
+            layers.append(DenseLayer(weights=values[:count].reshape(out_dim, in_dim).copy(),
+                                     bias=values[count:].copy(), activation=_ACTIVATIONS[code]))
         mlps.append(MlpParams(layers))
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes in parameter container")

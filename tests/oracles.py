@@ -21,7 +21,7 @@ labels on every call, and makes fresh gradient arrays each time.
 The true-positive error oracle is the per-pair scalar arithmetic that the
 batched error pass of matching must repeat bit for bit.  ``blas_build``
 names numpy's BLAS and the core it runs, for the messages of
-byte-equality checks whose products were swept on one BLAS build only.
+byte-equality checks whose bytes depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -722,11 +722,13 @@ def tp_errors_oracle(det, gt) -> tuple[float, float, float]:
 
 def blas_build() -> str:
     """numpy's BLAS and the OpenBLAS core it runs, for a byte-equality failure:
-    the split rule of ``nn._split_at`` was swept on OpenBLAS 0.3.31 with
-    SkylakeX kernels, and other kernels may round a half of a split product
-    differently.  A ``DYNAMIC_ARCH`` build picks its core at load time, so the
-    core is read from the loaded library; the build configuration, which
-    names only the core it was compiled on, is the fallback."""
+    which halves of a product round like its one call depends on the kernel
+    and its threads, so ``nn._verdict`` checks each product key once, on
+    the kernel that runs, assuming the values do not matter; a failure here
+    under a split reads as that assumption broken on this kernel.  A
+    ``DYNAMIC_ARCH`` build picks its core at load time, so the core is read
+    from the loaded library; the build configuration, which names only the
+    core it was compiled on, is the fallback."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = _openblas_core()
     detail = f"core {core}" if core else blas.get("openblas configuration")
@@ -747,3 +749,10 @@ def _openblas_core() -> str | None:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return None
+
+
+def on_measured_core() -> bool:
+    """Whether numpy runs the OpenBLAS core on which the split tests' counts
+    were measured (SkylakeX): there the paper head's three large products
+    split.  Another core finds its own verdicts and may split fewer."""
+    return _openblas_core() == "SkylakeX"

@@ -708,7 +708,7 @@ class TestTrainHead:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
     def test_paper_default_head_same_bytes_on_one_cpu(self, tmp_path):
-        # 130 rows per frame: every product the split rule admits splits; the
+        # 130 rows per frame: every product whose verdict is equal splits; the
         # affinity is set in each child, which owns it, before numpy loads
         data = tmp_path / "data"
         run_ok(["synth", "--scenes", "2", "--boxes", "10", "--density", "1.0",

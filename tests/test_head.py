@@ -356,18 +356,32 @@ class TestHelperThread:
 
     def test_split_products_train_to_the_one_call_bytes(self, paper_frames, monkeypatch):
         monkeypatch.setattr(nn, "_HELPER_MIN_CPUS", 1)
-        split_at, split = nn._split_at, []
+        monkeypatch.setattr(nn, "_helper_thread", None)
+        halves, probes = [], []
+        run_halves, verdict = nn._halves, nn._verdict
 
-        def counted(m, p, k, by_rows):
-            split.append(split_at(m, p, k, by_rows))
-            return split[-1]
+        def counted_halves(*args):
+            halves.append(run_halves(*args))
+            return halves[-1]
 
-        monkeypatch.setattr(nn, "_split_at", counted)
+        def counted_verdict(*args):
+            probes.append(args[1])
+            return verdict(*args)
+
+        monkeypatch.setattr(nn, "_halves", counted_halves)
+        monkeypatch.setattr(nn, "_verdict", counted_verdict)
         with_split = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
-        # per step: the trunk's two forward layers and its first-layer dW; the
-        # seg stack's products are under the multiply-add gate
-        assert sum(map(bool, split)) == 3 * 2 * len(paper_frames)
-        monkeypatch.setattr(nn, "_split_at", lambda m, p, k, by_rows: 0)
+        # one probe per key, each recorded: the trunk's two forward layers and
+        # its first-layer dW; the seg stack's products are under the multiply-add gate
+        verdicts = nn._helper_thread.verdicts
+        assert sorted(verdicts) == sorted(probes) and len(probes) == 3
+        # every step splits the keys whose verdict is equal: all three on the
+        # measured core
+        splits = sum(halves) - len(probes)
+        assert splits == sum(verdicts.values()) * 2 * len(paper_frames)
+        assert splits == 3 * 2 * len(paper_frames) or not oracles.on_measured_core()
+        # a helper that takes no half: each product is its one call
+        monkeypatch.setattr(nn, "_halves", lambda *args: False)
         one_call = train_toy(paper_frames, HeadConfig(), epochs=2, seed=6)
         assert with_split[1] == one_call[1], oracles.blas_build()
         assert _training_digest(*with_split) == _training_digest(*one_call), oracles.blas_build()
