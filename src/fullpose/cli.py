@@ -83,6 +83,11 @@ def cmd_augment(args, cfg: dataio.ToolkitConfig) -> dict:
     frame_ids = sorted(p.stem for p in (in_dir / "labels").glob("*.jsonl"))
     if not frame_ids:
         raise ValueError(f"no labels found under {in_dir / 'labels'}")
+    # frames come from the label files: a cloud without one would be dropped
+    labeled = set(frame_ids)
+    for cloud in sorted((in_dir / "velodyne").glob("*.bin")):
+        if cloud.stem not in labeled:
+            raise ValueError(f"{cloud}: no label file {in_dir / 'labels' / cloud.stem}.jsonl")
     (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
     tasks = [(f, str(in_dir), str(out_dir), aug_cfg, args.seed) for f in frame_ids]

@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -276,63 +277,120 @@ def read_pose6d(path) -> list[Pose6dRecord]:
     Each line is checked on its parsed Python values: center, dims and
     euler are arrays of JSON numbers (booleans are not numbers), score
     is a JSON number or null, and the class name is one
-    :func:`class_id_for` knows.  The center, dims and euler triples of the
-    file then fill one (n, 3, 3) array, from which one
-    :func:`~fullpose.geom.boxes_from_arrays` call builds the file's boxes.
+    :func:`class_id_for` knows.  A file's values are checked together:
+    the center, dims and euler triples as one (n, 3, 3) array, from which
+    one :func:`~fullpose.geom.boxes_from_arrays` call builds the file's
+    boxes.  When any check fails, the lines are checked again one by one,
+    so the error names the first bad line.
     """
-    rows, triples, class_ids, scores = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # an integer longer than Python's int-string limit
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
-            if missing:
-                raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
-            if type(frame := obj["frame"]) is not str:  # str() would write null as "None"
-                raise ParseError(f"{path}:{lineno}: frame must be a JSON string")
-            center, dims, euler = obj["center"], obj["dims"], obj["euler"]
-            if not (type(center) is type(dims) is type(euler) is list
-                    and _JSON_NUMBERS.issuperset(map(type, values := center + dims + euler))):
-                raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples")
-            try:
-                values = list(map(float, values))
-            except OverflowError:
-                values = list(map(_json_float, values))
-            if len(center) != 3 or len(dims) != 3 or len(euler) != 3:
-                raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
-            if any(d <= 0.0 for d in values[3:6]):
-                raise ParseError(f"{path}:{lineno}: dims must be positive")
-            if not all(map(math.isfinite, values)):
-                raise ParseError(f"{path}:{lineno}: non-finite numbers")
-            difficulty = obj.get("difficulty")
-            if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
-                raise ParseError(f"{path}:{lineno}: {_unknown_difficulty(difficulty)}")
-            score = obj.get("score")
-            if score is not None:
-                if type(score) not in _JSON_NUMBERS:
-                    raise ParseError(f"{path}:{lineno}: score must be a number")
-                score = _json_float(score)
-                if not 0.0 <= score <= 1.0:
-                    raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
-            try:
-                class_ids.append(class_id_for(str(obj["class"])))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((frame, difficulty))
-            triples.append(values)
-            scores.append(score)
+        lines = fh.readlines()
+    table = _pose6d_table(lines)
+    if table is None:
+        table = _checked_pose6d_table(path, lines)
+    frames, difficulties, block, class_ids, scores = table
+    boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], class_ids, scores)
+    new = object.__new__
+    records = []
+    for frame, box, difficulty in zip(frames, boxes, difficulties):
+        rec = new(Pose6dRecord)  # the difficulty is checked: no __post_init__ again
+        rec.__dict__ = {"frame": frame, "box": box, "difficulty": difficulty}
+        records.append(rec)
+    return records
+
+
+_NUMBER_OR_NULL = _JSON_NUMBERS | {type(None)}
+_DIFFICULTY_OR_NULL = frozenset(DIFFICULTY_LABELS) | {None}
+
+
+def _pose6d_table(lines):
+    """The frames, difficulties, (n, 3, 3) center/dims/euler block, class ids and
+    scores of the records on ``lines``, or None when a line fails a check of
+    :func:`_checked_pose6d_table`."""
+    try:
+        objs = [json.loads(line) for line in lines if line.strip()]
+        frames = [obj["frame"] for obj in objs]
+        triples = [(obj["center"], obj["dims"], obj["euler"]) for obj in objs]
+        difficulties = [obj.get("difficulty") for obj in objs]
+        scores = [obj.get("score") for obj in objs]
+        names = [obj["class"] for obj in objs]
+        rows = list(chain.from_iterable(triples))
+        if not (set(map(type, frames)) <= {str} and set(map(type, rows)) <= {list}
+                and set(map(len, rows)) <= {3}
+                and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
+                and _NUMBER_OR_NULL.issuperset(map(type, scores))
+                and _DIFFICULTY_OR_NULL.issuperset(difficulties)):
+            return None
+        # float() of each number; past the float range it raises, and the line
+        # checker reads it as infinite
+        block = np.fromiter(chain.from_iterable(rows), np.float64, 3 * len(rows)).reshape(-1, 3, 3)
+        scores = [None if score is None else float(score) for score in scores]
+        if not (np.isfinite(block).all() and (block[:, 1] > 0.0).all()
+                and all(0.0 <= score <= 1.0 for score in scores if score is not None)):
+            return None
+        ids = {name: class_id_for(str(name)) for name in set(names)}
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        # invalid or too deeply nested JSON, not an object, a missing key, an
+        # unhashable value, a number past the float range, an unknown class
+        # name: the line checker raises what the first such line warrants
+        return None
+    return frames, difficulties, block, class_id_array([ids[name] for name in names]), scores
+
+
+def _checked_pose6d_table(path, lines):
+    """The table of :func:`_pose6d_table`, checked line by line: the first bad
+    line raises ParseError naming it."""
+    frames, difficulties, triples, class_ids, scores = [], [], [], [], []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer longer than Python's int-string limit
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object")
+        missing = {"frame", "class", "center", "dims", "euler"} - set(obj)
+        if missing:
+            raise ParseError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+        if type(frame := obj["frame"]) is not str:  # str() would write null as "None"
+            raise ParseError(f"{path}:{lineno}: frame must be a JSON string")
+        center, dims, euler = obj["center"], obj["dims"], obj["euler"]
+        if not (type(center) is type(dims) is type(euler) is list
+                and _JSON_NUMBERS.issuperset(map(type, values := center + dims + euler))):
+            raise ParseError(f"{path}:{lineno}: center/dims/euler must be numeric triples")
+        try:
+            values = list(map(float, values))
+        except OverflowError:
+            values = list(map(_json_float, values))
+        if len(center) != 3 or len(dims) != 3 or len(euler) != 3:
+            raise ParseError(f"{path}:{lineno}: center/dims/euler must have 3 entries")
+        if any(d <= 0.0 for d in values[3:6]):
+            raise ParseError(f"{path}:{lineno}: dims must be positive")
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"{path}:{lineno}: non-finite numbers")
+        difficulty = obj.get("difficulty")
+        if difficulty is not None and difficulty not in DIFFICULTY_LABELS:
+            raise ParseError(f"{path}:{lineno}: {_unknown_difficulty(difficulty)}")
+        score = obj.get("score")
+        if score is not None:
+            if type(score) not in _JSON_NUMBERS:
+                raise ParseError(f"{path}:{lineno}: score must be a number")
+            score = _json_float(score)
+            if not 0.0 <= score <= 1.0:
+                raise ParseError(f"{path}:{lineno}: score must lie in [0, 1], got {score}")
+        try:
+            class_ids.append(class_id_for(str(obj["class"])))
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        frames.append(frame)
+        difficulties.append(difficulty)
+        triples.append(values)
+        scores.append(score)
     block = np.array(triples, dtype=np.float64).reshape(-1, 3, 3)
-    ids = class_id_array(class_ids)
-    boxes = boxes_from_arrays(block[:, 0], block[:, 1], block[:, 2], ids, scores)
-    return [Pose6dRecord(frame, box, difficulty) for (frame, difficulty), box in zip(rows, boxes)]
+    return frames, difficulties, block, class_id_array(class_ids), scores
 
 
 def write_pose6d(records, path) -> None:

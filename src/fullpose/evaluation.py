@@ -28,6 +28,7 @@ from .geom import (
     pairwise_bev_iou,
     pairwise_center_distance,
     pairwise_iou3d,
+    pairwise_ious,
     rotations,
     score_order,
 )
@@ -153,53 +154,60 @@ def match(dets, gts, criterion: MatchCriterion, gt_ignored=None) -> MatchResult:
     only qualifying match is ignored is dropped from the PR curve.
     """
     dets, gts = box_columns(list(dets)), box_columns(list(gts))
-    result = _greedy_match(checked_scores(dets.scores), criterion.values(dets, gts), criterion,
-                           gt_ignored)
+    values = criterion.values(dets, gts)
+    result = _greedy_match(checked_scores(dets.scores), _candidates(values, criterion),
+                           values.shape[1], gt_ignored)
     _set_tp_errors([(dets, gts)], [result])
     return result
 
 
-def _greedy_match(scores, values, criterion: MatchCriterion, gt_ignored) -> MatchResult:
-    """The greedy pass of :func:`match` over a precomputed criterion matrix.
-
-    Detections go in descending score order (ties: lower index first);
-    each takes the qualifying untaken counted GT with the best value, the
-    lowest GT index winning ties.  The TPs' errors stay NaN: :func:`_set_tp_errors`
-    fills them in for the results that report them.
-    """
-    m, g = values.shape
-    ignored_mask = np.zeros(g, dtype=bool) if gt_ignored is None else np.asarray(gt_ignored, dtype=bool)
+def _candidates(values, criterion: MatchCriterion) -> list[list[int]]:
+    """For each detection (row of the (m, g) criterion matrix ``values``), the GTs that
+    qualify under ``criterion``, best value first; ties go to the lower GT index."""
     if criterion.uses_distance:
         ok = values <= criterion.threshold
         cost = values
     else:
         ok = values >= criterion.threshold
         cost = -values
-    ok_counted = ok & ~ignored_mask
-    has_counted = ok_counted.any(axis=1).tolist()
-    has_ignored = (ok & ignored_mask).any(axis=1).tolist()
+    order = np.argsort(np.where(ok, cost, np.inf), axis=1, kind="stable")
+    return [row[:count] for row, count in zip(order.tolist(), np.add.reduce(ok, axis=1).tolist())]
 
-    ign = np.zeros(m, dtype=bool)
-    matched_gt = np.full(m, -1, dtype=np.intp)
-    gt_taken = np.zeros(g, dtype=bool)
-    trans, scale, orient = np.full((3, m), np.nan)
 
+def _greedy_match(scores, candidates, g: int, gt_ignored) -> MatchResult:
+    """The greedy pass of :func:`match` over each detection's :func:`_candidates` among g GTs.
+
+    Detections go in descending score order (ties: lower index first);
+    each takes the qualifying untaken counted GT with the best value, the
+    lowest GT index winning ties.  The TPs' errors stay NaN: :func:`_set_tp_errors`
+    fills them in for the results that report them.
+    """
+    m = len(candidates)
+    ignored_mask = np.zeros(g, dtype=bool) if gt_ignored is None else np.asarray(gt_ignored, dtype=bool)
+    ignored = ignored_mask.tolist()
+    taken = [False] * g
+    matched_gt = [-1] * m
+    ign = [False] * m
     for i in score_order(scores).tolist():
-        if has_counted[i]:
-            free = ok_counted[i] & ~gt_taken
-            if free.any():
-                j = int(np.argmin(np.where(free, cost[i], np.inf)))
-                gt_taken[j] = True
+        ignored_qualifies = False
+        for j in candidates[i]:
+            if ignored[j]:
+                ignored_qualifies = True
+            elif not taken[j]:
+                taken[j] = True
                 matched_gt[i] = j
-                continue
-        ign[i] = has_ignored[i]
+                break
+        else:  # no counted GT left: dropped if an ignored one qualifies
+            ign[i] = ignored_qualifies
 
+    matched_gt = np.array(matched_gt, dtype=np.intp)
+    trans, scale, orient = np.full((3, m), np.nan)
     return MatchResult(
         det_scores=scores,
         det_tp=matched_gt >= 0,
-        det_ignored=ign,
+        det_ignored=np.array(ign, dtype=bool),
         det_gt=matched_gt,
-        gt_matched=gt_taken[~ignored_mask],
+        gt_matched=np.array(taken, dtype=bool)[~ignored_mask],
         n_gt=int(g - ignored_mask.sum()),
         trans_error=trans,
         scale_score=scale,
@@ -229,11 +237,11 @@ def average_precision(results, positions: int = 40) -> float:
         recall_points = np.linspace(0.0, 1.0, 11)
     else:
         recall_points = (np.arange(40) + 1) / 40.0
-    total = 0.0
-    for r in recall_points:
-        mask = recall >= r
-        total += float(precision[mask].max()) if mask.any() else 0.0
-    return total / positions
+    # recall never falls, so the ranks that reach a recall point are a suffix: the
+    # envelope there is the suffix max of precision, and 0 past the last rank
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    # cumsum adds the points one by one, in order, as a Python loop would
+    return float(np.cumsum(envelope[recall.searchsorted(recall_points)])[-1]) / positions
 
 
 @dataclass(frozen=True)
@@ -329,8 +337,9 @@ def _match_frames(per_frame, criterion: MatchCriterion, bucket: str) -> list[Mat
     """Every frame of ``per_frame`` matched under ``criterion``; GTs harder than
     ``bucket`` are ignored."""
     rank = _RANK[bucket]
-    return [_greedy_match(scores, values[criterion], criterion, [_RANK[d] > rank for d in diffs])
-            for _, _, diffs, scores, values in per_frame]
+    return [_greedy_match(scores, candidates[criterion], len(diffs),
+                          [_RANK[d] > rank for d in diffs])
+            for _, _, diffs, scores, candidates in per_frame]
 
 
 def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None = None,
@@ -372,7 +381,8 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
     cd_criterion = MatchCriterion("center_distance", config.cd_threshold)
 
     for cls in classes:
-        # each frame's criterion matrices are built once, for every difficulty bucket
+        # each frame's criterion matrices and candidates are built once, for
+        # every difficulty bucket
         per_frame = []
         for frame in frames:
             dets, gts = columns[frame]
@@ -380,8 +390,11 @@ def evaluate(dets_by_frame: dict, gts_by_frame: dict, config: EvalConfig | None 
             diffs = [d for d, keep in zip(frame_diffs[frame], gt_rows.tolist()) if keep]
             dets = dets if det_rows.all() else dets.take(det_rows)
             gts = gts if gt_rows.all() else gts.take(gt_rows)
-            values = {c: c.values(dets, gts) for c in (*iou_criteria, cd_criterion)}
-            per_frame.append((dets, gts, diffs, checked_scores(dets.scores), values))
+            # the two IoU matrices come from one footprint clip
+            values = dict(zip(iou_criteria, pairwise_ious(dets, gts)))
+            values[cd_criterion] = cd_criterion.values(dets, gts)
+            candidates = {c: _candidates(v, c) for c, v in values.items()}
+            per_frame.append((dets, gts, diffs, checked_scores(dets.scores), candidates))
 
         for criterion in iou_criteria:
             for bucket in DIFFICULTIES:

@@ -545,30 +545,29 @@ def _clipped_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 # pairs per clipping pass and pair tests per NMS block: bounds the
-# temporaries of both
-_PAIR_BATCH = 1 << 12
+# temporaries of both.  Measured on crowded NMS frames of about 147
+# candidates: 1 << 13 (three blocks) beat 1 << 12 (six), 1 << 14 and one
+# block for the whole frame (1 << 15)
+_PAIR_BATCH = 1 << 13
 
 
-def _pair_ious(fp: _Footprints, ia, ib, dz=None) -> np.ndarray:
-    """IoU of the box pairs (ia[p], ib[p]); BEV, or 3D given the z-overlaps ``dz``.
+def _intersections(fp: _Footprints, ia, ib) -> np.ndarray:
+    """Footprint intersection areas of the box pairs (ia[p], ib[p]), at most
+    ``_PAIR_BATCH`` pairs per clipping pass.
 
-    Boxes ``ia`` are the clipped subjects, boxes ``ib`` the clip.
+    Boxes ``ia`` are the clipped subjects, boxes ``ib`` the clip.  A pair's
+    area does not depend on the pairs clipped with it.
     """
     if len(ia) == 0:
         return np.zeros(0)
     if len(ia) > _PAIR_BATCH:
-        return np.concatenate([
-            _pair_ious(fp, ia[lo:lo + _PAIR_BATCH], ib[lo:lo + _PAIR_BATCH],
-                       None if dz is None else dz[lo:lo + _PAIR_BATCH])
-            for lo in range(0, len(ia), _PAIR_BATCH)
-        ])
-    inter = _clipped_areas(fp.corners[ia], fp.corners[ib])
-    if dz is None:
-        union = fp.area[ia] + fp.area[ib] - inter
-    else:
-        inter *= dz
-        volume = fp.dims[:, 0] * fp.dims[:, 1] * fp.dims[:, 2]
-        union = volume[ia] + volume[ib] - inter
+        return np.concatenate([_intersections(fp, ia[lo:lo + _PAIR_BATCH], ib[lo:lo + _PAIR_BATCH])
+                               for lo in range(0, len(ia), _PAIR_BATCH)])
+    return _clipped_areas(fp.corners[ia], fp.corners[ib])
+
+
+def _ious(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """``inter / union`` clamped to [0, 1]; 0 where the union is not positive."""
     iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
     return np.minimum(np.maximum(iou, 0.0, out=iou), 1.0, out=iou)
 
@@ -590,23 +589,39 @@ def _near(fp: _Footprints, rows: slice, cols: slice) -> np.ndarray:
     return d2 <= reach
 
 
-def _pairwise_iou(a: BoxColumns, b: BoxColumns, three_d: bool) -> np.ndarray:
+def _pairwise_iou(a: BoxColumns, b: BoxColumns, three_d: bool, bev: bool) -> tuple:
+    """The (m, g) 3D and BEV IoU matrices of ``a`` (rows) against ``b`` (columns) that
+    are asked for, None for the other, from one footprint clip.
+
+    A pair's 3D intersection is its footprint intersection times its
+    z-overlap.  The clipped pairs are those whose footprints can meet and,
+    when only the 3D matrix is asked for, that overlap in z.
+    """
     m, g = len(a.centers), len(b.centers)
-    out = np.zeros((m, g))
+    iou3, iou2 = (np.zeros((m, g)) if want else None for want in (three_d, bev))
     if not m or not g:
-        return out
+        return iou3, iou2
     fp = _footprints(*(np.concatenate(pair) for pair in zip(a[:3], b[:3])))
     near = _near(fp, slice(0, m), slice(m, None))
-    dz = None
     if three_d:
         z0 = fp.centers[:, 2] - fp.dims[:, 2] / 2
         z1 = fp.centers[:, 2] + fp.dims[:, 2] / 2
         dz = np.minimum(z1[:m, None], z1[None, m:]) - np.maximum(z0[:m, None], z0[None, m:])
-        near &= dz > 0.0
+        if not bev:
+            near &= dz > 0.0
     ia, ib = np.nonzero(near)
-    if len(ia):
-        out[ia, ib] = _pair_ious(fp, ia, ib + m, None if dz is None else dz[ia, ib])
-    return out
+    inter = _intersections(fp, ia, ib + m)
+    if bev:
+        iou2[ia, ib] = _ious(inter, fp.area[ia] + fp.area[ib + m] - inter)
+    if three_d:
+        dz = dz[ia, ib]
+        if bev:
+            overlap = dz > 0.0
+            ia, ib, inter, dz = ia[overlap], ib[overlap], inter[overlap], dz[overlap]
+        inter *= dz
+        volume = fp.dims[:, 0] * fp.dims[:, 1] * fp.dims[:, 2]
+        iou3[ia, ib] = _ious(inter, volume[ia] + volume[ib + m] - inter)
+    return iou3, iou2
 
 
 def pairwise_bev_iou(a: BoxColumns, b: BoxColumns) -> np.ndarray:
@@ -616,7 +631,7 @@ def pairwise_bev_iou(a: BoxColumns, b: BoxColumns) -> np.ndarray:
     footprint of the row box is clipped by the footprint of the column box.
     Pairs beyond their circumradii are rejected before any clipping.
     """
-    return _pairwise_iou(a, b, three_d=False)
+    return _pairwise_iou(a, b, three_d=False, bev=True)[1]
 
 
 def pairwise_iou3d(a: BoxColumns, b: BoxColumns) -> np.ndarray:
@@ -625,7 +640,12 @@ def pairwise_iou3d(a: BoxColumns, b: BoxColumns) -> np.ndarray:
     Pairs without z-overlap or beyond their circumradii are rejected
     before any clipping.
     """
-    return _pairwise_iou(a, b, three_d=True)
+    return _pairwise_iou(a, b, three_d=True, bev=False)[0]
+
+
+def pairwise_ious(a: BoxColumns, b: BoxColumns) -> tuple[np.ndarray, np.ndarray]:
+    """``(pairwise_iou3d(a, b), pairwise_bev_iou(a, b))``, bit for bit, from one footprint clip."""
+    return _pairwise_iou(a, b, three_d=True, bev=True)
 
 
 def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
@@ -635,7 +655,7 @@ def bev_iou(a: FullPoseBox, b: FullPoseBox) -> float:
     and full-pose ground truth remain comparable with one number.  Equals
     ``pairwise_bev_iou(box_columns([a]), box_columns([b]))[0, 0]``.
     """
-    return float(_pairwise_iou(box_columns([a]), box_columns([b]), three_d=False)[0, 0])
+    return float(pairwise_bev_iou(box_columns([a]), box_columns([b]))[0, 0])
 
 
 def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
@@ -643,7 +663,7 @@ def iou3d(a: FullPoseBox, b: FullPoseBox) -> float:
 
     Equals ``pairwise_iou3d(box_columns([a]), box_columns([b]))[0, 0]``.
     """
-    return float(_pairwise_iou(box_columns([a]), box_columns([b]), three_d=True)[0, 0])
+    return float(pairwise_iou3d(box_columns([a]), box_columns([b]))[0, 0])
 
 
 def center_distance(a: FullPoseBox, b: FullPoseBox) -> float:
@@ -694,6 +714,7 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
     n = len(order)
     fp = _footprints(centers[order], dims[order], euler[order])
     kept = np.zeros(n, dtype=bool)
+    keep = kept.tolist()  # the same flags as Python bools, read per rank
     block = max(1, _PAIR_BATCH // max(n, 1))
     for start in range(0, n, block):
         stop = min(n, start + block)
@@ -702,11 +723,13 @@ def nms(boxes, iou_threshold: float) -> np.ndarray:
         # later rank (row) against earlier rank (column) only
         rows, cols = np.nonzero(np.tril(near, start - 1))
         rows += start
-        over = _pair_ious(fp, rows, cols) > iou_threshold
-        rows, cols = rows[over], cols[over]
+        inter = _intersections(fp, rows, cols)
+        over = _ious(inter, fp.area[rows] + fp.area[cols] - inter) > iou_threshold
+        rows, cols = rows[over], cols[over].tolist()
         bounds = np.searchsorted(rows, np.arange(start, stop + 1)).tolist()
-        for r in range(start, stop):
-            lo, hi = bounds[r - start], bounds[r - start + 1]
-            kept[r] = lo == hi or not kept[cols[lo:hi]].any()
+        # a rank is kept unless it overlaps a kept earlier rank too much
+        for r, lo, hi in zip(range(start, stop), bounds, bounds[1:]):
+            keep[r] = not any(map(keep.__getitem__, cols[lo:hi]))
+        kept[start:stop] = keep[start:stop]
     return order[kept]
 

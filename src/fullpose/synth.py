@@ -20,10 +20,12 @@ import numpy as np
 from . import codec
 from .errors import FullposeError
 from .geom import (
+    BoxColumns,
     EulerXYZ,
     FullPoseBox,
     PointCloud,
     box_columns,
+    boxes_from_arrays,
     footprint_at,
     footprints_overlap,
     points_in_boxes,
@@ -156,12 +158,15 @@ def resting_euler(normal, yaw: float) -> EulerXYZ:
     Solves ``Rz(yaw) @ Ry(p) @ Rx(r) @ z_hat == normal`` for (r, p), on
     Python floats.
     """
+    return EulerXYZ(*_resting_angles(normal, yaw))
+
+
+def _resting_angles(normal, yaw: float) -> tuple[float, float, float]:
+    """The angles of :func:`resting_euler`, unchecked."""
     nx, ny, nz = normal
     c, s = math.cos(-yaw), math.sin(-yaw)
     mx, my = c * nx - s * ny, s * nx + c * ny
-    theta_x = math.asin(min(max(-my, -1.0), 1.0))
-    theta_y = math.atan2(mx, nz)
-    return EulerXYZ(theta_x, theta_y, yaw)
+    return math.asin(min(max(-my, -1.0), 1.0)), math.atan2(mx, nz), yaw
 
 
 def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
@@ -183,20 +188,21 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
     cdf /= cdf[-1]
     cdf = cdf.tolist()
     class_dims = {i: np.asarray(spec.class_dims[i], dtype=np.float64) for i in class_ids}
-    boxes: list[FullPoseBox] = []
+    # the columns of the placed boxes, built into boxes by one call at the end
+    centers, dims_rows, angles, classes = [], [], [], []
     footprints = []
     rejections = 0
     forced_ramp = 0
     if spec.ramp_box_fraction is not None and terrain.ramp_start is not None:
         forced_ramp = round(spec.ramp_box_fraction * spec.box_count)
-    while len(boxes) < spec.box_count:
+    while len(centers) < spec.box_count:
         if rejections >= 1000:
             raise PlacementFailureError(
-                f"placed {len(boxes)}/{spec.box_count} boxes after 1000 rejections"
+                f"placed {len(centers)}/{spec.box_count} boxes after 1000 rejections"
             )
         x, y = rng.uniform(x0 + m, x1 - m), rng.uniform(y0 + m, y1 - m)
         if terrain.ramp_start is not None:
-            want_ramp = len(boxes) < forced_ramp if spec.ramp_box_fraction is not None else None
+            want_ramp = len(centers) < forced_ramp if spec.ramp_box_fraction is not None else None
             on_ramp = x > terrain.ramp_start + spec.crease_margin
             on_flat = x < terrain.ramp_start - spec.crease_margin
             if not (on_ramp or on_flat):
@@ -220,10 +226,16 @@ def place_boxes(terrain: Terrain, spec: SceneSpec, rng: np.random.Generator
                 break
         else:
             rejections = 0
-            boxes.append(FullPoseBox(center=center, dims=dims,
-                                     euler=resting_euler((nx, ny, nz), yaw), class_id=cls))
+            centers.append(center)
+            dims_rows.append(dims)
+            angles.append(_resting_angles((nx, ny, nz), yaw))
+            classes.append(cls)
             footprints.append(fp)
-    return boxes
+    n = len(centers)
+    return boxes_from_arrays(np.array(centers, dtype=np.float64).reshape(n, 3),
+                             np.array(dims_rows, dtype=np.float64).reshape(n, 3),
+                             np.array(angles, dtype=np.float64).reshape(n, 3),
+                             np.array(classes, dtype=np.int64), [None] * n)
 
 
 # local face frame, one column per face (top, bottom, +y, -y, +x, -x side):
@@ -234,28 +246,45 @@ _FACE_U = np.array([0, 0, 0, 0, 1, 1])
 _FACE_V = np.array([1, 1, 2, 2, 2, 2])
 
 
-def _sample_box_surface(box: FullPoseBox, count: int, rng: np.random.Generator
-                        ) -> np.ndarray:
-    """``count`` points uniform on the faces of ``box``.
+def _sample_box_surfaces(boxes: BoxColumns, counts: list[int], rng: np.random.Generator
+                         ) -> np.ndarray:
+    """``counts[b]`` points uniform on the faces of box b, for each box b in turn.
 
-    Draws the face indices, then one (u, v) pair per point: the same
-    stream, in the same order, as one scalar draw per coordinate.  The
-    faces are those of ``rng.choice(6, size=count, p=areas / areas.sum())``:
-    ``count`` draws of ``rng.random`` searched in the CDF it builds.
+    Box by box, in box order, draws the face indices, then one (u, v) pair
+    per point: the same stream, in the same order, as one scalar draw per
+    coordinate.  The faces are those of ``rng.choice(6, size=count,
+    p=areas / areas.sum())``: ``count`` draws of ``rng.random`` searched in
+    the CDF it builds.  The CDFs, the face search and the local
+    coordinates take one pass over the scene's points; the rotation is one
+    ``local @ R.T`` product per box, as a stacked product rounds otherwise.
     """
-    l, w, h = box.dims
-    areas = np.array([l * w, l * w, l * h, l * h, w * h, w * h])
-    cdf = (areas / areas.sum()).cumsum()
-    cdf /= cdf[-1]
-    faces = cdf.searchsorted(rng.random(count), side="right")
-    uv = rng.uniform(-0.5, 0.5, size=(count, 2))
-    rows = np.arange(count)
+    dims = boxes.dims
+    l, w, h = dims.T
+    areas = np.column_stack([l * w, l * w, l * h, l * h, w * h, w * h])
+    cdf = (areas / areas.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    total = ends[-1] if ends else 0
+    face_draws, uv = np.empty(total), np.empty((total, 2))
+    for lo, hi in zip(starts, ends):
+        rng.random(out=face_draws[lo:hi])
+        uv[lo:hi] = rng.uniform(-0.5, 0.5, size=(hi - lo, 2))
+    owner = np.repeat(np.arange(len(dims)), counts)
+    # searchsorted(side="right") in a CDF: the entries at or below the draw
+    faces = np.count_nonzero(cdf[owner] <= face_draws[:, None], axis=1)
+    point_dims = dims[owner]
+    rows = np.arange(total)
     axis, u_axis, v_axis = _FACE_AXIS[faces], _FACE_U[faces], _FACE_V[faces]
-    local = np.empty((count, 3))
-    local[rows, axis] = _FACE_SIGN[faces] * box.dims[axis] / 2.0
-    local[rows, u_axis] = uv[:, 0] * box.dims[u_axis]
-    local[rows, v_axis] = uv[:, 1] * box.dims[v_axis]
-    return local @ box.rotation().T + box.center
+    local = np.empty((total, 3))
+    local[rows, axis] = _FACE_SIGN[faces] * point_dims[rows, axis] / 2.0
+    local[rows, u_axis] = uv[:, 0] * point_dims[rows, u_axis]
+    local[rows, v_axis] = uv[:, 1] * point_dims[rows, v_axis]
+    points = np.empty((total, 3))
+    for lo, hi, rotation in zip(starts, ends, rotations(boxes.euler)):
+        np.matmul(local[lo:hi], rotation.T, out=points[lo:hi])
+    points += boxes.centers[owner]
+    return points
 
 
 def sample_scene(terrain: Terrain, boxes: list[FullPoseBox], spec: SceneSpec,
@@ -264,23 +293,24 @@ def sample_scene(terrain: Terrain, boxes: list[FullPoseBox], spec: SceneSpec,
 
     Ground contributes ``ceil(density * extent area)`` points; each box
     contributes ``ceil(density * face area)`` points over its six faces.
-    The extras channel stores the per-point source tag.
+    The extras channel stores the per-point source tag.  Draws: the
+    ground's x, then its y, then each box's faces and (u, v) pairs in box
+    order, then the sensor noise of every point.
     """
     x0, x1, y0, y1 = terrain.extent
     n_ground = math.ceil(spec.density * terrain.area)
     xy = np.column_stack(
         [rng.uniform(x0, x1, n_ground), rng.uniform(y0, y1, n_ground)]
     )
-    chunks = [np.column_stack([xy, terrain.height(xy)])]
-    tags = [np.full(n_ground, GROUND_SOURCE)]
-    for i, box in enumerate(boxes):
-        l, w, h = box.dims
-        n_box = math.ceil(spec.density * 2.0 * (l * w + l * h + w * h))
-        chunks.append(_sample_box_surface(box, n_box, rng))
-        tags.append(np.full(n_box, float(i)))
-    points = np.vstack(chunks)
+    columns = box_columns(boxes)
+    l, w, h = columns.dims.T
+    counts = list(map(math.ceil, (spec.density * 2.0 * (l * w + l * h + w * h)).tolist()))
+    points = np.vstack([np.column_stack([xy, terrain.height(xy)]),
+                        _sample_box_surfaces(columns, counts, rng)])
     points = points + rng.standard_normal(points.shape) * spec.noise_sigma
-    cloud = PointCloud(points, np.concatenate(tags))
+    tags = np.concatenate([np.full(n_ground, GROUND_SOURCE),
+                           np.repeat(np.arange(len(counts), dtype=np.float64), counts)])
+    cloud = PointCloud(points, tags)
     return LabeledFrame(cloud=cloud, boxes=list(boxes), frame_id=frame_id)
 
 

@@ -19,7 +19,10 @@ loss oracle is the per-call composite loss that the per-frame loss rows
 must repeat bit for bit: it selects rows by boolean mask and checks the
 labels on every call, and makes fresh gradient arrays each time.
 The true-positive error oracle is the per-pair scalar arithmetic that the
-batched error pass of matching must repeat bit for bit.  ``blas_build``
+batched error pass of matching must repeat bit for bit, and the greedy
+match and average precision oracles are the per-detection and per-point
+loops that the list-based match and the suffix-max envelope must repeat.
+The scene oracle samples the box faces box by box.  ``blas_build``
 names numpy's BLAS and the core it runs, for the messages of
 byte-equality checks whose bytes depend on the BLAS kernel.
 """
@@ -207,6 +210,23 @@ def sample_box_surface_oracle(box, count: int, rng: np.random.Generator) -> np.n
         local[i, u_axis] = rng.uniform(-0.5, 0.5) * box.dims[u_axis]
         local[i, v_axis] = rng.uniform(-0.5, 0.5) * box.dims[v_axis]
     return local @ box.rotation().T + box.center
+
+
+def sample_scene_oracle(terrain, boxes, spec, rng: np.random.Generator) -> tuple:
+    """The points and source tags of ``synth.sample_scene``, box by box: the
+    ground, then :func:`sample_box_surface_oracle` for each box, then the noise."""
+    x0, x1, y0, y1 = terrain.extent
+    n_ground = math.ceil(spec.density * terrain.area)
+    xy = np.column_stack([rng.uniform(x0, x1, n_ground), rng.uniform(y0, y1, n_ground)])
+    chunks = [np.column_stack([xy, terrain.height(xy)])]
+    tags = [np.full(n_ground, -1.0)]
+    for i, box in enumerate(boxes):
+        l, w, h = box.dims
+        count = math.ceil(spec.density * 2.0 * (l * w + l * h + w * h))
+        chunks.append(sample_box_surface_oracle(box, count, rng))
+        tags.append(np.full(count, float(i)))
+    points = np.vstack(chunks)
+    return points + rng.standard_normal(points.shape) * spec.noise_sigma, np.concatenate(tags)
 
 
 def resting_euler_oracle(normal, yaw: float):
@@ -718,6 +738,53 @@ def tp_errors_oracle(det, gt) -> tuple[float, float, float]:
         return trans, scale, 0.0
     trace = float(np.trace(rot_a.T @ rot_b))
     return trans, scale, math.acos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+
+
+def greedy_match_oracle(scores, values, uses_distance: bool, threshold: float, gt_ignored):
+    """``evaluation._greedy_match`` detection by detection on the criterion matrix:
+    each takes the argmin of its free counted GTs' costs.  Returns the detections'
+    (tp, ignored, matched GT) arrays and the counted GTs' matched flags."""
+    m, g = values.shape
+    ignored_mask = np.asarray(gt_ignored, dtype=bool)
+    ok = values <= threshold if uses_distance else values >= threshold
+    cost = values if uses_distance else -values
+    ok_counted = ok & ~ignored_mask
+    ign = np.zeros(m, dtype=bool)
+    matched_gt = np.full(m, -1, dtype=np.intp)
+    gt_taken = np.zeros(g, dtype=bool)
+    for i in np.argsort(-scores, kind="stable"):
+        free = ok_counted[i] & ~gt_taken
+        if free.any():
+            j = int(np.argmin(np.where(free, cost[i], np.inf)))
+            gt_taken[j] = True
+            matched_gt[i] = j
+        else:
+            ign[i] = (ok[i] & ignored_mask).any()
+    return matched_gt >= 0, ign, matched_gt, gt_taken[~ignored_mask]
+
+
+def average_precision_oracle(results, positions: int) -> float:
+    """``evaluation.average_precision`` point by point: the precision envelope
+    at each recall point is the max over the ranks that reach it."""
+    scores = np.concatenate([np.zeros(0)] + [r.det_scores[~r.det_ignored] for r in results])
+    tps = np.concatenate([np.zeros(0, dtype=bool)] + [r.det_tp[~r.det_ignored] for r in results])
+    n_gt = sum(r.n_gt for r in results)
+    if n_gt == 0 or scores.size == 0:
+        return 0.0
+    order = np.argsort(-scores, kind="stable")
+    tp_cum = np.cumsum(tps[order])
+    fp_cum = np.cumsum(~tps[order])
+    recall = tp_cum / n_gt
+    precision = tp_cum / (tp_cum + fp_cum)
+    if positions == 11:
+        recall_points = np.linspace(0.0, 1.0, 11)
+    else:
+        recall_points = (np.arange(40) + 1) / 40.0
+    total = 0.0
+    for r in recall_points:
+        mask = recall >= r
+        total += float(precision[mask].max()) if mask.any() else 0.0
+    return total / positions
 
 
 def blas_build() -> str:

@@ -268,6 +268,18 @@ class TestAugment:
         argv = ["augment", "--input", str(data), "--output", str(tmp_path / "out"), "--p-s", "1"]
         assert _fail(argv, capsys) == f"{cloud}: frame cloud must be nonempty"
 
+    def test_cloud_without_label_file_names_it(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        clouds = sorted((data / "velodyne").glob("*.bin"))
+        for cloud in clouds[1:]:
+            (data / "labels" / f"{cloud.stem}.jsonl").unlink()
+        out = tmp_path / "out"
+        argv = ["augment", "--input", str(data), "--output", str(out), "--p-s", "1"]
+        want = f"{clouds[1]}: no label file {data / 'labels' / clouds[1].stem}.jsonl"
+        assert _fail(argv, capsys) == want
+        assert not out.exists()
+
 
 def _make_predictions(dataset: Path, out_dir: Path, jitter=0.0, seed=0):
     rng = np.random.default_rng(seed)

@@ -25,7 +25,6 @@ from fullpose.codec import (  # noqa: E402
 )
 from fullpose.geom import TWO_PI, EulerXYZ, FullPoseBox, box_columns  # noqa: E402
 from fullpose.head import HeadConfig, HeadOutput, head_decode  # noqa: E402
-from fullpose.synth import _sample_box_surface  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -288,7 +287,7 @@ class TestMakeTargets:
                              EulerXYZ(*rng.uniform(-0.6, 0.6, 2), rng.uniform(-4.0, 4.0)),
                              class_id=int(rng.integers(1, 4)))
                    for _ in range(15)]
-        centers = np.vstack([_sample_box_surface(b, 9, rng) for b in boxes])
+        centers = np.vstack([oracles.sample_box_surface_oracle(b, 9, rng) for b in boxes])
         # some face centers lie outside their box by rounding, inside by the 1e-9 m guard
         unguarded = [np.all(np.abs((centers[9 * k:9 * k + 9] - b.center) @ b.rotation())
                             <= b.dims * 0.5, axis=1) for k, b in enumerate(boxes)]

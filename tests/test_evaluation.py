@@ -12,6 +12,9 @@ from fullpose.evaluation import (
     FrameMismatchError,
     InputOutOfRangeError,
     MatchCriterion,
+    MatchResult,
+    _candidates,
+    _greedy_match,
     _tp_errors,
     assign_difficulty,
     average_precision,
@@ -29,7 +32,10 @@ from fullpose.geom import (
     center_distance,
     euler_to_matrix,
     nms,
+    pairwise_bev_iou,
     pairwise_center_distance,
+    pairwise_iou3d,
+    pairwise_ious,
     transform_box,
 )
 
@@ -282,6 +288,27 @@ class TestCriterionLabels:
         assert {c: s["criterion"] for c, s in report.rotated.items()} == {1: "cd@1", 2: "cd@1"}
 
 
+@pytest.mark.parametrize("kind", ["iou3d", "center_distance"])
+@pytest.mark.parametrize("seed", range(10))
+def test_greedy_match_equals_per_detection_oracle(seed, kind):
+    # coarse values and scores: equal values compete for a GT and equal
+    # scores decide the visiting order by index
+    rng = np.random.default_rng(seed)
+    m, g = (int(n) for n in rng.integers(0, 12, 2))
+    values = np.round(rng.uniform(0.0, 1.2, (m, g)), 1)
+    scores = np.round(rng.random(m), 1)
+    ignored = rng.random(g) < 0.3
+    criterion = MatchCriterion(kind, 0.5)
+    got = _greedy_match(scores, _candidates(values, criterion), g, ignored)
+    tp, ign, det_gt, gt_matched = oracles.greedy_match_oracle(
+        scores, values, criterion.uses_distance, 0.5, ignored)
+    assert got.det_tp.tolist() == tp.tolist()
+    assert got.det_ignored.tolist() == ign.tolist()
+    assert (got.det_gt.dtype, got.det_gt.tolist()) == (det_gt.dtype, det_gt.tolist())
+    assert got.gt_matched.tolist() == gt_matched.tolist()
+    assert got.n_gt == g - int(ignored.sum())
+
+
 class TestAveragePrecision:
     def _perfect(self):
         gts = [box([i * 10, 0, 0]) for i in range(4)]
@@ -314,6 +341,26 @@ class TestAveragePrecision:
     def test_positions_validated(self):
         with pytest.raises(ValueError):
             average_precision([self._perfect()], 20)
+
+    @pytest.mark.parametrize("positions", [11, 40])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_per_point_oracle(self, seed, positions):
+        # random PR curves over a few frames: rounded scores tie within and
+        # across frames, some detections are ignored, some GTs never found
+        rng = np.random.default_rng(seed)
+        results = []
+        for _ in range(int(rng.integers(1, 5))):
+            m = int(rng.integers(0, 30))
+            tp = rng.random(m) < rng.uniform(0.1, 0.9)
+            results.append(MatchResult(
+                det_scores=np.round(rng.random(m), 1), det_tp=tp,
+                det_ignored=~tp & (rng.random(m) < 0.2), det_gt=np.full(m, -1),
+                gt_matched=np.zeros(0, dtype=bool),
+                n_gt=int(tp.sum() + rng.integers(0, 4)),
+                trans_error=np.full(m, np.nan), scale_score=np.full(m, np.nan),
+                orient_error=np.full(m, np.nan)))
+        want = oracles.average_precision_oracle(results, positions)
+        assert average_precision(results, positions) == want
 
 
 class TestTpScores:
@@ -550,27 +597,50 @@ class TestEvaluate:
         assert all(len(r.split(",")) == 5 for r in rows[1:])
 
 
-def test_center_distance_is_the_matrix_entry_on_a_crowded_eval(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def crowded_eval(tmp_path_factory):
+    """The (dets, gts) boxes of every frame of the benchmark's seed-0 crowded eval."""
+    tmp_path = tmp_path_factory.mktemp("crowded")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        from pipeline import Pipeline
+        from workloads import WORKLOADS
+
+        workload = WORKLOADS["crowded"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(workload.config))
+        result = Pipeline(workload, 0, tmp_path, config, dataio.load_config(config)).run()
+    assert result.failed == 0, result.errors
+    gt_paths = sorted((tmp_path / "run" / "aug" / "labels").glob("*.jsonl"))
+    assert len(gt_paths) == workload.test_scenes
+    return [([rec.box for rec in dataio.read_pose6d(tmp_path / "run" / "pred" / "labels"
+                                                    / gt_path.name)],
+             [rec.box for rec in dataio.read_pose6d(gt_path)])
+            for gt_path in gt_paths]
+
+
+def test_center_distance_is_the_matrix_entry_on_a_crowded_eval(crowded_eval):
     """Every det-GT pair of the benchmark's seed-0 crowded eval: the distance
     a true positive was matched on is its translation error, bit for bit."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    from pipeline import Pipeline
-    from workloads import WORKLOADS
-
-    workload = WORKLOADS["crowded"]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(workload.config))
-    result = Pipeline(workload, 0, tmp_path, config, dataio.load_config(config)).run()
-    assert result.failed == 0, result.errors
     build = f"numpy {np.__version__}, {oracles.blas_build()}"
-    pairs, gt_paths = 0, sorted((tmp_path / "run" / "aug" / "labels").glob("*.jsonl"))
-    for gt_path in gt_paths:
-        gts = [rec.box for rec in dataio.read_pose6d(gt_path)]
-        dets = [rec.box for rec in dataio.read_pose6d(tmp_path / "run" / "pred" / "labels"
-                                                      / gt_path.name)]
+    pairs = 0
+    for frame, (dets, gts) in enumerate(crowded_eval):
         matrix = pairwise_center_distance(box_columns(dets), box_columns(gts))
         scalar = [[center_distance(det, gt) for gt in gts] for det in dets]
-        assert matrix.tolist() == scalar, (gt_path.name, build)
+        assert matrix.tolist() == scalar, (frame, build)
         pairs += matrix.size
-    assert len(gt_paths) == workload.test_scenes and pairs > 5_000
+    assert pairs > 5_000
+
+
+def test_shared_clip_equals_each_kernel_on_a_crowded_eval(crowded_eval):
+    """``evaluate`` takes a frame's 3D and BEV IoU matrices from one footprint
+    clip; on every frame of the seed-0 crowded eval they are the kernels' bits."""
+    overlapping = 0
+    for frame, (dets, gts) in enumerate(crowded_eval):
+        dets, gts = box_columns(dets), box_columns(gts)
+        iou, bev = pairwise_ious(dets, gts)
+        assert iou.tobytes() == pairwise_iou3d(dets, gts).tobytes(), frame
+        assert bev.tobytes() == pairwise_bev_iou(dets, gts).tobytes(), frame
+        overlapping += np.count_nonzero(bev)
+    assert overlapping > 200

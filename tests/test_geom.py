@@ -445,7 +445,7 @@ class TestCenterDistance:
 
 @pytest.mark.parametrize("spread, m, g, min_pairs", [
     (3.0, 15, 12, 64),               # one pass clips pairs of different vertex counts
-    (0.3, 70, 70, geom._PAIR_BATCH),  # more near pairs than one clipping pass holds
+    (0.3, 95, 95, geom._PAIR_BATCH),  # more near pairs than one clipping pass holds
 ], ids=["one-pass", "split-passes"])
 def test_pairwise_equals_scalar_bit_for_bit_over_many_near_pairs(spread, m, g, min_pairs):
     rng = np.random.default_rng(41)

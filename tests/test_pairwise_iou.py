@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from fullpose import geom  # noqa: E402
 from fullpose.geom import (  # noqa: E402
     EulerXYZ,
     FullPoseBox,
@@ -235,3 +236,9 @@ def test_nms_equals_oracle_on_clustered_proposals(boxes, threshold):
     want = oracles.nms_oracle(boxes, threshold,
                               lambda i, j: oracles.bev_iou_oracle(boxes[i], boxes[j]))
     assert list(nms(boxes, threshold)) == want
+    # the pair bound sets how many ranks one block decides: many small
+    # blocks, or few large ones, keep the same boxes
+    for bound in (1 << 10, 1 << 12, 1 << 13):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geom, "_PAIR_BATCH", bound)
+            assert list(nms(boxes, threshold)) == want, bound

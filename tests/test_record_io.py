@@ -211,10 +211,17 @@ def read_outcome(reader, path):
 
 
 class TestReadPose6d:
-    @given(st.lists(valid_rows(), max_size=8), st.one_of(st.none(), st.sampled_from(BAD_ROWS)),
-           st.integers(0, 8))
-    def test_equals_per_record_oracle(self, tmp_path_factory, rows, bad, at):
-        if bad is not None:
+    # up to two bad rows at their own lines: the reader checks a file's values
+    # together, yet must name the first bad line with the oracle's message
+    @given(st.lists(valid_rows(), max_size=8),
+           st.lists(st.sampled_from(BAD_ROWS), max_size=2, unique=True),
+           st.lists(st.integers(0, 9), min_size=2, max_size=2))
+    @example([json.dumps(GOOD)] * 3, [_bad(dims=[1.0, 0.0, 1.0]), "{oops"], [3, 1])
+    @example([json.dumps(GOOD)] * 3, [_bad(difficulty=[1]), _bad(score=1.5)], [2, 0])
+    @example([json.dumps(GOOD)] * 3, [_bad(**{"class": "Foo"}), _bad(center=[NAN, 0.0, 0.0])],
+             [0, 2])
+    def test_equals_per_record_oracle(self, tmp_path_factory, rows, bads, ats):
+        for bad, at in zip(bads, ats):
             rows.insert(min(at, len(rows)), bad)
         path = tmp_path_factory.mktemp("read") / "labels.jsonl"
         path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")

@@ -15,7 +15,7 @@ from fullpose.synth import (
     PlacementFailureError,
     SceneSpec,
     Terrain,
-    _sample_box_surface,
+    _sample_box_surfaces,
     frame_rng,
     make_features,
     make_scene,
@@ -295,12 +295,29 @@ class TestSampleScene:
                           EulerXYZ(*rng.uniform(-0.6, 0.6, 2), rng.uniform(-4, 4)))
         for count in (0, 1, 2, 57, 400):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _sample_box_surface(box, count, got_rng)
+            got = _sample_box_surfaces(box_columns([box]), [count], got_rng)
             want = oracles.sample_box_surface_oracle(box, count, want_rng)
             assert got.shape == (count, 3)
             assert got.tobytes() == want.tobytes()
             # both consumed the same stream
             assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("box_count", [0, 1, 7])
+    @pytest.mark.parametrize("density", [0.5, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("terrain", [FLAT, RAMP], ids=["flat", "ramp"])
+    def test_scene_equals_per_box_oracle(self, terrain, density, box_count):
+        spec = SceneSpec(terrain=terrain, box_count=box_count, density=density,
+                         noise_sigma=0.02 if density > 1.0 else 0.0,
+                         class_weights={1: 1.0, 2: 1.0},
+                         class_dims={1: (4.2, 1.8, 1.6), 2: (0.8, 0.6, 1.7)})
+        boxes = place_boxes(terrain, spec, np.random.default_rng(box_count))
+        assert len(boxes) == box_count
+        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        frame = sample_scene(terrain, boxes, spec, got_rng)
+        points, tags = oracles.sample_scene_oracle(terrain, boxes, spec, want_rng)
+        assert frame.cloud.points.tobytes() == points.tobytes()
+        assert frame.cloud.extras[:, 0].tobytes() == tags.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 class TestMakeFeatures:
@@ -367,7 +384,7 @@ class TestMakeFeatures:
         elif variant == "faces":
             # ground points exactly on the boxes' faces, tilted ones on the
             # ramp: candidates there stay inside only by the 1e-9 m guard
-            faces = np.vstack([_sample_box_surface(b, 30, np.random.default_rng(seed))
+            faces = np.vstack([oracles.sample_box_surface_oracle(b, 30, np.random.default_rng(seed))
                                for b in frame.boxes])
             frame = LabeledFrame(PointCloud(np.vstack([points, faces]),
                                             np.concatenate([tags, np.full(len(faces), GROUND_SOURCE)])),
@@ -409,7 +426,7 @@ class TestMakeFeatures:
                           EulerXYZ(0.0, 0.0, 0.3), class_id=1)
         ground = np.column_stack([rng.uniform(2.0, 8.0, 200), rng.uniform(-2.0, 2.0, 200),
                                   np.zeros(200)])
-        faces = _sample_box_surface(box, 50, rng)
+        faces = oracles.sample_box_surface_oracle(box, 50, rng)
         cloud = PointCloud(np.vstack([ground, faces]),
                            np.concatenate([np.full(200, GROUND_SOURCE), np.zeros(50)]))
         assert points_in_box(ground, box).all()
